@@ -1,5 +1,5 @@
-// Batch driver of the serving tier (DESIGN.md §16): Cs2pEngine::observe_batch
-// and predict_batch.
+// Batch driver of the serving tier (DESIGN.md §16): Cs2pEngine::advance_batch
+// and predict_batch, plus observe_batch, which is the two in sequence.
 //
 // Grouping rule: sessions are batchable together exactly when their filters
 // share an HmmKernel pointer (same pinned model — RCU hot-swaps naturally
@@ -12,9 +12,9 @@
 // The batch kernel gathers all beliefs, advances, and scatters back; two
 // observations for the same session in one batch would both read the
 // pre-advance belief instead of chaining. The server enforces this by
-// extracting at most one frame per connection per round and routing
-// duplicate session ids (a session driven over two connections at once)
-// through the scalar path.
+// extracting at most one frame per connection per round and running a
+// session's later frames of a round (a session driven over two connections
+// at once) in later waves, after the earlier frame has applied.
 #include <vector>
 
 #include "core/engine.h"
@@ -50,6 +50,7 @@ struct BatchWorkspace {
   std::vector<const OnlineHmmFilter*> const_filters;
   std::vector<double> values;
   std::vector<std::size_t> members;
+  std::vector<PredictBatchItem> next_epoch;  ///< observe_batch's horizon-1 items
 };
 
 BatchWorkspace& workspace() {
@@ -59,12 +60,11 @@ BatchWorkspace& workspace() {
 
 }  // namespace
 
-BatchStats Cs2pEngine::observe_batch(std::span<ObserveBatchItem> items) {
-  BatchStats stats;
+void Cs2pEngine::advance_batch(std::span<ObserveBatchItem> items) {
   BatchWorkspace& ws = workspace();
 
-  // Phase 1: stage every observation. kScalar items advance inline (their
-  // observe() is the whole contract); kFilter items queue for the kernel.
+  // Stage every observation. kScalar items advance inline (their observe()
+  // is the whole contract); kFilter items queue for the kernel.
   ws.observes.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
     ObserveBatchItem& item = items[i];
@@ -82,7 +82,7 @@ BatchStats Cs2pEngine::observe_batch(std::span<ObserveBatchItem> items) {
     }
   }
 
-  // Phase 2: one kernel walk per distinct model, first-appearance order.
+  // One kernel walk per distinct model, first-appearance order.
   for (std::size_t start = 0; start < ws.observes.size(); ++start) {
     if (ws.observes[start].grouped) continue;
     const HmmKernel* kernel = ws.observes[start].kernel;
@@ -101,40 +101,20 @@ BatchStats Cs2pEngine::observe_batch(std::span<ObserveBatchItem> items) {
   // trip/recover events — the scalar observe() tail).
   for (const PlannedObserve& p : ws.observes)
     items[p.item].predictor->finish_batch_observe();
+}
 
-  // Phase 3: the OBSERVE reply's next-epoch prediction, batched the same
-  // way. A session can leave the batchable set between phases (this very
-  // observation tripped its guardrail) — batch_predict_filter re-decides.
-  ws.predicts.clear();
+BatchStats Cs2pEngine::observe_batch(std::span<ObserveBatchItem> items) {
+  advance_batch(items);
+  // A session can leave the batchable set during the advance (this very
+  // observation tripped its guardrail) — predict_batch re-decides per item.
+  BatchWorkspace& ws = workspace();
+  ws.next_epoch.clear();
+  for (const ObserveBatchItem& item : items)
+    ws.next_epoch.push_back({item.predictor, 1});
+  const BatchStats stats = predict_batch(ws.next_epoch);
   for (std::size_t i = 0; i < items.size(); ++i) {
-    ObserveBatchItem& item = items[i];
-    const OnlineHmmFilter* filter = item.predictor->batch_predict_filter(1);
-    if (filter == nullptr) {
-      item.prediction = item.predictor->predict(1);
-      ++stats.scalar;
-      continue;
-    }
-    ws.predicts.push_back({i, filter, 1, filter->kernel().get(), false});
-  }
-  for (std::size_t start = 0; start < ws.predicts.size(); ++start) {
-    if (ws.predicts[start].grouped) continue;
-    const HmmKernel* kernel = ws.predicts[start].kernel;
-    ws.const_filters.clear();
-    ws.members.clear();
-    for (std::size_t j = start; j < ws.predicts.size(); ++j) {
-      PlannedPredict& p = ws.predicts[j];
-      if (p.grouped || p.kernel != kernel) continue;
-      p.grouped = true;
-      ws.const_filters.push_back(p.filter);
-      ws.members.push_back(p.item);
-    }
-    ws.values.resize(ws.const_filters.size());
-    ws.batch.predict(*kernel, ws.const_filters, 1, ws.values);
-    for (std::size_t k = 0; k < ws.members.size(); ++k) {
-      items[ws.members[k]].prediction = ws.values[k];
-      items[ws.members[k]].via_batch_kernel = true;
-    }
-    stats.batched += ws.members.size();
+    items[i].prediction = ws.next_epoch[i].prediction;
+    items[i].via_batch_kernel = ws.next_epoch[i].via_batch_kernel;
   }
   return stats;
 }
@@ -146,8 +126,7 @@ BatchStats Cs2pEngine::predict_batch(std::span<PredictBatchItem> items) {
   ws.predicts.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
     PredictBatchItem& item = items[i];
-    const OnlineHmmFilter* filter =
-        item.predictor->batch_predict_filter(item.steps_ahead);
+    const OnlineHmmFilter* filter = item.predictor->batch_predict_filter();
     if (filter == nullptr) {
       item.prediction = item.predictor->predict(item.steps_ahead);
       ++stats.scalar;

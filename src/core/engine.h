@@ -144,8 +144,8 @@ struct ClusterModelView {
 // degraded fallback, sanitizer reject) run their scalar path — the batch
 // driver is an optimization, never a semantic fork.
 
-/// One OBSERVE: advance the session on `observation`, then produce the
-/// next-epoch prediction (the server's OBSERVE reply).
+/// One OBSERVE: advance the session on `observation`, then (observe_batch
+/// only) produce the next-epoch prediction.
 struct ObserveBatchItem {
   SessionPredictor* predictor = nullptr;
   double observation = 0.0;
@@ -219,13 +219,17 @@ class Cs2pEngine {
   /// Same pointer contract as surprise_baseline().
   std::shared_ptr<const HmmKernel> hmm_kernel(const GaussianHmm* hmm) const;
 
-  /// Advances every item's session on its observation and produces the
-  /// next-epoch prediction, grouping kernel-sharing sessions through
-  /// BatchHmmFilter (one state-matrix walk per model per round). Each
-  /// session id must appear at most once per call (core/batch.cpp explains
-  /// the sequential-dependence rule); the caller holds whatever locks
-  /// protect the predictors. Static: operates on any predictor mix and
-  /// touches no engine state.
+  /// Advances every item's session on its observation, grouping
+  /// kernel-sharing sessions through BatchHmmFilter (one state-matrix walk
+  /// per model per call); `prediction` is left untouched. Each session must
+  /// appear at most once per call (core/batch.cpp explains the
+  /// sequential-dependence rule); the caller holds whatever locks protect
+  /// the predictors. Static: operates on any predictor mix and touches no
+  /// engine state.
+  static void advance_batch(std::span<ObserveBatchItem> items);
+
+  /// advance_batch, then the next-epoch prediction of every item through
+  /// predict_batch at horizon 1 (the OBSERVE reply).
   static BatchStats observe_batch(std::span<ObserveBatchItem> items);
 
   /// Batched horizon predictions; groups by (kernel, steps_ahead). Items

@@ -41,8 +41,8 @@ class BatchHmmFilter {
   /// belief/log-likelihood/degenerate-count/observation-count side effects.
   /// Every filter must run on `kernel` (share the same kernel pointer), and
   /// a filter must appear at most once per call (a repeated session has a
-  /// sequential dependence a gather/scatter batch cannot honor — callers
-  /// route duplicates through the scalar path).
+  /// sequential dependence a gather/scatter batch cannot honor — the server
+  /// runs a repeated session in a later wave).
   void observe(const HmmKernel& kernel,
                std::span<OnlineHmmFilter* const> filters,
                std::span<const double> observations);

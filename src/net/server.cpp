@@ -54,21 +54,19 @@ constexpr std::size_t kReadChunkBytes = 16 * 1024;
 }  // namespace
 
 /// One frame moving through a batch round (DESIGN.md §16). Extracted off its
-/// connection's read buffer, parsed, dispatched either scalar or through the
-/// engine's batch API, and finally emitted back onto the connection — the
-/// fd, not a Connection*, is the link, because a connection can be closed by
-/// an earlier frame's flush failure within the same round.
+/// connection's read buffer, parsed, answered either by handle() or as a
+/// lane of the OBSERVE/PREDICT executor, and finally emitted back onto the
+/// connection — the fd, not a Connection*, is the link, because a connection
+/// can be closed by an earlier frame's flush failure within the same round.
 struct PredictionServer::RoundFrame {
   int fd = -1;
   std::string payload;
   PendingReply reply;     ///< t_recv stamped at extraction
   Request request;
-  bool parsed = false;
   Response response;
-  bool handled = false;
-  /// 0 = scalar path, 1 = batched OBSERVE, 2 = batched PREDICT.
-  int batch_kind = 0;
-  std::uint64_t batch_session = 0;
+  bool handled = false;   ///< `response` is final
+  bool lane = false;      ///< OBSERVE/PREDICT, served by the lane executor
+  std::uint64_t session = 0;  ///< the lane's session id
 };
 
 PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
@@ -716,60 +714,46 @@ void PredictionServer::run_batch_rounds(Worker& worker) {
 
 void PredictionServer::handle_round(Worker& worker,
                                     std::vector<RoundFrame>& round) {
-  // Phase 1: parse every frame. Errors short-circuit to a reply here; the
-  // accounting (verb counters, parse_us timing) matches the old inline path
-  // exactly.
+  // Phase 1: parse every frame. Errors short-circuit to a reply here, and so
+  // does every verb once the server is stopping; OBSERVE/PREDICT frames
+  // become lanes of the executor.
+  thread_local std::vector<RoundFrame*> lanes;
+  lanes.clear();
+  const bool stopping = stopping_.load();
   for (RoundFrame& frame : round) {
     try {
       frame.request = parse_request(frame.payload);
       frame.reply.parse_us = elapsed_us(frame.reply.t_recv, Clock::now());
       verb_counter(frame.request)->inc();
-      frame.parsed = true;
     } catch (const ProtocolError& e) {
       m_.verb_invalid->inc();
       frame.response = ErrorResponse{WireErrorCode::kBadRequest, e.what()};
       frame.handled = true;
+      continue;
     } catch (const std::exception& e) {
       frame.response = ErrorResponse{WireErrorCode::kInternal, e.what()};
       frame.handled = true;
+      continue;
+    }
+    if (stopping) {
+      frame.response =
+          ErrorResponse{WireErrorCode::kShuttingDown, "server is stopping"};
+      frame.handled = true;
+    } else if (const auto* observe = std::get_if<ObserveRequest>(&frame.request)) {
+      frame.lane = true;
+      frame.session = observe->session_id;
+      lanes.push_back(&frame);
+    } else if (const auto* predict = std::get_if<PredictRequest>(&frame.request)) {
+      frame.lane = true;
+      frame.session = predict->session_id;
+      lanes.push_back(&frame);
     }
   }
 
-  // Phase 2: classify. OBSERVE and PREDICT are batchable when the server is
-  // in its primary serving mode; under brownout, shutdown, or for a session
-  // id appearing twice in one round (sequential dependence — core/batch.cpp)
-  // the frame takes the scalar path, which is always semantically complete.
-  thread_local std::vector<std::uint64_t> batch_ids;
-  batch_ids.clear();
-  const bool can_batch = !stopping_.load() && brownout_level() == 0;
-  if (can_batch) {
-    for (RoundFrame& frame : round) {
-      if (!frame.parsed || frame.handled) continue;
-      std::uint64_t session = 0;
-      int kind = 0;
-      if (const auto* observe = std::get_if<ObserveRequest>(&frame.request)) {
-        session = observe->session_id;
-        kind = 1;
-      } else if (const auto* predict =
-                     std::get_if<PredictRequest>(&frame.request)) {
-        session = predict->session_id;
-        kind = 2;
-      } else {
-        continue;
-      }
-      if (std::find(batch_ids.begin(), batch_ids.end(), session) !=
-          batch_ids.end())
-        continue;  // duplicate in this round: scalar keeps the chaining
-      batch_ids.push_back(session);
-      frame.batch_kind = kind;
-      frame.batch_session = session;
-    }
-  }
-
-  // Phase 3: scalar frames through the unchanged handle() path (HELLO, BYE,
-  // SYNC, STATS, MODEL, plus any OBSERVE/PREDICT the batch declined).
+  // Phase 2: the session-lifecycle and control verbs through handle()
+  // (HELLO, BYE, SYNC, STATS, MODEL), in round order.
   for (RoundFrame& frame : round) {
-    if (frame.handled || frame.batch_kind != 0) continue;
+    if (frame.handled || frame.lane) continue;
     const auto it = worker.connections.find(frame.fd);
     if (it == worker.connections.end()) continue;
     const auto t_handle = Clock::now();
@@ -785,144 +769,32 @@ void PredictionServer::handle_round(Worker& worker,
     frame.handled = true;
   }
 
-  // Phase 4: the batched frames. One multi-shard lock acquisition covers
-  // lookup, validation, the engine's batch advance/predict, and reply
-  // composition — the per-frame semantics (validation order, last_used
-  // refresh, history capture, serve flags read after the advance, degraded
-  // accounting) replicate handle()'s scalar OBSERVE/PREDICT exactly.
-  if (!batch_ids.empty()) {
-    thread_local std::vector<RoundFrame*> batch_frames;
-    thread_local std::vector<ObserveBatchItem> observe_items;
-    thread_local std::vector<std::size_t> observe_frames;
-    thread_local std::vector<SessionTable::Entry*> observe_entries;
-    thread_local std::vector<PredictBatchItem> predict_items;
-    thread_local std::vector<std::size_t> predict_frames;
-    thread_local std::vector<SessionTable::Entry*> predict_entries;
-    batch_frames.clear();
-    for (RoundFrame& frame : round)
-      if (frame.batch_kind != 0) batch_frames.push_back(&frame);
-
-    const auto t_batch = Clock::now();
-    BatchStats stats;
-    sessions_.with_sessions(
-        batch_ids, [&](std::span<SessionTable::Entry* const> entries) {
-          observe_items.clear();
-          observe_frames.clear();
-          observe_entries.clear();
-          predict_items.clear();
-          predict_frames.clear();
-          predict_entries.clear();
-          const auto now = Clock::now();
-          for (std::size_t i = 0; i < batch_frames.size(); ++i) {
-            RoundFrame& frame = *batch_frames[i];
-            SessionTable::Entry* entry = entries[i];
-            RequestInfo& info = frame.reply.info;
-            info.session_id = frame.batch_session;
-            if (entry != nullptr) info.traced = entry->traced;
-            if (frame.batch_kind == 1) {
-              info.event = "observe";
-              const auto& observe = std::get<ObserveRequest>(frame.request);
-              const double w = observe.throughput_mbps;
-              // Validate before touching the predictor (one NaN poisons the
-              // forward filter); an invalid sample outranks an unknown
-              // session, and leaves last_used alone — both exactly as the
-              // scalar path decides.
-              if (!(std::isfinite(w) && w >= 0.0 &&
-                    w <= config_.max_sample_mbps)) {
-                frame.response = ErrorResponse{
-                    WireErrorCode::kInvalidSample,
-                    "throughput sample must be finite, non-negative and <= " +
-                        std::to_string(config_.max_sample_mbps)};
-                frame.handled = true;
-                continue;
-              }
-              if (entry == nullptr) {
-                frame.response = ErrorResponse{WireErrorCode::kUnknownSession,
-                                               "unknown session"};
-                frame.handled = true;
-                continue;
-              }
-              entry->last_used = now;
-              if (config_.on_session_complete &&
-                  entry->observations.size() < config_.session_history_cap)
-                entry->observations.push_back(w);
-              observe_items.push_back({entry->predictor.get(), w, 0.0, false});
-              observe_frames.push_back(i);
-              observe_entries.push_back(entry);
-            } else {
-              info.event = "predict";
-              const auto& predict = std::get<PredictRequest>(frame.request);
-              if (entry == nullptr) {
-                frame.response = ErrorResponse{WireErrorCode::kUnknownSession,
-                                               "unknown session"};
-                frame.handled = true;
-                continue;
-              }
-              if (predict.steps_ahead == 0) {
-                frame.response = ErrorResponse{WireErrorCode::kBadRequest,
-                                               "steps_ahead must be >= 1"};
-                frame.handled = true;
-                continue;
-              }
-              entry->last_used = now;
-              predict_items.push_back(
-                  {entry->predictor.get(), predict.steps_ahead, 0.0, false});
-              predict_frames.push_back(i);
-              predict_entries.push_back(entry);
-            }
-          }
-          if (!observe_items.empty()) {
-            const BatchStats s = Cs2pEngine::observe_batch(observe_items);
-            stats.batched += s.batched;
-            stats.scalar += s.scalar;
-          }
-          if (!predict_items.empty()) {
-            const BatchStats s = Cs2pEngine::predict_batch(predict_items);
-            stats.batched += s.batched;
-            stats.scalar += s.scalar;
-          }
-          const auto compose = [&](RoundFrame& frame,
-                                   const SessionTable::Entry& entry,
-                                   double mbps) {
-            PredictionResponse response;
-            // serve_flags() after the advance, before this reply — the same
-            // point in the session's life the scalar path reads it.
-            response.flags = entry.predictor->serve_flags();
-            response.mbps = mbps;
-            if (draining()) response.flags |= serve_flags::kDraining;
-            if ((response.flags & ~serve_flags::kDraining) !=
-                serve_flags::kPrimary)
-              m_.degraded_replies->inc();
-            RequestInfo& info = frame.reply.info;
-            info.flags = response.flags;
-            info.mbps = response.mbps;
-            info.log_likelihood = entry.predictor->last_log_likelihood();
-            frame.response = response;
-            frame.handled = true;
-          };
-          for (std::size_t k = 0; k < observe_items.size(); ++k)
-            compose(*batch_frames[observe_frames[k]], *observe_entries[k],
-                    observe_items[k].prediction);
-          for (std::size_t k = 0; k < predict_items.size(); ++k)
-            compose(*batch_frames[predict_frames[k]], *predict_entries[k],
-                    predict_items[k].prediction);
-        });
-    const std::size_t width = observe_items.size() + predict_items.size();
-    if (width > 0) {
-      m_.batch_size->observe(static_cast<double>(width));
-      m_.batched_predicts->inc(stats.batched);
-      // Attribute the batch's wall time evenly: per-reply handle_us stays
-      // meaningful in traces without per-frame clock reads inside the lock.
-      const std::uint64_t per_frame =
-          elapsed_us(t_batch, Clock::now()) / width;
-      for (const std::size_t i : observe_frames)
-        batch_frames[i]->reply.handle_us = per_frame;
-      for (const std::size_t i : predict_frames)
-        batch_frames[i]->reply.handle_us = per_frame;
+  // Phase 3: the lane executor (DESIGN.md §16). A wave holds at most one
+  // lane per session; a session's later frames of this round wait for a
+  // later wave, so one session's frames apply in round order.
+  thread_local std::vector<RoundFrame*> wave;
+  thread_local std::vector<RoundFrame*> later;
+  thread_local std::vector<std::uint64_t> wave_ids;
+  const int brownout = brownout_level();
+  const bool drain = draining();
+  while (!lanes.empty()) {
+    wave.clear();
+    later.clear();
+    wave_ids.clear();
+    for (RoundFrame* frame : lanes) {
+      if (std::find(wave_ids.begin(), wave_ids.end(), frame->session) !=
+          wave_ids.end()) {
+        later.push_back(frame);
+        continue;
+      }
+      wave_ids.push_back(frame->session);
+      wave.push_back(frame);
     }
+    serve_wave(wave, wave_ids, brownout, drain);
+    lanes.swap(later);
   }
 
-  // Phase 5: emit, in round order. Reply framing, error accounting, write
+  // Phase 4: emit, in round order. Reply framing, error accounting, write
   // backpressure, and the opportunistic flush are the old per-frame tail.
   for (RoundFrame& frame : round) {
     const auto it = worker.connections.find(frame.fd);
@@ -952,6 +824,140 @@ void PredictionServer::handle_round(Worker& worker,
       worker.connections.erase(it);
     }
   }
+}
+
+void PredictionServer::serve_wave(std::span<RoundFrame* const> wave,
+                                  std::span<const std::uint64_t> ids,
+                                  int brownout, bool drain) {
+  thread_local std::vector<SessionTable::Entry*> served;
+  thread_local std::vector<ObserveBatchItem> advances;
+  thread_local std::vector<PredictBatchItem> predicts;
+  thread_local std::vector<std::size_t> predict_lanes;
+  std::size_t width = 0;
+  BatchStats stats;
+  const auto reply = [&](RoundFrame& frame, const SessionPredictor& predictor,
+                         double mbps, std::uint8_t path_flags) {
+    // serve_flags() after the advance: why this reply is served the way it
+    // is. kDraining alone is planned-migration housekeeping, not a degraded
+    // answer — the health signal counts everything else.
+    PredictionResponse response{mbps, static_cast<std::uint8_t>(
+                                          predictor.serve_flags() | path_flags)};
+    if ((response.flags & ~serve_flags::kDraining) != serve_flags::kPrimary)
+      m_.degraded_replies->inc();
+    RequestInfo& info = frame.reply.info;
+    info.flags = response.flags;
+    info.mbps = response.mbps;
+    info.log_likelihood = predictor.last_log_likelihood();
+    frame.response = response;
+    frame.handled = true;
+  };
+  const std::uint8_t drain_flag = drain ? serve_flags::kDraining : 0;
+
+  const auto t_wave = Clock::now();
+  try {
+    sessions_.with_sessions(ids, [&](std::span<SessionTable::Entry* const> entries) {
+      // Plan: validate every lane (an invalid sample outranks an unknown
+      // session and leaves last_used alone), refresh the TTL, and queue
+      // each OBSERVE's advance.
+      served.assign(wave.size(), nullptr);
+      advances.clear();
+      const auto now = Clock::now();
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        RoundFrame& frame = *wave[i];
+        SessionTable::Entry* entry = entries[i];
+        RequestInfo& info = frame.reply.info;
+        info.session_id = ids[i];
+        if (entry != nullptr) info.traced = entry->traced;
+        if (const auto* observe = std::get_if<ObserveRequest>(&frame.request)) {
+          info.event = "observe";
+          // Validate before touching the predictor: one NaN in the forward
+          // filter poisons every belief state after it. Zero is allowed: a
+          // fully stalled epoch is a real measurement.
+          const double w = observe->throughput_mbps;
+          if (!(std::isfinite(w) && w >= 0.0 && w <= config_.max_sample_mbps)) {
+            frame.response = ErrorResponse{
+                WireErrorCode::kInvalidSample,
+                "throughput sample must be finite, non-negative and <= " +
+                    std::to_string(config_.max_sample_mbps)};
+            frame.handled = true;
+            continue;
+          }
+          if (entry == nullptr) {
+            frame.response =
+                ErrorResponse{WireErrorCode::kUnknownSession, "unknown session"};
+            frame.handled = true;
+            continue;
+          }
+          if (config_.on_session_complete &&
+              entry->observations.size() < config_.session_history_cap)
+            entry->observations.push_back(w);
+          advances.push_back({entry->predictor.get(), w});
+        } else {
+          info.event = "predict";
+          if (entry == nullptr) {
+            frame.response =
+                ErrorResponse{WireErrorCode::kUnknownSession, "unknown session"};
+            frame.handled = true;
+            continue;
+          }
+          if (std::get<PredictRequest>(frame.request).steps_ahead == 0) {
+            frame.response = ErrorResponse{WireErrorCode::kBadRequest,
+                                           "steps_ahead must be >= 1"};
+            frame.handled = true;
+            continue;
+          }
+        }
+        entry->last_used = now;
+        served[i] = entry;
+        ++width;
+      }
+      Cs2pEngine::advance_batch(advances);
+
+      // Predict: under brownout a lane whose predictor offers the cheap
+      // forecast is served from it — its primary predict() never runs (a
+      // degraded guarded predictor counts a fallback on every predict()).
+      // Every other lane joins one horizon-grouped predict_batch.
+      predicts.clear();
+      predict_lanes.clear();
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        if (served[i] == nullptr) continue;
+        const SessionPredictor& predictor = *served[i]->predictor;
+        const auto* predict = std::get_if<PredictRequest>(&wave[i]->request);
+        const unsigned steps = predict != nullptr ? predict->steps_ahead : 1;
+        if (brownout > 0) {
+          if (const auto cheap = predictor.predict_brownout(steps, brownout)) {
+            m_.brownout_replies->inc();
+            reply(*wave[i], predictor, *cheap,
+                  serve_flags::kBrownout | serve_flags::kDegraded | drain_flag);
+            continue;
+          }
+        }
+        predicts.push_back({served[i]->predictor.get(), steps});
+        predict_lanes.push_back(i);
+      }
+      stats = Cs2pEngine::predict_batch(predicts);
+      for (std::size_t k = 0; k < predicts.size(); ++k)
+        reply(*wave[predict_lanes[k]], *predicts[k].predictor,
+              predicts[k].prediction, drain_flag);
+    });
+  } catch (const std::exception& e) {
+    // A predictor that throws (e.g. a history baseline asked to predict
+    // before its first observation) fails the lanes not yet answered, not
+    // the worker.
+    for (RoundFrame* frame : wave)
+      if (!frame->handled) {
+        frame->response = ErrorResponse{WireErrorCode::kInternal, e.what()};
+        frame->handled = true;
+      }
+  }
+  if (width > 0) {
+    m_.batch_size->observe(static_cast<double>(width));
+    m_.batched_predicts->inc(stats.batched);
+  }
+  // Attribute the wave's wall time evenly: per-reply handle_us stays
+  // meaningful in traces without per-lane clock reads inside the lock.
+  const std::uint64_t per_lane = elapsed_us(t_wave, Clock::now()) / wave.size();
+  for (RoundFrame* frame : wave) frame->reply.handle_us = per_lane;
 }
 
 bool PredictionServer::flush_write(Worker& worker, Connection& conn) {
@@ -1019,40 +1025,8 @@ void PredictionServer::complete_flushed_replies(Worker& worker,
   }
 }
 
-PredictionResponse PredictionServer::make_prediction_response(
-    const SessionPredictor& predictor, unsigned steps_ahead) {
-  // Read the flags before predicting: serve_flags() describes why the *next*
-  // prediction will be served the way it is, and must match the value on the
-  // same reply.
-  PredictionResponse response;
-  response.flags = predictor.serve_flags();
-  // Brownout ladder (DESIGN.md §14): level 1 degrades sessions the
-  // guardrails already doubt (SUSPECT tier), level 2 degrades every session
-  // with a cheap path. Predictors without one keep serving primary.
-  const int level = brownout_level();
-  std::optional<double> cheap;
-  if (level >= 2 || (level >= 1 && predictor.suspect()))
-    cheap = predictor.predict_brownout(steps_ahead);
-  if (cheap.has_value()) {
-    response.mbps = *cheap;
-    response.flags |= serve_flags::kBrownout | serve_flags::kDegraded;
-    m_.brownout_replies->inc();
-  } else {
-    response.mbps = predictor.predict(steps_ahead);
-  }
-  if (draining()) response.flags |= serve_flags::kDraining;
-  // kDraining alone is planned-migration housekeeping, not a degraded
-  // answer — the health signal counts everything else.
-  if ((response.flags & ~serve_flags::kDraining) != serve_flags::kPrimary)
-    m_.degraded_replies->inc();
-  return response;
-}
-
 Response PredictionServer::handle(const Request& request, Worker& worker,
                                   Connection& conn, RequestInfo& info) {
-  if (stopping_.load())
-    return ErrorResponse{WireErrorCode::kShuttingDown, "server is stopping"};
-
   if (std::holds_alternative<SyncBeginRequest>(request) ||
       std::holds_alternative<SyncChunkRequest>(request) ||
       std::holds_alternative<SyncCommitRequest>(request) ||
@@ -1118,63 +1092,6 @@ Response PredictionServer::handle(const Request& request, Worker& worker,
     info.cluster_label = response.cluster_label;
     m_.live_sessions->set(static_cast<double>(sessions_.size()));
     return response;
-  }
-
-  if (const auto* observe = std::get_if<ObserveRequest>(&request)) {
-    info.event = "observe";
-    info.session_id = observe->session_id;
-    const double w = observe->throughput_mbps;
-    // Validate before touching the predictor: one NaN in the forward filter
-    // poisons every belief state after it.
-    // Zero is allowed: a fully stalled epoch is a real measurement (and the
-    // dataset loader accepts it too).
-    const bool valid =
-        std::isfinite(w) && w >= 0.0 && w <= config_.max_sample_mbps;
-    Response out = ErrorResponse{WireErrorCode::kUnknownSession,
-                                 "unknown session"};
-    sessions_.with_session(observe->session_id, [&](SessionTable::Entry& entry) {
-      info.traced = entry.traced;
-      if (!valid) return;  // leave last_used alone; the error wins below
-      entry.last_used = Clock::now();
-      entry.predictor->observe(w);
-      if (config_.on_session_complete &&
-          entry.observations.size() < config_.session_history_cap)
-        entry.observations.push_back(w);
-      const PredictionResponse response =
-          make_prediction_response(*entry.predictor, 1);
-      info.flags = response.flags;
-      info.mbps = response.mbps;
-      info.log_likelihood = entry.predictor->last_log_likelihood();
-      out = response;
-    });
-    if (!valid)
-      return ErrorResponse{WireErrorCode::kInvalidSample,
-                           "throughput sample must be finite, non-negative and <= " +
-                               std::to_string(config_.max_sample_mbps)};
-    return out;
-  }
-
-  if (const auto* predict = std::get_if<PredictRequest>(&request)) {
-    info.event = "predict";
-    info.session_id = predict->session_id;
-    Response out = ErrorResponse{WireErrorCode::kUnknownSession,
-                                 "unknown session"};
-    sessions_.with_session(predict->session_id, [&](SessionTable::Entry& entry) {
-      info.traced = entry.traced;
-      if (predict->steps_ahead == 0) {
-        out = ErrorResponse{WireErrorCode::kBadRequest,
-                            "steps_ahead must be >= 1"};
-        return;
-      }
-      entry.last_used = Clock::now();
-      const PredictionResponse response =
-          make_prediction_response(*entry.predictor, predict->steps_ahead);
-      info.flags = response.flags;
-      info.mbps = response.mbps;
-      info.log_likelihood = entry.predictor->last_log_likelihood();
-      out = response;
-    });
-    return out;
   }
 
   if (const auto* bye = std::get_if<ByeRequest>(&request)) {

@@ -16,18 +16,20 @@
 // locks; TTL eviction is amortized into the worker loops (bounded scans,
 // never a full-table sweep under one lock).
 //
-// Batched inference (DESIGN.md §16): after each poll wakeup the worker
-// drains its readable connections in rounds — one complete frame per
-// connection per round (per-connection reply order is untouched; a session
-// driven over two connections at once is routed scalar). Each round's
-// OBSERVE/PREDICT frames lock their shards once through
-// SessionTable::with_sessions and run through Cs2pEngine::observe_batch /
-// predict_batch, which group kernel-sharing sessions into one SoA
-// state-matrix walk (hmm/batch_filter.h). Everything else about a frame's
-// life — validation order, serve flags, degraded accounting, backpressure,
-// the budget + one-frame write-queue bound — is identical to the scalar
-// path, and the scalar path remains the fallback for every frame the batch
-// cannot take (HELLO/BYE/SYNC/STATS, brownout, shutdown, duplicates).
+// One OBSERVE/PREDICT serving path (DESIGN.md §16): after each poll wakeup
+// the worker drains its readable connections in rounds — one complete frame
+// per connection per round, so per-connection reply order is untouched.
+// handle() answers the lifecycle and control verbs (HELLO, BYE, SYNC,
+// STATS, MODEL); every OBSERVE/PREDICT is a lane of one executor. Lanes run
+// in waves of at most one lane per session: each wave locks its shards
+// once through SessionTable::with_sessions, advances through
+// Cs2pEngine::advance_batch and predicts through predict_batch, which group
+// kernel-sharing sessions into one SoA state-matrix walk
+// (hmm/batch_filter.h). A session driven over two connections at once puts
+// its later frame into the next wave, so one session's frames apply in
+// round order. A width-1 round is a wave of one. Brownout is a per-lane
+// decision (the predictor's cheap forecast replaces its primary predict),
+// and a stopping server answers SHUTTING_DOWN to every frame at parse.
 //
 // Fault discipline (ROADMAP north star: degrade, don't die):
 //   - connection cap with a typed OVERLOADED rejection frame,
@@ -50,8 +52,10 @@
 //     OVERLOADED with a retry-after hint while existing sessions keep
 //     being served — latency sheds before it collapses,
 //   - brownout: under sustained shed pressure predictions step down to the
-//     predictors' cheap fallback path (predict_brownout), SUSPECT-tier
-//     sessions first, so goodput degrades smoothly instead of cliffing,
+//     predictors' cheap fallback path (predict_brownout(steps, level)),
+//     which each predictor grants at level 1 only when its own quality
+//     monitor already doubts it and at level 2 always — so goodput
+//     degrades smoothly instead of cliffing,
 //   - graceful drain: begin_drain() stops accepting, answers new HELLOs
 //     with SHUTTING_DOWN + retry-after, stamps kDraining on every PRED so
 //     ReplicaSet migrates sessions proactively, and shrinks the session TTL
@@ -73,6 +77,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -334,8 +339,8 @@ class PredictionServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// What handle() learned about the request, for the trace record the
-  /// worker emits after the reply is on the wire.
+  /// What handle() or the lane executor learned about the request, for the
+  /// trace record the worker emits after the reply is on the wire.
   struct RequestInfo {
     std::string_view event = "invalid";  ///< lifecycle stage / verb name
     std::uint64_t session_id = 0;
@@ -492,10 +497,16 @@ class PredictionServer {
   /// per round (preserving per-connection order and the backpressure
   /// budget), each round handled as a batch until no frames remain.
   void run_batch_rounds(Worker& worker);
-  /// Parses, dispatches (scalar verbs inline, OBSERVE/PREDICT through the
-  /// engine's batch API under one multi-shard session lock), and emits every
+  /// Parses, dispatches (lifecycle and control verbs through handle(),
+  /// OBSERVE/PREDICT as lanes of the executor, in waves), and emits every
   /// reply of one round.
   void handle_round(Worker& worker, std::vector<RoundFrame>& round);
+  /// Serves one wave of OBSERVE/PREDICT lanes (one lane per session, ids[k]
+  /// the session of wave[k]) under one multi-shard session lock: validation,
+  /// the engine's batched advance and predict, per-lane brownout, and reply
+  /// composition.
+  void serve_wave(std::span<RoundFrame* const> wave,
+                  std::span<const std::uint64_t> ids, int brownout, bool drain);
   bool flush_write(Worker& worker, Connection& conn);
   /// Counts/times/traces every pending reply whose bytes are fully on the
   /// wire (end_offset <= write_pos).
@@ -504,11 +515,11 @@ class PredictionServer {
   /// accounting, fd teardown — a connection that dies mid-reply goes
   /// through here exactly like any other.
   void close_connection(Worker& worker, Connection& conn, bool idle_timed_out);
+  /// Answers the lifecycle and control verbs (HELLO, BYE, SYNC, STATS,
+  /// MODEL); OBSERVE/PREDICT never come here — they are serve_wave lanes.
   Response handle(const Request& request, Worker& worker, Connection& conn,
                   RequestInfo& info);
   Response handle_sync(const Request& request, SyncStaging& staging);
-  PredictionResponse make_prediction_response(const SessionPredictor& predictor,
-                                              unsigned steps_ahead);
   void reject_connection(const FdHandle& connection, WireErrorCode code,
                          const std::string& message);
   obs::Counter* verb_counter(const Request& request) const noexcept;

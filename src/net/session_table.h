@@ -17,14 +17,13 @@
 //     per-shard slot cursor), so no lock is ever held for a scan of the
 //     whole table — the full-table sweep the old accept loop ran under one
 //     global mutex is gone by construction.
-//   - with_session() runs the caller's closure under the owning shard's
-//     lock, so a session touched from several connections (HELLO on one,
+//   - with_sessions() runs the caller's closure under the owning shards'
+//     locks, so a session touched from several connections (HELLO on one,
 //     OBSERVE on another — sessions migrate freely between connections)
-//     always sees one coherent filter state. with_sessions() is the batch
-//     variant: it locks every owning shard (in shard-index order, so
-//     concurrent batches never deadlock) and exposes the whole group at
-//     once — what lets the server advance a poll round's sessions through
-//     one batched engine call.
+//     always sees one coherent filter state. It locks every owning shard
+//     (in shard-index order, so concurrent batches never deadlock) and
+//     exposes the whole group at once — what lets the server advance a
+//     poll round's sessions through one batched engine call.
 //
 // Storage (DESIGN.md §16): entries live in per-shard slab arenas — fixed
 // 64-slot slabs, index-stable for the table's lifetime, with a freelist
@@ -73,7 +72,7 @@ class SessionTable {
   using Clock = std::chrono::steady_clock;
 
   /// One live session. The table never dereferences `predictor` itself —
-  /// callers use it under with_session() — so tests may store nullptr.
+  /// callers use it under with_sessions() — so tests may store nullptr.
   struct Entry {
     std::unique_ptr<SessionPredictor> predictor;
     /// Pins the model that created the predictor (HmmSessionPredictor holds
@@ -133,27 +132,15 @@ class SessionTable {
     return id;
   }
 
-  /// Runs `fn(entry)` under the owning shard's lock. Returns false when the
-  /// session is unknown (expired, BYEd, or never created). `fn` is
-  /// responsible for refreshing entry.last_used if the touch should count
-  /// against the TTL.
-  template <typename Fn>
-  bool with_session(std::uint64_t id, Fn&& fn) {
-    Shard& shard = shard_for(id);
-    const auto lock = lock_shard(shard);
-    const auto it = shard.index.find(id);
-    if (it == shard.index.end()) return false;
-    fn(shard.slot(it->second).entry);
-    return true;
-  }
-
-  /// Batch lookup (DESIGN.md §16): locks every shard owning one of `ids`
-  /// (in ascending shard-index order — concurrent batches cannot deadlock,
-  /// and single-shard operations still take one lock at a time underneath),
-  /// then runs `fn(entries)` with entries[k] pointing at the session of
-  /// ids[k], or nullptr when unknown. Pointers are valid only inside `fn`.
-  /// `ids` must not contain duplicates (the batch kernel's sequential-
-  /// dependence rule; callers route duplicates through with_session).
+  /// Locks every shard owning one of `ids` (in ascending shard-index order
+  /// — concurrent batches cannot deadlock, and single-shard operations
+  /// still take one lock at a time underneath), then runs `fn(entries)`
+  /// with entries[k] pointing at the session of ids[k], or nullptr when
+  /// unknown (expired, BYEd, or never created). Pointers are valid only
+  /// inside `fn`, which is responsible for refreshing entry.last_used if
+  /// the touch should count against the TTL. `ids` must not contain
+  /// duplicates (the batch kernel's sequential-dependence rule; the server
+  /// runs a repeated session in a later wave).
   template <typename Fn>
   void with_sessions(std::span<const std::uint64_t> ids, Fn&& fn) {
     std::vector<std::size_t> order;

@@ -50,7 +50,7 @@ std::uint64_t parse_u64(std::string_view token, const char* what) {
 
 void require_token(std::string_view value, const char* what) {
   if (value.empty() ||
-      value.find_first_of(" \t\r\n") != std::string_view::npos) {
+      std::find_if(value.begin(), value.end(), is_wire_space) != value.end()) {
     throw ProtocolError(std::string("wire: feature value for ") + what +
                         " must be a non-empty whitespace-free token");
   }
@@ -429,6 +429,24 @@ Response parse_response(std::string_view payload) {
     snap.data = std::string(payload.substr(newline + 1));
     return snap;
   }
+  // ERR <code> <retry-after-ms> <message>: split on single spaces, so the
+  // message is the verbatim remainder — empty, digit-leading, or spaced.
+  if (payload.starts_with("ERR ")) {
+    std::string_view rest = payload.substr(4);
+    const auto code_end = rest.find(' ');
+    const auto code = wire_error_code_from_name(rest.substr(0, code_end));
+    if (code_end == std::string_view::npos || !code)
+      throw ProtocolError("wire: ERR wants <code> <retry-after-ms> <message>");
+    rest.remove_prefix(code_end + 1);
+    const auto hint_end = rest.find(' ');
+    if (hint_end == std::string_view::npos)
+      throw ProtocolError("wire: ERR wants <code> <retry-after-ms> <message>");
+    const std::uint64_t hint = parse_u64(rest.substr(0, hint_end), "retry_after_ms");
+    if (hint > 0xffffffffULL)
+      throw ProtocolError("wire: retry_after_ms out of range");
+    return ErrorResponse{*code, std::string(rest.substr(hint_end + 1)),
+                         static_cast<std::uint32_t>(hint)};
+  }
   // MODEL responses carry a raw body after the header line; handle them
   // before whitespace tokenization.
   if (payload.starts_with("MODEL ")) {
@@ -458,53 +476,13 @@ Response parse_response(std::string_view payload) {
     return session;
   }
   if (verb == "PRED") {
-    // v1 sent "PRED <mbps>"; v2 appends the serve-flags byte. Accept both so
-    // a v2 client decodes a v1 capture (flags default to primary).
-    if (tokens.size() != 2 && tokens.size() != 3)
-      throw ProtocolError("wire: PRED wants 1 or 2 fields");
-    PredictionResponse pred{parse_double(tokens[1], "mbps")};
-    if (tokens.size() == 3) {
-      const std::uint64_t flags = parse_u64(tokens[2], "serve_flags");
-      if (flags > 0xff) throw ProtocolError("wire: serve_flags out of range");
-      pred.flags = static_cast<std::uint8_t>(flags);
-    }
-    return pred;
+    if (tokens.size() != 3) throw ProtocolError("wire: PRED wants 2 fields");
+    const std::uint64_t flags = parse_u64(tokens[2], "serve_flags");
+    if (flags > 0xff) throw ProtocolError("wire: serve_flags out of range");
+    return PredictionResponse{parse_double(tokens[1], "mbps"),
+                              static_cast<std::uint8_t>(flags)};
   }
   if (verb == "OK") return OkResponse{};
-  if (verb == "ERR") {
-    const auto pos = payload.find("ERR") + 3;
-    std::string rest;
-    if (payload.size() > pos + 1) rest = std::string(payload.substr(pos + 1));
-    // "ERR <code> <retry-after-ms> <message>"; tolerate a missing/unknown
-    // code token (treat the whole remainder as the message) and a missing
-    // retry-after field (a v4 capture) so older peers still decode. The
-    // hint is a bare digit token — a v4 message starting with digits is
-    // indistinguishable, which is why v5 always serializes the field.
-    ErrorResponse error;
-    const auto space = rest.find(' ');
-    const std::string head = rest.substr(0, space);
-    if (const auto code = wire_error_code_from_name(head)) {
-      error.code = *code;
-      std::string tail = space == std::string::npos ? std::string{}
-                                                    : rest.substr(space + 1);
-      const auto tail_space = tail.find(' ');
-      const std::string hint = tail.substr(0, tail_space);
-      if (!hint.empty() &&
-          hint.find_first_not_of("0123456789") == std::string::npos &&
-          hint.size() <= 10) {
-        const std::uint64_t parsed = parse_u64(hint, "retry_after_ms");
-        error.retry_after_ms = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(parsed, 0xffffffffULL));
-        tail = tail_space == std::string::npos ? std::string{}
-                                               : tail.substr(tail_space + 1);
-      }
-      error.message = std::move(tail);
-    } else {
-      error.code = WireErrorCode::kInternal;
-      error.message = std::move(rest);
-    }
-    return error;
-  }
   throw ProtocolError("wire: unknown response verb " + std::string(verb));
 }
 

@@ -29,9 +29,7 @@
 //   server -> client
 //     SESSION <session-id> <initial-mbps> <global 0|1> <cluster-label>
 //     PRED <mbps> <flags>         (flags: serve_flags:: bits — why this
-//                                  prediction was served the way it was;
-//                                  v1 peers omitted the field, parse
-//                                  tolerates both)
+//                                  prediction was served the way it was)
 //     MODEL <initial-mbps> <global 0|1> \n <serialized hmm ...>
 //     STATS <exposition-version> \n <metrics text exposition ...>
 //     SNAPSHOT <total-bytes> <fnv64-hex> <offset> \n <raw snapshot chunk>
@@ -39,8 +37,11 @@
 //     ERR <code> <retry-after-ms> <message>
 //                                 (code: see WireErrorCode below; the
 //                                  retry-after field is the server's backoff
-//                                  hint in milliseconds, 0 = none — v4 peers
-//                                  omitted it, parse tolerates both)
+//                                  hint in milliseconds, 0 = none; the
+//                                  message is everything after its space)
+//
+// Every field is mandatory: the frame header admits only kProtocolVersion,
+// so the decoder carries no branches for older payload shapes.
 //
 // Feature values must be whitespace-free tokens (true for every dataset this
 // library produces); HELLO validates this instead of escaping.

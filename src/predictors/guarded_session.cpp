@@ -109,9 +109,7 @@ void GuardedSessionPredictor::finish_batch_observe() {
   }
 }
 
-const OnlineHmmFilter* GuardedSessionPredictor::batch_predict_filter(
-    unsigned steps_ahead) const {
-  (void)steps_ahead;
+const OnlineHmmFilter* GuardedSessionPredictor::batch_predict_filter() const {
   // Degraded sessions serve the fallback chain (with its counter/metric side
   // effects) and cold starts serve initial_value_ — both scalar-only.
   if (degraded() || filter_.observations() == 0) return nullptr;
@@ -119,8 +117,10 @@ const OnlineHmmFilter* GuardedSessionPredictor::batch_predict_filter(
 }
 
 std::optional<double> GuardedSessionPredictor::predict_brownout(
-    unsigned steps_ahead) const {
+    unsigned steps_ahead, int level) const {
   (void)steps_ahead;  // the fallback chain is horizon-free by construction
+  if (level < 1 || (level < 2 && monitor_.state() == GuardrailState::kHealthy))
+    return std::nullopt;
   ++fallback_predictions_;
   if (metrics_ != nullptr && metrics_->fallback_predictions != nullptr)
     metrics_->fallback_predictions->inc();

@@ -95,21 +95,19 @@ class GuardedSessionPredictor final : public SessionPredictor {
 
   /// Brownout path (DESIGN.md §14): the stateless HM/global fallback chain,
   /// served without touching the HMM filter — the cheap answer the server
-  /// swaps in under sustained shed pressure.
-  std::optional<double> predict_brownout(unsigned steps_ahead) const override;
-
-  /// SUSPECT or DEGRADED: the surprise monitor already doubts the primary
-  /// path, so brownout level 1 degrades this session before healthy ones.
-  bool suspect() const override {
-    return monitor_.state() != GuardrailState::kHealthy;
-  }
+  /// swaps in under sustained shed pressure. Level 1 applies only while the
+  /// surprise monitor already doubts the primary path (SUSPECT or
+  /// DEGRADED), so those sessions degrade before healthy ones; level 2
+  /// applies to every session.
+  std::optional<double> predict_brownout(unsigned steps_ahead,
+                                         int level) const override;
 
   /// Batched-inference hooks: observe() is literally begin + filter advance
   /// + finish, so the batched and scalar paths share every guardrail
   /// decision (sanitizer verdicts, surprise scoring, trip/recover events).
   BatchObservePlan begin_batch_observe(double throughput_mbps) override;
   void finish_batch_observe() override;
-  const OnlineHmmFilter* batch_predict_filter(unsigned steps_ahead) const override;
+  const OnlineHmmFilter* batch_predict_filter() const override;
 
   GuardrailState guardrail_state() const noexcept { return monitor_.state(); }
   Stats stats() const;

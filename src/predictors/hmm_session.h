@@ -47,7 +47,7 @@ class HmmSessionPredictor final : public SessionPredictor {
     return {BatchObservePlan::Kind::kFilter, &filter_, throughput_mbps};
   }
 
-  const OnlineHmmFilter* batch_predict_filter(unsigned) const override {
+  const OnlineHmmFilter* batch_predict_filter() const override {
     // Cold start serves initial_value_ through the scalar path.
     return filter_.observations() == 0 ? nullptr : &filter_;
   }

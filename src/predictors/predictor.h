@@ -56,14 +56,16 @@ inline constexpr std::uint8_t kDraining = 1u << 5;          ///< replica is drai
 inline constexpr std::uint8_t kBrownout = 1u << 6;          ///< cheap fallback served under overload brownout
 }  // namespace serve_flags
 
-/// How one (session, observation) pair joins a batched engine pass
-/// (DESIGN.md §16). begin_batch_observe() runs everything that precedes the
-/// filter advance (sanitizing, bookkeeping) and reports what the batch
-/// driver should do; after the batch kernel has advanced the filter,
-/// finish_batch_observe() runs everything that follows it (guardrail
-/// scoring, trip/recover events). The split keeps batched semantics
-/// identical to scalar observe() by construction — scalar observe() is
-/// implemented as begin + advance + finish.
+/// How one (session, observation) pair joins the engine's batched advance
+/// (Cs2pEngine::advance_batch, DESIGN.md §16) — the step every OBSERVE the
+/// server answers goes through, one wave of lanes at a time.
+/// begin_batch_observe() runs everything that precedes the filter advance
+/// (sanitizing, bookkeeping) and reports what the batch driver should do;
+/// after the batch kernel has advanced the filter, finish_batch_observe()
+/// runs everything that follows it (guardrail scoring, trip/recover
+/// events). The split keeps batched semantics identical to scalar observe()
+/// by construction — scalar observe() is implemented as begin + advance +
+/// finish.
 struct BatchObservePlan {
   enum class Kind : std::uint8_t {
     kScalar,    ///< not batchable: the driver calls observe() instead
@@ -112,21 +114,20 @@ class SessionPredictor {
     return std::nullopt;
   }
 
-  /// Cheap degraded forecast for overload brownout (DESIGN.md §14): a
-  /// forecast that skips the expensive primary path (e.g. the guarded
-  /// predictor's HM/global fallback chain instead of full HMM filtering).
-  /// nullopt when this family has no cheaper path — the server then serves
-  /// the primary forecast even in brownout rather than inventing one.
-  virtual std::optional<double> predict_brownout(unsigned steps_ahead) const {
+  /// Cheap degraded forecast for overload brownout (DESIGN.md §14) at ladder
+  /// `level`: a forecast that skips the expensive primary path (e.g. the
+  /// guarded predictor's HM/global fallback chain instead of full HMM
+  /// filtering). The predictor decides whether the level applies to it —
+  /// level 1 is meant for sessions whose own quality monitor already doubts
+  /// the primary path, level 2 for every session. nullopt keeps the primary
+  /// path: always for families without a cheaper one, so the server never
+  /// invents a forecast.
+  virtual std::optional<double> predict_brownout(unsigned steps_ahead,
+                                                 int level) const {
     (void)steps_ahead;
+    (void)level;
     return std::nullopt;
   }
-
-  /// True when the predictor's own quality monitor already doubts the
-  /// primary path (guardrail SUSPECT or worse). Brownout level 1 degrades
-  /// these sessions first: their expensive filtering is the work buying the
-  /// least forecast quality under pressure.
-  virtual bool suspect() const { return degraded(); }
 
   // -- Batched-inference hooks (DESIGN.md §16) ------------------------------
   // Default: not batchable — the engine's batch driver falls back to the
@@ -147,10 +148,7 @@ class SessionPredictor {
   /// when the scalar predict() must run instead (cold start, degraded
   /// fallback chain, non-HMM family — paths with side effects or without a
   /// batchable filter).
-  virtual const OnlineHmmFilter* batch_predict_filter(unsigned steps_ahead) const {
-    (void)steps_ahead;
-    return nullptr;
-  }
+  virtual const OnlineHmmFilter* batch_predict_filter() const { return nullptr; }
 };
 
 /// A compact, self-contained model a client can download and run on its own

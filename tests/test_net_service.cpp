@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -645,6 +646,150 @@ TEST(PredictionService, SessionMigratesAcrossConnections) {
   const auto* err = std::get_if<ErrorResponse>(&gone);
   ASSERT_NE(err, nullptr);
   EXPECT_EQ(err->code, WireErrorCode::kUnknownSession);
+}
+
+/// Order-sensitive sessions: state folds every sample (s = s/2 + w) and the
+/// forecast is s + steps, so a reply pins the state and any reordering of a
+/// session's observations shows in its replies. A session opened at
+/// start_hour >= 99 is a gate instead: its OBSERVE parks the serving worker
+/// until the test opens the gate.
+class FoldingGateModel final : public PredictorModel {
+ public:
+  struct Gate {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> open{false};
+  };
+
+  std::string name() const override { return "FoldingGate"; }
+  std::unique_ptr<SessionPredictor> make_session(
+      const SessionContext& context) const override {
+    class Folding final : public SessionPredictor {
+     public:
+      std::optional<double> predict_initial() const override { return 0.0; }
+      double predict(unsigned steps) const override {
+        return state_ + static_cast<double>(steps);
+      }
+      void observe(double w) override { state_ = state_ / 2.0 + w; }
+
+     private:
+      double state_ = 0.0;
+    };
+    class Gated final : public SessionPredictor {
+     public:
+      explicit Gated(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+      double predict(unsigned) const override { return 0.0; }
+      void observe(double) override {
+        gate_->entered.store(true);
+        gate_->entered.notify_all();
+        gate_->open.wait(false);
+      }
+
+     private:
+      std::shared_ptr<Gate> gate_;
+    };
+    if (context.start_hour >= 99.0) return std::make_unique<Gated>(gate_);
+    return std::make_unique<Folding>();
+  }
+
+  std::shared_ptr<Gate> gate() const { return gate_; }
+
+ private:
+  std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
+};
+
+// One session driven from two connections at once: each pipelines 16
+// OBSERVEs, and both pipelines reach the worker in the same poll wakeup, so
+// every round holds a frame of each for the same session — the later one
+// runs in a second wave of the executor. The 32 replies must match one
+// interleaving that keeps each connection's order, found by a DP over the
+// 17x17 grid of (A frames applied, B frames applied) that replays candidate
+// interleavings through make_session.
+TEST(PredictionService, DuplicateSessionFramesApplyInOneConnectionOrderInterleaving) {
+  constexpr int kFrames = 16;
+  auto model = std::make_shared<FoldingGateModel>();
+  ServerConfig config;
+  config.io_threads = 1;  // every connection shares the one worker's rounds
+  PredictionServer server(model, config);
+
+  const auto control = raw_connection(server.port());
+  const auto session_of = [&](double start_hour) {
+    const Response hello =
+        raw_round_trip(*control, HelloRequest{features(), start_hour});
+    return std::get<SessionResponse>(hello).session_id;
+  };
+  const std::uint64_t id = session_of(0.0);
+  const std::uint64_t gate_id = session_of(99.0);
+  const auto a = raw_connection(server.port());
+  const auto b = raw_connection(server.port());
+
+  std::vector<double> a_values, b_values;
+  std::string a_bytes, b_bytes;
+  for (int k = 0; k < kFrames; ++k) {
+    a_values.push_back(1.0 + k);
+    b_values.push_back(100.0 + k);
+    a_bytes += encode_frame(serialize_request(ObserveRequest{id, a_values.back()}));
+    b_bytes += encode_frame(serialize_request(ObserveRequest{id, b_values.back()}));
+  }
+
+  // Park the worker inside a round, queue both pipelines behind it, then
+  // release: the next wakeup reads both connections at once.
+  std::thread parked([&] { raw_round_trip(*control, ObserveRequest{gate_id, 1.0}); });
+  model->gate()->entered.wait(false);
+  a->send(std::as_bytes(std::span(a_bytes.data(), a_bytes.size())));
+  b->send(std::as_bytes(std::span(b_bytes.data(), b_bytes.size())));
+  model->gate()->open.store(true);
+  model->gate()->open.notify_all();
+  parked.join();
+
+  const auto replies = [](Transport& transport) {
+    std::vector<double> out;
+    for (int k = 0; k < kFrames; ++k) {
+      const auto frame = recv_frame(transport);
+      if (!frame) throw ConnectionError("server closed connection");
+      out.push_back(std::get<PredictionResponse>(parse_response(*frame)).mbps);
+    }
+    return out;
+  };
+  const std::vector<double> a_replies = replies(*a);
+  const std::vector<double> b_replies = replies(*b);
+
+  // The OBSERVE reply after applying the interleaving `moves` ('a'/'b').
+  const auto replay = [&](const std::string& moves) {
+    const auto predictor = model->make_session(SessionContext{});
+    std::size_t i = 0, j = 0;
+    for (const char move : moves)
+      predictor->observe(move == 'a' ? a_values[i++] : b_values[j++]);
+    return predictor->predict(1);
+  };
+  // reached[i][j]: interleavings of i A frames and j B frames whose every
+  // reply matched. A matched reply pins the state, so one witness per last
+  // mover covers every interleaving ending at (i, j).
+  std::vector<std::vector<std::vector<std::string>>> reached(
+      kFrames + 1, std::vector<std::vector<std::string>>(kFrames + 1));
+  reached[0][0].push_back("");
+  const auto extend = [&](std::size_t i, std::size_t j, const std::string& moves) {
+    if (std::none_of(reached[i][j].begin(), reached[i][j].end(),
+                     [&](const std::string& w) { return w.back() == moves.back(); }))
+      reached[i][j].push_back(moves);
+  };
+  for (std::size_t i = 0; i <= kFrames; ++i) {
+    for (std::size_t j = 0; j <= kFrames; ++j) {
+      for (const std::string& moves : reached[i][j]) {
+        if (i < kFrames && replay(moves + 'a') == a_replies[i])
+          extend(i + 1, j, moves + 'a');
+        if (j < kFrames && replay(moves + 'b') == b_replies[j])
+          extend(i, j + 1, moves + 'b');
+      }
+    }
+  }
+  ASSERT_FALSE(reached[kFrames][kFrames].empty())
+      << "the replies match no interleaving that keeps each connection's order";
+  // The pipelines really shared rounds: the witness is no concatenation.
+  const std::string& witness = reached[kFrames][kFrames].front();
+  std::size_t switches = 0;
+  for (std::size_t k = 1; k < witness.size(); ++k)
+    switches += witness[k] != witness[k - 1];
+  EXPECT_GT(switches, 1u) << witness;
 }
 
 // A migrated session keeps the model that created it even when the server

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "util/rng.h"
@@ -181,28 +189,10 @@ TEST(Wire, PredictionFlagsRoundTripAllValues) {
   }
 }
 
-TEST(Wire, PredictionWithoutFlagsTokenParsesAsPrimary) {
-  // A v1 peer sends "PRED <mbps>" with no flags token; decode as primary.
-  const Response parsed = parse_response("PRED 2.75");
-  const auto* out = std::get_if<PredictionResponse>(&parsed);
-  ASSERT_NE(out, nullptr);
-  EXPECT_DOUBLE_EQ(out->mbps, 2.75);
-  EXPECT_EQ(out->flags, 0u);
-}
-
 TEST(Wire, PredictionFlagsOutOfRangeThrows) {
   EXPECT_THROW(parse_response("PRED 2.75 256"), ProtocolError);
   EXPECT_THROW(parse_response("PRED 2.75 -1"), ProtocolError);
   EXPECT_THROW(parse_response("PRED 2.75 abc"), ProtocolError);
-}
-
-TEST(Wire, ErrorWithoutCodeTokenFallsBackToInternal) {
-  // A peer that omits the code token still decodes; the prose survives.
-  const Response parsed = parse_response("ERR something broke badly");
-  const auto* out = std::get_if<ErrorResponse>(&parsed);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->code, WireErrorCode::kInternal);
-  EXPECT_EQ(out->message, "something broke badly");
 }
 
 TEST(Wire, ErrorRetryAfterRoundTrips) {
@@ -224,38 +214,37 @@ TEST(Wire, ErrorRetryAfterRoundTrips) {
   EXPECT_EQ(zout->message, "bad verb");
 }
 
-TEST(Wire, ErrorWithoutRetryAfterTokenParsesAsNoHint) {
-  // A v4 peer sends "ERR <code> <message>" with no retry-after field; the
-  // message must not lose its first word to the hint parser.
-  const Response parsed = parse_response("ERR OVERLOADED try again later");
+TEST(Wire, ErrorRetryAfterDisambiguatesNumericMessages) {
+  // v5 grammar: the token right after the code is always the hint.
+  const Response parsed = parse_response("ERR SHUTTING_DOWN 500 draining");
   const auto* out = std::get_if<ErrorResponse>(&parsed);
   ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->code, WireErrorCode::kOverloaded);
-  EXPECT_EQ(out->retry_after_ms, 0u);
-  EXPECT_EQ(out->message, "try again later");
+  EXPECT_EQ(out->code, WireErrorCode::kShuttingDown);
+  EXPECT_EQ(out->retry_after_ms, 500u);
+  EXPECT_EQ(out->message, "draining");
 }
 
-TEST(Wire, ErrorRetryAfterDisambiguatesNumericMessages) {
-  // v5 grammar: the token right after the code is the hint only when it is
-  // all digits and plausibly a duration. A message that *starts* with a
-  // short number is consumed as the hint (the unavoidable v4 ambiguity the
-  // protocol accepts); an over-long digit run stays prose.
-  {
-    const Response parsed = parse_response("ERR SHUTTING_DOWN 500 draining");
-    const auto* out = std::get_if<ErrorResponse>(&parsed);
-    ASSERT_NE(out, nullptr);
-    EXPECT_EQ(out->code, WireErrorCode::kShuttingDown);
-    EXPECT_EQ(out->retry_after_ms, 500u);
-    EXPECT_EQ(out->message, "draining");
-  }
-  {
-    // Eleven digits cannot be a retry hint: it stays in the message.
-    const Response parsed = parse_response("ERR INTERNAL 12345678901 rows");
-    const auto* out = std::get_if<ErrorResponse>(&parsed);
-    ASSERT_NE(out, nullptr);
-    EXPECT_EQ(out->retry_after_ms, 0u);
-    EXPECT_EQ(out->message, "12345678901 rows");
-  }
+TEST(Wire, PreV5PayloadShapesAreRejected) {
+  // The frame header admits only v5, so the decoder has no fallbacks for
+  // older shapes: PRED without its flags token, ERR without a code, ERR
+  // without a retry-after, and a digit run too long to be a u32 hint.
+  EXPECT_THROW(parse_response("PRED 2.75"), ProtocolError);
+  EXPECT_THROW(parse_response("ERR something broke badly"), ProtocolError);
+  EXPECT_THROW(parse_response("ERR OVERLOADED try again later"), ProtocolError);
+  EXPECT_THROW(parse_response("ERR INTERNAL 12345678901 rows"), ProtocolError);
+  EXPECT_THROW(parse_response("ERR OVERLOADED"), ProtocolError);
+  EXPECT_THROW(parse_response("ERR OVERLOADED 250"), ProtocolError);
+  EXPECT_THROW(parse_response("ERR"), ProtocolError);
+
+  // A v5 message that starts with digits keeps them: the hint is always
+  // the token after the code, never a guess.
+  const Response parsed = parse_response(serialize_response(
+      ErrorResponse{WireErrorCode::kInternal, "12345678901 rows", 0}));
+  const auto* out = std::get_if<ErrorResponse>(&parsed);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->code, WireErrorCode::kInternal);
+  EXPECT_EQ(out->retry_after_ms, 0u);
+  EXPECT_EQ(out->message, "12345678901 rows");
 }
 
 TEST(Wire, EmptyClusterLabelUsesPlaceholder) {
@@ -354,6 +343,9 @@ TEST(Wire, HelloRejectsWhitespaceFeatureValues) {
   EXPECT_THROW(serialize_request(hello), std::runtime_error);
   hello.features.city = "";
   EXPECT_THROW(serialize_request(hello), std::runtime_error);
+  // Every byte the parser splits on is rejected, not just space and tab.
+  hello.features.city = "vertical\vtab";
+  EXPECT_THROW(serialize_request(hello), std::runtime_error);
 }
 
 TEST(Wire, FuzzedPayloadsThrowButNeverCrash) {
@@ -373,6 +365,197 @@ TEST(Wire, FuzzedPayloadsThrowButNeverCrash) {
     }
   }
   SUCCEED();
+}
+
+// -- Serialize -> parse round-trip property -----------------------------------
+
+/// Seeded random wire field values, biased toward the edges a text codec
+/// gets wrong: signed zeros, infinities, subnormals, extreme magnitudes,
+/// integer limits, and empty, digit-leading or space-leading strings.
+class WireFuzz {
+ public:
+  explicit WireFuzz(std::uint64_t seed) : rng_(seed) {}
+
+  double real() {
+    constexpr double kEdges[] = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, 1e300,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::epsilon()};
+    if (rng_.bernoulli(0.4)) return kEdges[rng_.uniform_index(std::size(kEdges))];
+    for (;;) {  // any bit pattern but NaN, which never equals itself
+      const double v = std::bit_cast<double>(rng_());
+      if (!std::isnan(v)) return v;
+    }
+  }
+
+  std::uint64_t u64() {
+    constexpr std::uint64_t kEdges[] = {0, 1, 9, 10, 0xffffffffULL,
+                                        0x100000000ULL, ~0ULL};
+    if (rng_.bernoulli(0.3)) return kEdges[rng_.uniform_index(std::size(kEdges))];
+    return rng_() >> rng_.uniform_index(64);
+  }
+
+  bool coin() { return rng_.bernoulli(0.5); }
+
+  /// Arbitrary bytes (newlines, NULs, high bytes), often empty.
+  std::string bytes() {
+    std::string out(rng_.uniform_index(48), '\0');
+    for (char& c : out) c = static_cast<char>(rng_.uniform_index(256));
+    return out;
+  }
+
+  /// A free-form ERR message: arbitrary bytes, sometimes led by a number or
+  /// by spaces.
+  std::string message() {
+    switch (rng_.uniform_index(3)) {
+      case 0: return std::to_string(u64()) + " " + bytes();
+      case 1: return "  " + bytes();
+      default: return bytes();
+    }
+  }
+
+  /// A non-empty token free of wire whitespace (feature values, labels).
+  std::string token() {
+    constexpr std::string_view kWireSpace = " \t\n\v\f\r";
+    std::string out(1 + rng_.uniform_index(16), '\0');
+    for (char& c : out) {
+      do {
+        c = static_cast<char>(rng_.uniform_index(256));
+      } while (kWireSpace.find(c) != std::string_view::npos);
+    }
+    return out;
+  }
+
+  SessionFeatures features() {
+    return {token(), token(), token(), token(), token(), token()};
+  }
+
+ private:
+  Rng rng_;
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+template <typename T>
+T request_round_trip(const T& in) {
+  const Request parsed = parse_request(serialize_request(in));
+  const T* out = std::get_if<T>(&parsed);
+  if (out == nullptr) throw std::logic_error("request parsed as another verb");
+  return *out;
+}
+
+template <typename T>
+T response_round_trip(const T& in) {
+  const Response parsed = parse_response(serialize_response(in));
+  const T* out = std::get_if<T>(&parsed);
+  if (out == nullptr) throw std::logic_error("response parsed as another verb");
+  return *out;
+}
+
+// Every request and response verb, with seeded random field values: each
+// value must come back unchanged (doubles bit for bit). 2048 iterations
+// cycle every serve-flags byte and every WireErrorCode many times over.
+TEST(WireProperty, EveryVerbRoundTripsUnchanged) {
+  constexpr WireErrorCode kCodes[] = {
+      WireErrorCode::kBadRequest,  WireErrorCode::kUnknownSession,
+      WireErrorCode::kInvalidSample, WireErrorCode::kOverloaded,
+      WireErrorCode::kShuttingDown, WireErrorCode::kUnsupported,
+      WireErrorCode::kInternal,    WireErrorCode::kSyncRejected};
+  WireFuzz fuzz(0x5eed);
+  for (unsigned i = 0; i < 2048; ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+
+    const HelloRequest hello{fuzz.features(), fuzz.real()};
+    const HelloRequest hello_out = request_round_trip(hello);
+    EXPECT_EQ(hello_out.features, hello.features);
+    EXPECT_TRUE(same_bits(hello_out.start_hour, hello.start_hour));
+
+    const ObserveRequest observe{fuzz.u64(), fuzz.real()};
+    const ObserveRequest observe_out = request_round_trip(observe);
+    EXPECT_EQ(observe_out.session_id, observe.session_id);
+    EXPECT_TRUE(same_bits(observe_out.throughput_mbps, observe.throughput_mbps));
+
+    const PredictRequest predict{fuzz.u64(),
+                                 static_cast<unsigned>(fuzz.u64() & 0xffffffffULL)};
+    const PredictRequest predict_out = request_round_trip(predict);
+    EXPECT_EQ(predict_out.session_id, predict.session_id);
+    EXPECT_EQ(predict_out.steps_ahead, predict.steps_ahead);
+
+    const ByeRequest bye{fuzz.u64()};
+    EXPECT_EQ(request_round_trip(bye).session_id, bye.session_id);
+
+    const ModelRequest model{fuzz.features(), fuzz.real()};
+    const ModelRequest model_out = request_round_trip(model);
+    EXPECT_EQ(model_out.features, model.features);
+    EXPECT_TRUE(same_bits(model_out.start_hour, model.start_hour));
+
+    request_round_trip(StatsRequest{});
+    request_round_trip(SyncCommitRequest{});
+
+    const SyncBeginRequest begin{fuzz.u64(), fuzz.u64()};
+    const SyncBeginRequest begin_out = request_round_trip(begin);
+    EXPECT_EQ(begin_out.total_bytes, begin.total_bytes);
+    EXPECT_EQ(begin_out.checksum, begin.checksum);
+
+    const SyncChunkRequest chunk{fuzz.bytes()};
+    EXPECT_EQ(request_round_trip(chunk).data, chunk.data);
+
+    const SyncFetchRequest fetch{fuzz.u64()};
+    EXPECT_EQ(request_round_trip(fetch).offset, fetch.offset);
+
+    // "-" is the wire placeholder of the empty label, so it is not a label.
+    SessionResponse session{fuzz.u64(), fuzz.real(), fuzz.coin(), ""};
+    if (fuzz.coin()) {
+      do session.cluster_label = fuzz.token(); while (session.cluster_label == "-");
+    }
+    const SessionResponse session_out = response_round_trip(session);
+    EXPECT_EQ(session_out.session_id, session.session_id);
+    EXPECT_TRUE(same_bits(session_out.initial_mbps, session.initial_mbps));
+    EXPECT_EQ(session_out.used_global_model, session.used_global_model);
+    EXPECT_EQ(session_out.cluster_label, session.cluster_label);
+
+    const PredictionResponse pred{fuzz.real(), static_cast<std::uint8_t>(i & 0xff)};
+    const PredictionResponse pred_out = response_round_trip(pred);
+    EXPECT_TRUE(same_bits(pred_out.mbps, pred.mbps));
+    EXPECT_EQ(pred_out.flags, pred.flags);
+
+    response_round_trip(OkResponse{});
+
+    const ErrorResponse error{kCodes[i % std::size(kCodes)], fuzz.message(),
+                              static_cast<std::uint32_t>(fuzz.u64())};
+    const ErrorResponse error_out = response_round_trip(error);
+    EXPECT_EQ(error_out.code, error.code);
+    EXPECT_EQ(error_out.message, error.message);
+    EXPECT_EQ(error_out.retry_after_ms, error.retry_after_ms);
+
+    const ModelResponse model_reply{fuzz.real(), fuzz.coin(), fuzz.bytes()};
+    const ModelResponse model_reply_out = response_round_trip(model_reply);
+    EXPECT_TRUE(same_bits(model_reply_out.initial_mbps, model_reply.initial_mbps));
+    EXPECT_EQ(model_reply_out.used_global_model, model_reply.used_global_model);
+    EXPECT_EQ(model_reply_out.serialized_hmm, model_reply.serialized_hmm);
+
+    const StatsResponse stats{static_cast<int>(fuzz.u64() & 0x7fffffff),
+                              fuzz.bytes()};
+    const StatsResponse stats_out = response_round_trip(stats);
+    EXPECT_EQ(stats_out.exposition_version, stats.exposition_version);
+    EXPECT_EQ(stats_out.exposition, stats.exposition);
+
+    const SnapshotChunkResponse snap{fuzz.u64(), fuzz.u64(), fuzz.u64(),
+                                     fuzz.bytes()};
+    const SnapshotChunkResponse snap_out = response_round_trip(snap);
+    EXPECT_EQ(snap_out.total_bytes, snap.total_bytes);
+    EXPECT_EQ(snap_out.checksum, snap.checksum);
+    EXPECT_EQ(snap_out.offset, snap.offset);
+    EXPECT_EQ(snap_out.data, snap.data);
+  }
 }
 
 TEST(Wire, FrameRoundTripOverLoopback) {

@@ -30,6 +30,7 @@
 #include <variant>
 #include <vector>
 
+#include "hmm_test_util.h"
 #include "net/client.h"
 #include "net/fault_injection.h"
 #include "net/replica_set.h"
@@ -38,7 +39,11 @@
 #include "net/socket.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
+#include "predictors/guarded_session.h"
+#include "predictors/guardrail.h"
 #include "predictors/predictor.h"
+#include "util/rng.h"
 
 namespace cs2p {
 namespace {
@@ -63,8 +68,9 @@ class EchoPlusOneModel final : public PredictorModel {
   }
 };
 
-/// Primary forecast 10.0, cheap brownout forecast 1.0, suspect() driven by
-/// a shared flag — the controllable predictor the brownout ladder tests use.
+/// Primary forecast 10.0, cheap brownout forecast 1.0 — at level 1 only while
+/// a shared "suspect" flag is set, at level 2 always. The controllable
+/// predictor the brownout ladder tests use.
 class BrownoutModel final : public PredictorModel {
  public:
   explicit BrownoutModel(std::shared_ptr<std::atomic<bool>> suspect)
@@ -78,11 +84,10 @@ class BrownoutModel final : public PredictorModel {
       std::optional<double> predict_initial() const override { return 10.0; }
       double predict(unsigned) const override { return 10.0; }
       void observe(double) override {}
-      std::optional<double> predict_brownout(unsigned) const override {
+      std::optional<double> predict_brownout(unsigned, int level) const override {
+        if (level < 2 && !suspect_->load(std::memory_order_relaxed))
+          return std::nullopt;
         return 1.0;
-      }
-      bool suspect() const override {
-        return suspect_->load(std::memory_order_relaxed);
       }
 
      private:
@@ -93,6 +98,67 @@ class BrownoutModel final : public PredictorModel {
 
  private:
   std::shared_ptr<std::atomic<bool>> suspect_;
+};
+
+/// Forecast = last + steps on the primary path; under brownout level 2 the
+/// cheap path answers last / 2 — both read the state the OBSERVE advanced.
+class HalvingBrownoutModel final : public PredictorModel {
+ public:
+  std::string name() const override { return "HalvingBrownout"; }
+  std::unique_ptr<SessionPredictor> make_session(const SessionContext&) const override {
+    class S final : public SessionPredictor {
+     public:
+      std::optional<double> predict_initial() const override { return 2.0; }
+      double predict(unsigned steps) const override {
+        return last_ + static_cast<double>(steps);
+      }
+      void observe(double w) override { last_ = w; }
+      std::optional<double> predict_brownout(unsigned, int level) const override {
+        if (level < 2) return std::nullopt;
+        return last_ / 2.0;
+      }
+
+     private:
+      double last_ = 0.0;
+    };
+    return std::make_unique<S>();
+  }
+};
+
+/// Guarded HMM sessions (the engine's guardrail wrapper) reporting into a
+/// registry the test reads — fallback_predictions is the double-count probe.
+class GuardedHmmModel final : public PredictorModel {
+ public:
+  explicit GuardedHmmModel(obs::MetricsRegistry& registry)
+      : hmm_(testing_support::two_state_model()),
+        config_(config()),
+        baseline_(compute_surprise_baseline(hmm_, config_)),
+        metrics_(GuardrailMetrics::from_registry(registry)) {}
+  std::string name() const override { return "GuardedHmm"; }
+  std::unique_ptr<SessionPredictor> make_session(const SessionContext&) const override {
+    return std::make_unique<GuardedSessionPredictor>(
+        hmm_, 2.0, 1.5, baseline_, config_, PredictionRule::kMleState,
+        serve_flags::kPrimary, nullptr, &metrics_);
+  }
+
+ private:
+  static GuardrailConfig config() {
+    GuardrailConfig config;
+    config.enabled = true;
+    config.window = 4;
+    config.min_observations = 4;
+    config.enter_z = 6.0;
+    config.exit_z = 2.0;
+    config.confirm_observations = 2;
+    config.recovery_observations = 4;
+    config.fallback_window = 4;
+    return config;
+  }
+
+  GaussianHmm hmm_;
+  GuardrailConfig config_;
+  SurpriseBaseline baseline_;
+  GuardrailMetrics metrics_;
 };
 
 SessionFeatures features() {
@@ -283,6 +349,71 @@ TEST(Brownout, FamiliesWithoutCheapPathStayPrimary) {
   EXPECT_DOUBLE_EQ(r.mbps, 4.0);
   EXPECT_EQ(r.flags & serve_flags::kBrownout, 0);
   EXPECT_EQ(server.brownout_replies(), 0u);
+}
+
+TEST(Brownout, ObserveAdvancesStateAndServesCheapForecast) {
+  ServerConfig config;
+  config.io_threads = 1;
+  PredictionServer server(std::make_shared<HalvingBrownoutModel>(), config);
+  PredictionClient client(server.port());
+  const SessionResponse session = client.hello(features(), 0.0);
+
+  server.set_brownout_level(2);
+  // The reply is the cheap forecast of the state this OBSERVE advanced to.
+  PredictionResponse r = client.observe_response(session.session_id, 4.0);
+  EXPECT_DOUBLE_EQ(r.mbps, 2.0);
+  EXPECT_NE(r.flags & serve_flags::kBrownout, 0);
+  EXPECT_NE(r.flags & serve_flags::kDegraded, 0);
+  r = client.observe_response(session.session_id, 6.0);
+  EXPECT_DOUBLE_EQ(r.mbps, 3.0);
+  EXPECT_EQ(server.brownout_replies(), 2u);
+  EXPECT_EQ(server.degraded_replies(), 2u);
+
+  // Off the ladder the primary path sees every brownout-era observation.
+  server.set_brownout_level(0);
+  r = client.predict_response(session.session_id, 2);
+  EXPECT_DOUBLE_EQ(r.mbps, 8.0);
+  EXPECT_EQ(r.flags, serve_flags::kPrimary);
+  EXPECT_EQ(server.brownout_replies(), 2u);
+}
+
+TEST(Brownout, GuardedSessionCountsOneFallbackPerReplyAtLevelTwo) {
+  obs::MetricsRegistry registry;
+  ServerConfig config;
+  config.io_threads = 1;
+  PredictionServer server(std::make_shared<GuardedHmmModel>(registry), config);
+  const obs::Counter& fallbacks =
+      *GuardrailMetrics::from_registry(registry).fallback_predictions;
+  PredictionClient client(server.port());
+  const SessionResponse session = client.hello(features(), 0.0);
+
+  server.set_brownout_level(2);
+  // In-distribution samples first (healthy), then a collapse to 0.2 Mbps
+  // that trips the guardrail: the brownout answer replaces the primary
+  // predict() in both states, so no reply ever counts a second fallback.
+  Rng rng(11);
+  std::vector<double> samples =
+      testing_support::sample_sequence(testing_support::two_state_model(), 8, rng);
+  samples.insert(samples.end(), 12, 0.2);
+  std::uint8_t last_flags = 0;
+  for (const double w : samples) {
+    std::uint64_t before = fallbacks.value();
+    const PredictionResponse observed =
+        client.observe_response(session.session_id, w);
+    EXPECT_EQ(fallbacks.value(), before + 1) << "OBSERVE " << w;
+    EXPECT_NE(observed.flags & serve_flags::kBrownout, 0);
+
+    before = fallbacks.value();
+    const PredictionResponse predicted =
+        client.predict_response(session.session_id, 3);
+    EXPECT_EQ(fallbacks.value(), before + 1) << "PREDICT after " << w;
+    EXPECT_DOUBLE_EQ(predicted.mbps, observed.mbps);  // horizon-free chain
+    last_flags = predicted.flags;
+  }
+  // The collapse did trip the guardrail: the last replies were degraded
+  // sessions served from brownout, the case a double count would hit.
+  EXPECT_NE(last_flags & serve_flags::kGuardrailTripped, 0);
+  EXPECT_EQ(server.brownout_replies(), 2 * samples.size());
 }
 
 // -- Graceful drain -----------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -490,6 +491,7 @@ TEST(ChaosReplica, DiesAfterQuotaAndResurrectsOnSamePort) {
 TEST(ChaosSoak, KillOneReplicaMidSoakDropsNoSessions) {
   constexpr int kSessions = 64;
   constexpr int kChunks = 24;
+  constexpr int kChunksBeforeKill = 4;
   // One registry across the tier and the client set: the acceptance
   // criterion is that failover/time-to-recover metrics are visible via a
   // STATS scrape on a *surviving* replica.
@@ -525,15 +527,26 @@ TEST(ChaosSoak, KillOneReplicaMidSoakDropsNoSessions) {
   std::atomic<int> dropped{0};
   std::atomic<long> max_chunk_us{0};
   std::atomic<bool> start{false};
+  // Event-driven fault: the kill fires once every player has completed
+  // kChunksBeforeKill chunks, and players hold there until it has — so
+  // every session is mid-stream at the kill however loaded the machine is.
+  std::latch reached_kill_point(kSessions);
+  std::latch killed(1);
   std::vector<std::thread> players;
   players.reserve(kSessions);
   for (int p = 0; p < kSessions; ++p) {
     players.emplace_back([&, p] {
       while (!start.load()) std::this_thread::yield();
+      bool arrived = false;
       try {
         const SessionResponse session =
             set.hello(features("p" + std::to_string(p)), p % 24);
         for (int chunk = 0; chunk < kChunks; ++chunk) {
+          if (chunk == kChunksBeforeKill) {
+            arrived = true;
+            reached_kill_point.count_down();
+            killed.wait();
+          }
           const auto t0 = std::chrono::steady_clock::now();
           set.observe_response(session.session_id, 1.0 + 0.1 * chunk);
           const long us =
@@ -549,15 +562,17 @@ TEST(ChaosSoak, KillOneReplicaMidSoakDropsNoSessions) {
         completed.fetch_add(1);
       } catch (const std::exception&) {
         dropped.fetch_add(1);
+        if (!arrived) reached_kill_point.count_down();  // never block the kill
       }
     });
   }
   start.store(true);
-  // Let the soak get going, then kill one replica outright. Its monitor
-  // resurrects it after the dwell; surviving replicas absorb the sessions.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Kill one replica outright mid-soak. Its monitor resurrects it after the
+  // dwell; surviving replicas absorb the sessions.
+  reached_kill_point.wait();
   replicas[0]->kill_now();
   replicas[0]->start_monitor();
+  killed.count_down();
   for (auto& player : players) player.join();
 
   EXPECT_EQ(dropped.load(), 0) << "sessions dropped during replica kill";

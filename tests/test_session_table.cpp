@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,20 @@ SessionTable::Entry bare_entry(Clock::time_point last_used, bool traced = false)
   return entry;
 }
 
+/// Runs `fn(entry)` on one session through with_sessions; false when the
+/// session is unknown.
+template <typename Fn>
+bool with_one(SessionTable& table, std::uint64_t id, Fn&& fn) {
+  bool found = false;
+  const std::uint64_t ids[] = {id};
+  table.with_sessions(ids, [&](std::span<SessionTable::Entry* const> entries) {
+    if (entries[0] == nullptr) return;
+    found = true;
+    fn(*entries[0]);
+  });
+  return found;
+}
+
 TEST(SessionTable, EmplaceWithSessionErase) {
   SessionTable table({.shards = 4, .ttl_ms = 0});
   const auto now = Clock::now();
@@ -35,12 +50,12 @@ TEST(SessionTable, EmplaceWithSessionErase) {
   EXPECT_EQ(table.size(), 1u);
 
   bool saw = false;
-  EXPECT_TRUE(table.with_session(id, [&](SessionTable::Entry& entry) {
+  EXPECT_TRUE(with_one(table, id, [&](SessionTable::Entry& entry) {
     saw = entry.traced;
     entry.last_used = now;
   }));
   EXPECT_TRUE(saw);
-  EXPECT_FALSE(table.with_session(id + 999, [](SessionTable::Entry&) {}));
+  EXPECT_FALSE(with_one(table, id + 999, [](SessionTable::Entry&) {}));
 
   bool traced = false;
   EXPECT_TRUE(table.erase(id, &traced));
@@ -123,15 +138,15 @@ TEST(SessionTable, RecentlyTouchedEntriesSurviveEviction) {
       [&](std::uint64_t) { return bare_entry(stale); });
   const std::uint64_t refreshed = table.emplace(
       [&](std::uint64_t) { return bare_entry(stale); });
-  table.with_session(refreshed,
+  with_one(table, refreshed,
                      [&](SessionTable::Entry& e) { e.last_used = now; });
 
   for (int i = 0; i < 64 && table.size() > 2; ++i) table.evict_tick(now);
 
   EXPECT_EQ(table.size(), 2u);
-  EXPECT_TRUE(table.with_session(fresh, [](SessionTable::Entry&) {}));
-  EXPECT_TRUE(table.with_session(refreshed, [](SessionTable::Entry&) {}));
-  EXPECT_FALSE(table.with_session(expired, [](SessionTable::Entry&) {}));
+  EXPECT_TRUE(with_one(table, fresh, [](SessionTable::Entry&) {}));
+  EXPECT_TRUE(with_one(table, refreshed, [](SessionTable::Entry&) {}));
+  EXPECT_FALSE(with_one(table, expired, [](SessionTable::Entry&) {}));
 }
 
 // Arena lifetime rules (DESIGN.md §16): TTL eviction returns slots to the
@@ -174,7 +189,7 @@ TEST(SessionTable, ArenaSlotsReusedAfterEvictWithoutStaleState) {
   EXPECT_EQ(table.arena_slots(), high_water);
   // And none of them inherited the evicted generation's state.
   for (const std::uint64_t id : ids) {
-    ASSERT_TRUE(table.with_session(id, [&](SessionTable::Entry& entry) {
+    ASSERT_TRUE(with_one(table, id, [&](SessionTable::Entry& entry) {
       EXPECT_FALSE(entry.traced);
       EXPECT_EQ(entry.start_hour, 0.0);
       EXPECT_TRUE(entry.observations.empty());
@@ -249,7 +264,7 @@ TEST(SessionTable, SurvivesConcurrentMutationAndEviction) {
         mine.push_back(table.emplace(
             [](std::uint64_t) { return bare_entry(Clock::now()); }));
         for (const std::uint64_t id : mine)
-          if (table.with_session(id, [&](SessionTable::Entry& e) {
+          if (with_one(table, id, [&](SessionTable::Entry& e) {
                 e.last_used = Clock::now();
               }))
             touched.fetch_add(1, std::memory_order_relaxed);
