@@ -408,6 +408,20 @@ bool Cs2pEngine::cluster_drifted(const Cluster* cluster) const {
   return drifted_.contains(cluster);
 }
 
+BatchStats Cs2pEngine::observe_batch(std::span<ObserveBatchItem> items) {
+  for (ObserveBatchItem& item : items) {
+    item.predictor->observe(item.observation);
+    item.prediction = item.predictor->predict(1);
+  }
+  return {items.size()};
+}
+
+BatchStats Cs2pEngine::predict_batch(std::span<PredictBatchItem> items) {
+  for (PredictBatchItem& item : items)
+    item.prediction = item.predictor->predict(item.steps_ahead);
+  return {items.size()};
+}
+
 EngineStats Cs2pEngine::stats() const {
   EngineStats out;
   out.sessions_served = m_.sessions->value();
@@ -437,8 +451,7 @@ std::unique_ptr<SessionPredictor> Cs2pPredictorModel::make_session(
       engine_->session_model(context.features, context.start_hour);
   const Cs2pConfig& config = engine_->config();
   // Sessions share their model's SoA kernel: one contiguous constants block
-  // per model instead of a private copy per session, and the handle the
-  // batch driver groups by.
+  // per model instead of a private copy per session.
   auto kernel = engine_->hmm_kernel(ref.hmm);
   if (!config.guardrail.enabled) {
     return std::make_unique<HmmSessionPredictor>(

@@ -137,35 +137,29 @@ struct ClusterModelView {
   bool cluster_specific = false;
 };
 
-// -- Batched serving API (DESIGN.md §16) -------------------------------------
-// One poll round's worth of (session, value) pairs, grouped by shared HMM
-// kernel and pushed through BatchHmmFilter in one state-matrix walk per
-// group. Items whose predictor is not batchable (non-HMM family, cold start,
-// degraded fallback, sanitizer reject) run their scalar path — the batch
-// driver is an optimization, never a semantic fork.
+// -- Per-round serving API (DESIGN.md §16) ----------------------------------
+// One round's worth of (session, value) items, served in item order through
+// each session's own observe()/predict(): the engine-side work of the
+// server's lane executor, without sockets or the session table.
 
-/// One OBSERVE: advance the session on `observation`, then (observe_batch
-/// only) produce the next-epoch prediction.
+/// One OBSERVE: advance the session on `observation`, then produce the
+/// next-epoch prediction.
 struct ObserveBatchItem {
   SessionPredictor* predictor = nullptr;
   double observation = 0.0;
-  double prediction = 0.0;      ///< out
-  bool via_batch_kernel = false;  ///< out: prediction came from the batch kernel
+  double prediction = 0.0;  ///< out
 };
 
 /// One PREDICT at an arbitrary horizon.
 struct PredictBatchItem {
   SessionPredictor* predictor = nullptr;
   unsigned steps_ahead = 1;  ///< must be >= 1
-  double prediction = 0.0;      ///< out
-  bool via_batch_kernel = false;  ///< out
+  double prediction = 0.0;   ///< out
 };
 
-/// How much of a batch the kernel actually served (feeds the
-/// cs2p_server_batched_predicts counter).
+/// What one call served.
 struct BatchStats {
-  std::size_t batched = 0;  ///< predictions served by the batch kernel
-  std::size_t scalar = 0;   ///< predictions that fell back to scalar predict()
+  std::size_t batched = 0;  ///< predictions the call produced
 };
 
 class Cs2pEngine {
@@ -215,26 +209,18 @@ class Cs2pEngine {
 
   /// Shared SoA inference kernel of an engine-owned HMM (hmm/kernel.h),
   /// built lazily once per model and cached — every session pinned to that
-  /// model shares one kernel block, which is what makes them batchable.
+  /// model shares one kernel block.
   /// Same pointer contract as surprise_baseline().
   std::shared_ptr<const HmmKernel> hmm_kernel(const GaussianHmm* hmm) const;
 
-  /// Advances every item's session on its observation, grouping
-  /// kernel-sharing sessions through BatchHmmFilter (one state-matrix walk
-  /// per model per call); `prediction` is left untouched. Each session must
-  /// appear at most once per call (core/batch.cpp explains the
-  /// sequential-dependence rule); the caller holds whatever locks protect
+  /// For each item in order: observe() its observation, then predict(1)
+  /// into `prediction` (the OBSERVE reply). A session may appear more than
+  /// once; its items apply in order. The caller holds whatever locks protect
   /// the predictors. Static: operates on any predictor mix and touches no
   /// engine state.
-  static void advance_batch(std::span<ObserveBatchItem> items);
-
-  /// advance_batch, then the next-epoch prediction of every item through
-  /// predict_batch at horizon 1 (the OBSERVE reply).
   static BatchStats observe_batch(std::span<ObserveBatchItem> items);
 
-  /// Batched horizon predictions; groups by (kernel, steps_ahead). Items
-  /// whose predictor cannot batch (cold start, degraded, non-HMM) run
-  /// scalar predict() with identical results and side effects.
+  /// For each item in order: predict(steps_ahead) into `prediction`.
   static BatchStats predict_batch(std::span<PredictBatchItem> items);
 
   /// Guardrail lifecycle feed (called by Cs2pPredictorModel's event hook,

@@ -9,17 +9,15 @@
 //
 // so belief propagation (pi · P^tau) and Gaussian emission evaluation are
 // tight auto-vectorizable loops over flat arrays. One kernel is built per
-// model and shared (read-only) by every session pinned to that model — the
-// natural unit for BatchHmmFilter, which walks the state matrix once for a
-// whole batch of sessions.
+// model and shared (read-only) by every session pinned to that model.
 //
 // Numerical contract: every kernel operation reproduces the historical
-// Vec/Matrix scalar path bit-for-bit. Powers are computed with Matrix::pow
-// (the same repeated-squaring the scalar filter used), the emission formula
-// mirrors gaussian_log_pdf's expression tree exactly, and propagation keeps
-// vec_mat's i-outer/j-inner accumulation order. The kernel sources compile
-// with -ffp-contract=off (see src/hmm/CMakeLists.txt) so FMA contraction
-// cannot silently split the scalar and batched paths.
+// Vec/Matrix path bit-for-bit. Powers are computed with Matrix::pow (the
+// same repeated-squaring the filter used before the kernel existed), the
+// emission formula mirrors gaussian_log_pdf's expression tree exactly, and
+// propagation keeps vec_mat's i-outer/j-inner accumulation order. The kernel
+// sources compile with -ffp-contract=off (see src/hmm/CMakeLists.txt) so FMA
+// contraction cannot silently split the kernel from that reference.
 #pragma once
 
 #include <cstddef>

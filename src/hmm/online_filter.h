@@ -10,8 +10,7 @@
 // The filter runs on an immutable HmmKernel (hmm/kernel.h): the SoA block
 // holding mu/sigma/P^tau constants. A session may own its kernel (the
 // standalone-client mode §5.3 describes) or share one with every other
-// session pinned to the same model — the serving tier's arrangement, and
-// what lets BatchHmmFilter advance many sessions in one state-matrix walk.
+// session pinned to the same model — the serving tier's arrangement.
 #pragma once
 
 #include <cstddef>
@@ -85,18 +84,10 @@ class OnlineHmmFilter {
 
   const GaussianHmm& model() const noexcept { return kernel_->model(); }
 
-  /// The shared constants this filter runs on. BatchHmmFilter groups
-  /// sessions by this pointer.
-  const std::shared_ptr<const HmmKernel>& kernel() const noexcept {
-    return kernel_;
-  }
-
   /// Number of observations consumed since construction/reset.
   std::size_t observations() const noexcept { return observations_; }
 
  private:
-  friend class BatchHmmFilter;
-
   std::shared_ptr<const HmmKernel> kernel_;
   PredictionRule rule_;
   Vec belief_;

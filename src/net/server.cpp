@@ -9,8 +9,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "core/engine.h"
-
 namespace cs2p {
 namespace {
 
@@ -103,8 +101,6 @@ PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
   m.drain_rejections = &registry.counter("cs2p_server_drain_rejections_total");
   m.completion_hook_errors =
       &registry.counter("cs2p_server_completion_hook_errors_total");
-  m.batched_predicts =
-      &registry.counter("cs2p_server_batched_predicts_total");
   m.active_connections = &registry.gauge("cs2p_server_active_connections");
   m.live_sessions = &registry.gauge("cs2p_server_live_sessions");
   m.draining = &registry.gauge("cs2p_server_draining");
@@ -769,30 +765,8 @@ void PredictionServer::handle_round(Worker& worker,
     frame.handled = true;
   }
 
-  // Phase 3: the lane executor (DESIGN.md §16). A wave holds at most one
-  // lane per session; a session's later frames of this round wait for a
-  // later wave, so one session's frames apply in round order.
-  thread_local std::vector<RoundFrame*> wave;
-  thread_local std::vector<RoundFrame*> later;
-  thread_local std::vector<std::uint64_t> wave_ids;
-  const int brownout = brownout_level();
-  const bool drain = draining();
-  while (!lanes.empty()) {
-    wave.clear();
-    later.clear();
-    wave_ids.clear();
-    for (RoundFrame* frame : lanes) {
-      if (std::find(wave_ids.begin(), wave_ids.end(), frame->session) !=
-          wave_ids.end()) {
-        later.push_back(frame);
-        continue;
-      }
-      wave_ids.push_back(frame->session);
-      wave.push_back(frame);
-    }
-    serve_wave(wave, wave_ids, brownout, drain);
-    lanes.swap(later);
-  }
+  // Phase 3: the lane executor (DESIGN.md §16).
+  if (!lanes.empty()) serve_lanes(lanes);
 
   // Phase 4: emit, in round order. Reply framing, error accounting, write
   // backpressure, and the opportunistic flush are the old per-frame tail.
@@ -826,138 +800,99 @@ void PredictionServer::handle_round(Worker& worker,
   }
 }
 
-void PredictionServer::serve_wave(std::span<RoundFrame* const> wave,
-                                  std::span<const std::uint64_t> ids,
-                                  int brownout, bool drain) {
-  thread_local std::vector<SessionTable::Entry*> served;
-  thread_local std::vector<ObserveBatchItem> advances;
-  thread_local std::vector<PredictBatchItem> predicts;
-  thread_local std::vector<std::size_t> predict_lanes;
+void PredictionServer::serve_lanes(std::span<RoundFrame* const> lanes) {
+  thread_local std::vector<std::uint64_t> ids;
+  ids.clear();
+  for (const RoundFrame* frame : lanes) ids.push_back(frame->session);
+  const int brownout = brownout_level();
+  const std::uint8_t drain_flag = draining() ? serve_flags::kDraining : 0;
   std::size_t width = 0;
-  BatchStats stats;
-  const auto reply = [&](RoundFrame& frame, const SessionPredictor& predictor,
-                         double mbps, std::uint8_t path_flags) {
-    // serve_flags() after the advance: why this reply is served the way it
-    // is. kDraining alone is planned-migration housekeeping, not a degraded
-    // answer — the health signal counts everything else.
-    PredictionResponse response{mbps, static_cast<std::uint8_t>(
-                                          predictor.serve_flags() | path_flags)};
-    if ((response.flags & ~serve_flags::kDraining) != serve_flags::kPrimary)
-      m_.degraded_replies->inc();
-    RequestInfo& info = frame.reply.info;
-    info.flags = response.flags;
-    info.mbps = response.mbps;
-    info.log_likelihood = predictor.last_log_likelihood();
-    frame.response = response;
-    frame.handled = true;
-  };
-  const std::uint8_t drain_flag = drain ? serve_flags::kDraining : 0;
-
-  const auto t_wave = Clock::now();
-  try {
-    sessions_.with_sessions(ids, [&](std::span<SessionTable::Entry* const> entries) {
-      // Plan: validate every lane (an invalid sample outranks an unknown
-      // session and leaves last_used alone), refresh the TTL, and queue
-      // each OBSERVE's advance.
-      served.assign(wave.size(), nullptr);
-      advances.clear();
-      const auto now = Clock::now();
-      for (std::size_t i = 0; i < wave.size(); ++i) {
-        RoundFrame& frame = *wave[i];
-        SessionTable::Entry* entry = entries[i];
-        RequestInfo& info = frame.reply.info;
-        info.session_id = ids[i];
-        if (entry != nullptr) info.traced = entry->traced;
-        if (const auto* observe = std::get_if<ObserveRequest>(&frame.request)) {
-          info.event = "observe";
-          // Validate before touching the predictor: one NaN in the forward
-          // filter poisons every belief state after it. Zero is allowed: a
-          // fully stalled epoch is a real measurement.
-          const double w = observe->throughput_mbps;
-          if (!(std::isfinite(w) && w >= 0.0 && w <= config_.max_sample_mbps)) {
-            frame.response = ErrorResponse{
-                WireErrorCode::kInvalidSample,
-                "throughput sample must be finite, non-negative and <= " +
-                    std::to_string(config_.max_sample_mbps)};
-            frame.handled = true;
-            continue;
-          }
-          if (entry == nullptr) {
-            frame.response =
-                ErrorResponse{WireErrorCode::kUnknownSession, "unknown session"};
-            frame.handled = true;
-            continue;
-          }
+  const auto t_lanes = Clock::now();
+  // One hold over every lane's shard. A session addressed twice in the round
+  // resolves to the same entry, and lanes run in round order, so its frames
+  // apply in that order.
+  sessions_.with_sessions(ids, [&](std::span<SessionTable::Entry* const>
+                                        entries) {
+    const auto now = Clock::now();
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      RoundFrame& frame = *lanes[i];
+      SessionTable::Entry* entry = entries[i];
+      RequestInfo& info = frame.reply.info;
+      info.session_id = ids[i];
+      if (entry != nullptr) info.traced = entry->traced;
+      const auto* observe = std::get_if<ObserveRequest>(&frame.request);
+      const auto* predict = std::get_if<PredictRequest>(&frame.request);
+      const double w = observe != nullptr ? observe->throughput_mbps : 0.0;
+      const unsigned steps = predict != nullptr ? predict->steps_ahead : 1;
+      info.event = observe != nullptr ? "observe" : "predict";
+      // Validate before touching the predictor, in a fixed order: an invalid
+      // sample, then an unknown session, then a zero horizon. One NaN in the
+      // forward filter poisons every belief state after it; zero is allowed
+      // (a fully stalled epoch is a real measurement).
+      if (!(std::isfinite(w) && w >= 0.0 && w <= config_.max_sample_mbps)) {
+        frame.response = ErrorResponse{
+            WireErrorCode::kInvalidSample,
+            "throughput sample must be finite, non-negative and <= " +
+                std::to_string(config_.max_sample_mbps)};
+        continue;
+      }
+      if (entry == nullptr) {
+        frame.response =
+            ErrorResponse{WireErrorCode::kUnknownSession, "unknown session"};
+        continue;
+      }
+      if (steps == 0) {
+        frame.response =
+            ErrorResponse{WireErrorCode::kBadRequest, "steps_ahead must be >= 1"};
+        continue;
+      }
+      entry->last_used = now;
+      ++width;
+      SessionPredictor& predictor = *entry->predictor;
+      try {
+        if (observe != nullptr) {
           if (config_.on_session_complete &&
               entry->observations.size() < config_.session_history_cap)
             entry->observations.push_back(w);
-          advances.push_back({entry->predictor.get(), w});
+          predictor.observe(w);
+        }
+        // Under brownout a predictor that offers the cheap forecast is served
+        // from it and its primary predict() never runs (a degraded guarded
+        // predictor counts a fallback on every predict()).
+        std::uint8_t path_flags = drain_flag;
+        std::optional<double> mbps;
+        if (brownout > 0) mbps = predictor.predict_brownout(steps, brownout);
+        if (mbps) {
+          m_.brownout_replies->inc();
+          path_flags |= serve_flags::kBrownout | serve_flags::kDegraded;
         } else {
-          info.event = "predict";
-          if (entry == nullptr) {
-            frame.response =
-                ErrorResponse{WireErrorCode::kUnknownSession, "unknown session"};
-            frame.handled = true;
-            continue;
-          }
-          if (std::get<PredictRequest>(frame.request).steps_ahead == 0) {
-            frame.response = ErrorResponse{WireErrorCode::kBadRequest,
-                                           "steps_ahead must be >= 1"};
-            frame.handled = true;
-            continue;
-          }
+          mbps = predictor.predict(steps);
         }
-        entry->last_used = now;
-        served[i] = entry;
-        ++width;
+        // serve_flags() after the observe: why this reply is served the way
+        // it is. kDraining alone is planned-migration housekeeping, not a
+        // degraded answer — the health signal counts everything else.
+        const PredictionResponse response{
+            *mbps,
+            static_cast<std::uint8_t>(predictor.serve_flags() | path_flags)};
+        if ((response.flags & ~serve_flags::kDraining) != serve_flags::kPrimary)
+          m_.degraded_replies->inc();
+        info.flags = response.flags;
+        info.mbps = response.mbps;
+        info.log_likelihood = predictor.last_log_likelihood();
+        frame.response = response;
+      } catch (const std::exception& e) {
+        // A predictor that throws (e.g. a history baseline asked to predict
+        // before its first observation) fails its own lane, not the worker.
+        frame.response = ErrorResponse{WireErrorCode::kInternal, e.what()};
       }
-      Cs2pEngine::advance_batch(advances);
-
-      // Predict: under brownout a lane whose predictor offers the cheap
-      // forecast is served from it — its primary predict() never runs (a
-      // degraded guarded predictor counts a fallback on every predict()).
-      // Every other lane joins one horizon-grouped predict_batch.
-      predicts.clear();
-      predict_lanes.clear();
-      for (std::size_t i = 0; i < wave.size(); ++i) {
-        if (served[i] == nullptr) continue;
-        const SessionPredictor& predictor = *served[i]->predictor;
-        const auto* predict = std::get_if<PredictRequest>(&wave[i]->request);
-        const unsigned steps = predict != nullptr ? predict->steps_ahead : 1;
-        if (brownout > 0) {
-          if (const auto cheap = predictor.predict_brownout(steps, brownout)) {
-            m_.brownout_replies->inc();
-            reply(*wave[i], predictor, *cheap,
-                  serve_flags::kBrownout | serve_flags::kDegraded | drain_flag);
-            continue;
-          }
-        }
-        predicts.push_back({served[i]->predictor.get(), steps});
-        predict_lanes.push_back(i);
-      }
-      stats = Cs2pEngine::predict_batch(predicts);
-      for (std::size_t k = 0; k < predicts.size(); ++k)
-        reply(*wave[predict_lanes[k]], *predicts[k].predictor,
-              predicts[k].prediction, drain_flag);
-    });
-  } catch (const std::exception& e) {
-    // A predictor that throws (e.g. a history baseline asked to predict
-    // before its first observation) fails the lanes not yet answered, not
-    // the worker.
-    for (RoundFrame* frame : wave)
-      if (!frame->handled) {
-        frame->response = ErrorResponse{WireErrorCode::kInternal, e.what()};
-        frame->handled = true;
-      }
-  }
-  if (width > 0) {
-    m_.batch_size->observe(static_cast<double>(width));
-    m_.batched_predicts->inc(stats.batched);
-  }
-  // Attribute the wave's wall time evenly: per-reply handle_us stays
+    }
+  });
+  if (width > 0) m_.batch_size->observe(static_cast<double>(width));
+  // Attribute the pass's wall time evenly: per-reply handle_us stays
   // meaningful in traces without per-lane clock reads inside the lock.
-  const std::uint64_t per_lane = elapsed_us(t_wave, Clock::now()) / wave.size();
-  for (RoundFrame* frame : wave) frame->reply.handle_us = per_lane;
+  const std::uint64_t per_lane =
+      elapsed_us(t_lanes, Clock::now()) / lanes.size();
+  for (RoundFrame* frame : lanes) frame->reply.handle_us = per_lane;
 }
 
 bool PredictionServer::flush_write(Worker& worker, Connection& conn) {

@@ -20,14 +20,11 @@
 // the worker drains its readable connections in rounds — one complete frame
 // per connection per round, so per-connection reply order is untouched.
 // handle() answers the lifecycle and control verbs (HELLO, BYE, SYNC,
-// STATS, MODEL); every OBSERVE/PREDICT is a lane of one executor. Lanes run
-// in waves of at most one lane per session: each wave locks its shards
-// once through SessionTable::with_sessions, advances through
-// Cs2pEngine::advance_batch and predicts through predict_batch, which group
-// kernel-sharing sessions into one SoA state-matrix walk
-// (hmm/batch_filter.h). A session driven over two connections at once puts
-// its later frame into the next wave, so one session's frames apply in
-// round order. A width-1 round is a wave of one. Brownout is a per-lane
+// STATS, MODEL); every OBSERVE/PREDICT is a lane of one executor, which
+// locks the round's shards once through SessionTable::with_sessions and
+// serves each lane in round order through its session's own observe() and
+// predict(). A session driven over two connections at once resolves to one
+// entry, so its frames apply in round order. Brownout is a per-lane
 // decision (the predictor's cheap forecast replaces its primary predict),
 // and a stopping server answers SHUTTING_DOWN to every frame at parse.
 //
@@ -286,12 +283,6 @@ class PredictionServer {
     return m_.brownout_replies->value();
   }
 
-  /// Predictions served through the batched SoA kernel (DESIGN.md §16) —
-  /// the observable proof the per-poll batching path is actually engaged.
-  std::uint64_t batched_predicts() const noexcept {
-    return m_.batched_predicts->value();
-  }
-
   /// High-water mark of any connection's queued reply bytes — the
   /// observable guarantee that write backpressure bounds the queue (stays
   /// within write_budget_bytes + one frame no matter how slow a reader is).
@@ -456,8 +447,6 @@ class PredictionServer {
     obs::Counter* brownout_replies = nullptr;
     obs::Counter* drain_rejections = nullptr;
     obs::Counter* completion_hook_errors = nullptr;
-    /// Predictions served by the batched kernel path (cs2p_stats-visible).
-    obs::Counter* batched_predicts = nullptr;
     obs::Gauge* active_connections = nullptr;
     obs::Gauge* live_sessions = nullptr;
     obs::Gauge* draining = nullptr;
@@ -470,8 +459,8 @@ class PredictionServer {
     /// paths (BYE and eviction) — eviction used to bypass all duration
     /// accounting.
     obs::Histogram* session_seconds = nullptr;
-    /// Width of each batched round submitted to the engine (how much
-    /// per-poll frame batching actually coalesces under real traffic).
+    /// OBSERVE/PREDICT lanes served per round (how many frames one round
+    /// coalesces under real traffic).
     obs::Histogram* batch_size = nullptr;
 
     static MetricHandles create(obs::MetricsRegistry& registry);
@@ -498,15 +487,14 @@ class PredictionServer {
   /// budget), each round handled as a batch until no frames remain.
   void run_batch_rounds(Worker& worker);
   /// Parses, dispatches (lifecycle and control verbs through handle(),
-  /// OBSERVE/PREDICT as lanes of the executor, in waves), and emits every
-  /// reply of one round.
+  /// OBSERVE/PREDICT as lanes of the executor), and emits every reply of
+  /// one round.
   void handle_round(Worker& worker, std::vector<RoundFrame>& round);
-  /// Serves one wave of OBSERVE/PREDICT lanes (one lane per session, ids[k]
-  /// the session of wave[k]) under one multi-shard session lock: validation,
-  /// the engine's batched advance and predict, per-lane brownout, and reply
-  /// composition.
-  void serve_wave(std::span<RoundFrame* const> wave,
-                  std::span<const std::uint64_t> ids, int brownout, bool drain);
+  /// Serves a round's OBSERVE/PREDICT lanes in order under one multi-shard
+  /// session lock: per lane validation, observe(), then the brownout or
+  /// primary forecast, and reply composition. A lane whose predictor throws
+  /// answers INTERNAL; the others are unaffected.
+  void serve_lanes(std::span<RoundFrame* const> lanes);
   bool flush_write(Worker& worker, Connection& conn);
   /// Counts/times/traces every pending reply whose bytes are fully on the
   /// wire (end_offset <= write_pos).
@@ -516,7 +504,7 @@ class PredictionServer {
   /// through here exactly like any other.
   void close_connection(Worker& worker, Connection& conn, bool idle_timed_out);
   /// Answers the lifecycle and control verbs (HELLO, BYE, SYNC, STATS,
-  /// MODEL); OBSERVE/PREDICT never come here — they are serve_wave lanes.
+  /// MODEL); OBSERVE/PREDICT never come here — serve_lanes answers them.
   Response handle(const Request& request, Worker& worker, Connection& conn,
                   RequestInfo& info);
   Response handle_sync(const Request& request, SyncStaging& staging);

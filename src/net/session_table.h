@@ -22,8 +22,8 @@
 //     OBSERVE on another — sessions migrate freely between connections)
 //     always sees one coherent filter state. It locks every owning shard
 //     (in shard-index order, so concurrent batches never deadlock) and
-//     exposes the whole group at once — what lets the server advance a
-//     poll round's sessions through one batched engine call.
+//     exposes the whole group at once — what lets the server serve a poll
+//     round's sessions under one lock acquisition.
 //
 // Storage (DESIGN.md §16): entries live in per-shard slab arenas — fixed
 // 64-slot slabs, index-stable for the table's lifetime, with a freelist
@@ -138,9 +138,8 @@ class SessionTable {
   /// with entries[k] pointing at the session of ids[k], or nullptr when
   /// unknown (expired, BYEd, or never created). Pointers are valid only
   /// inside `fn`, which is responsible for refreshing entry.last_used if
-  /// the touch should count against the TTL. `ids` must not contain
-  /// duplicates (the batch kernel's sequential-dependence rule; the server
-  /// runs a repeated session in a later wave).
+  /// the touch should count against the TTL. A repeated id resolves to the
+  /// same entry.
   template <typename Fn>
   void with_sessions(std::span<const std::uint64_t> ids, Fn&& fn) {
     std::vector<std::size_t> order;

@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -304,9 +305,11 @@ Request parse_request(std::string_view payload) {
   }
   if (verb == "PREDICT") {
     if (tokens.size() != 3) throw ProtocolError("wire: PREDICT wants 2 fields");
-    return PredictRequest{
-        parse_u64(tokens[1], "session_id"),
-        static_cast<unsigned>(parse_u64(tokens[2], "steps_ahead"))};
+    const std::uint64_t steps = parse_u64(tokens[2], "steps_ahead");
+    if (steps > std::numeric_limits<unsigned>::max())
+      throw ProtocolError("wire: steps_ahead out of range");
+    return PredictRequest{parse_u64(tokens[1], "session_id"),
+                          static_cast<unsigned>(steps)};
   }
   if (verb == "BYE") {
     if (tokens.size() != 2) throw ProtocolError("wire: BYE wants 1 field");

@@ -43,15 +43,6 @@ class HmmSessionPredictor final : public SessionPredictor {
     return ll;
   }
 
-  BatchObservePlan begin_batch_observe(double throughput_mbps) override {
-    return {BatchObservePlan::Kind::kFilter, &filter_, throughput_mbps};
-  }
-
-  const OnlineHmmFilter* batch_predict_filter() const override {
-    // Cold start serves initial_value_ through the scalar path.
-    return filter_.observations() == 0 ? nullptr : &filter_;
-  }
-
   /// Exposed for diagnostics (pilot bench reports predicted rebuffering from
   /// the belief state).
   const OnlineHmmFilter& filter() const noexcept { return filter_; }

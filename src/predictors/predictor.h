@@ -24,8 +24,6 @@
 
 namespace cs2p {
 
-class OnlineHmmFilter;
-
 /// What a predictor may know about a session before any throughput is
 /// observed: its features and start time. `oracle_series` is set only by the
 /// evaluation harness for the Oracle upper-bound predictor; real predictors
@@ -55,27 +53,6 @@ inline constexpr std::uint8_t kRemoteFallback = 1u << 4;    ///< client-side loc
 inline constexpr std::uint8_t kDraining = 1u << 5;          ///< replica is draining; plan a migration
 inline constexpr std::uint8_t kBrownout = 1u << 6;          ///< cheap fallback served under overload brownout
 }  // namespace serve_flags
-
-/// How one (session, observation) pair joins the engine's batched advance
-/// (Cs2pEngine::advance_batch, DESIGN.md §16) — the step every OBSERVE the
-/// server answers goes through, one wave of lanes at a time.
-/// begin_batch_observe() runs everything that precedes the filter advance
-/// (sanitizing, bookkeeping) and reports what the batch driver should do;
-/// after the batch kernel has advanced the filter, finish_batch_observe()
-/// runs everything that follows it (guardrail scoring, trip/recover
-/// events). The split keeps batched semantics identical to scalar observe()
-/// by construction — scalar observe() is implemented as begin + advance +
-/// finish.
-struct BatchObservePlan {
-  enum class Kind : std::uint8_t {
-    kScalar,    ///< not batchable: the driver calls observe() instead
-    kFilter,    ///< advance `filter` with `value`, then finish_batch_observe()
-    kConsumed,  ///< fully handled in begin (e.g. sanitizer rejected the sample)
-  };
-  Kind kind = Kind::kScalar;
-  OnlineHmmFilter* filter = nullptr;
-  double value = 0.0;
-};
 
 /// Per-session prediction state machine.
 class SessionPredictor {
@@ -128,27 +105,6 @@ class SessionPredictor {
     (void)level;
     return std::nullopt;
   }
-
-  // -- Batched-inference hooks (DESIGN.md §16) ------------------------------
-  // Default: not batchable — the engine's batch driver falls back to the
-  // scalar observe()/predict() calls, so non-HMM families need no changes.
-
-  /// Stage this observation for a batched advance. A kFilter plan obligates
-  /// the caller to advance the filter (batch kernel or filter.observe) and
-  /// then call finish_batch_observe() before any other method.
-  virtual BatchObservePlan begin_batch_observe(double throughput_mbps) {
-    (void)throughput_mbps;
-    return {};
-  }
-
-  /// Completes a kFilter plan after the filter advanced.
-  virtual void finish_batch_observe() {}
-
-  /// The filter a batched predict may serve this session from, or nullptr
-  /// when the scalar predict() must run instead (cold start, degraded
-  /// fallback chain, non-HMM family — paths with side effects or without a
-  /// batchable filter).
-  virtual const OnlineHmmFilter* batch_predict_filter() const { return nullptr; }
 };
 
 /// A compact, self-contained model a client can download and run on its own

@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "dataset/synthetic.h"
+#include "hmm/kernel.h"
+#include "predictors/guarded_session.h"
+#include "predictors/hmm_session.h"
+#include "util/rng.h"
 
 namespace cs2p {
 namespace {
@@ -280,6 +286,110 @@ TEST(PredictorModelAdapter, SharedEngineReuse) {
   const Cs2pPredictorModel a(engine);
   const Cs2pPredictorModel b(engine);
   EXPECT_EQ(&a.engine(), &b.engine());
+}
+
+/// A random valid model: stochastic rows by normalizing uniform draws,
+/// well-spread means, sigmas well above the kernel floor.
+GaussianHmm random_model(Rng& rng, std::size_t n) {
+  GaussianHmm model;
+  model.initial.resize(n);
+  double sum = 0.0;
+  for (auto& p : model.initial) sum += (p = rng.uniform(0.05, 1.0));
+  for (auto& p : model.initial) p /= sum;
+  model.transition = Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double row = 0.0;
+    for (std::size_t j = 0; j < n; ++j)
+      row += (model.transition(i, j) = rng.uniform(0.05, 1.0));
+    for (std::size_t j = 0; j < n; ++j) model.transition(i, j) /= row;
+  }
+  model.states.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    model.states[i].mean = 0.5 + 1.5 * static_cast<double>(i) +
+                           rng.uniform(0.0, 1.0);
+    model.states[i].sigma = rng.uniform(0.05, 1.0);
+  }
+  return model;
+}
+
+/// A stream sample: usually near a random state mean, occasionally an
+/// absurd outlier that zeroes every emission (the degenerate-update path).
+double random_sample(Rng& rng, const GaussianHmm& model) {
+  if (rng.uniform() < 0.08) return 1e12;
+  const auto& s = model.states[rng.uniform_index(model.num_states())];
+  return s.mean + s.sigma * rng.gaussian();
+}
+
+/// observe_batch / predict_batch over a mixed predictor population — plain
+/// HMM sessions, guarded sessions (some tripping their guardrail
+/// mid-stream) on two distinct kernels, and a cold-start session that is
+/// only ever asked to predict. Every item must match an identically driven
+/// twin called through observe()/predict() directly.
+TEST(Engine, BatchMatchesScalarAcrossPredictorMix) {
+  Rng rng(0x5eedf00dULL);
+  const auto kernel_a = HmmKernel::create(random_model(rng, 4));
+  const auto kernel_b = HmmKernel::create(random_model(rng, 6));
+
+  GuardrailConfig guard;
+  guard.enabled = true;
+  guard.window = 4;
+  guard.min_observations = 2;
+  guard.confirm_observations = 2;
+  const SurpriseBaseline baseline{-1.0, 1.0};
+
+  // Twin populations: index-matched, identically constructed.
+  std::vector<std::unique_ptr<SessionPredictor>> via_batch;
+  std::vector<std::unique_ptr<SessionPredictor>> via_scalar;
+  const auto add_pair = [&](auto make) {
+    via_batch.push_back(make());
+    via_scalar.push_back(make());
+  };
+  for (int i = 0; i < 6; ++i) {
+    const auto& kernel = (i % 2 == 0) ? kernel_a : kernel_b;
+    add_pair([&] {
+      return std::make_unique<HmmSessionPredictor>(kernel, 2.0);
+    });
+    add_pair([&] {
+      return std::make_unique<GuardedSessionPredictor>(kernel, 2.0, 1.5,
+                                                       baseline, guard);
+    });
+  }
+  const std::size_t observed = via_batch.size();
+  add_pair([&] { return std::make_unique<HmmSessionPredictor>(kernel_a, 7.25); });
+
+  std::vector<ObserveBatchItem> items(observed);
+  for (int round = 0; round < 15; ++round) {
+    for (std::size_t i = 0; i < observed; ++i) {
+      const auto& model =
+          (i / 2 % 2 == 0) ? kernel_a->model() : kernel_b->model();
+      const double w = random_sample(rng, model);
+      items[i] = {via_batch[i].get(), w};
+      via_scalar[i]->observe(w);
+    }
+    EXPECT_EQ(Cs2pEngine::observe_batch(items).batched, observed);
+    for (std::size_t i = 0; i < observed; ++i) {
+      ASSERT_EQ(items[i].prediction, via_scalar[i]->predict(1))
+          << "round " << round << " item " << i;
+      const auto ll_b = via_batch[i]->last_log_likelihood();
+      const auto ll_s = via_scalar[i]->last_log_likelihood();
+      ASSERT_EQ(ll_b.has_value(), ll_s.has_value());
+      if (ll_b.has_value()) {
+        ASSERT_EQ(*ll_b, *ll_s);
+      }
+      ASSERT_EQ(via_batch[i]->serve_flags(), via_scalar[i]->serve_flags())
+          << "round " << round << " item " << i;
+    }
+
+    std::vector<PredictBatchItem> predicts(via_batch.size());
+    const unsigned steps = 1 + static_cast<unsigned>(rng.uniform_index(20));
+    for (std::size_t i = 0; i < predicts.size(); ++i)
+      predicts[i] = {via_batch[i].get(), steps};
+    EXPECT_EQ(Cs2pEngine::predict_batch(predicts).batched, predicts.size());
+    for (std::size_t i = 0; i < predicts.size(); ++i)
+      ASSERT_EQ(predicts[i].prediction, via_scalar[i]->predict(steps))
+          << "round " << round << " item " << i << " horizon " << steps;
+    EXPECT_EQ(predicts.back().prediction, 7.25);  // still cold
+  }
 }
 
 }  // namespace

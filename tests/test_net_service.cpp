@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,8 +51,8 @@ SessionFeatures features() {
   return {"ISP0", "AS0", "P0", "C0", "S0", "Pfx0"};
 }
 
-/// HMM-backed model whose sessions share one SoA kernel — the shape that
-/// makes the server's per-poll batch path (DESIGN.md §16) engage.
+/// HMM-backed model whose sessions share one SoA kernel — the serving tier's
+/// arrangement (DESIGN.md §16).
 class SharedKernelHmmModel final : public PredictorModel {
  public:
   SharedKernelHmmModel()
@@ -115,28 +116,6 @@ TEST(PredictionService, MultipleSessionsAreIsolated) {
   client.observe(b.session_id, 20.0);
   EXPECT_DOUBLE_EQ(client.predict(a.session_id, 1), 11.0);
   EXPECT_DOUBLE_EQ(client.predict(b.session_id, 1), 21.0);
-}
-
-// OBSERVE/PREDICT on kernel-backed sessions must be served through the
-// batched inference path and show up in its telemetry — the end-to-end proof
-// that per-poll frame batching is live, not just unit-tested.
-TEST(PredictionService, HmmSessionsServeThroughBatchedKernelPath) {
-  PredictionServer server(std::make_shared<SharedKernelHmmModel>());
-  PredictionClient client(server.port());
-  const auto a = client.hello(features(), 0.0);
-  const auto b = client.hello(features(), 0.0);
-  EXPECT_DOUBLE_EQ(client.observe(a.session_id, 1.0), 1.0);  // MLE state 0
-  EXPECT_DOUBLE_EQ(client.observe(b.session_id, 5.0), 5.0);  // MLE state 1
-  EXPECT_DOUBLE_EQ(client.predict(a.session_id, 1), 1.0);
-  EXPECT_GE(server.batched_predicts(), 3u);
-
-  const StatsResponse stats = client.stats();
-  EXPECT_NE(stats.exposition.find("cs2p_server_batched_predicts_total"),
-            std::string::npos);
-  EXPECT_NE(stats.exposition.find("cs2p_server_batch_size"),
-            std::string::npos);
-  client.bye(a.session_id);
-  client.bye(b.session_id);
 }
 
 TEST(PredictionService, ConcurrentClients) {
@@ -519,6 +498,33 @@ TEST(PredictionService, StatsVerbScrapesLiveRegistry) {
             requests);
 }
 
+// OBSERVE/PREDICT on HMM sessions are served by each session's own filter on
+// the shared kernel: replies are the MLE-state means of Algorithm 1 (the
+// initial value before any observation, P^tau propagation for longer
+// horizons), and every served lane lands in the cs2p_server_batch_size
+// histogram.
+TEST(PredictionService, HmmSessionsServeMleForecastsThroughLaneExecutor) {
+  PredictionServer server(std::make_shared<SharedKernelHmmModel>());
+  PredictionClient client(server.port());
+  const auto a = client.hello(features(), 0.0);
+  const auto b = client.hello(features(), 0.0);
+  EXPECT_DOUBLE_EQ(client.predict(a.session_id, 1), 2.0);    // cold start
+  EXPECT_DOUBLE_EQ(client.observe(a.session_id, 1.0), 1.0);  // MLE state 0
+  EXPECT_DOUBLE_EQ(client.observe(b.session_id, 5.0), 5.0);  // MLE state 1
+  EXPECT_DOUBLE_EQ(client.predict(a.session_id, 1), 1.0);
+  // From state 1, P^3 still favours state 1 (0.562) and P^4 tips to
+  // state 0 (0.5066).
+  EXPECT_DOUBLE_EQ(client.predict(b.session_id, 3), 5.0);
+  EXPECT_DOUBLE_EQ(client.predict(b.session_id, 4), 1.0);
+
+  // One connection with one frame in flight: six rounds of one lane each.
+  const StatsResponse stats = client.stats();
+  EXPECT_EQ(series_value(stats.exposition, "cs2p_server_batch_size_count"), 6.0);
+  EXPECT_EQ(series_value(stats.exposition, "cs2p_server_batch_size_sum"), 6.0);
+  client.bye(a.session_id);
+  client.bye(b.session_id);
+}
+
 TEST(PredictionService, StatsScrapeCountsDegradedReplies) {
   PredictionServer server(std::make_shared<SwitchableModel>());
   PredictionClient client(server.port());
@@ -648,11 +654,30 @@ TEST(PredictionService, SessionMigratesAcrossConnections) {
   EXPECT_EQ(err->code, WireErrorCode::kUnknownSession);
 }
 
+// A horizon wider than the wire's u32 is refused at parse, not wrapped: the
+// request answers BAD_REQUEST and the connection keeps serving.
+TEST(PredictionService, OversizedPredictHorizonIsBadRequest) {
+  PredictionServer server(std::make_shared<EchoPlusOneModel>());
+  const auto conn = raw_connection(server.port());
+  const Response hello = raw_round_trip(*conn, HelloRequest{features(), 1.0});
+  const std::uint64_t id = std::get<SessionResponse>(hello).session_id;
+  send_frame(*conn, "PREDICT " + std::to_string(id) + " 4294967297");
+  const auto frame = recv_frame(*conn);
+  ASSERT_TRUE(frame.has_value());
+  const Response reply = parse_response(*frame);
+  const auto* err = std::get_if<ErrorResponse>(&reply);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->code, WireErrorCode::kBadRequest);
+  const Response ok = raw_round_trip(*conn, PredictRequest{id, 1});
+  EXPECT_DOUBLE_EQ(std::get<PredictionResponse>(ok).mbps, 1.0);
+}
+
 /// Order-sensitive sessions: state folds every sample (s = s/2 + w) and the
 /// forecast is s + steps, so a reply pins the state and any reordering of a
 /// session's observations shows in its replies. A session opened at
 /// start_hour >= 99 is a gate instead: its OBSERVE parks the serving worker
-/// until the test opens the gate.
+/// until the test opens the gate. One opened at start_hour 50 throws from
+/// predict().
 class FoldingGateModel final : public PredictorModel {
  public:
   struct Gate {
@@ -687,7 +712,15 @@ class FoldingGateModel final : public PredictorModel {
      private:
       std::shared_ptr<Gate> gate_;
     };
+    class Throwing final : public SessionPredictor {
+     public:
+      double predict(unsigned) const override {
+        throw std::runtime_error("predictor failed");
+      }
+      void observe(double) override {}
+    };
     if (context.start_hour >= 99.0) return std::make_unique<Gated>(gate_);
+    if (context.start_hour == 50.0) return std::make_unique<Throwing>();
     return std::make_unique<Folding>();
   }
 
@@ -790,6 +823,74 @@ TEST(PredictionService, DuplicateSessionFramesApplyInOneConnectionOrderInterleav
   for (std::size_t k = 1; k < witness.size(); ++k)
     switches += witness[k] != witness[k - 1];
   EXPECT_GT(switches, 1u) << witness;
+}
+
+// A round holding a PREDICT for a session whose predict() throws and a
+// PREDICT for a healthy session, each from its own connection: the broken
+// lane answers INTERNAL, the healthy one its normal forecast, and both
+// connections keep serving. The two lanes swap connections for a second
+// round, so the broken lane comes first in one of the two rounds whatever
+// order the worker visits its connections in.
+TEST(PredictionService, ThrowingPredictorFailsOnlyItsOwnLane) {
+  auto model = std::make_shared<FoldingGateModel>();
+  ServerConfig config;
+  config.io_threads = 1;  // every connection shares the one worker's rounds
+  PredictionServer server(model, config);
+
+  const auto control = raw_connection(server.port());
+  const auto session_of = [&](double start_hour) {
+    const Response hello =
+        raw_round_trip(*control, HelloRequest{features(), start_hour});
+    return std::get<SessionResponse>(hello).session_id;
+  };
+  const std::uint64_t healthy = session_of(0.0);
+  const std::uint64_t broken = session_of(50.0);
+  const std::uint64_t gate_id = session_of(99.0);
+  const auto a = raw_connection(server.port());
+  const auto b = raw_connection(server.port());
+  const auto forecast = [](const Response& response) {
+    return std::get<PredictionResponse>(response).mbps;
+  };
+  // One round trip each, so the worker owns both connections before it parks.
+  EXPECT_DOUBLE_EQ(forecast(raw_round_trip(*a, PredictRequest{healthy, 1})), 1.0);
+  EXPECT_DOUBLE_EQ(forecast(raw_round_trip(*b, PredictRequest{healthy, 1})), 1.0);
+
+  const obs::Histogram& widths =
+      server.metrics().histogram("cs2p_server_batch_size", {});
+  for (const bool broken_on_a : {true, false}) {
+    Transport& to_broken = broken_on_a ? *a : *b;
+    Transport& to_healthy = broken_on_a ? *b : *a;
+    const std::uint64_t rounds_before = widths.count();
+    const double lanes_before = widths.sum();
+
+    // Park the worker inside a round, queue one frame on each connection
+    // behind it, then release: the next wakeup reads both into one round.
+    const auto gate = model->gate();
+    gate->entered.store(false);
+    gate->open.store(false);
+    std::thread parked([&] { raw_round_trip(*control, ObserveRequest{gate_id, 1.0}); });
+    gate->entered.wait(false);
+    send_frame(to_broken, serialize_request(PredictRequest{broken, 1}));
+    send_frame(to_healthy, serialize_request(PredictRequest{healthy, 2}));
+    gate->open.store(true);
+    gate->open.notify_all();
+    parked.join();
+
+    const auto broken_frame = recv_frame(to_broken);
+    const auto healthy_frame = recv_frame(to_healthy);
+    ASSERT_TRUE(broken_frame && healthy_frame);
+    const Response failed = parse_response(*broken_frame);
+    const auto* err = std::get_if<ErrorResponse>(&failed);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->code, WireErrorCode::kInternal);
+    EXPECT_DOUBLE_EQ(forecast(parse_response(*healthy_frame)), 2.0);
+    // The gate's round, then one round holding both lanes.
+    EXPECT_EQ(widths.count() - rounds_before, 2u);
+    EXPECT_EQ(widths.sum() - lanes_before, 3.0);
+
+    EXPECT_DOUBLE_EQ(forecast(raw_round_trip(*a, PredictRequest{healthy, 3})), 3.0);
+    EXPECT_DOUBLE_EQ(forecast(raw_round_trip(*b, PredictRequest{healthy, 4})), 4.0);
+  }
 }
 
 // A migrated session keeps the model that created it even when the server

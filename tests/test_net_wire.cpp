@@ -48,6 +48,12 @@ TEST(Wire, ObservePredictByeRoundTrip) {
     EXPECT_EQ(out->steps_ahead, 5u);
   }
   {
+    const Request parsed = parse_request("PREDICT 9 4294967295");  // u32 max
+    const auto* out = std::get_if<PredictRequest>(&parsed);
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(out->steps_ahead, 4294967295u);
+  }
+  {
     const Request parsed = parse_request(serialize_request(ByeRequest{11}));
     ASSERT_NE(std::get_if<ByeRequest>(&parsed), nullptr);
   }
@@ -326,6 +332,10 @@ TEST(Wire, MalformedRequestsThrow) {
   EXPECT_THROW(parse_request("OBSERVE 1"), std::runtime_error);
   EXPECT_THROW(parse_request("OBSERVE x 2.0"), std::runtime_error);
   EXPECT_THROW(parse_request("PREDICT 1 x"), std::runtime_error);
+  // The horizon is a u32: wider values are refused, not wrapped (4294967297
+  // would otherwise be served as horizon 1).
+  EXPECT_THROW(parse_request("PREDICT 1 4294967296"), ProtocolError);
+  EXPECT_THROW(parse_request("PREDICT 1 4294967297"), ProtocolError);
   EXPECT_THROW(parse_request("BYE"), std::runtime_error);
   EXPECT_THROW(parse_request("MODEL just one"), std::runtime_error);
 }

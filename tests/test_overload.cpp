@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -663,10 +664,19 @@ TEST(RollingRestart, DrainEachReplicaInTurnDropsNoSessions) {
   constexpr int kSessionsPerThread = 4;  // 64 live sessions
   std::atomic<bool> stop{false};
   std::atomic<int> dropped{0};
+  // Event-driven pacing: phase 0 is "every player has opened its sessions
+  // and finished a round"; phase k > 0 is "every player has finished a round
+  // since restart k". Each player counts down a phase's latch once, at the
+  // end of its first round in that phase.
+  std::vector<std::unique_ptr<std::latch>> phases;
+  for (int k = 0; k <= kReplicas; ++k)
+    phases.push_back(std::make_unique<std::latch>(kThreads));
+  std::atomic<int> phase{0};
   std::vector<std::thread> players;
   for (int t = 0; t < kThreads; ++t) {
     players.emplace_back([&, t] {
       std::vector<std::uint64_t> ids;
+      int counted = -1;  // last phase this player counted down
       try {
         for (int s = 0; s < kSessionsPerThread; ++s)
           ids.push_back(
@@ -679,11 +689,19 @@ TEST(RollingRestart, DrainEachReplicaInTurnDropsNoSessions) {
             if (r.mbps != sample + 1.0) ++dropped;
           }
           ++round;
+          const int now = phase.load();
+          if (now > counted) {
+            phases[static_cast<std::size_t>(now)]->count_down();
+            counted = now;
+          }
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       } catch (const std::exception&) {
         // Any thrown operation is a dropped session — the soak's failure.
         ++dropped;
+        // Never block the restarts behind a player that is gone.
+        for (int k = counted + 1; k <= kReplicas; ++k)
+          phases[static_cast<std::size_t>(k)]->count_down();
       }
       try {
         for (const std::uint64_t id : ids) set.bye(id);
@@ -693,14 +711,14 @@ TEST(RollingRestart, DrainEachReplicaInTurnDropsNoSessions) {
     });
   }
 
-  // Let the fleet of sessions establish, then restart every replica in
+  // Once the fleet of sessions is established, restart every replica in
   // turn: each must drain clean (sessions migrated or reaped) before its
   // deadline, and no player may ever see a failed operation.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  phases[0]->wait();
   std::vector<bool> clean;
   for (auto& replica : replicas) {
     clean.push_back(replica->drain_and_restart(/*drain_deadline_ms=*/5'000));
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    phases[static_cast<std::size_t>(phase.fetch_add(1) + 1)]->wait();
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : players) t.join();

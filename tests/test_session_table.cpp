@@ -199,8 +199,9 @@ TEST(SessionTable, ArenaSlotsReusedAfterEvictWithoutStaleState) {
   }
 }
 
-// with_sessions: the batch path's multi-session lookup locks each involved
-// shard once, hands back entries in id order, and reports misses as null.
+// with_sessions: the lane executor's multi-session lookup locks each
+// involved shard once, hands back entries in id order, reports misses as
+// null, and resolves a repeated id to the same entry.
 TEST(SessionTable, WithSessionsResolvesHitsAndMissesInOrder) {
   SessionTable table({.shards = 4, .ttl_ms = 0});
   const auto now = Clock::now();
@@ -212,16 +213,17 @@ TEST(SessionTable, WithSessionsResolvesHitsAndMissesInOrder) {
       table.emplace([&](std::uint64_t) { return bare_entry(now); });
   ASSERT_TRUE(table.erase(gone));
 
-  const std::uint64_t ids[] = {b, gone, a};
+  const std::uint64_t ids[] = {b, gone, a, b};
   bool ran = false;
   table.with_sessions(ids, [&](std::span<SessionTable::Entry* const> entries) {
     ran = true;
-    ASSERT_EQ(entries.size(), 3u);
+    ASSERT_EQ(entries.size(), 4u);
     ASSERT_NE(entries[0], nullptr);
     EXPECT_FALSE(entries[0]->traced);
     EXPECT_EQ(entries[1], nullptr);
     ASSERT_NE(entries[2], nullptr);
     EXPECT_TRUE(entries[2]->traced);
+    EXPECT_EQ(entries[3], entries[0]);
     entries[0]->last_used = now;  // writable under the shard locks
   });
   EXPECT_TRUE(ran);
