@@ -184,7 +184,7 @@ int main() {
         if (++observed == kill_after) server->stop();
         inner->observe(w);
       }
-      bool degraded() const override { return inner->degraded(); }
+      std::uint8_t serve_flags() const override { return inner->serve_flags(); }
       RemoteSessionPredictor* inner;
       PredictionServer* server;
       std::size_t kill_after;
@@ -209,7 +209,7 @@ int main() {
                 "degraded=%s, QoE %.0f, avg %.0f kbps, rebuf %.2f s, "
                 "%llu fallback forecasts\n",
                 options.video.num_chunks / 3, options.video.num_chunks,
-                degraded_run.predictor_degraded ? "yes" : "no",
+                remote_session.degraded() ? "yes" : "no",
                 degraded_qoe.total, degraded_qoe.avg_bitrate_kbps,
                 degraded_qoe.rebuffer_seconds,
                 static_cast<unsigned long long>(
@@ -218,6 +218,11 @@ int main() {
                 "QoE %.0f, avg %.0f kbps, rebuf %.2f s\n",
                 healthy_qoe.total, healthy_qoe.avg_bitrate_kbps,
                 healthy_qoe.rebuffer_seconds);
+    // Gate: the killed-server run must end on the local fallback.
+    if (!remote_session.degraded() || remote_session.fallback_predictions() == 0) {
+      std::printf("FAIL: killed-server run did not end on the local fallback\n");
+      return 1;
+    }
   }
   return 0;
 }

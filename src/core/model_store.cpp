@@ -13,43 +13,26 @@
 #include <limits>
 #include <sstream>
 
+#include "util/hash.h"
+
 namespace cs2p {
 namespace {
 
 constexpr std::string_view kMagic = "cs2p-snapshot";
-constexpr std::string_view kMagicV1 = "cs2p-snapshot-v1";
+constexpr std::string_view kMagicV2 = "cs2p-snapshot-v2";
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// -- FNV-1a 64 ---------------------------------------------------------------
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t h = kFnvOffset) noexcept {
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix_u64(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
+// -- fingerprint mixing (FNV-1a 64, util/hash.h) ----------------------------
 
 std::uint64_t fnv_mix_double(std::uint64_t h, double v) noexcept {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
-  return fnv_mix_u64(h, bits);
+  return fnv1a64_u64(h, bits);
 }
 
 std::uint64_t fnv_mix_string(std::uint64_t h, std::string_view s) noexcept {
-  h = fnv_mix_u64(h, s.size());
+  h = fnv1a64_u64(h, s.size());
   return fnv1a64(s, h);
 }
 
@@ -144,29 +127,29 @@ std::uint64_t snapshot_checksum(const std::string& snapshot_bytes) noexcept {
 }
 
 std::uint64_t config_fingerprint(const Cs2pConfig& config) noexcept {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_mix_u64(h, config.selector.min_cluster_size);
-  h = fnv_mix_u64(h, config.selector.estimation_set_size);
-  h = fnv_mix_u64(h, config.hmm.num_states);
-  h = fnv_mix_u64(h, static_cast<std::uint64_t>(config.hmm.max_iterations));
+  std::uint64_t h = kFnv1a64Offset;
+  h = fnv1a64_u64(h, config.selector.min_cluster_size);
+  h = fnv1a64_u64(h, config.selector.estimation_set_size);
+  h = fnv1a64_u64(h, config.hmm.num_states);
+  h = fnv1a64_u64(h, static_cast<std::uint64_t>(config.hmm.max_iterations));
   h = fnv_mix_double(h, config.hmm.tolerance);
   h = fnv_mix_double(h, config.hmm.min_sigma);
   h = fnv_mix_double(h, config.hmm.transition_prior);
-  h = fnv_mix_u64(h, config.hmm.seed);
-  h = fnv_mix_u64(h, config.max_sequences_per_cluster);
-  h = fnv_mix_u64(h, config.max_global_sequences);
-  h = fnv_mix_u64(h, static_cast<std::uint64_t>(config.prediction_rule));
-  h = fnv_mix_u64(h, config.median_initial ? 1 : 0);
+  h = fnv1a64_u64(h, config.hmm.seed);
+  h = fnv1a64_u64(h, config.max_sequences_per_cluster);
+  h = fnv1a64_u64(h, config.max_global_sequences);
+  h = fnv1a64_u64(h, static_cast<std::uint64_t>(config.prediction_rule));
+  h = fnv1a64_u64(h, config.median_initial ? 1 : 0);
   // config.trainer is a test hook, not a semantic parameter: excluded.
   return h;
 }
 
 std::uint64_t dataset_fingerprint(const Dataset& dataset) noexcept {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_mix_u64(h, dataset.size());
+  std::uint64_t h = kFnv1a64Offset;
+  h = fnv1a64_u64(h, dataset.size());
   for (const auto& s : dataset.sessions()) {
-    h = fnv_mix_u64(h, static_cast<std::uint64_t>(s.id));
-    h = fnv_mix_u64(h, static_cast<std::uint64_t>(s.day));
+    h = fnv1a64_u64(h, static_cast<std::uint64_t>(s.id));
+    h = fnv1a64_u64(h, static_cast<std::uint64_t>(s.day));
     h = fnv_mix_double(h, s.start_hour);
     h = fnv_mix_double(h, s.epoch_seconds);
     h = fnv_mix_string(h, s.features.isp);
@@ -175,7 +158,7 @@ std::uint64_t dataset_fingerprint(const Dataset& dataset) noexcept {
     h = fnv_mix_string(h, s.features.city);
     h = fnv_mix_string(h, s.features.server);
     h = fnv_mix_string(h, s.features.client_prefix);
-    h = fnv_mix_u64(h, s.throughput_mbps.size());
+    h = fnv1a64_u64(h, s.throughput_mbps.size());
     for (double w : s.throughput_mbps) h = fnv_mix_double(h, w);
   }
   return h;
@@ -228,7 +211,7 @@ std::string serialize_engine(const Cs2pEngine& engine) {
 
   const std::string body = payload.str();
   std::ostringstream out;
-  out << kMagicV1 << ' ' << body.size() << "\n"
+  out << kMagicV2 << ' ' << body.size() << "\n"
       << body << "checksum " << hex16(fnv1a64(body)) << "\n";
   return out.str();
 }
@@ -250,7 +233,7 @@ EngineRestoreData parse_snapshot(const std::string& bytes,
   std::uint64_t payload_bytes = 0;
   if (!(header >> magic))
     throw SnapshotError(SnapshotErrorCode::kBadMagic, "empty snapshot header");
-  if (magic != kMagicV1)
+  if (magic != kMagicV2)
     throw SnapshotError(SnapshotErrorCode::kVersionMismatch,
                         "unsupported snapshot version '" + magic + "'");
   if (!(header >> payload_bytes))

@@ -8,7 +8,7 @@
 //
 // Snapshot format (text, single file):
 //
-//   cs2p-snapshot-v1 <payload-bytes>\n     header, read before the payload
+//   cs2p-snapshot-v2 <payload-bytes>\n     header, read before the payload
 //   <payload>                              see serialize_engine
 //   checksum <16-hex fnv1a64(payload)>\n   footer
 //
@@ -79,7 +79,8 @@ std::uint64_t dataset_fingerprint(const Dataset& dataset) noexcept;
 
 /// FNV-1a 64-bit over the complete snapshot bytes (header + payload +
 /// footer). This is the identity recorded in ModelLineage::parent_checksum:
-/// two byte-identical snapshots are the same model generation.
+/// two byte-identical snapshots are the same model generation. Equal to the
+/// SYNC checksum (net/wire.h sync_checksum) of the same bytes.
 std::uint64_t snapshot_checksum(const std::string& snapshot_bytes) noexcept;
 
 /// Serializes the engine's trained state into complete snapshot bytes

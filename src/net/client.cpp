@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/stats.h"
+
 namespace cs2p {
 namespace {
 
@@ -306,15 +308,8 @@ void RemoteSessionPredictor::degrade() const noexcept {
 double RemoteSessionPredictor::fallback_forecast() const {
   // Harmonic mean of the session's own samples — the paper's §3 HM
   // baseline, robust to throughput outliers.
-  double inverse_sum = 0.0;
-  std::size_t n = 0;
-  for (double w : history_) {
-    if (w > 0.0) {
-      inverse_sum += 1.0 / w;
-      ++n;
-    }
-  }
-  if (n > 0) return static_cast<double>(n) / inverse_sum;
+  const double hm = harmonic_mean(history_);
+  if (hm > 0.0) return hm;
   // No usable history yet (e.g. HELLO failed before the first chunk): the
   // last known forecast, which is the initial prediction when we have one.
   return last_forecast_;

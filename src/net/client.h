@@ -208,7 +208,7 @@ class RemoteSessionPredictor final : public SessionPredictor {
   void observe(double throughput_mbps) override;
 
   /// True once the predictor has switched to the local fallback.
-  bool degraded() const override { return degraded_; }
+  bool degraded() const noexcept { return degraded_; }
 
   /// Local fallback state plus the server-reported serving path of the last
   /// reply: a remote player can tell "the service is gone" (kRemoteFallback)

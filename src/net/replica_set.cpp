@@ -6,42 +6,9 @@
 #include <thread>
 
 #include "predictors/predictor.h"
+#include "util/hash.h"
 
 namespace cs2p {
-namespace {
-
-// FNV-1a 64 (the same mixing wire.cpp uses for snapshot checksums) plus a
-// SplitMix64 finalizer — FNV alone has weak high bits, and rendezvous
-// ranking compares full 64-bit scores.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::string_view data) noexcept {
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xff;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-std::uint64_t finalize(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
 
 std::string_view replica_health_name(ReplicaHealth health) noexcept {
   switch (health) {
@@ -55,24 +22,25 @@ std::string_view replica_health_name(ReplicaHealth health) noexcept {
 std::uint64_t make_session_key(const SessionFeatures& features,
                                double start_hour,
                                std::uint64_t nonce) noexcept {
-  std::uint64_t hash = kFnvOffset;
-  hash = fnv1a(hash, features.isp);
-  hash = fnv1a(hash, features.as_number);
-  hash = fnv1a(hash, features.province);
-  hash = fnv1a(hash, features.city);
-  hash = fnv1a(hash, features.server);
-  hash = fnv1a(hash, features.client_prefix);
+  // FNV-1a, then the SplitMix64 finalizer: FNV alone has weak high bits,
+  // and rendezvous ranking compares full 64-bit scores.
+  std::uint64_t hash = fnv1a64(features.isp);
+  hash = fnv1a64(features.as_number, hash);
+  hash = fnv1a64(features.province, hash);
+  hash = fnv1a64(features.city, hash);
+  hash = fnv1a64(features.server, hash);
+  hash = fnv1a64(features.client_prefix, hash);
   std::uint64_t hour_bits = 0;
   static_assert(sizeof(hour_bits) == sizeof(start_hour));
   __builtin_memcpy(&hour_bits, &start_hour, sizeof(hour_bits));
-  hash = fnv1a(hash, hour_bits);
-  hash = fnv1a(hash, nonce);
-  return finalize(hash);
+  hash = fnv1a64_u64(hash, hour_bits);
+  hash = fnv1a64_u64(hash, nonce);
+  return mix64(hash);
 }
 
 std::uint64_t rendezvous_score(std::uint64_t key,
                                std::string_view name) noexcept {
-  return finalize(fnv1a(fnv1a(kFnvOffset, name), key));
+  return mix64(fnv1a64_u64(fnv1a64(name), key));
 }
 
 ReplicaSet::ReplicaSet(std::vector<Endpoint> endpoints,
@@ -110,8 +78,8 @@ ReplicaSet::ReplicaSet(std::vector<Endpoint> endpoints,
     client_config.metrics = metrics_;
     // Distinct jitter streams per replica: a shared seed would re-sync the
     // very retry storms jitter exists to break up.
-    client_config.backoff_seed =
-        finalize(client_config.backoff_seed ^ fnv1a(kFnvOffset, replica_index));
+    client_config.backoff_seed = mix64(
+        client_config.backoff_seed ^ fnv1a64_u64(kFnv1a64Offset, replica_index));
     replica->client = std::make_unique<PredictionClient>(
         std::move(endpoint.connector), client_config);
     replica->failures = &metrics_->counter(

@@ -49,6 +49,11 @@ constexpr int kMaxPollWaitMs = 50;
 
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
 
+/// Cap on the per-session observation history kept for
+/// on_session_complete; samples past it are dropped (the filter state is
+/// unaffected).
+constexpr std::size_t kSessionHistoryCap = 512;
+
 }  // namespace
 
 /// One frame moving through a batch round (DESIGN.md §16). Extracted off its
@@ -97,14 +102,12 @@ PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
   m.hellos_shed = &registry.counter("cs2p_server_hellos_shed_total");
   m.slow_reader_kicks =
       &registry.counter("cs2p_server_slow_reader_kicks_total");
-  m.brownout_replies = &registry.counter("cs2p_server_brownout_replies_total");
   m.drain_rejections = &registry.counter("cs2p_server_drain_rejections_total");
   m.completion_hook_errors =
       &registry.counter("cs2p_server_completion_hook_errors_total");
   m.active_connections = &registry.gauge("cs2p_server_active_connections");
   m.live_sessions = &registry.gauge("cs2p_server_live_sessions");
   m.draining = &registry.gauge("cs2p_server_draining");
-  m.brownout_level = &registry.gauge("cs2p_server_brownout_level");
   m.last_drain_seconds = &registry.gauge("cs2p_server_last_drain_seconds");
   m.max_write_queue = &registry.gauge("cs2p_server_max_write_queue_bytes");
   m.request_seconds =
@@ -240,44 +243,6 @@ bool PredictionServer::should_shed(const Worker& worker) const noexcept {
           config_.shed_utilization)
     return true;
   return false;
-}
-
-int PredictionServer::brownout_level() const noexcept {
-  const int pinned = brownout_override_.load(std::memory_order_relaxed);
-  if (pinned >= 0) return pinned;
-  if (config_.brownout_enter_ticks <= 0) return 0;
-  const int score = brownout_score_.load(std::memory_order_relaxed);
-  if (score >= 3 * config_.brownout_enter_ticks) return 2;
-  if (score >= config_.brownout_enter_ticks) return 1;
-  return 0;
-}
-
-void PredictionServer::set_brownout_level(int level) noexcept {
-  brownout_override_.store(level, std::memory_order_relaxed);
-  m_.brownout_level->set(static_cast<double>(brownout_level()));
-}
-
-void PredictionServer::brownout_tick() {
-  if (config_.brownout_enter_ticks <= 0 &&
-      brownout_override_.load(std::memory_order_relaxed) < 0)
-    return;
-  bool pressure = false;
-  for (const auto& worker : workers_)
-    if (should_shed(*worker)) {
-      pressure = true;
-      break;
-    }
-  // Leaky integrator: pressure must be *sustained* to climb the ladder, and
-  // one quiet tick starts climbing back down — brownout recovers as smoothly
-  // as it engages.
-  const int ceiling = std::max(1, 4 * config_.brownout_enter_ticks);
-  int score = brownout_score_.load(std::memory_order_relaxed);
-  int next;
-  do {
-    next = pressure ? std::min(score + 1, ceiling) : std::max(score - 1, 0);
-  } while (!brownout_score_.compare_exchange_weak(score, next,
-                                                  std::memory_order_relaxed));
-  m_.brownout_level->set(static_cast<double>(brownout_level()));
 }
 
 void PredictionServer::begin_drain() {
@@ -604,9 +569,7 @@ void PredictionServer::worker_loop(Worker& worker) {
       if (stats.evicted > 0)
         m_.live_sessions->set(static_cast<double>(sessions_.size()));
       if (leads_ticks) {
-        // One worker owns the process-wide control ticks so the brownout
-        // integrator steps once per interval, not once per worker.
-        brownout_tick();
+        // One worker publishes every worker's utilization gauge.
         for (auto& w : workers_)
           if (w->utilization_gauge != nullptr)
             w->utilization_gauge->set(
@@ -804,7 +767,6 @@ void PredictionServer::serve_lanes(std::span<RoundFrame* const> lanes) {
   thread_local std::vector<std::uint64_t> ids;
   ids.clear();
   for (const RoundFrame* frame : lanes) ids.push_back(frame->session);
-  const int brownout = brownout_level();
   const std::uint8_t drain_flag = draining() ? serve_flags::kDraining : 0;
   std::size_t width = 0;
   const auto t_lanes = Clock::now();
@@ -852,28 +814,17 @@ void PredictionServer::serve_lanes(std::span<RoundFrame* const> lanes) {
       try {
         if (observe != nullptr) {
           if (config_.on_session_complete &&
-              entry->observations.size() < config_.session_history_cap)
+              entry->observations.size() < kSessionHistoryCap)
             entry->observations.push_back(w);
           predictor.observe(w);
         }
-        // Under brownout a predictor that offers the cheap forecast is served
-        // from it and its primary predict() never runs (a degraded guarded
-        // predictor counts a fallback on every predict()).
-        std::uint8_t path_flags = drain_flag;
-        std::optional<double> mbps;
-        if (brownout > 0) mbps = predictor.predict_brownout(steps, brownout);
-        if (mbps) {
-          m_.brownout_replies->inc();
-          path_flags |= serve_flags::kBrownout | serve_flags::kDegraded;
-        } else {
-          mbps = predictor.predict(steps);
-        }
+        const double mbps = predictor.predict(steps);
         // serve_flags() after the observe: why this reply is served the way
         // it is. kDraining alone is planned-migration housekeeping, not a
         // degraded answer — the health signal counts everything else.
         const PredictionResponse response{
-            *mbps,
-            static_cast<std::uint8_t>(predictor.serve_flags() | path_flags)};
+            mbps,
+            static_cast<std::uint8_t>(predictor.serve_flags() | drain_flag)};
         if ((response.flags & ~serve_flags::kDraining) != serve_flags::kPrimary)
           m_.degraded_replies->inc();
         info.flags = response.flags;

@@ -24,9 +24,8 @@
 // locks the round's shards once through SessionTable::with_sessions and
 // serves each lane in round order through its session's own observe() and
 // predict(). A session driven over two connections at once resolves to one
-// entry, so its frames apply in round order. Brownout is a per-lane
-// decision (the predictor's cheap forecast replaces its primary predict),
-// and a stopping server answers SHUTTING_DOWN to every frame at parse.
+// entry, so its frames apply in round order. A stopping server answers
+// SHUTTING_DOWN to every frame at parse.
 //
 // Fault discipline (ROADMAP north star: degrade, don't die):
 //   - connection cap with a typed OVERLOADED rejection frame,
@@ -48,11 +47,6 @@
 //     queued-reply depth; past the shed thresholds new HELLOs answer
 //     OVERLOADED with a retry-after hint while existing sessions keep
 //     being served — latency sheds before it collapses,
-//   - brownout: under sustained shed pressure predictions step down to the
-//     predictors' cheap fallback path (predict_brownout(steps, level)),
-//     which each predictor grants at level 1 only when its own quality
-//     monitor already doubts it and at level 2 always — so goodput
-//     degrades smoothly instead of cliffing,
 //   - graceful drain: begin_drain() stops accepting, answers new HELLOs
 //     with SHUTTING_DOWN + retry-after, stamps kDraining on every PRED so
 //     ReplicaSet migrates sessions proactively, and shrinks the session TTL
@@ -141,9 +135,6 @@ struct ServerConfig {
   /// cost). Exceptions are swallowed and counted — a broken trainer must
   /// not take the serve path down.
   std::function<void(CompletedSession&&)> on_session_complete;
-  /// Cap on the per-session observation history kept for the hook; samples
-  /// past it are dropped oldest-last (the filter state is unaffected).
-  std::size_t session_history_cap = 512;
 
   // -- Overload control & drain (DESIGN.md §14) ------------------------------
 
@@ -165,10 +156,6 @@ struct ServerConfig {
   /// Backoff hint stamped on OVERLOADED/SHUTTING_DOWN replies (protocol
   /// v5); what ReplicaSet sleeps when the whole tier is shedding.
   int retry_after_ms = 250;
-  /// Consecutive 20 ms pressure ticks before brownout level 1 engages
-  /// (level 2 at 3x). Pressure = any worker past a shed threshold. 0
-  /// disables the automatic controller (set_brownout_level still works).
-  int brownout_enter_ticks = 0;
   /// Session TTL while draining: begin_drain() re-arms the table to
   /// min(session_ttl_ms, this) so abandoned sessions cannot hold the drain
   /// open for the steady-state TTL. <= 0 keeps the serving TTL.
@@ -278,11 +265,6 @@ class PredictionServer {
     return m_.slow_reader_kicks->value();
   }
 
-  /// PRED replies served from the predictors' cheap brownout path.
-  std::uint64_t brownout_replies() const noexcept {
-    return m_.brownout_replies->value();
-  }
-
   /// High-water mark of any connection's queued reply bytes — the
   /// observable guarantee that write backpressure bounds the queue (stays
   /// within write_budget_bytes + one frame no matter how slow a reader is).
@@ -296,14 +278,6 @@ class PredictionServer {
   void set_shedding(bool shed) noexcept {
     shed_override_.store(shed, std::memory_order_relaxed);
   }
-
-  /// Brownout ladder position: 0 = off, 1 = SUSPECT-tier sessions serve the
-  /// cheap path, 2 = every session with a brownout path does.
-  int brownout_level() const noexcept;
-
-  /// Pins the brownout level (overriding the automatic controller); pass -1
-  /// to hand control back to the controller.
-  void set_brownout_level(int level) noexcept;
 
   /// Starts a graceful drain: stop accepting, answer new HELLOs with
   /// SHUTTING_DOWN + retry-after, stamp kDraining on in-flight sessions'
@@ -444,13 +418,11 @@ class PredictionServer {
     obs::Counter* loop_iterations = nullptr;
     obs::Counter* hellos_shed = nullptr;
     obs::Counter* slow_reader_kicks = nullptr;
-    obs::Counter* brownout_replies = nullptr;
     obs::Counter* drain_rejections = nullptr;
     obs::Counter* completion_hook_errors = nullptr;
     obs::Gauge* active_connections = nullptr;
     obs::Gauge* live_sessions = nullptr;
     obs::Gauge* draining = nullptr;
-    obs::Gauge* brownout_level = nullptr;
     obs::Gauge* last_drain_seconds = nullptr;
     obs::Gauge* max_write_queue = nullptr;
     obs::Histogram* request_seconds = nullptr;
@@ -491,9 +463,9 @@ class PredictionServer {
   /// one round.
   void handle_round(Worker& worker, std::vector<RoundFrame>& round);
   /// Serves a round's OBSERVE/PREDICT lanes in order under one multi-shard
-  /// session lock: per lane validation, observe(), then the brownout or
-  /// primary forecast, and reply composition. A lane whose predictor throws
-  /// answers INTERNAL; the others are unaffected.
+  /// session lock: per lane validation, observe(), predict(), and reply
+  /// composition. A lane whose predictor throws answers INTERNAL; the
+  /// others are unaffected.
   void serve_lanes(std::span<RoundFrame* const> lanes);
   bool flush_write(Worker& worker, Connection& conn);
   /// Counts/times/traces every pending reply whose bytes are fully on the
@@ -513,8 +485,6 @@ class PredictionServer {
   obs::Counter* verb_counter(const Request& request) const noexcept;
   /// Admission verdict for a new HELLO landing on `worker`.
   bool should_shed(const Worker& worker) const noexcept;
-  /// Ticks the automatic brownout controller (worker 0, every evict tick).
-  void brownout_tick();
   /// Publishes the drain-duration gauge once the table first reaches empty.
   void note_drain_progress();
   /// The single teardown tail shared by BYE and eviction: session-duration
@@ -550,10 +520,6 @@ class PredictionServer {
   /// draining_ release-store so note_drain_progress always sees it.
   std::atomic<std::int64_t> drain_started_us_{0};
   std::atomic<bool> shed_override_{false};
-  /// Pressure integrator of the automatic brownout controller.
-  std::atomic<int> brownout_score_{0};
-  /// Operator/test pin; -1 = controller-driven.
-  std::atomic<int> brownout_override_{-1};
   std::atomic<std::size_t> max_write_queue_{0};
 
   std::thread accept_thread_;

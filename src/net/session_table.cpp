@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "util/hash.h"
+
 namespace cs2p {
 namespace {
 
@@ -10,16 +12,6 @@ std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-/// splitmix64 finalizer: sequential session ids must not land in sequential
-/// shards, or one busy tenant allocating a burst of sessions would hammer
-/// one lock. Same mixer the trace sampler uses (obs/trace.cpp).
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -43,11 +35,13 @@ SessionTable::SessionTable(SessionTableConfig config,
 }
 
 SessionTable::Shard& SessionTable::shard_for(std::uint64_t id) noexcept {
-  return *shards_[mix64(id) & shard_mask_];
+  return *shards_[shard_index(id)];
 }
 
 std::size_t SessionTable::shard_index(std::uint64_t id) const noexcept {
-  return mix64(id) & shard_mask_;
+  // Mixed, so sequential session ids do not land in sequential shards: one
+  // busy tenant allocating a burst of sessions must not hammer one lock.
+  return splitmix64(id) & shard_mask_;
 }
 
 std::uint32_t SessionTable::Shard::acquire_slot() {

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/hash.h"
+
 namespace cs2p {
 namespace {
 
@@ -115,13 +117,7 @@ std::uint64_t parse_hex64(std::string_view token, const char* what) {
 }  // namespace
 
 std::uint64_t sync_checksum(std::string_view data) noexcept {
-  // FNV-1a 64, identical to core/model_store's snapshot footer hash.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a64(data);
 }
 
 std::string_view wire_error_code_name(WireErrorCode code) noexcept {

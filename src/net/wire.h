@@ -64,8 +64,8 @@ namespace cs2p {
 /// v2 added the serve-flags field to PRED responses; v3 added the STATS
 /// scrape verb; v4 added the SYNC snapshot-shipping verbs; v5 added the
 /// retry-after-ms field to ERR responses (overload shedding + graceful
-/// drain, DESIGN.md §14) and the kDraining/kBrownout serve-flag bits (a
-/// v1–v4 client is rejected at the frame header, before any verb parsing).
+/// drain, DESIGN.md §14) and the kDraining serve-flag bit (a v1–v4 client
+/// is rejected at the frame header, before any verb parsing).
 inline constexpr std::uint8_t kProtocolVersion = 5;
 
 /// Maximum accepted frame payload; guards against malformed length prefixes.

@@ -5,18 +5,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/hash.h"
+
 namespace cs2p::obs {
 
 namespace {
-
-/// splitmix64: cheap, well-mixed, and stable across platforms — the
-/// sampling decision must not change when the standard library's hash does.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/stats.h"
+
 namespace cs2p {
 namespace {
 
@@ -49,15 +51,8 @@ GuardedSessionPredictor::~GuardedSessionPredictor() {
 double GuardedSessionPredictor::fallback_forecast() const {
   // Harmonic mean of the recent accepted samples — robust to the outliers
   // that likely caused the degradation in the first place.
-  double inverse_sum = 0.0;
-  std::size_t n = 0;
-  for (double w : recent_samples_) {
-    if (w > 0.0) {
-      inverse_sum += 1.0 / w;
-      ++n;
-    }
-  }
-  if (n > 0) return static_cast<double>(n) / inverse_sum;
+  const double hm = harmonic_mean(recent_samples_);
+  if (hm > 0.0) return hm;
   // End of the chain: the global model's initial value, with the cluster
   // median before it when the global value is unusable.
   if (global_fallback_mbps_ > 0.0 && std::isfinite(global_fallback_mbps_))
@@ -83,7 +78,7 @@ void GuardedSessionPredictor::observe(double throughput_mbps) {
   recent_samples_.push_back(sample.value);
   if (config_.fallback_window > 0 &&
       recent_samples_.size() > config_.fallback_window)
-    recent_samples_.pop_front();
+    recent_samples_.erase(recent_samples_.begin());
 
   const bool was_degraded = degraded();
   filter_.observe(sample.value);
@@ -93,17 +88,6 @@ void GuardedSessionPredictor::observe(double throughput_mbps) {
     on_event_(now_degraded ? GuardrailEvent::kTripped : GuardrailEvent::kRecovered,
               now_degraded);
   }
-}
-
-std::optional<double> GuardedSessionPredictor::predict_brownout(
-    unsigned steps_ahead, int level) const {
-  (void)steps_ahead;  // the fallback chain is horizon-free by construction
-  if (level < 1 || (level < 2 && monitor_.state() == GuardrailState::kHealthy))
-    return std::nullopt;
-  ++fallback_predictions_;
-  if (metrics_ != nullptr && metrics_->fallback_predictions != nullptr)
-    metrics_->fallback_predictions->inc();
-  return fallback_forecast();
 }
 
 std::uint8_t GuardedSessionPredictor::serve_flags() const {

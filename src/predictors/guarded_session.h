@@ -20,6 +20,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "hmm/online_filter.h"
 #include "predictors/guardrail.h"
@@ -87,20 +88,13 @@ class GuardedSessionPredictor final : public SessionPredictor {
   double predict(unsigned steps_ahead) const override;
   void observe(double throughput_mbps) override;
 
-  bool degraded() const override {
-    return monitor_.state() == GuardrailState::kDegraded;
-  }
   std::uint8_t serve_flags() const override;
   std::optional<double> last_log_likelihood() const override;
 
-  /// Brownout path (DESIGN.md §14): the stateless HM/global fallback chain,
-  /// served without touching the HMM filter — the cheap answer the server
-  /// swaps in under sustained shed pressure. Level 1 applies only while the
-  /// surprise monitor already doubts the primary path (SUSPECT or
-  /// DEGRADED), so those sessions degrade before healthy ones; level 2
-  /// applies to every session.
-  std::optional<double> predict_brownout(unsigned steps_ahead,
-                                         int level) const override;
+  /// True while the guardrail serves the fallback chain (DEGRADED).
+  bool degraded() const noexcept {
+    return monitor_.state() == GuardrailState::kDegraded;
+  }
 
   GuardrailState guardrail_state() const noexcept { return monitor_.state(); }
   Stats stats() const;
@@ -122,7 +116,7 @@ class GuardedSessionPredictor final : public SessionPredictor {
   std::uint8_t static_flags_;
   EventCallback on_event_;
   const GuardrailMetrics* metrics_;
-  std::deque<double> recent_samples_;  ///< accepted samples, fallback window
+  std::vector<double> recent_samples_;  ///< accepted samples, fallback window
   mutable std::size_t fallback_predictions_ = 0;
 };
 

@@ -51,7 +51,6 @@ inline constexpr std::uint8_t kClusterDrifted = 1u << 2;    ///< cluster marked 
 inline constexpr std::uint8_t kGlobalModel = 1u << 3;       ///< session runs on the global HMM
 inline constexpr std::uint8_t kRemoteFallback = 1u << 4;    ///< client-side local fallback (service lost)
 inline constexpr std::uint8_t kDraining = 1u << 5;          ///< replica is draining; plan a migration
-inline constexpr std::uint8_t kBrownout = 1u << 6;          ///< cheap fallback served under overload brownout
 }  // namespace serve_flags
 
 /// Per-session prediction state machine.
@@ -71,38 +70,16 @@ class SessionPredictor {
   /// Feeds the measured throughput of the epoch that just completed.
   virtual void observe(double throughput_mbps) = 0;
 
-  /// True when the predictor has lost its backing service and is running on
-  /// a local fallback (see RemoteSessionPredictor), or when its guardrail
-  /// has switched it to the fallback chain (GuardedSessionPredictor).
-  virtual bool degraded() const { return false; }
-
   /// serve_flags:: bits describing why the *next* prediction would be
-  /// served the way it is. Default: primary when healthy, kDegraded when
-  /// degraded() — richer predictors override with the full story.
-  virtual std::uint8_t serve_flags() const {
-    return degraded() ? serve_flags::kDegraded : serve_flags::kPrimary;
-  }
+  /// served the way it is. Default: the primary path — predictors with a
+  /// fallback (guardrail, remote) override with the full story.
+  virtual std::uint8_t serve_flags() const { return serve_flags::kPrimary; }
 
   /// One-step predictive log-likelihood the model assigned to the most
   /// recent accepted observation — the per-request prediction-quality signal
   /// the trace log records (DESIGN.md §11). nullopt for predictor families
   /// without a probabilistic model, and before the first observation.
   virtual std::optional<double> last_log_likelihood() const {
-    return std::nullopt;
-  }
-
-  /// Cheap degraded forecast for overload brownout (DESIGN.md §14) at ladder
-  /// `level`: a forecast that skips the expensive primary path (e.g. the
-  /// guarded predictor's HM/global fallback chain instead of full HMM
-  /// filtering). The predictor decides whether the level applies to it —
-  /// level 1 is meant for sessions whose own quality monitor already doubts
-  /// the primary path, level 2 for every session. nullopt keeps the primary
-  /// path: always for families without a cheaper one, so the server never
-  /// invents a forecast.
-  virtual std::optional<double> predict_brownout(unsigned steps_ahead,
-                                                 int level) const {
-    (void)steps_ahead;
-    (void)level;
     return std::nullopt;
   }
 };

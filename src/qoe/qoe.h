@@ -43,9 +43,6 @@ struct ChunkRecord {
 struct PlaybackResult {
   std::vector<ChunkRecord> chunks;
   double startup_delay_seconds = 0.0;
-  /// True when the session's predictor finished in degraded (local
-  /// fallback) mode — lets the pilot bench report QoE-under-failure.
-  bool predictor_degraded = false;
   /// Chunks whose forecast was served off the primary path (any non-zero
   /// serve_flags: guardrail fallback, drifted cluster, global model,
   /// client-side fallback).

@@ -80,7 +80,6 @@ PlaybackResult simulate_playback(const VideoSpec& video, const ThroughputTrace& 
     last_throughput = throughput_mbps;
     result.chunks.push_back(record);
   }
-  if (predictor != nullptr) result.predictor_degraded = predictor->degraded();
   return result;
 }
 

@@ -3,16 +3,10 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/hash.h"
+
 namespace cs2p {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 constexpr std::uint64_t rotl(std::uint64_t v, int k) noexcept {
   return (v << k) | (v >> (64 - k));
@@ -22,7 +16,10 @@ constexpr std::uint64_t rotl(std::uint64_t v, int k) noexcept {
 
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
+  for (auto& word : state_) {
+    s += kSplitMix64Gamma;
+    word = mix64(s);
+  }
 }
 
 Rng::result_type Rng::operator()() noexcept {

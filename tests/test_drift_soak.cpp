@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -18,6 +19,7 @@
 #include "core/engine.h"
 #include "dataset/synthetic.h"
 #include "obs/metrics.h"
+#include "predictors/guarded_session.h"
 #include "util/rng.h"
 
 namespace cs2p {
@@ -66,8 +68,9 @@ TEST(Drift, GuardedSessionsAreCreatedWhenEnabled) {
   auto model = std::make_shared<Cs2pPredictorModel>(std::move(train),
                                                     guarded_engine_config());
   const auto predictor = model->make_session(SessionContext::from(test.sessions()[0]));
-  ASSERT_NE(predictor, nullptr);
-  EXPECT_FALSE(predictor->degraded());
+  const auto* guarded = dynamic_cast<const GuardedSessionPredictor*>(predictor.get());
+  ASSERT_NE(guarded, nullptr);
+  EXPECT_FALSE(guarded->degraded());
   EXPECT_EQ(model->engine().stats().guarded_sessions, 1u);
   // Guardrail off: plain HMM predictor, no guarded-session accounting.
   Cs2pConfig plain_config = guarded_engine_config();
@@ -199,11 +202,16 @@ TEST(DriftSoak, TwoHundredSessionsWithRegimeShift) {
       EXPECT_EQ(exposition.rfind("# cs2p_metrics_version", 0), 0u);
       assert_all_series_finite(exposition);
       scrapes.fetch_add(1, std::memory_order_relaxed);
+      scrapes.notify_all();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
 
-  for (std::size_t i = 0; i < kSessions && i < test.size(); ++i) {
+  const std::size_t total = std::min(kSessions, test.size());
+  for (std::size_t i = 0; i < total; ++i) {
+    // Hold the writers half-way until a scrape has completed, so at least
+    // one scrape provably overlaps the soak.
+    if (i == total / 2) scrapes.wait(0);
     const Session& s = test.sessions()[i];
     if (s.throughput_mbps.size() < 6) continue;
     auto session = model->make_session(SessionContext::from(s));

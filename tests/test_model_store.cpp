@@ -10,6 +10,7 @@
 #include <string>
 
 #include "dataset/synthetic.h"
+#include "net/wire.h"
 #include "util/rng.h"
 
 namespace cs2p {
@@ -200,12 +201,23 @@ TEST(ModelStore, VersionAndMagicMismatch) {
   const Cs2pEngine engine(train, config);
 
   std::string bytes = serialize_engine(engine);
-  std::string future = bytes;
-  future.replace(0, 16, "cs2p-snapshot-v9");
-  EXPECT_EQ(code_of(future, train, config), SnapshotErrorCode::kVersionMismatch);
+  for (const char* tag : {"cs2p-snapshot-v1", "cs2p-snapshot-v9"}) {
+    std::string other = bytes;
+    other.replace(0, 16, tag);
+    EXPECT_EQ(code_of(other, train, config), SnapshotErrorCode::kVersionMismatch)
+        << tag;
+  }
 
   std::string garbage = "definitely not a snapshot\n" + bytes;
   EXPECT_EQ(code_of(garbage, train, config), SnapshotErrorCode::kBadMagic);
+}
+
+TEST(ModelStore, SnapshotChecksumIsTheSyncChecksum) {
+  const Cs2pEngine engine(tiny_dataset(), tiny_config());
+  const std::string bytes = serialize_engine(engine);
+  // One FNV-1a on both sides, so a trainer checksums a snapshot once.
+  EXPECT_EQ(snapshot_checksum(bytes), sync_checksum(bytes));
+  EXPECT_EQ(snapshot_checksum(""), sync_checksum(""));
 }
 
 TEST(ModelStore, ConfigAndDatasetMismatch) {

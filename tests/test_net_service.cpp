@@ -303,7 +303,6 @@ class SwitchableModel final : public PredictorModel {
         last_ = w;
         degraded_ = w < 0.5;
       }
-      bool degraded() const override { return degraded_; }
       std::uint8_t serve_flags() const override {
         return degraded_ ? (serve_flags::kDegraded | serve_flags::kGuardrailTripped)
                          : serve_flags::kPrimary;

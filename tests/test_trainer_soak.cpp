@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -133,8 +132,9 @@ TEST(TrainerSoak, WorldShiftUnderContinuousTrainingDropsNothing) {
   }
   for (auto& thread : clients) thread.join();
 
-  // Let the trainer drain the tail of completions, then settle.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Every BYE handed its completion to the trainer before its reply, so
+  // all 64 are ingested by now; run_once() after stop() is the
+  // deterministic final training pass.
   trainer.stop();
   trainer.run_once();
 

@@ -199,9 +199,6 @@ int main(int argc, char** argv) try {
   args.add_option("write-stall-timeout-ms",
                   "close a connection whose queued replies made no flush "
                   "progress this long (slow reader; 0 = off)", "10000");
-  args.add_option("brownout-enter-ticks",
-                  "consecutive 20 ms pressure ticks before brownout level 1 "
-                  "(level 2 at 3x); 0 disables the brownout controller", "0");
   if (!args.parse(argc, argv)) return 1;
 
   // The one registry of the process: engine(s), guardrails and server all
@@ -384,8 +381,6 @@ int main(int argc, char** argv) try {
       static_cast<std::size_t>(args.get_long("write-budget-bytes"));
   server_config.write_stall_timeout_ms =
       static_cast<int>(args.get_long("write-stall-timeout-ms"));
-  server_config.brownout_enter_ticks =
-      static_cast<int>(args.get_long("brownout-enter-ticks"));
   const int drain_deadline_ms =
       static_cast<int>(args.get_long("drain-deadline-ms"));
   if (accept_sync) {
@@ -430,9 +425,6 @@ int main(int argc, char** argv) try {
                 server.config().shed_utilization,
                 server.config().shed_pending_replies,
                 server.config().retry_after_ms);
-  if (server.config().brownout_enter_ticks > 0)
-    std::printf("overload: brownout after %d pressure tick(s)\n",
-                server.config().brownout_enter_ticks);
   if (reload_interval_s > 0)
     std::printf("reload: retrain + hot-swap every %ld s\n", reload_interval_s);
   if (config.guardrail.enabled)
