@@ -364,12 +364,17 @@ void BM_ObsPerRequestInstrumentation(benchmark::State& state) {
   obs::Counter& verb = registry.counter("bench_verb_requests_total",
                                         {{"verb", "observe"}});
   obs::Counter& replies = registry.counter("bench_replies_total");
+  // One send and one recv per request: the unbatched worst case.
+  obs::Counter& sends = registry.counter("bench_send_calls_total");
+  obs::Counter& recvs = registry.counter("bench_recv_calls_total");
   obs::Histogram& latency = registry.histogram(
       "bench_request_seconds", obs::default_latency_buckets_seconds());
   for (auto _ : state) {
     requests.inc();
     verb.inc();
     replies.inc();
+    sends.inc();
+    recvs.inc();
     latency.observe(12e-6);
   }
 }

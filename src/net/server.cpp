@@ -58,11 +58,11 @@ constexpr std::size_t kSessionHistoryCap = 512;
 
 /// One frame moving through a batch round (DESIGN.md §16). Extracted off its
 /// connection's read buffer, parsed, answered either by handle() or as a
-/// lane of the OBSERVE/PREDICT executor, and finally emitted back onto the
-/// connection — the fd, not a Connection*, is the link, because a connection
-/// can be closed by an earlier frame's flush failure within the same round.
+/// lane of the OBSERVE/PREDICT executor, and finally queued back onto the
+/// connection. Nothing closes a connection inside a round, so the pointer
+/// holds until the round ends.
 struct PredictionServer::RoundFrame {
-  int fd = -1;
+  Connection* conn = nullptr;
   std::string payload;
   PendingReply reply;     ///< t_recv stamped at extraction
   Request request;
@@ -99,6 +99,8 @@ PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
   m.syncs_applied = &registry.counter("cs2p_server_syncs_applied_total");
   m.syncs_rejected = &registry.counter("cs2p_server_syncs_rejected_total");
   m.loop_iterations = &registry.counter("cs2p_server_loop_iterations_total");
+  m.send_calls = &registry.counter("cs2p_server_send_calls_total");
+  m.recv_calls = &registry.counter("cs2p_server_recv_calls_total");
   m.hellos_shed = &registry.counter("cs2p_server_hellos_shed_total");
   m.slow_reader_kicks =
       &registry.counter("cs2p_server_slow_reader_kicks_total");
@@ -453,9 +455,8 @@ void PredictionServer::worker_loop(Worker& worker) {
       // POLLOUT; one whose queue is over budget stops being read until the
       // flush brings it back under (the slow reader throttles itself).
       short events = 0;
-      const std::size_t queued = conn.write_buffer.size() - conn.write_pos;
-      if (queued > 0) events |= POLLOUT;
-      if (queued <= config_.write_budget_bytes) events |= POLLIN;
+      if (conn.queued() > 0) events |= POLLOUT;
+      if (conn.queued() <= config_.write_budget_bytes) events |= POLLIN;
       pollfds.push_back({fd, events, 0});
     }
 
@@ -543,8 +544,7 @@ void PredictionServer::worker_loop(Worker& worker) {
           now - std::chrono::milliseconds(config_.write_stall_timeout_ms);
       expired.clear();
       for (const auto& [fd, conn] : worker.connections)
-        if (conn.write_pos < conn.write_buffer.size() &&
-            conn.last_write_progress < stall_deadline)
+        if (conn.queued() > 0 && conn.last_write_progress < stall_deadline)
           expired.push_back(fd);
       for (const int fd : expired) {
         const auto it = worker.connections.find(fd);
@@ -583,7 +583,7 @@ void PredictionServer::worker_loop(Worker& worker) {
 bool PredictionServer::handle_io(Worker& worker, Connection& conn,
                                  short revents) {
   if ((revents & POLLOUT) != 0) {
-    if (!flush_write(worker, conn)) return false;  // peer gone mid-reply
+    flush_write(worker, conn);  // throws when the peer is gone mid-reply
     // The flush may have pulled the queue back under budget; frames read
     // before backpressure engaged are still sitting in read_buffer and get
     // no further POLLIN (the kernel side is already drained). The batch
@@ -593,9 +593,9 @@ bool PredictionServer::handle_io(Worker& worker, Connection& conn,
   if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
     // Respect backpressure even when poll raced a flush: no reads while the
     // queue is over budget.
-    const std::size_t queued = conn.write_buffer.size() - conn.write_pos;
-    if (queued > config_.write_budget_bytes) return true;
+    if (conn.queued() > config_.write_budget_bytes) return true;
     std::byte chunk[kReadChunkBytes];
+    m_.recv_calls->inc();
     const auto n = recv_some(conn.fd, chunk);
     if (!n.has_value()) return false;  // clean EOF
     if (*n == 0) return true;          // spurious wakeup
@@ -636,38 +636,67 @@ void PredictionServer::run_batch_rounds(Worker& worker) {
   // per-worker state, and the steady-state serve path allocates nothing.
   thread_local std::vector<RoundFrame> round;
   thread_local std::vector<int> dead;
-  while (!worker.connections.empty()) {
-    round.clear();
-    dead.clear();
-    for (auto& [fd, conn] : worker.connections) {
-      if (conn.read_buffer.empty() && conn.state == ConnState::kReadingHeader)
-        continue;
-      // Pipelined serving with backpressure: a connection stops contributing
-      // frames once its write queue crosses the budget, so the queue can
-      // exceed it by at most the one reply that crossed — the bound
-      // max_write_queue_bytes() certifies, unchanged by batching.
-      if (conn.write_buffer.size() - conn.write_pos >
-          config_.write_budget_bytes)
-        continue;
-      RoundFrame frame;
-      frame.fd = fd;
-      try {
-        if (!extract_frame(conn, frame.payload)) continue;
-      } catch (const std::exception&) {
-        dead.push_back(fd);  // desynced framing: drop the connection
-        continue;
-      }
-      frame.reply.t_recv = Clock::now();
-      round.push_back(std::move(frame));
-    }
+  const auto close_dead = [&] {
     for (const int fd : dead) {
       const auto it = worker.connections.find(fd);
-      if (it == worker.connections.end()) continue;
       close_connection(worker, it->second, /*idle_timed_out=*/false);
       worker.connections.erase(it);
     }
-    if (round.empty()) break;
-    handle_round(worker, round);
+    dead.clear();
+  };
+  bool resume = true;
+  while (resume) {
+    while (true) {
+      round.clear();
+      for (auto& [fd, conn] : worker.connections) {
+        if (!conn.has_input()) continue;
+        // Pipelined serving with backpressure: a connection stops
+        // contributing frames once its write queue crosses the budget, so
+        // the queue can exceed it by at most the one reply that crossed —
+        // the bound max_write_queue_bytes() certifies, unchanged by batching.
+        if (conn.queued() > config_.write_budget_bytes) continue;
+        RoundFrame frame;
+        frame.conn = &conn;
+        try {
+          if (!extract_frame(conn, frame.payload)) continue;
+        } catch (const std::exception&) {
+          // Desynced framing: drop the connection, after handing the kernel
+          // the replies this pass queued for its earlier frames. A failed
+          // flush only means the peer is gone too.
+          try {
+            flush_write(worker, conn);
+          } catch (const std::exception&) {
+          }
+          dead.push_back(fd);
+          continue;
+        }
+        frame.reply.t_recv = Clock::now();
+        round.push_back(std::move(frame));
+      }
+      close_dead();
+      if (round.empty()) break;
+      handle_round(worker, round);
+    }
+    // The pass's replies leave now: one send per connection, however many
+    // rounds it took part in (DESIGN.md §16).
+    resume = false;
+    for (auto& [fd, conn] : worker.connections) {
+      if (!conn.replied) continue;
+      conn.replied = false;
+      const bool throttled = conn.queued() > config_.write_budget_bytes;
+      try {
+        flush_write(worker, conn);
+      } catch (const std::exception&) {
+        dead.push_back(fd);  // peer gone mid-reply
+        continue;
+      }
+      // Frames a throttled connection still buffers were read off the
+      // kernel already and get no further POLLIN; serve them in this pass.
+      if (throttled && conn.queued() <= config_.write_budget_bytes &&
+          conn.has_input())
+        resume = true;
+    }
+    close_dead();
   }
 }
 
@@ -713,11 +742,9 @@ void PredictionServer::handle_round(Worker& worker,
   // (HELLO, BYE, SYNC, STATS, MODEL), in round order.
   for (RoundFrame& frame : round) {
     if (frame.handled || frame.lane) continue;
-    const auto it = worker.connections.find(frame.fd);
-    if (it == worker.connections.end()) continue;
     const auto t_handle = Clock::now();
     try {
-      frame.response = handle(frame.request, worker, it->second, frame.reply.info);
+      frame.response = handle(frame.request, worker, *frame.conn, frame.reply.info);
     } catch (const ProtocolError& e) {
       m_.verb_invalid->inc();
       frame.response = ErrorResponse{WireErrorCode::kBadRequest, e.what()};
@@ -731,12 +758,11 @@ void PredictionServer::handle_round(Worker& worker,
   // Phase 3: the lane executor (DESIGN.md §16).
   if (!lanes.empty()) serve_lanes(lanes);
 
-  // Phase 4: emit, in round order. Reply framing, error accounting, write
-  // backpressure, and the opportunistic flush are the old per-frame tail.
+  // Phase 4: queue, in round order: reply framing, error accounting and
+  // the queue-depth high-water mark. run_batch_rounds flushes the queues
+  // once the pass's rounds run dry.
   for (RoundFrame& frame : round) {
-    const auto it = worker.connections.find(frame.fd);
-    if (it == worker.connections.end()) continue;  // closed earlier this round
-    Connection& conn = it->second;
+    Connection& conn = *frame.conn;
     const auto* err = std::get_if<ErrorResponse>(&frame.response);
     frame.reply.is_error = err != nullptr;
     frame.reply.error_code = err != nullptr ? wire_error_code_name(err->code)
@@ -747,19 +773,8 @@ void PredictionServer::handle_round(Worker& worker,
     frame.reply.end_offset = conn.write_buffer.size();
     conn.pending.push_back(std::move(frame.reply));
     worker.queued_replies.fetch_add(1, std::memory_order_relaxed);
-    record_write_queue_depth(conn.write_buffer.size() - conn.write_pos);
-    // Opportunistic flush: most replies go straight to the kernel without a
-    // POLLOUT round-trip, and the queue only builds when the peer is slow.
-    bool keep = false;
-    try {
-      keep = flush_write(worker, conn);
-    } catch (const std::exception&) {
-      keep = false;
-    }
-    if (!keep) {
-      close_connection(worker, conn, /*idle_timed_out=*/false);
-      worker.connections.erase(it);
-    }
+    record_write_queue_depth(conn.queued());
+    conn.replied = true;
   }
 }
 
@@ -846,22 +861,22 @@ void PredictionServer::serve_lanes(std::span<RoundFrame* const> lanes) {
   for (RoundFrame* frame : lanes) frame->reply.handle_us = per_lane;
 }
 
-bool PredictionServer::flush_write(Worker& worker, Connection& conn) {
-  while (conn.write_pos < conn.write_buffer.size()) {
+void PredictionServer::flush_write(Worker& worker, Connection& conn) {
+  while (conn.queued() > 0) {
     const auto remaining = std::span(conn.write_buffer).subspan(conn.write_pos);
+    m_.send_calls->inc();
     const std::size_t n = send_some(conn.fd, std::as_bytes(remaining));
     if (n == 0) break;  // kernel buffer full; wait for POLLOUT
     conn.write_pos += n;
     conn.last_write_progress = Clock::now();
   }
   complete_flushed_replies(worker, conn);
-  if (conn.write_pos >= conn.write_buffer.size()) {
+  if (conn.queued() == 0) {
     // Fully flushed: reclaim the buffer instead of letting offsets grow
     // without bound over the connection's lifetime.
     conn.write_buffer.clear();
     conn.write_pos = 0;
   }
-  return true;
 }
 
 void PredictionServer::complete_flushed_replies(Worker& worker,

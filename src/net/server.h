@@ -25,7 +25,10 @@
 // serves each lane in round order through its session's own observe() and
 // predict(). A session driven over two connections at once resolves to one
 // entry, so its frames apply in round order. A stopping server answers
-// SHUTTING_DOWN to every frame at parse.
+// SHUTTING_DOWN to every frame at parse. Rounds only queue replies; when
+// they run dry, each connection that got replies is flushed once, so a
+// pipelined burst leaves in one send(2) and a reply waits for the rest of
+// its pass.
 //
 // Fault discipline (ROADMAP north star: degrade, don't die):
 //   - connection cap with a typed OVERLOADED rejection frame,
@@ -40,7 +43,8 @@
 // Overload control & drain (DESIGN.md §14):
 //   - write backpressure: replies queue in a bounded per-connection write
 //     buffer; a connection whose queue exceeds write_budget_bytes stops
-//     being read (so a slow reader throttles itself, not the worker), and
+//     contributing frames to rounds and being read (so a slow reader
+//     throttles itself, not the worker), and
 //     one whose queue makes no progress past write_stall_timeout_ms is
 //     closed — the unbounded-buffer OOM hole is shut by construction,
 //   - admission control: each worker tracks a utilization EWMA and its
@@ -318,9 +322,9 @@ class PredictionServer {
 
   /// Per-connection frame state machine (the read side). Requests pipeline:
   /// replies append to the bounded write queue and input keeps being
-  /// consumed until the queue reaches write_budget_bytes, at which point
-  /// the worker stops polling the connection for reads (backpressure)
-  /// until the queue flushes back under budget.
+  /// consumed until the queue passes write_budget_bytes, at which point
+  /// the connection leaves the rounds and the worker stops polling it for
+  /// reads (backpressure) until the queue flushes back under budget.
   enum class ConnState : std::uint8_t {
     kReadingHeader,
     kReadingBody,
@@ -360,6 +364,9 @@ class PredictionServer {
     std::string write_buffer;
     std::size_t write_pos = 0;
     std::deque<PendingReply> pending;
+    /// Got replies in the current pass; run_batch_rounds flushes it once
+    /// the pass's rounds run dry.
+    bool replied = false;
     Clock::time_point opened_at{};
     /// Progress clock for the idle sweep: refreshed only when a *complete*
     /// frame is consumed or a reply flushes — a peer trickling header bytes
@@ -370,6 +377,13 @@ class PredictionServer {
     /// reader and is kicked.
     Clock::time_point last_write_progress{};
     SyncStaging sync;             ///< SYNC shipment staged on this connection
+
+    /// Reply bytes not yet handed to the kernel.
+    std::size_t queued() const noexcept { return write_buffer.size() - write_pos; }
+    /// Holds inbound bytes: a complete frame or the start of one.
+    bool has_input() const noexcept {
+      return !read_buffer.empty() || state == ConnState::kReadingBody;
+    }
   };
 
   /// One event-loop worker: a poll(2) loop over the connections it owns
@@ -416,6 +430,10 @@ class PredictionServer {
     obs::Counter* syncs_applied = nullptr;
     obs::Counter* syncs_rejected = nullptr;
     obs::Counter* loop_iterations = nullptr;
+    /// Every send(2)/recv(2) a worker issues on a connection, EAGAIN
+    /// included: with replies_total, the syscalls per reply.
+    obs::Counter* send_calls = nullptr;
+    obs::Counter* recv_calls = nullptr;
     obs::Counter* hellos_shed = nullptr;
     obs::Counter* slow_reader_kicks = nullptr;
     obs::Counter* drain_rejections = nullptr;
@@ -454,20 +472,25 @@ class PredictionServer {
   /// buffered; throws ProtocolError on a malformed header (stream desync —
   /// the caller closes the connection).
   bool extract_frame(Connection& conn, std::string& payload);
-  /// Drains every readable connection in rounds: one frame per connection
-  /// per round (preserving per-connection order and the backpressure
-  /// budget), each round handled as a batch until no frames remain.
+  /// One event-loop pass over the buffered input: rounds of one frame per
+  /// connection (preserving per-connection order and the backpressure
+  /// budget) until no frames remain, then one flush_write per connection
+  /// that got replies. A flush that brings a throttled connection holding
+  /// buffered frames back under budget runs the rounds again: those frames
+  /// get no further POLLIN.
   void run_batch_rounds(Worker& worker);
   /// Parses, dispatches (lifecycle and control verbs through handle(),
-  /// OBSERVE/PREDICT as lanes of the executor), and emits every reply of
-  /// one round.
+  /// OBSERVE/PREDICT as lanes of the executor), and queues every reply of
+  /// one round on its connection's write buffer.
   void handle_round(Worker& worker, std::vector<RoundFrame>& round);
   /// Serves a round's OBSERVE/PREDICT lanes in order under one multi-shard
   /// session lock: per lane validation, observe(), predict(), and reply
   /// composition. A lane whose predictor throws answers INTERNAL; the
   /// others are unaffected.
   void serve_lanes(std::span<RoundFrame* const> lanes);
-  bool flush_write(Worker& worker, Connection& conn);
+  /// Hands queued reply bytes to the kernel until it is done or full;
+  /// throws std::system_error when the peer is gone.
+  void flush_write(Worker& worker, Connection& conn);
   /// Counts/times/traces every pending reply whose bytes are fully on the
   /// wire (end_offset <= write_pos).
   void complete_flushed_replies(Worker& worker, Connection& conn);

@@ -824,6 +824,83 @@ TEST(PredictionService, DuplicateSessionFramesApplyInOneConnectionOrderInterleav
   EXPECT_GT(switches, 1u) << witness;
 }
 
+// Replies queue for the whole event-loop pass and each connection is flushed
+// once when its rounds run dry: 32 pipelined OBSERVEs read in one wakeup
+// take 32 rounds and leave in one send, in order. The sends counted over
+// the burst are the gate's reply and that one flush.
+TEST(PredictionService, PipelinedBurstLeavesInOneSend) {
+  constexpr int kFrames = 32;
+  auto model = std::make_shared<FoldingGateModel>();
+  ServerConfig config;
+  config.io_threads = 1;  // every connection shares the one worker's passes
+  PredictionServer server(model, config);
+
+  const auto control = raw_connection(server.port());
+  const auto session_of = [&](double start_hour) {
+    const Response hello =
+        raw_round_trip(*control, HelloRequest{features(), start_hour});
+    return std::get<SessionResponse>(hello).session_id;
+  };
+  const std::uint64_t id = session_of(0.0);
+  const std::uint64_t gate_id = session_of(99.0);
+  const auto burst = raw_connection(server.port());
+
+  std::vector<double> values;
+  std::string bytes;
+  for (int k = 0; k < kFrames; ++k) {
+    values.push_back(1.0 + k);
+    bytes += encode_frame(serialize_request(ObserveRequest{id, values.back()}));
+  }
+
+  // Park the worker inside a round, queue the whole burst behind it in one
+  // send, then release: the next wakeup reads all 32 frames at once.
+  const obs::Counter& sends =
+      server.metrics().counter("cs2p_server_send_calls_total");
+  std::thread parked([&] { raw_round_trip(*control, ObserveRequest{gate_id, 1.0}); });
+  model->gate()->entered.wait(false);
+  const std::uint64_t sends_before = sends.value();
+  burst->send(std::as_bytes(std::span(bytes.data(), bytes.size())));
+  model->gate()->open.store(true);
+  model->gate()->open.notify_all();
+  parked.join();
+
+  const auto replay = model->make_session(SessionContext{});
+  for (int k = 0; k < kFrames; ++k) {
+    const auto frame = recv_frame(*burst);
+    ASSERT_TRUE(frame.has_value()) << "EOF after " << k << " replies";
+    replay->observe(values[static_cast<std::size_t>(k)]);
+    EXPECT_DOUBLE_EQ(std::get<PredictionResponse>(parse_response(*frame)).mbps,
+                     replay->predict(1))
+        << "reply " << k;
+  }
+  // The worker counts a send before issuing it, so the replies above prove
+  // at least one; a counter read before the worker's last increment lands
+  // reads lower, so the upper bound holds whenever it is read.
+  EXPECT_GE(sends.value() - sends_before, 1u);
+  EXPECT_LE(sends.value() - sends_before, 2u);
+}
+
+// A frame with a bad header desyncs the stream and the connection is
+// dropped, but the frames pipelined before it are still answered: their
+// replies leave before the close.
+TEST(PredictionService, RepliesBeforeADesyncedFrameStillLeave) {
+  PredictionServer server(std::make_shared<EchoPlusOneModel>());
+  const auto conn = raw_connection(server.port());
+  const std::uint64_t id =
+      std::get<SessionResponse>(raw_round_trip(*conn, HelloRequest{features(), 1.0}))
+          .session_id;
+  std::string bytes = encode_frame(serialize_request(ObserveRequest{id, 5.0}));
+  std::string bad = encode_frame(serialize_request(PredictRequest{id, 1}));
+  bad[0] = static_cast<char>(kProtocolVersion + 1);
+  bytes += bad;
+  conn->send(std::as_bytes(std::span(bytes.data(), bytes.size())));
+
+  const auto frame = recv_frame(*conn);
+  ASSERT_TRUE(frame.has_value()) << "EOF before the OBSERVE's reply";
+  EXPECT_DOUBLE_EQ(std::get<PredictionResponse>(parse_response(*frame)).mbps, 6.0);
+  EXPECT_FALSE(recv_frame(*conn).has_value());
+}
+
 // A round holding a PREDICT for a session whose predict() throws and a
 // PREDICT for a healthy session, each from its own connection: the broken
 // lane answers INTERNAL, the healthy one its normal forecast, and both

@@ -2,7 +2,9 @@
 //
 // Covers the overload behaviors end to end over real sockets:
 //   - write backpressure: a slow reader's queue is bounded by construction
-//     (write_budget_bytes + one frame) and a stalled one is kicked,
+//     (write_budget_bytes + one frame), a stalled one is kicked, and a burst
+//     larger than the budget is still answered within the wakeup that read
+//     it,
 //   - admission control: shed HELLOs answer OVERLOADED with the configured
 //     retry-after hint while existing sessions keep being served,
 //   - the lane executor: a guarded session's degraded reply is served by
@@ -19,6 +21,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -26,6 +29,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <variant>
@@ -67,6 +71,42 @@ class EchoPlusOneModel final : public PredictorModel {
     };
     return std::make_unique<S>();
   }
+};
+
+/// EchoPlusOneModel's sessions, except that one opened at start_hour 99
+/// parks the serving worker inside observe() until the test opens the gate.
+class GatedEchoModel final : public PredictorModel {
+ public:
+  struct Gate {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> open{false};
+  };
+
+  std::string name() const override { return "GatedEcho"; }
+  std::unique_ptr<SessionPredictor> make_session(
+      const SessionContext& context) const override {
+    class Gated final : public SessionPredictor {
+     public:
+      explicit Gated(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+      double predict(unsigned) const override { return 0.0; }
+      void observe(double) override {
+        gate_->entered.store(true);
+        gate_->entered.notify_all();
+        gate_->open.wait(false);
+      }
+
+     private:
+      std::shared_ptr<Gate> gate_;
+    };
+    if (context.start_hour == 99.0) return std::make_unique<Gated>(gate_);
+    return echo_.make_session(context);
+  }
+
+  std::shared_ptr<Gate> gate() const { return gate_; }
+
+ private:
+  EchoPlusOneModel echo_;
+  std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
 };
 
 /// Guarded HMM sessions (the engine's guardrail wrapper) reporting into a
@@ -124,7 +164,7 @@ double series_value(const std::string& exposition, const std::string& key) {
   return std::numeric_limits<double>::quiet_NaN();
 }
 
-void shrink_rcvbuf(const FdHandle& fd, int bytes) {
+void set_rcvbuf(const FdHandle& fd, int bytes) {
   ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof bytes);
 }
 
@@ -142,7 +182,7 @@ TEST(Backpressure, SlowReaderQueueBoundedAndRepliesPipeline) {
   // reads nothing: the server must stop reading it once the write queue
   // crosses budget instead of buffering replies without bound.
   FdHandle slow = connect_loopback(server.port());
-  shrink_rcvbuf(slow, 4 * 1024);
+  set_rcvbuf(slow, 4 * 1024);
   const std::string frame = encode_frame(serialize_request(StatsRequest{}));
   constexpr int kRequests = 200;
   for (int i = 0; i < kRequests; ++i)
@@ -160,7 +200,11 @@ TEST(Backpressure, SlowReaderQueueBoundedAndRepliesPipeline) {
   probe.bye(session.session_id);
 
   // The reader recovers: every flood request eventually gets its pipelined
-  // reply, in order, as we drain.
+  // reply, in order, as we drain. The drain reads with a normal receive
+  // buffer: a 4 KB one is smaller than one STATS reply, so TCP would
+  // withhold window updates and advance the drain one zero-window probe at
+  // a time, at a pace set by the kernel's cached metrics for 127.0.0.1.
+  set_rcvbuf(slow, 256 * 1024);
   for (int i = 0; i < kRequests; ++i) {
     const std::optional<std::string> payload = recv_frame(slow);
     ASSERT_TRUE(payload.has_value()) << "EOF after " << i << " replies";
@@ -175,6 +219,72 @@ TEST(Backpressure, SlowReaderQueueBoundedAndRepliesPipeline) {
             config.write_budget_bytes + kMaxFrameBytes + kFrameHeaderBytes);
 }
 
+// Replies queue for the whole event-loop pass, so a pipelined burst larger
+// than the write budget throttles its connection mid-pass. The end-of-pass
+// flush brings the queue back under budget, and the frames still buffered
+// must be served in the same pass: they were read off the kernel already,
+// so no further POLLIN would come for them, only the poll timeout.
+TEST(Backpressure, BurstLargerThanBudgetAnsweredInTheWakeupThatReadIt) {
+  constexpr int kFrames = 64;
+  auto model = std::make_shared<GatedEchoModel>();
+  ServerConfig config;
+  config.io_threads = 1;
+  config.write_budget_bytes = 128;  // a handful of PRED replies
+  PredictionServer server(model, config);
+
+  const auto control = connect_loopback(server.port());
+  std::size_t largest_frame = 0;
+  const auto round_trip = [&](const FdHandle& fd, const Request& request) {
+    const std::string frame = encode_frame(serialize_request(request));
+    send_all(fd, std::as_bytes(std::span(frame.data(), frame.size())));
+    const std::optional<std::string> payload = recv_frame(fd);
+    if (!payload) throw ConnectionError("server closed connection");
+    largest_frame = std::max(largest_frame, payload->size() + kFrameHeaderBytes);
+    return parse_response(*payload);
+  };
+  const auto session_of = [&](double start_hour) {
+    return std::get<SessionResponse>(
+               round_trip(control, HelloRequest{features(), start_hour}))
+        .session_id;
+  };
+  const std::uint64_t id = session_of(0.0);
+  const std::uint64_t gate_id = session_of(99.0);
+  const FdHandle reader = connect_loopback(server.port());
+  // One round trip, so the worker owns the reader before it parks.
+  round_trip(reader, ObserveRequest{id, 0.0});
+
+  std::string burst;
+  for (int k = 0; k < kFrames; ++k)
+    burst += encode_frame(serialize_request(ObserveRequest{id, 1.0 + k}));
+
+  // Park the worker, queue the burst behind it, then release: the next
+  // wakeup reads the whole burst at once.
+  const obs::Counter& wakeups =
+      server.metrics().counter("cs2p_server_loop_iterations_total");
+  std::thread parked([&] { round_trip(control, ObserveRequest{gate_id, 1.0}); });
+  model->gate()->entered.wait(false);
+  const std::uint64_t wakeups_before = wakeups.value();
+  send_all(reader, std::as_bytes(std::span(burst.data(), burst.size())));
+  model->gate()->open.store(true);
+  model->gate()->open.notify_all();
+  parked.join();
+
+  for (int k = 0; k < kFrames; ++k) {
+    const std::optional<std::string> payload = recv_frame(reader);
+    ASSERT_TRUE(payload.has_value()) << "EOF after " << k << " replies";
+    largest_frame = std::max(largest_frame, payload->size() + kFrameHeaderBytes);
+    EXPECT_DOUBLE_EQ(std::get<PredictionResponse>(parse_response(*payload)).mbps,
+                     2.0 + k)
+        << "reply " << k;
+  }
+  // The wakeup that read the burst answered all of it. A second wakeup is
+  // the idle poll timeout, if it fires before this read.
+  EXPECT_LE(wakeups.value() - wakeups_before, 2u);
+  EXPECT_GT(server.max_write_queue_bytes(), config.write_budget_bytes);
+  EXPECT_LE(server.max_write_queue_bytes(),
+            config.write_budget_bytes + largest_frame);
+}
+
 TEST(Backpressure, StalledReaderIsKicked) {
   ServerConfig config;
   config.io_threads = 1;
@@ -184,7 +294,7 @@ TEST(Backpressure, StalledReaderIsKicked) {
   PredictionServer server(std::make_shared<EchoPlusOneModel>(), config);
 
   FdHandle stalled = connect_loopback(server.port());
-  shrink_rcvbuf(stalled, 4 * 1024);
+  set_rcvbuf(stalled, 4 * 1024);
   const std::string frame = encode_frame(serialize_request(StatsRequest{}));
   for (int i = 0; i < 200; ++i)
     send_all(stalled, std::as_bytes(std::span(frame.data(), frame.size())));
