@@ -19,6 +19,7 @@
 #include "core/engine.h"
 #include "hmm/online_filter.h"
 #include "net/client.h"
+#include "net/replica_set.h"
 #include "net/server.h"
 #include "predictors/history.h"
 #include "util/stats.h"
@@ -32,7 +33,7 @@ using namespace cs2p;
 /// PredictionServer (the player side of §6).
 class RemotePredictorModel final : public PredictorModel {
  public:
-  explicit RemotePredictorModel(PredictionClient& client) : client_(&client) {}
+  explicit RemotePredictorModel(SessionClient& client) : client_(&client) {}
   std::string name() const override { return "Remote-CS2P"; }
   std::unique_ptr<SessionPredictor> make_session(
       const SessionContext& context) const override {
@@ -41,7 +42,7 @@ class RemotePredictorModel final : public PredictorModel {
   }
 
  private:
-  PredictionClient* client_;
+  SessionClient* client_;
 };
 
 }  // namespace
@@ -53,7 +54,7 @@ int main() {
   // Server side: a trained CS2P engine behind the TCP service.
   auto cs2p = std::make_shared<Cs2pPredictorModel>(train);
   PredictionServer server(cs2p);
-  PredictionClient client(server.port());
+  ReplicaSet client(std::vector<std::uint16_t>{server.port()});
   RemotePredictorModel remote(client);
   const HarmonicMeanModel hm;
 
@@ -162,12 +163,13 @@ int main() {
   }
   if (victim != nullptr) {
     auto doomed_server = std::make_unique<PredictionServer>(cs2p);
-    ClientConfig degraded_config;
-    degraded_config.recv_timeout_ms = 500;
-    degraded_config.send_timeout_ms = 500;
-    degraded_config.max_retries = 1;
-    degraded_config.backoff_initial_ms = 2;
-    PredictionClient doomed_client(doomed_server->port(), degraded_config);
+    ReplicaSetConfig degraded_config;
+    degraded_config.client.recv_timeout_ms = 500;
+    degraded_config.client.send_timeout_ms = 500;
+    degraded_config.client.max_retries = 1;
+    degraded_config.client.backoff_initial_ms = 2;
+    ReplicaSet doomed_client(std::vector<std::uint16_t>{doomed_server->port()},
+                             degraded_config);
     RemoteSessionPredictor remote_session(doomed_client, victim->features,
                                           victim->start_hour);
 

@@ -18,6 +18,9 @@ bool retryable(WireErrorCode code) {
   return code == WireErrorCode::kBadRequest;
 }
 
+/// Growth factor of the backoff between attempts.
+constexpr int kBackoffMultiplier = 2;
+
 }  // namespace
 
 int jittered_backoff_ms(int backoff_ms, double jitter, Rng& rng) noexcept {
@@ -90,51 +93,24 @@ Response PredictionClient::locked_round_trip(const Request& request) {
     if (retries_counter_ != nullptr) retries_counter_->inc();
     std::this_thread::sleep_for(std::chrono::milliseconds(
         jittered_backoff_ms(backoff_ms, config_.backoff_jitter, backoff_rng_)));
-    backoff_ms = std::min(
-        config_.backoff_max_ms,
-        static_cast<int>(backoff_ms * std::max(1.0, config_.backoff_multiplier)));
+    backoff_ms = std::min(config_.backoff_max_ms, backoff_ms * kBackoffMultiplier);
   }
 }
 
-template <typename MakeRequest>
-Response PredictionClient::locked_session_round_trip(std::uint64_t local_id,
-                                                     MakeRequest&& make) {
-  const auto it = sessions_.find(local_id);
-  // Unregistered handle (caller-supplied raw id): single pass-through so
-  // probing an unknown session still surfaces the server's typed error.
-  if (it == sessions_.end()) return locked_round_trip(make(local_id));
-  try {
-    return locked_round_trip(make(it->second.remote_id));
-  } catch (const ServerError& e) {
-    if (e.code() != WireErrorCode::kUnknownSession) throw;
-  }
-  // The server lost our session (restart or TTL eviction): replay the
-  // stored HELLO to re-establish, then retry the original request once.
-  // The server-side filter state restarts from the cluster prior — a
-  // forecast-quality hiccup, not a player-visible failure.
-  Response hello_response = locked_round_trip(it->second.hello);
-  const auto* session = std::get_if<SessionResponse>(&hello_response);
-  if (session == nullptr)
-    throw std::runtime_error(
-        "PredictionClient: unexpected response replaying HELLO");
-  it->second.remote_id = session->session_id;
-  rehellos_.fetch_add(1, std::memory_order_relaxed);
-  return locked_round_trip(make(it->second.remote_id));
+template <typename Reply>
+Reply PredictionClient::locked_expect(const Request& request,
+                                      std::string_view verb) {
+  Response response = locked_round_trip(request);
+  if (auto* reply = std::get_if<Reply>(&response)) return std::move(*reply);
+  throw std::runtime_error("PredictionClient: unexpected response to " +
+                           std::string(verb));
 }
 
 SessionResponse PredictionClient::hello(const SessionFeatures& features,
                                         double start_hour) {
-  const HelloRequest request{features, start_hour};
   std::scoped_lock lock(mutex_);
-  const Response response = locked_round_trip(request);
-  const auto* session = std::get_if<SessionResponse>(&response);
-  if (session == nullptr)
-    throw std::runtime_error("PredictionClient: unexpected response to HELLO");
-  SessionResponse out = *session;
-  const std::uint64_t local_id = next_local_id_++;
-  sessions_[local_id] = SessionRecord{request, out.session_id};
-  out.session_id = local_id;
-  return out;
+  return locked_expect<SessionResponse>(HelloRequest{features, start_hour},
+                                        "HELLO");
 }
 
 double PredictionClient::observe(std::uint64_t session_id, double throughput_mbps) {
@@ -148,44 +124,37 @@ double PredictionClient::predict(std::uint64_t session_id, unsigned steps_ahead)
 PredictionResponse PredictionClient::observe_response(std::uint64_t session_id,
                                                       double throughput_mbps) {
   std::scoped_lock lock(mutex_);
-  const Response response =
-      locked_session_round_trip(session_id, [&](std::uint64_t remote) {
-        return Request(ObserveRequest{remote, throughput_mbps});
-      });
-  if (const auto* pred = std::get_if<PredictionResponse>(&response)) return *pred;
-  throw std::runtime_error("PredictionClient: unexpected response to OBSERVE");
+  return locked_expect<PredictionResponse>(
+      ObserveRequest{session_id, throughput_mbps}, "OBSERVE");
 }
 
 PredictionResponse PredictionClient::predict_response(std::uint64_t session_id,
                                                       unsigned steps_ahead) {
   std::scoped_lock lock(mutex_);
-  const Response response =
-      locked_session_round_trip(session_id, [&](std::uint64_t remote) {
-        return Request(PredictRequest{remote, steps_ahead});
-      });
-  if (const auto* pred = std::get_if<PredictionResponse>(&response)) return *pred;
-  throw std::runtime_error("PredictionClient: unexpected response to PREDICT");
+  return locked_expect<PredictionResponse>(
+      PredictRequest{session_id, steps_ahead}, "PREDICT");
+}
+
+void PredictionClient::bye(std::uint64_t session_id) {
+  std::scoped_lock lock(mutex_);
+  locked_expect<OkResponse>(ByeRequest{session_id}, "BYE");
 }
 
 DownloadableModel PredictionClient::download_model(const SessionFeatures& features,
                                                    double start_hour) {
   std::scoped_lock lock(mutex_);
-  const Response response = locked_round_trip(ModelRequest{features, start_hour});
-  if (const auto* model = std::get_if<ModelResponse>(&response)) {
-    DownloadableModel out;
-    out.initial_mbps = model->initial_mbps;
-    out.used_global_model = model->used_global_model;
-    out.hmm = deserialize_hmm(model->serialized_hmm);
-    return out;
-  }
-  throw std::runtime_error("PredictionClient: unexpected response to MODEL");
+  const ModelResponse model =
+      locked_expect<ModelResponse>(ModelRequest{features, start_hour}, "MODEL");
+  DownloadableModel out;
+  out.initial_mbps = model.initial_mbps;
+  out.used_global_model = model.used_global_model;
+  out.hmm = deserialize_hmm(model.serialized_hmm);
+  return out;
 }
 
 StatsResponse PredictionClient::stats() {
   std::scoped_lock lock(mutex_);
-  const Response response = locked_round_trip(StatsRequest{});
-  if (const auto* stats = std::get_if<StatsResponse>(&response)) return *stats;
-  throw std::runtime_error("PredictionClient: unexpected response to STATS");
+  return locked_expect<StatsResponse>(StatsRequest{}, "STATS");
 }
 
 void PredictionClient::push_snapshot(const std::string& snapshot_bytes) {
@@ -193,22 +162,17 @@ void PredictionClient::push_snapshot(const std::string& snapshot_bytes) {
     throw std::invalid_argument("PredictionClient: empty snapshot");
   std::scoped_lock lock(mutex_);
   const std::uint64_t checksum = sync_checksum(snapshot_bytes);
-  const auto expect_ok = [this](const Request& request) {
-    const Response response = locked_round_trip(request);
-    if (std::holds_alternative<OkResponse>(response)) return;
-    if (const auto* err = std::get_if<ErrorResponse>(&response))
-      throw ServerError(err->code, err->message, err->retry_after_ms);
-    throw std::runtime_error("PredictionClient: unexpected response to SYNC");
-  };
   for (int attempt = 0;; ++attempt) {
     try {
-      expect_ok(SyncBeginRequest{snapshot_bytes.size(), checksum});
+      locked_expect<OkResponse>(
+          SyncBeginRequest{snapshot_bytes.size(), checksum}, "SYNCBEGIN");
       for (std::size_t offset = 0; offset < snapshot_bytes.size();
            offset += kSyncChunkBytes) {
-        expect_ok(SyncChunkRequest{
-            snapshot_bytes.substr(offset, kSyncChunkBytes)});
+        locked_expect<OkResponse>(
+            SyncChunkRequest{snapshot_bytes.substr(offset, kSyncChunkBytes)},
+            "SYNCDATA");
       }
-      expect_ok(SyncCommitRequest{});
+      locked_expect<OkResponse>(SyncCommitRequest{}, "SYNCCOMMIT");
       return;
     } catch (const ServerError& e) {
       // The staging buffer lives on one server connection: a mid-push
@@ -231,24 +195,20 @@ std::string PredictionClient::fetch_snapshot() {
     while (true) {
       // locked_round_trip surfaces ERR replies (e.g. UNSUPPORTED when no
       // snapshot is published) as ServerError before we get here.
-      const Response response =
-          locked_round_trip(SyncFetchRequest{bytes.size()});
-      const auto* chunk = std::get_if<SnapshotChunkResponse>(&response);
-      if (chunk == nullptr)
-        throw std::runtime_error(
-            "PredictionClient: unexpected response to SYNCFETCH");
+      const SnapshotChunkResponse chunk = locked_expect<SnapshotChunkResponse>(
+          SyncFetchRequest{bytes.size()}, "SYNCFETCH");
       if (bytes.empty()) {
-        total = chunk->total_bytes;
-        checksum = chunk->checksum;
-      } else if (chunk->total_bytes != total || chunk->checksum != checksum) {
+        total = chunk.total_bytes;
+        checksum = chunk.checksum;
+      } else if (chunk.total_bytes != total || chunk.checksum != checksum) {
         restart = true;
         break;
       }
-      if (chunk->offset != bytes.size())
+      if (chunk.offset != bytes.size())
         throw ProtocolError("wire: SNAPSHOT chunk at wrong offset");
-      bytes += chunk->data;
+      bytes += chunk.data;
       if (bytes.size() >= total) break;
-      if (chunk->data.empty())
+      if (chunk.data.empty())
         throw ProtocolError("wire: empty SNAPSHOT chunk before end");
     }
     if (restart) continue;
@@ -258,18 +218,6 @@ std::string PredictionClient::fetch_snapshot() {
     return bytes;
   }
   throw ProtocolError("wire: snapshot kept changing during fetch");
-}
-
-void PredictionClient::bye(std::uint64_t session_id) {
-  std::scoped_lock lock(mutex_);
-  std::uint64_t remote_id = session_id;
-  if (const auto it = sessions_.find(session_id); it != sessions_.end()) {
-    remote_id = it->second.remote_id;
-    sessions_.erase(it);
-  }
-  const Response response = locked_round_trip(ByeRequest{remote_id});
-  if (!std::holds_alternative<OkResponse>(response))
-    throw std::runtime_error("PredictionClient: unexpected response to BYE");
 }
 
 // -- RemoteSessionPredictor --------------------------------------------------

@@ -1,29 +1,31 @@
-// PredictionClient: the player-side stub of the prediction service.
+// PredictionClient: one connection to a PredictionServer.
 //
-// RemoteSessionPredictor implements the SessionPredictor interface over the
-// wire, so the player simulator can be pointed at a live PredictionServer
-// unchanged — this is how the pilot-deployment bench (§7.5) drives CS2P+MPC
-// through a real TCP round-trip per chunk, like the dash.js player posting
-// to the Node.js server in §6.
-//
-// Fault discipline (the paper's pilot runs prediction as an always-on
-// service; the player must survive losing it):
+// Every session call (hello, observe, predict, bye) is one round trip in the
+// server's own session ids, and MODEL, STATS and the SYNC verbs ride the same
+// connection. Fault discipline of the connection itself:
 //   - every round trip runs under send/recv deadlines (TimeoutError instead
 //     of a hung socket),
-//   - transport failures reconnect and retry with bounded exponential
-//     backoff,
-//   - a server that lost our session (restart, TTL eviction) is healed by
-//     replaying the stored HELLO and continuing under the new session id,
-//   - when the retry budget is exhausted RemoteSessionPredictor does not
-//     throw into the player loop: it degrades to a local harmonic-mean
-//     fallback (the paper's §3 HM baseline) over the samples it has seen.
+//   - transport failures reconnect and retry with bounded, jittered
+//     exponential backoff.
+// The connection never heals a session: a server that lost one (restart,
+// TTL eviction) answers UNKNOWN_SESSION, and the caller sees it.
+//
+// Surviving a lost server is ReplicaSet's job (net/replica_set.h), the one
+// SessionClient: it holds every session handle and replays HELLO, and a set
+// with one endpoint is the single-server case. RemoteSessionPredictor drives
+// a SessionClient, so the player simulator can be pointed at a live tier
+// unchanged — this is how the pilot-deployment bench (§7.5) drives CS2P+MPC
+// through a real TCP round trip per chunk, like the dash.js player posting
+// to the Node.js server in §6. When the tier is out of reach it does not
+// throw into the player loop: it degrades to a local harmonic-mean fallback
+// (the paper's §3 HM baseline) over the samples it has seen.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "net/socket.h"
@@ -35,7 +37,7 @@
 
 namespace cs2p {
 
-/// Deadline/retry policy of one client. max_retries counts retries after
+/// Deadline/retry policy of one connection. max_retries counts retries after
 /// the first attempt; backoff doubles (capped) between attempts, with full
 /// jitter: each sleep is drawn uniformly from ((1 - jitter) * b, b]. Without
 /// jitter, every client that lost the same replica retries on the same
@@ -45,7 +47,6 @@ struct ClientConfig {
   int send_timeout_ms = 2'000;
   int max_retries = 3;
   int backoff_initial_ms = 10;
-  double backoff_multiplier = 2.0;
   int backoff_max_ms = 200;
   /// Fraction of each backoff randomized away (1.0 = full jitter, 0 = the
   /// old deterministic doubling).
@@ -63,9 +64,9 @@ struct ClientConfig {
 int jittered_backoff_ms(int backoff_ms, double jitter, Rng& rng) noexcept;
 
 /// Player-facing session operations of the prediction service — the surface
-/// RemoteSessionPredictor drives. Implemented by PredictionClient (one
-/// server) and ReplicaSet (replicated tier with rendezvous-hash failover,
-/// net/replica_set.h), so a player binds to either without changing.
+/// RemoteSessionPredictor drives. Implemented by ReplicaSet (rendezvous-hash
+/// placement and failover over one or more servers, net/replica_set.h);
+/// an interface so benches can decorate it.
 class SessionClient {
  public:
   virtual ~SessionClient() = default;
@@ -79,9 +80,9 @@ class SessionClient {
   virtual void bye(std::uint64_t session_id) = 0;
 };
 
-/// One logical connection to a PredictionServer; reconnects transparently.
+/// One connection to a PredictionServer; reconnects transparently.
 /// Thread-safe (per-call lock).
-class PredictionClient final : public SessionClient {
+class PredictionClient {
  public:
   /// Connects lazily to 127.0.0.1:`port` with the config's deadlines.
   explicit PredictionClient(std::uint16_t port, ClientConfig config = {});
@@ -90,13 +91,10 @@ class PredictionClient final : public SessionClient {
   /// FaultInjectingTransport.
   explicit PredictionClient(TransportFactory connector, ClientConfig config = {});
 
-  /// Registers a session; returns the server's session handle + initial
-  /// prediction. The returned session_id is a client-local handle that
-  /// stays valid across reconnects and server-side session loss (the
-  /// client replays HELLO under the hood). Throws ServerError on
-  /// server-reported errors, TransportError when the retry budget runs out.
-  SessionResponse hello(const SessionFeatures& features,
-                        double start_hour) override;
+  /// Registers a session; returns the server's session id + initial
+  /// prediction. Throws ServerError on server-reported errors,
+  /// TransportError when the retry budget runs out.
+  SessionResponse hello(const SessionFeatures& features, double start_hour);
 
   /// Reports a measurement; returns the next-epoch forecast.
   double observe(std::uint64_t session_id, double throughput_mbps);
@@ -107,12 +105,12 @@ class PredictionClient final : public SessionClient {
   /// Full-reply variants carrying the v2 serve-flags byte alongside the
   /// forecast (why the server answered from the path it did).
   PredictionResponse observe_response(std::uint64_t session_id,
-                                      double throughput_mbps) override;
+                                      double throughput_mbps);
   PredictionResponse predict_response(std::uint64_t session_id,
-                                      unsigned steps_ahead) override;
+                                      unsigned steps_ahead);
 
   /// Ends a session server-side.
-  void bye(std::uint64_t session_id) override;
+  void bye(std::uint64_t session_id);
 
   /// Downloads the compact per-session model for local execution (§5.3's
   /// client-side solution): no per-epoch round trips afterwards. Throws
@@ -147,11 +145,6 @@ class PredictionClient final : public SessionClient {
   /// Round-trip attempts beyond the first (any reason).
   std::uint64_t retries() const noexcept { return retries_.load(); }
 
-  /// Sessions re-established by replaying HELLO after UNKNOWN_SESSION.
-  std::uint64_t sessions_reestablished() const noexcept {
-    return rehellos_.load();
-  }
-
   /// OVERLOADED replies seen (also counted in the registry when one is
   /// configured). A failover signal, not a retry-this-socket signal: the
   /// replica is shedding load, so ReplicaSet moves the session elsewhere.
@@ -160,33 +153,27 @@ class PredictionClient final : public SessionClient {
   }
 
  private:
-  struct SessionRecord {
-    HelloRequest hello;        ///< replayed to re-establish after loss
-    std::uint64_t remote_id = 0;
-  };
-
   void ensure_connected();
   Response locked_round_trip(const Request& request);
-  template <typename MakeRequest>
-  Response locked_session_round_trip(std::uint64_t local_id, MakeRequest&& make);
+  /// locked_round_trip that insists on a `Reply`; `verb` names the request
+  /// in the error otherwise.
+  template <typename Reply>
+  Reply locked_expect(const Request& request, std::string_view verb);
 
   std::mutex mutex_;
   TransportFactory connector_;
   ClientConfig config_;
   std::unique_ptr<Transport> transport_;
-  std::unordered_map<std::uint64_t, SessionRecord> sessions_;
-  std::uint64_t next_local_id_ = 1;
   Rng backoff_rng_;  ///< jitter stream; guarded by mutex_ like the transport
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> rehellos_{0};
   std::atomic<std::uint64_t> overloaded_{0};
   obs::Counter* overloaded_counter_ = nullptr;  ///< null without a registry
   obs::Counter* retries_counter_ = nullptr;
 };
 
-/// SessionPredictor adapter over a PredictionClient. The client must
-/// outlive the predictor.
+/// SessionPredictor adapter over a SessionClient. The client must outlive
+/// the predictor.
 ///
 /// Degradation contract: no member ever throws into the player loop. When
 /// the service is unreachable past the client's retry budget (including a

@@ -9,6 +9,17 @@
 #include "util/hash.h"
 
 namespace cs2p {
+namespace {
+
+/// Consecutive failed operations before a SUSPECT replica is DOWN.
+constexpr int kDownAfterFailures = 2;
+/// Consecutive successes before a SUSPECT/DOWN replica is HEALTHY again.
+constexpr int kRecoverAfterSuccesses = 2;
+/// Upper bound honored for a server-supplied retry-after hint; a
+/// misconfigured server cannot park clients for minutes.
+constexpr std::uint32_t kMaxRetryAfterMs = 2'000;
+
+}  // namespace
 
 std::string_view replica_health_name(ReplicaHealth health) noexcept {
   switch (health) {
@@ -50,11 +61,6 @@ ReplicaSet::ReplicaSet(std::vector<Endpoint> endpoints,
                                : std::make_shared<obs::MetricsRegistry>()) {
   if (endpoints.empty())
     throw std::invalid_argument("ReplicaSet: no replicas");
-  if (config_.down_after_failures < 1)
-    throw std::invalid_argument("ReplicaSet: down_after_failures must be >= 1");
-  if (config_.recover_after_successes < 1)
-    throw std::invalid_argument(
-        "ReplicaSet: recover_after_successes must be >= 1");
   failovers_ = &metrics_->counter("cs2p_client_failovers_total");
   planned_migrations_ =
       &metrics_->counter("cs2p_client_planned_migrations_total");
@@ -185,10 +191,8 @@ void ReplicaSet::set_draining(std::size_t index, bool draining) {
 }
 
 void ReplicaSet::overload_backoff(std::uint32_t retry_after_ms) {
-  const int capped = static_cast<int>(
-      std::min<std::uint32_t>(retry_after_ms,
-                              static_cast<std::uint32_t>(
-                                  std::max(1, config_.max_retry_after_ms))));
+  const int capped =
+      static_cast<int>(std::min(retry_after_ms, kMaxRetryAfterMs));
   int sleep_ms = 0;
   {
     std::scoped_lock lock(backoff_mutex_);
@@ -207,7 +211,7 @@ void ReplicaSet::record_failure(std::size_t index) {
   if (replica.health == ReplicaHealth::kHealthy)
     replica.health = ReplicaHealth::kSuspect;
   if (replica.health == ReplicaHealth::kSuspect &&
-      replica.failure_streak >= config_.down_after_failures) {
+      replica.failure_streak >= kDownAfterFailures) {
     replica.health = ReplicaHealth::kDown;
     replica.down_since = Clock::now();
     replica.last_probe = replica.down_since;
@@ -222,7 +226,7 @@ void ReplicaSet::record_success(std::size_t index) {
   replica.failure_streak = 0;
   if (replica.health == ReplicaHealth::kHealthy) return;
   replica.success_streak += 1;
-  if (replica.success_streak < config_.recover_after_successes) return;
+  if (replica.success_streak < kRecoverAfterSuccesses) return;
   if (replica.health == ReplicaHealth::kDown)
     recovery_seconds_->observe(
         std::chrono::duration<double>(Clock::now() - replica.down_since)
@@ -232,68 +236,118 @@ void ReplicaSet::record_success(std::size_t index) {
   replica.health_gauge->set(0.0);
 }
 
-bool ReplicaSet::is_failover_signal(const ServerError& error) noexcept {
-  // OVERLOADED / SHUTTING_DOWN: the replica told us to go elsewhere.
-  // Anything else (BAD_REQUEST, INVALID_SAMPLE, ...) reflects our request,
-  // and would fail identically on every replica.
-  return error.code() == WireErrorCode::kOverloaded ||
-         error.code() == WireErrorCode::kShuttingDown;
+bool ReplicaSet::classify_failure(std::size_t index, Failures& failures) {
+  if (failures.first == Clock::time_point{}) failures.first = Clock::now();
+  try {
+    throw;
+  } catch (const ServerError& e) {
+    if (e.code() == WireErrorCode::kUnknownSession) {
+      // The replica answered, so it is up: it restarted or evicted the
+      // session. No health penalty; the caller replays HELLO there first.
+      failures.last = std::current_exception();
+      return true;
+    }
+    // OVERLOADED / SHUTTING_DOWN: the replica told us to go elsewhere.
+    // Anything else (BAD_REQUEST, INVALID_SAMPLE, ...) reflects our request,
+    // and would fail identically on every replica.
+    if (e.code() != WireErrorCode::kOverloaded &&
+        e.code() != WireErrorCode::kShuttingDown)
+      throw;
+    if (e.code() == WireErrorCode::kShuttingDown) set_draining(index, true);
+    if (e.retry_after_ms() > 0 && (failures.retry_after_ms == 0 ||
+                                   e.retry_after_ms() < failures.retry_after_ms))
+      failures.retry_after_ms = e.retry_after_ms();
+  } catch (const TransportError&) {
+    // Past the connection's own retry budget: refused connect, deadline.
+  } catch (const ProtocolError&) {
+    // A desynced stream.
+  }
+  record_failure(index);
+  failures.last = std::current_exception();
+  return false;
 }
 
-SessionResponse ReplicaSet::hello(const SessionFeatures& features,
-                                  double start_hour) {
-  std::uint64_t nonce = 0;
-  {
-    std::scoped_lock lock(sessions_mutex_);
-    nonce = next_nonce_++;
-  }
-  const std::uint64_t key = make_session_key(features, start_hour, nonce);
-  std::exception_ptr last_error;
+template <typename Serve>
+auto ReplicaSet::serve_session(std::uint64_t session_id, SessionRecord& record,
+                               Serve&& serve)
+    -> std::invoke_result_t<Serve&, PredictionClient&, const SessionResponse&> {
+  const bool placed = session_id != 0;
+  bool lost = false;  // the session's replica answered UNKNOWN_SESSION
+  Failures failures;
   const int passes = std::max(1, config_.overload_retry_passes);
   for (int pass = 0; pass < passes; ++pass) {
-    std::uint32_t retry_after = 0;  // min server hint seen this pass
-    for (const std::size_t index :
-         candidates(key, /*include_resting_down=*/true)) {
+    if (placed && !lost) {
+      // Sticky: the session's own replica, no HELLO, nothing ranked.
+      SessionResponse own;  // all an operation needs of it: the id
+      own.session_id = record.remote_id;
       try {
-        SessionResponse response =
-            replicas_[index]->client->hello(features, start_hour);
-        record_success(index);
+        auto result = serve(*replicas_[record.replica]->client, own);
+        record_success(record.replica);
+        return result;
+      } catch (...) {
+        lost = classify_failure(record.replica, failures);
+      }
+    }
+    // Replay HELLO down the preference list, ranked only now. The session's
+    // own replica goes first if it lost the session and is skipped if it
+    // just failed.
+    std::vector<std::size_t> order =
+        candidates(record.key, /*include_resting_down=*/true);
+    if (placed) {
+      std::erase(order, record.replica);
+      if (lost) order.insert(order.begin(), record.replica);
+    }
+    for (const std::size_t index : order) {
+      try {
+        PredictionClient& client = *replicas_[index]->client;
+        const SessionResponse session =
+            client.hello(record.hello.features, record.hello.start_hour);
         // A draining replica refuses HELLO, so accepting one proves it is
         // not (anymore) — this is how a restarted replica sheds the flag.
         set_draining(index, false);
-        SessionRecord record;
-        record.hello = HelloRequest{features, start_hour};
-        record.key = key;
+        auto result = serve(client, session);
+        record_success(index);
         record.replica = index;
-        record.remote_id = response.session_id;
-        std::scoped_lock lock(sessions_mutex_);
-        const std::uint64_t local_id = next_session_id_++;
-        sessions_[local_id] = std::move(record);
-        response.session_id = local_id;
-        return response;
-      } catch (const ServerError& e) {
-        if (!is_failover_signal(e)) throw;
-        if (e.code() == WireErrorCode::kShuttingDown) set_draining(index, true);
-        if (e.retry_after_ms() > 0 &&
-            (retry_after == 0 || e.retry_after_ms() < retry_after))
-          retry_after = e.retry_after_ms();
-        record_failure(index);
-        last_error = std::current_exception();
-      } catch (const TransportError&) {
-        record_failure(index);
-        last_error = std::current_exception();
-      } catch (const ProtocolError&) {
-        record_failure(index);
-        last_error = std::current_exception();
+        record.remote_id = session.session_id;
+        if (placed) {
+          failovers_->inc();
+          failover_seconds_->observe(
+              std::chrono::duration<double>(Clock::now() - failures.first)
+                  .count());
+          std::scoped_lock lock(sessions_mutex_);
+          const auto it = sessions_.find(session_id);
+          if (it != sessions_.end()) it->second = record;
+        }
+        return result;
+      } catch (...) {
+        classify_failure(index, failures);
       }
     }
     // The whole tier turned us away. If any replica supplied a retry-after
     // hint, honor it (jittered) and sweep again instead of surfacing a
     // hot-spin-inducing error; without a hint there is nothing to wait for.
-    if (retry_after == 0 || pass + 1 >= passes) break;
-    overload_backoff(retry_after);
+    if (failures.retry_after_ms == 0 || pass + 1 >= passes) break;
+    overload_backoff(failures.retry_after_ms);
+    failures.retry_after_ms = 0;
   }
-  std::rethrow_exception(last_error);
+  std::rethrow_exception(failures.last);
+}
+
+SessionResponse ReplicaSet::hello(const SessionFeatures& features,
+                                  double start_hour) {
+  SessionRecord record;
+  record.hello = HelloRequest{features, start_hour};
+  {
+    std::scoped_lock lock(sessions_mutex_);
+    record.key = make_session_key(features, start_hour, next_nonce_++);
+  }
+  SessionResponse response = serve_session(
+      /*session_id=*/0, record,
+      [](PredictionClient&, const SessionResponse& session) { return session; });
+  std::scoped_lock lock(sessions_mutex_);
+  response.session_id = next_session_id_++;
+  sessions_[response.session_id] = std::move(record);
+  return response;
 }
 
 ReplicaSet::SessionRecord ReplicaSet::record_copy(
@@ -308,74 +362,17 @@ ReplicaSet::SessionRecord ReplicaSet::record_copy(
 
 template <typename Op>
 PredictionResponse ReplicaSet::session_op(std::uint64_t session_id, Op&& op) {
-  std::exception_ptr last_error;
-  const int passes = std::max(1, config_.overload_retry_passes);
-  for (int pass = 0; pass < passes; ++pass) {
-    SessionRecord record = record_copy(session_id);
-    // The current replica first (sticky placement), then the preference
-    // list.
-    std::vector<std::size_t> order{record.replica};
-    for (const std::size_t index : candidates(record.key, true))
-      if (index != record.replica) order.push_back(index);
-
-    std::uint32_t retry_after = 0;  // min server hint seen this pass
-    Clock::time_point first_failure{};
-    for (const std::size_t index : order) {
-      const bool migrating = index != record.replica;
-      try {
-        if (migrating) {
-          // Replay HELLO on the new replica: same re-establishment path the
-          // single-replica client uses when a server loses a session. The
-          // replica-local handle below stays valid across its own
-          // reconnects.
-          const SessionResponse session = replicas_[index]->client->hello(
-              record.hello.features, record.hello.start_hour);
-          record.replica = index;
-          record.remote_id = session.session_id;
-        }
-        PredictionResponse response = op(*replicas_[index]->client,
-                                         record.remote_id);
-        record_success(index);
-        const bool drain_hinted =
-            (response.flags & serve_flags::kDraining) != 0;
-        set_draining(index, drain_hinted);
-        if (migrating) {
-          failovers_->inc();
-          failover_seconds_->observe(
-              std::chrono::duration<double>(Clock::now() - first_failure)
-                  .count());
-          std::scoped_lock lock(sessions_mutex_);
-          const auto it = sessions_.find(session_id);
-          if (it != sessions_.end()) it->second = record;
-        }
-        // Planned migration (DESIGN.md §14): the reply is good, but the
-        // replica told us it is draining — move the session now, while both
-        // sides are still serving, instead of waiting for the replica to
-        // die under us. Best-effort; the answer we already have is
-        // returned either way.
-        if (drain_hinted) migrate_off_draining(session_id, record);
-        return response;
-      } catch (const ServerError& e) {
-        if (!is_failover_signal(e)) throw;
-        if (e.code() == WireErrorCode::kShuttingDown) set_draining(index, true);
-        if (e.retry_after_ms() > 0 &&
-            (retry_after == 0 || e.retry_after_ms() < retry_after))
-          retry_after = e.retry_after_ms();
-        record_failure(index);
-        last_error = std::current_exception();
-      } catch (const TransportError&) {
-        record_failure(index);
-        last_error = std::current_exception();
-      } catch (const ProtocolError&) {
-        record_failure(index);
-        last_error = std::current_exception();
-      }
-      if (first_failure == Clock::time_point{}) first_failure = Clock::now();
-    }
-    if (retry_after == 0 || pass + 1 >= passes) break;
-    overload_backoff(retry_after);
-  }
-  std::rethrow_exception(last_error);
+  SessionRecord record = record_copy(session_id);
+  const PredictionResponse response =
+      serve_session(session_id, record, std::forward<Op>(op));
+  const bool drain_hinted = (response.flags & serve_flags::kDraining) != 0;
+  set_draining(record.replica, drain_hinted);
+  // Planned migration (DESIGN.md §14): the reply is good, but the replica
+  // told us it is draining — move the session now, while both sides are
+  // still serving, instead of waiting for the replica to die under us.
+  // Best-effort; the answer we already have is returned either way.
+  if (drain_hinted) migrate_off_draining(session_id, record);
+  return response;
 }
 
 void ReplicaSet::migrate_off_draining(std::uint64_t session_id,
@@ -444,19 +441,18 @@ void ReplicaSet::migrate_off_draining(std::uint64_t session_id,
 
 PredictionResponse ReplicaSet::observe_response(std::uint64_t session_id,
                                                 double throughput_mbps) {
-  return session_op(session_id,
-                    [&](PredictionClient& client, std::uint64_t remote_id) {
-                      return client.observe_response(remote_id,
-                                                     throughput_mbps);
-                    });
+  return session_op(session_id, [&](PredictionClient& client,
+                                    const SessionResponse& session) {
+    return client.observe_response(session.session_id, throughput_mbps);
+  });
 }
 
 PredictionResponse ReplicaSet::predict_response(std::uint64_t session_id,
                                                 unsigned steps_ahead) {
-  return session_op(session_id,
-                    [&](PredictionClient& client, std::uint64_t remote_id) {
-                      return client.predict_response(remote_id, steps_ahead);
-                    });
+  return session_op(session_id, [&](PredictionClient& client,
+                                    const SessionResponse& session) {
+    return client.predict_response(session.session_id, steps_ahead);
+  });
 }
 
 void ReplicaSet::bye(std::uint64_t session_id) {

@@ -1,5 +1,7 @@
-// ReplicaSet: client-side failover across a replicated serving tier
-// (DESIGN.md §13, ROADMAP item 2).
+// ReplicaSet: the client-side session layer of the prediction service
+// (DESIGN.md §13) — the one SessionClient, and the only holder of session
+// state: handles, HELLO replay, placement and failover all live here. A set
+// with one endpoint is the single-server case.
 //
 // The paper's pilot (§6–§7) runs prediction as one always-on service; at
 // million-user scale that service is N replicas, and the client is where
@@ -14,30 +16,36 @@
 // preferred it (the minimal-disruption property consistent hashing is used
 // for).
 //
-// Failover: a session sticks to its current replica until an operation
-// fails with a failover signal — transport failure after the retry budget
-// (connect refusal, deadline), a desynced stream, or an OVERLOADED /
-// SHUTTING_DOWN reply (the replica is shedding load; hammering the same
-// socket makes it worse). The session then migrates down its preference
-// list: replay HELLO on the next replica (the same re-establishment path
-// PredictionClient uses for UNKNOWN_SESSION), re-issue the operation, and
-// carry on. The server-side filter restarts from the cluster prior — a
-// forecast-quality hiccup, never a player-visible failure.
+// Re-placement: a session sticks to its replica, and each operation goes
+// there first with no HELLO and no ranking. Only when that fails does the
+// set rank the preference list and replay the session's HELLO down it:
+//   - UNKNOWN_SESSION (the replica restarted or evicted the session): the
+//     replica is up, so the replay tries it first;
+//   - a failover signal — transport failure past the connection's retry
+//     budget (connect refusal, deadline), a desynced stream, or an
+//     OVERLOADED / SHUTTING_DOWN reply (the replica is shedding load;
+//     hammering the same socket makes it worse): the replay skips it.
+// The operation is then re-issued on the new placement. The server-side
+// filter restarts from the cluster prior — a forecast-quality hiccup, never
+// a player-visible failure.
 //
-// Health: per-replica HEALTHY → SUSPECT (first failure) → DOWN (failure
-// streak) with hysteresis, mirroring predictors/guardrail.h's
+// Health: per-replica HEALTHY → SUSPECT (first failure) → DOWN (a streak of
+// two failures) with hysteresis, mirroring predictors/guardrail.h's
 // SurpriseMonitor — one failure must not banish a replica, and recovery
-// requires a success streak so a flapping replica cannot oscillate. DOWN
-// replicas are skipped when placing sessions until a probe interval
-// elapses; a successful probe walks the replica back to HEALTHY and records
-// the outage duration (time-to-recover) in the obs registry.
+// requires a streak of two successes so a flapping replica cannot
+// oscillate. DOWN replicas are ranked last when placing sessions until a
+// probe interval elapses; a successful probe walks the replica back to
+// HEALTHY and records the outage duration (time-to-recover) in the obs
+// registry.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -60,26 +68,19 @@ std::string_view replica_health_name(ReplicaHealth health) noexcept;
 
 /// Failover and hysteresis knobs of one ReplicaSet.
 struct ReplicaSetConfig {
-  /// Per-replica client policy (deadlines, retry budget, jitter). Each
+  /// Per-replica connection policy (deadlines, retry budget, jitter). Each
   /// replica gets its own PredictionClient; backoff seeds are derived per
   /// replica so their jitter streams differ.
   ClientConfig client;
-  /// Consecutive failed operations before SUSPECT becomes DOWN.
-  int down_after_failures = 2;
-  /// Consecutive successes before a SUSPECT/DOWN replica is HEALTHY again.
-  int recover_after_successes = 2;
   /// How long a DOWN replica rests before new sessions probe it.
   int down_probe_after_ms = 500;
   /// When a whole candidate pass fails and at least one replica answered
   /// OVERLOADED/SHUTTING_DOWN with a retry-after hint, sleep that hint
-  /// (jittered, capped below) and sweep again — up to this many passes in
+  /// (jittered, capped at 2 s) and sweep again — up to this many passes in
   /// total. 1 disables the backoff (one pass, then the error surfaces).
   /// This is what turns a briefly all-shedding tier into a short stall
   /// instead of a hot-spin of HELLO replays.
   int overload_retry_passes = 2;
-  /// Upper bound honored for a server-supplied retry-after hint; a
-  /// misconfigured server cannot park clients for minutes.
-  int max_retry_after_ms = 2'000;
   /// Telemetry sink shared by the set and its per-replica clients
   /// (failovers, per-replica health/failures, time-to-recover). Null: a
   /// private registry.
@@ -118,7 +119,7 @@ class ReplicaSet final : public SessionClient {
 
   // SessionClient surface. hello() places the session on its preference
   // list; the session_id returned is a ReplicaSet-local handle that stays
-  // valid across any number of migrations.
+  // valid across any number of re-placements.
   SessionResponse hello(const SessionFeatures& features,
                         double start_hour) override;
   PredictionResponse observe_response(std::uint64_t session_id,
@@ -137,7 +138,8 @@ class ReplicaSet final : public SessionClient {
   /// Health of replica `index` as currently believed.
   ReplicaHealth health(std::size_t index) const;
 
-  /// Sessions successfully migrated to another replica.
+  /// Sessions successfully re-placed by HELLO replay: onto another replica
+  /// after a failover signal, or onto their own after UNKNOWN_SESSION.
   std::uint64_t failovers() const noexcept { return failovers_->value(); }
 
   /// Sessions moved off a replica that hinted kDraining on a reply — the
@@ -153,7 +155,7 @@ class ReplicaSet final : public SessionClient {
   /// The replica `session_id` is currently served by.
   std::size_t session_replica(std::uint64_t session_id) const;
 
-  /// The per-replica client (test introspection: reconnects, overloaded
+  /// The per-replica connection (test introspection: reconnects, overloaded
   /// replies). Index must be < replica_count().
   PredictionClient& replica_client(std::size_t index) {
     return *replicas_[index]->client;
@@ -185,10 +187,17 @@ class ReplicaSet final : public SessionClient {
   };
 
   struct SessionRecord {
-    HelloRequest hello;          ///< replayed on every migration
+    HelloRequest hello;          ///< replayed on every re-placement
     std::uint64_t key = 0;       ///< rendezvous key (fixed at HELLO)
     std::size_t replica = 0;     ///< index currently serving the session
-    std::uint64_t remote_id = 0; ///< that replica's client-local handle
+    std::uint64_t remote_id = 0; ///< that replica's session id
+  };
+
+  /// What the failed attempts of one operation left behind.
+  struct Failures {
+    std::exception_ptr last;          ///< rethrown when nothing succeeds
+    std::uint32_t retry_after_ms = 0; ///< smallest server hint this pass
+    Clock::time_point first{};        ///< when the first attempt failed
   };
 
   /// Candidate replicas for (re)placing a session with rendezvous key
@@ -198,8 +207,26 @@ class ReplicaSet final : public SessionClient {
   std::vector<std::size_t> candidates(std::uint64_t key,
                                       bool include_resting_down);
 
-  /// Runs `op` against the session's current replica, migrating down the
-  /// preference list on failover signals. Returns the op's response.
+  /// The one HELLO-replay loop. Runs `serve(client, session)` for the
+  /// session in `record` and returns its result. A placed session
+  /// (`session_id` != 0) goes to its own replica first with no HELLO;
+  /// otherwise, or once that fails, HELLO is replayed down the ranked
+  /// preference list and `serve` runs on the replica that accepted it, with
+  /// its reply. Updates `record` to the final placement; a re-placed
+  /// session is committed and counted as a failover.
+  template <typename Serve>
+  auto serve_session(std::uint64_t session_id, SessionRecord& record,
+                     Serve&& serve)
+      -> std::invoke_result_t<Serve&, PredictionClient&, const SessionResponse&>;
+
+  /// The failure-classification helper; call from a catch block around an
+  /// attempt on replica `index`. Errors that reflect the request rethrow.
+  /// UNKNOWN_SESSION returns true: the replica is up but lost the session.
+  /// Failover signals return false after counting against the replica's
+  /// health and keeping the smallest retry-after hint.
+  bool classify_failure(std::size_t index, Failures& failures);
+
+  /// OBSERVE/PREDICT through serve_session, then the drain hint on the reply.
   template <typename Op>
   PredictionResponse session_op(std::uint64_t session_id, Op&& op);
 
@@ -212,10 +239,8 @@ class ReplicaSet final : public SessionClient {
   /// drain completes without waiting out the TTL), update the record. The
   /// session stays put if there is nowhere better to go.
   void migrate_off_draining(std::uint64_t session_id, SessionRecord record);
-  /// Jittered sleep honoring a server-supplied retry-after hint (capped at
-  /// max_retry_after_ms).
+  /// Jittered sleep honoring a server-supplied retry-after hint (capped).
   void overload_backoff(std::uint32_t retry_after_ms);
-  static bool is_failover_signal(const ServerError& error) noexcept;
 
   ReplicaSetConfig config_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;

@@ -17,6 +17,7 @@
 
 #include "net/client.h"
 #include "net/fault_injection.h"
+#include "net/replica_set.h"
 #include "net/server.h"
 #include "net/socket.h"
 #include "net/transport.h"
@@ -244,13 +245,15 @@ TEST(FaultInjection, ChaosSoak200Chunks) {
       loopback_connector(server.port(), TransportDeadlines{500, 500}), spec,
       0xC52B5EEDULL, counters);
 
-  ClientConfig client_config;
-  client_config.recv_timeout_ms = 500;
-  client_config.send_timeout_ms = 500;
-  client_config.max_retries = 4;
-  client_config.backoff_initial_ms = 2;
-  client_config.backoff_max_ms = 20;
-  PredictionClient client(std::move(connector), client_config);
+  ReplicaSetConfig set_config;
+  set_config.client.recv_timeout_ms = 500;
+  set_config.client.send_timeout_ms = 500;
+  set_config.client.max_retries = 4;
+  set_config.client.backoff_initial_ms = 2;
+  set_config.client.backoff_max_ms = 20;
+  std::vector<ReplicaSet::Endpoint> endpoints;
+  endpoints.push_back({"chaos", std::move(connector)});
+  ReplicaSet set(std::move(endpoints), set_config);
 
   VideoSpec video;
   video.num_chunks = 200;
@@ -263,7 +266,7 @@ TEST(FaultInjection, ChaosSoak200Chunks) {
   PlaybackResult result;
   bool ended_degraded = false;
   {
-    RemoteSessionPredictor predictor(client, features(), 12.0);
+    RemoteSessionPredictor predictor(set, features(), 12.0);
     PredictorRateController controller;
     result = simulate_playback(video, trace, controller, &predictor);
     ended_degraded = predictor.degraded();
@@ -283,7 +286,8 @@ TEST(FaultInjection, ChaosSoak200Chunks) {
   }
   // The run genuinely exercised the fault paths.
   EXPECT_GT(counters->total_faults(), 0u);
-  EXPECT_GT(client.retries() + client.reconnects(), 0u);
+  EXPECT_GT(set.replica_client(0).retries() + set.replica_client(0).reconnects(),
+            0u);
 
   // No session-table leaks: whether the session ended with BYE or was
   // abandoned on degradation, the table must drain (TTL eviction covers the
@@ -301,13 +305,13 @@ TEST(FaultInjection, KilledServerMidStreamFallsBackToHarmonicMean) {
   auto server = std::make_unique<PredictionServer>(
       std::make_shared<EchoPlusOneModel>());
 
-  ClientConfig config;
-  config.recv_timeout_ms = 200;
-  config.send_timeout_ms = 200;
-  config.max_retries = 1;
-  config.backoff_initial_ms = 1;
-  PredictionClient client(server->port(), config);
-  RemoteSessionPredictor predictor(client, features(), 8.0);
+  ReplicaSetConfig config;
+  config.client.recv_timeout_ms = 200;
+  config.client.send_timeout_ms = 200;
+  config.client.max_retries = 1;
+  config.client.backoff_initial_ms = 1;
+  ReplicaSet set(std::vector<std::uint16_t>{server->port()}, config);
+  RemoteSessionPredictor predictor(set, features(), 8.0);
 
   predictor.observe(2.0);
   predictor.observe(4.0);
@@ -354,13 +358,13 @@ class KillServerAt final : public SessionPredictor {
 
 TEST(FaultInjection, PlaybackCompletesWhenServerDiesMidStream) {
   PredictionServer server(std::make_shared<EchoPlusOneModel>());
-  ClientConfig config;
-  config.recv_timeout_ms = 200;
-  config.send_timeout_ms = 200;
-  config.max_retries = 1;
-  config.backoff_initial_ms = 1;
-  PredictionClient client(server.port(), config);
-  RemoteSessionPredictor remote(client, features(), 15.0);
+  ReplicaSetConfig config;
+  config.client.recv_timeout_ms = 200;
+  config.client.send_timeout_ms = 200;
+  config.client.max_retries = 1;
+  config.client.backoff_initial_ms = 1;
+  ReplicaSet set(std::vector<std::uint16_t>{server.port()}, config);
+  RemoteSessionPredictor remote(set, features(), 15.0);
   KillServerAt predictor(remote, server, 10);
 
   VideoSpec video;

@@ -1,4 +1,5 @@
-// Integration tests for the TCP prediction service (net/server.h, client.h).
+// Integration tests for the TCP prediction service (net/server.h, client.h,
+// and replica_set.h as the session client of one server).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 
 #include "hmm/kernel.h"
 #include "net/client.h"
+#include "net/replica_set.h"
 #include "net/server.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -147,8 +149,8 @@ TEST(PredictionService, ConcurrentClients) {
 
 TEST(PredictionService, RemoteSessionPredictorAdapter) {
   PredictionServer server(std::make_shared<EchoPlusOneModel>());
-  PredictionClient client(server.port());
-  RemoteSessionPredictor predictor(client, features(), 9.0);
+  ReplicaSet set(std::vector<std::uint16_t>{server.port()});
+  RemoteSessionPredictor predictor(set, features(), 9.0);
   EXPECT_DOUBLE_EQ(predictor.predict_initial().value(), 2.0);
   EXPECT_DOUBLE_EQ(predictor.predict(1), 2.0);  // cold: initial value
   predictor.observe(4.0);
@@ -271,19 +273,20 @@ TEST(PredictionService, ServerRestartHealsViaHelloReplay) {
   auto server = std::make_unique<PredictionServer>(model);
   const std::uint16_t port = server->port();
 
-  PredictionClient client(port);
-  const auto session = client.hello(features(), 1.0);
-  EXPECT_DOUBLE_EQ(client.observe(session.session_id, 3.0), 4.0);
+  ReplicaSet set(std::vector<std::uint16_t>{port});
+  const auto session = set.hello(features(), 1.0);
+  EXPECT_DOUBLE_EQ(set.observe_response(session.session_id, 3.0).mbps, 4.0);
 
   // Restart the server on the same port: all session state is lost.
   server.reset();
   server = std::make_unique<PredictionServer>(model, port);
 
-  // The client reconnects, gets UNKNOWN_SESSION, replays HELLO, and the
-  // original handle keeps working against the re-established session.
-  EXPECT_DOUBLE_EQ(client.observe(session.session_id, 5.0), 6.0);
-  EXPECT_GE(client.sessions_reestablished(), 1u);
-  EXPECT_GE(client.reconnects(), 1u);
+  // The connection reconnects and gets UNKNOWN_SESSION; the set replays
+  // HELLO, and the original handle keeps working against the
+  // re-established session.
+  EXPECT_DOUBLE_EQ(set.observe_response(session.session_id, 5.0).mbps, 6.0);
+  EXPECT_GE(set.failovers(), 1u);
+  EXPECT_GE(set.replica_client(0).reconnects(), 1u);
 }
 
 // -- Serve-flags plumbing (protocol v2) --------------------------------------
@@ -344,8 +347,8 @@ TEST(PredictionService, ServeFlagsTravelToClient) {
 
 TEST(PredictionService, RemotePredictorSurfacesServerFlags) {
   PredictionServer server(std::make_shared<SwitchableModel>());
-  PredictionClient client(server.port());
-  RemoteSessionPredictor predictor(client, features(), 9.0);
+  ReplicaSet set(std::vector<std::uint16_t>{server.port()});
+  RemoteSessionPredictor predictor(set, features(), 9.0);
 
   predictor.observe(3.0);
   EXPECT_EQ(predictor.serve_flags(), serve_flags::kPrimary);
@@ -369,11 +372,11 @@ TEST(PredictionService, RemoteFallbackSetsLocalFlagBits) {
   auto server = std::make_unique<PredictionServer>(
       std::make_shared<SwitchableModel>());
   const std::uint16_t port = server->port();
-  ClientConfig config;
-  config.max_retries = 1;
-  config.backoff_initial_ms = 1;
-  PredictionClient client(port, config);
-  RemoteSessionPredictor predictor(client, features(), 9.0);
+  ReplicaSetConfig config;
+  config.client.max_retries = 1;
+  config.client.backoff_initial_ms = 1;
+  ReplicaSet set(std::vector<std::uint16_t>{port}, config);
+  RemoteSessionPredictor predictor(set, features(), 9.0);
   predictor.observe(3.0);
 
   // Kill the service entirely: the predictor degrades to its local fallback
@@ -398,11 +401,11 @@ TEST(PredictionService, StopWhileRequestsInFlight) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([port, &escaped] {
       try {
-        ClientConfig config;
-        config.max_retries = 1;
-        config.backoff_initial_ms = 1;
-        PredictionClient client(port, config);
-        RemoteSessionPredictor predictor(client, features(), 1.0);
+        ReplicaSetConfig config;
+        config.client.max_retries = 1;
+        config.client.backoff_initial_ms = 1;
+        ReplicaSet set(std::vector<std::uint16_t>{port}, config);
+        RemoteSessionPredictor predictor(set, features(), 1.0);
         for (int i = 0; i < 500; ++i) predictor.observe(1.0 + i % 7);
         // Either the whole run beat the shutdown, or the predictor degraded
         // to its local fallback — never an exception into this loop.
@@ -604,11 +607,10 @@ std::size_t process_thread_count() {
   return 0;
 }
 
-// The migration tests below speak the wire protocol over raw transports:
-// PredictionClient rewrites session ids to client-local handles and heals
-// UNKNOWN_SESSION by replaying HELLO, which would mask exactly the
-// server-side semantics under test (true ids, shared state, hard
-// invalidation).
+// The tests below speak the wire protocol over raw transports, frame by
+// frame: they read ERR replies as replies rather than exceptions, and
+// several park or pipeline frames in flight, which PredictionClient's one
+// round trip per call cannot do.
 std::unique_ptr<Transport> raw_connection(std::uint16_t port) {
   return loopback_connector(port, TransportDeadlines{2'000, 2'000})();
 }
@@ -618,6 +620,36 @@ Response raw_round_trip(Transport& transport, const Request& request) {
   const auto frame = recv_frame(transport);
   if (!frame) throw ConnectionError("server closed connection");
   return parse_response(*frame);
+}
+
+// The connection speaks the server's own session ids and never heals a
+// session: after a restart the lost session surfaces as UNKNOWN_SESSION and
+// no HELLO is replayed behind the caller's back (that is ReplicaSet's job).
+TEST(PredictionService, ClientSpeaksServerIdsAndNeverReplaysHello) {
+  auto model = std::make_shared<EchoPlusOneModel>();
+  auto server = std::make_unique<PredictionServer>(model);
+  const std::uint16_t port = server->port();
+  PredictionClient client(port);
+  const SessionResponse session = client.hello(features(), 1.0);
+
+  // The returned id is the server's: another connection can address it.
+  const auto raw = raw_connection(port);
+  const Response obs = raw_round_trip(*raw, ObserveRequest{session.session_id, 5.0});
+  const auto* forecast = std::get_if<PredictionResponse>(&obs);
+  ASSERT_NE(forecast, nullptr);
+  EXPECT_DOUBLE_EQ(forecast->mbps, 6.0);
+
+  server.reset();
+  server = std::make_unique<PredictionServer>(model, port);
+  try {
+    client.observe(session.session_id, 5.0);
+    FAIL() << "expected UNKNOWN_SESSION after the restart";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.code(), WireErrorCode::kUnknownSession);
+  }
+  EXPECT_EQ(series_value(server->metrics().scrape(),
+                         "cs2p_server_verb_requests_total{verb=\"hello\"}"),
+            0.0);
 }
 
 // Sessions are addressed by id, not by connection: a session opened on one

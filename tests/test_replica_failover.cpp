@@ -1,6 +1,7 @@
 // Replicated serving tier tests (net/replica_set.h, DESIGN.md §13):
-// rendezvous placement determinism, health-state hysteresis, session
-// migration on replica death, OVERLOADED-as-failover-signal, SYNC snapshot
+// rendezvous placement determinism, health-state hysteresis and recovery
+// under traffic, session migration on replica death, re-placement of a lost
+// session on its own replica, OVERLOADED-as-failover-signal, SYNC snapshot
 // shipping (verified swap, bit-flip rejection, pull bootstrap), whole-replica
 // chaos (ChaosReplica), cross-version frame rejection against live peers,
 // and the 3-replica kill-one-mid-soak acceptance scenario.
@@ -62,6 +63,26 @@ class EchoPlusOneModel final : public PredictorModel {
 
  private:
   double initial_;
+};
+
+/// Forecast = samples observed so far: a fresh filter answers 1 after its
+/// first OBSERVE, one that kept its history answers more.
+class CountingModel final : public PredictorModel {
+ public:
+  std::string name() const override { return "Counting"; }
+  std::unique_ptr<SessionPredictor> make_session(
+      const SessionContext&) const override {
+    class S final : public SessionPredictor {
+     public:
+      std::optional<double> predict_initial() const override { return 1.0; }
+      double predict(unsigned) const override { return seen_; }
+      void observe(double) override { seen_ += 1.0; }
+
+     private:
+      double seen_ = 0.0;
+    };
+    return std::make_unique<S>();
+  }
 };
 
 // -- Rendezvous placement ---------------------------------------------------
@@ -126,8 +147,6 @@ TEST(ReplicaSet, HealthWalksSuspectDownAndRecovers) {
   config.client.max_retries = 0;
   config.client.recv_timeout_ms = 200;
   config.client.send_timeout_ms = 200;
-  config.down_after_failures = 2;
-  config.recover_after_successes = 2;
   config.down_probe_after_ms = 0;  // probe immediately in tests
   ReplicaSet set(std::vector<std::uint16_t>{port}, config);
 
@@ -149,6 +168,45 @@ TEST(ReplicaSet, HealthWalksSuspectDownAndRecovers) {
   EXPECT_NE(scrape.find("cs2p_client_replica_recovery_seconds_count 1"),
             std::string::npos)
       << scrape;
+}
+
+// Steady traffic on a healthy replica must not keep a recovered one from
+// new sessions: an operation that its own replica answers ranks nothing, so
+// it cannot restart a DOWN replica's probe rest, and the next HELLO probes.
+TEST(ReplicaSet, RecoveredReplicaRejoinsUnderTraffic) {
+  PredictionServer live(std::make_shared<EchoPlusOneModel>());
+  std::uint16_t dead_port = 0;
+  {
+    auto [listener, bound] = listen_loopback(0);
+    dead_port = bound;
+  }
+  constexpr int kProbeRestMs = 50;
+  ReplicaSetConfig config;
+  config.client.max_retries = 0;
+  config.down_probe_after_ms = kProbeRestMs;
+  ReplicaSet set(std::vector<std::uint16_t>{live.port(), dead_port}, config);
+
+  // HELLOs that prefer the dead replica fail over to the live one until its
+  // failure streak marks it DOWN; every session lands on the live replica.
+  const SessionResponse steady = set.hello(features("steady"), 1.0);
+  for (int i = 0; set.health(1) != ReplicaHealth::kDown; ++i) {
+    ASSERT_LT(i, 64) << "the dead replica never went DOWN";
+    set.hello(features(std::to_string(100 + i)), 1.0);
+  }
+  ASSERT_EQ(set.session_replica(steady.session_id), 0u);
+
+  PredictionServer recovered(std::make_shared<EchoPlusOneModel>(), dead_port);
+  int placed_on_recovered = 0;
+  for (int i = 0; i < 20; ++i) {
+    // Past the probe rest, then one operation of an existing session, then
+    // a new session.
+    std::this_thread::sleep_for(std::chrono::milliseconds(kProbeRestMs + 20));
+    set.observe_response(steady.session_id, 1.0);
+    const SessionResponse fresh = set.hello(features(std::to_string(200 + i)), 1.0);
+    if (set.session_replica(fresh.session_id) == 1) ++placed_on_recovered;
+  }
+  EXPECT_GE(placed_on_recovered, 1);
+  EXPECT_EQ(set.health(1), ReplicaHealth::kHealthy);
 }
 
 TEST(ReplicaSet, HealthNamesAreStable) {
@@ -189,6 +247,34 @@ TEST(ReplicaSet, SessionMigratesWhenItsReplicaDies) {
   EXPECT_DOUBLE_EQ(set.predict_response(session.session_id, 2).mbps, 5.0);
   EXPECT_EQ(set.failovers(), 1u);
   set.bye(session.session_id);
+}
+
+TEST(ReplicaSet, LostSessionIsReplacedOnItsOwnReplica) {
+  auto model = std::make_shared<CountingModel>();
+  std::vector<std::unique_ptr<PredictionServer>> servers;
+  std::vector<std::uint16_t> ports;
+  for (int i = 0; i < 2; ++i) {
+    servers.push_back(std::make_unique<PredictionServer>(model));
+    ports.push_back(servers.back()->port());
+  }
+  ReplicaSet set(ports);
+
+  const SessionResponse session = set.hello(features(), 2.0);
+  const std::size_t home = set.session_replica(session.session_id);
+  EXPECT_DOUBLE_EQ(set.observe_response(session.session_id, 1.0).mbps, 1.0);
+  EXPECT_DOUBLE_EQ(set.observe_response(session.session_id, 1.0).mbps, 2.0);
+
+  // Restart the session's replica on the same port: it is up, but the
+  // session is gone.
+  servers[home].reset();
+  servers[home] = std::make_unique<PredictionServer>(model, ports[home]);
+
+  // UNKNOWN_SESSION re-places the session by HELLO replay on that same
+  // replica, and the answer comes from a fresh filter.
+  EXPECT_DOUBLE_EQ(set.observe_response(session.session_id, 1.0).mbps, 1.0);
+  EXPECT_EQ(set.session_replica(session.session_id), home);
+  EXPECT_EQ(set.failovers(), 1u);
+  EXPECT_EQ(servers[1 - home]->session_count(), 0u);
 }
 
 TEST(ReplicaSet, OverloadedReplyIsAFailoverSignalNotARetry) {
