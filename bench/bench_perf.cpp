@@ -170,6 +170,34 @@ void BM_HmmTrainCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_HmmTrainCluster)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
 
+// The largest single fit of servebench's set-up: the engine's global model
+// on day 0 of a 1,000-session standard world. Every session with >= 2 epochs
+// is a sequence (the world stays under Cs2pConfig::max_global_sequences, so
+// the engine subsamples none) and the engine's default BaumWelchConfig.
+void BM_HmmTrainGlobal(benchmark::State& state) {
+  SyntheticConfig world = bench::standard_config();
+  world.num_sessions = 1000;
+  const Dataset train = generate_synthetic_dataset(world).split_by_day(1).first;
+  std::vector<std::vector<double>> sequences;
+  std::size_t epochs = 0;
+  for (const auto& s : train.sessions()) {
+    if (s.throughput_mbps.size() < 2) continue;
+    sequences.push_back(s.throughput_mbps);
+    epochs += s.throughput_mbps.size();
+  }
+  const Cs2pConfig config;
+  int iterations = 0;
+  for (auto _ : state) {
+    const BaumWelchResult result = train_hmm(sequences, config.hmm);
+    iterations = result.iterations_run;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["sequences"] = static_cast<double>(sequences.size());
+  state.counters["epochs"] = static_cast<double>(epochs);
+  state.counters["em_iterations"] = iterations;
+}
+BENCHMARK(BM_HmmTrainGlobal)->Unit(benchmark::kMillisecond);
+
 void BM_EngineSessionLookup(benchmark::State& state) {
   auto& f = fixture();
   const Cs2pEngine& engine = f.model->engine();

@@ -189,6 +189,11 @@ class Cs2pEngine {
   /// (0 = unlimited).
   std::size_t warm_up(std::size_t max_clusters = 0) const;
 
+  /// The engine's one EM entry point: config().trainer when set, train_hmm
+  /// otherwise, with config().hmm, timed into cs2p_engine_em_train_seconds.
+  /// Every fit the engine or its continuous trainer makes goes through it.
+  BaumWelchResult run_trainer(const std::vector<std::vector<double>>& sequences) const;
+
   const Cs2pConfig& config() const noexcept { return config_; }
   EngineStats stats() const;
 
@@ -277,7 +282,6 @@ class Cs2pEngine {
  private:
   const GaussianHmm& cluster_hmm(const Cluster& cluster) const;
   double cluster_initial(const Cluster& cluster) const;
-  BaumWelchResult run_trainer(const std::vector<std::vector<double>>& sequences) const;
 
   /// Registry handles cached at construction: the serving path increments
   /// through these pointers lock-free (obs/metrics.h rule 1).

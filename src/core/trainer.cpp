@@ -372,9 +372,7 @@ void ContinuousTrainer::retrain_cluster(ClusterState& state,
   }
   GaussianHmm candidate;
   try {
-    const Cs2pConfig& config = engine->config();
-    candidate = config.trainer ? config.trainer(train_set, config.hmm).model
-                               : train_hmm(train_set, config.hmm).model;
+    candidate = engine->run_trainer(train_set).model;
   } catch (const std::exception&) {
     reject(CanaryRejectReason::kTrainingFailed);
     return;

@@ -6,9 +6,27 @@
 #include <stdexcept>
 
 #include "hmm/forward_backward.h"
+#include "hmm/kernel.h"
 
 namespace cs2p {
 namespace {
+
+/// Everything one E step needs beyond its accumulators, allocated once per
+/// train_hmm call and sized to the longest sequence, so EM allocates nothing
+/// per epoch or per sequence.
+struct EStepWorkspace {
+  EStepWorkspace(std::size_t n, std::size_t max_len)
+      : mu(n), sigma(n), log_sigma(n), emissions(max_len * n),
+        alpha(max_len * n), beta(max_len * n), scale(max_len), gamma(n),
+        xi(n * n) {}
+
+  /// The current model's hoisted emission constants (hoist_emission_constants).
+  std::vector<double> mu, sigma, log_sigma;
+  /// T x N tables of the sequence in flight, and its forward scales.
+  std::vector<double> emissions, alpha, beta, scale;
+  std::vector<double> gamma;  ///< gamma_t, N
+  std::vector<double> xi;     ///< xi_t, N x N
+};
 
 /// Initialises the model from data: emission means by 1-D k-means++, sigmas
 /// from within-cluster spread, near-diagonal transitions (persistence prior
@@ -137,6 +155,10 @@ BaumWelchResult train_hmm(const std::vector<std::vector<double>>& sequences,
   BaumWelchResult result;
   result.model = initialize_model(sequences, config, rng);
 
+  std::size_t max_len = 0;
+  for (const auto& seq : sequences) max_len = std::max(max_len, seq.size());
+  EStepWorkspace ws(n, max_len);
+
   double prev_ll = -std::numeric_limits<double>::infinity();
   for (int iter = 0; iter < config.max_iterations; ++iter) {
     // E step accumulators.
@@ -146,45 +168,57 @@ BaumWelchResult train_hmm(const std::vector<std::vector<double>>& sequences,
     Vec weighted_sum(n, 0.0);
     Vec weighted_sq(n, 0.0);
     double total_ll = 0.0;
-    std::size_t used_sequences = 0;
+
+    hoist_emission_constants(result.model.states, ws.mu.data(),
+                             ws.sigma.data(), ws.log_sigma.data());
+    const double* p = result.model.transition.data().data();
+    double* xi_sum = xi_acc.data().data();
+    double* e = ws.emissions.data();
+    double* alpha = ws.alpha.data();
+    double* beta = ws.beta.data();
+    double* g = ws.gamma.data();
+    double* xi = ws.xi.data();
 
     for (const auto& seq : sequences) {
       if (seq.empty()) continue;
-      ++used_sequences;
-      const ForwardResult fwd = forward(result.model, seq);
-      const BackwardResult bwd = backward(result.model, seq, fwd.scale);
-      total_ll += fwd.log_likelihood;
       const std::size_t t_len = seq.size();
+      // Each (epoch, state) density once; forward, backward and xi all read
+      // this table.
+      for (std::size_t t = 0; t < t_len; ++t)
+        emission_densities(seq[t], ws.mu.data(), ws.sigma.data(),
+                           ws.log_sigma.data(), n, e + t * n);
+      total_ll += forward_recursion(result.model.initial.data(), p, e, t_len,
+                                    n, alpha, ws.scale.data());
+      backward_recursion(p, e, ws.scale.data(), t_len, n, beta);
 
-      // gamma_t and emission statistics.
       for (std::size_t t = 0; t < t_len; ++t) {
-        Vec g(n);
-        for (std::size_t i = 0; i < n; ++i) g[i] = fwd.alpha(t, i) * bwd.beta(t, i);
-        normalize_in_place(g);
+        const double* a = alpha + t * n;
+        // gamma_t and emission statistics.
+        for (std::size_t i = 0; i < n; ++i) g[i] = a[i] * beta[t * n + i];
+        normalize_belief(g, n);
+        const double x = seq[t];
         for (std::size_t i = 0; i < n; ++i) {
           gamma_acc[i] += g[i];
-          weighted_sum[i] += g[i] * seq[t];
-          weighted_sq[i] += g[i] * seq[t] * seq[t];
-          if (t == 0) pi_acc[i] += g[i];
+          weighted_sum[i] += g[i] * x;
+          weighted_sq[i] += g[i] * x * x;
         }
-      }
+        if (t == 0)
+          for (std::size_t i = 0; i < n; ++i) pi_acc[i] += g[i];
+        if (t + 1 == t_len) continue;
 
-      // xi_t(i, j) for transitions.
-      for (std::size_t t = 0; t + 1 < t_len; ++t) {
-        const Vec e_next = result.model.emission_probabilities(seq[t + 1]);
-        Matrix xi(n, n);
+        // xi_t(i, j) for transitions.
+        const double* e_next = e + (t + 1) * n;
+        const double* b_next = beta + (t + 1) * n;
         double norm = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
           for (std::size_t j = 0; j < n; ++j) {
-            const double v = fwd.alpha(t, i) * result.model.transition(i, j) *
-                             e_next[j] * bwd.beta(t + 1, j);
-            xi(i, j) = v;
+            const double v = a[i] * p[i * n + j] * e_next[j] * b_next[j];
+            xi[i * n + j] = v;
             norm += v;
           }
         }
         if (norm <= 0.0) continue;
-        for (std::size_t i = 0; i < n; ++i)
-          for (std::size_t j = 0; j < n; ++j) xi_acc(i, j) += xi(i, j) / norm;
+        for (std::size_t k = 0; k < n * n; ++k) xi_sum[k] += xi[k] / norm;
       }
     }
 

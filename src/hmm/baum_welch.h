@@ -39,6 +39,9 @@ struct BaumWelchConfig {
 /// Training result: the model plus convergence diagnostics.
 struct BaumWelchResult {
   GaussianHmm model;
+  /// log P(sequences | theta) for the parameters that entered the last
+  /// iteration, computed by its E step before its M step — not the score of
+  /// the returned `model`, which is one M step further on.
   double final_log_likelihood = 0.0;
   int iterations_run = 0;
   bool converged = false;

@@ -20,6 +20,55 @@ std::size_t round_up(std::size_t n) {
 
 }  // namespace
 
+void hoist_emission_constants(std::span<const EmissionState> states, double* mu,
+                              double* sigma, double* log_sigma) noexcept {
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    mu[i] = states[i].mean;
+    // The floor gaussian_log_pdf applies per call, hoisted — log(s) is then
+    // a per-state constant.
+    sigma[i] = std::max(states[i].sigma, kMinEmissionSigma);
+    log_sigma[i] = std::log(sigma[i]);
+  }
+}
+
+void emission_densities(double w, const double* mu, const double* sigma,
+                        const double* log_sigma, std::size_t n,
+                        double* e) noexcept {
+  // Same expression as gaussian_log_pdf's constant term (folded at compile
+  // time on both sides).
+  const double half_log_2pi = 0.5 * std::log(2.0 * std::numbers::pi);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double z = (w - mu[i]) / sigma[i];
+    e[i] = std::exp(-0.5 * z * z - log_sigma[i] - half_log_2pi);
+  }
+}
+
+void propagate_belief(const double* in, const double* p, std::size_t n,
+                      double* out) noexcept {
+  for (std::size_t j = 0; j < n; ++j) out[j] = 0.0;
+  // vec_mat's i-outer/j-inner walk. vec_mat skips in[i] == 0.0 rows; adding
+  // the +0.0 products back is bit-identical (belief entries are >= +0.0 and
+  // accumulators stay >= +0.0, so x + 0.0*row == x exactly), and the
+  // branchless form is what auto-vectorizes.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double vi = in[i];
+    const double* row = p + i * n;
+    for (std::size_t j = 0; j < n; ++j) out[j] += vi * row[j];
+  }
+}
+
+double normalize_belief(double* v, std::size_t n) noexcept {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += v[i];
+  if (sum <= 0.0 || !std::isfinite(sum)) {
+    const double uniform = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = uniform;
+    return sum;
+  }
+  for (std::size_t i = 0; i < n; ++i) v[i] /= sum;
+  return sum;
+}
+
 void HmmKernel::AlignedFree::operator()(double* p) const noexcept {
   ::operator delete[](p, std::align_val_t{64});
 }
@@ -34,8 +83,6 @@ std::shared_ptr<const HmmKernel> HmmKernel::create(GaussianHmm model) {
   const std::size_t n = m.states.size();
   kernel->n_ = n;
   kernel->power_stride_ = round_up(n * n);
-  // Same expression as gaussian_log_pdf's constant term, evaluated once.
-  kernel->half_log_2pi_ = 0.5 * std::log(2.0 * std::numbers::pi);
 
   // Cache as many horizon powers as the byte budget allows; always at least
   // P^1 (a verbatim copy of the transition matrix).
@@ -64,15 +111,8 @@ std::shared_ptr<const HmmKernel> HmmKernel::create(GaussianHmm model) {
   kernel->initial_ = initial;
   kernel->powers_ = powers;
 
-  for (std::size_t i = 0; i < n; ++i) {
-    mu[i] = m.states[i].mean;
-    // The same floor gaussian_log_pdf applies per call, hoisted to build
-    // time — log(s) is then a per-state constant.
-    const double s = std::max(m.states[i].sigma, kMinEmissionSigma);
-    sigma[i] = s;
-    log_sigma[i] = std::log(s);
-    initial[i] = m.initial[i];
-  }
+  hoist_emission_constants(m.states, mu, sigma, log_sigma);
+  std::copy(m.initial.begin(), m.initial.end(), initial);
 
   // Matrix::pow (repeated squaring) for every cached horizon, so a cached
   // P^tau is the exact double-for-double matrix the scalar filter used to
@@ -86,21 +126,6 @@ std::shared_ptr<const HmmKernel> HmmKernel::create(GaussianHmm model) {
   return kernel;
 }
 
-void HmmKernel::propagate(const double* in, const double* p,
-                          double* out) const noexcept {
-  const std::size_t n = n_;
-  for (std::size_t j = 0; j < n; ++j) out[j] = 0.0;
-  // vec_mat's i-outer/j-inner walk. vec_mat skips in[i] == 0.0 rows; adding
-  // the +0.0 products back is bit-identical (belief entries are >= +0.0 and
-  // accumulators stay >= +0.0, so x + 0.0*row == x exactly), and the
-  // branchless form is what auto-vectorizes.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double vi = in[i];
-    const double* row = p + i * n;
-    for (std::size_t j = 0; j < n; ++j) out[j] += vi * row[j];
-  }
-}
-
 void HmmKernel::propagate_steps(const double* in, unsigned steps,
                                 double* out) const {
   if (steps == 0)
@@ -111,16 +136,6 @@ void HmmKernel::propagate_steps(const double* in, unsigned steps,
   }
   const Matrix p = model_.transition.pow(steps);
   propagate(in, p.data().data(), out);
-}
-
-void HmmKernel::emissions(double w, double* e) const noexcept {
-  const std::size_t n = n_;
-  for (std::size_t i = 0; i < n; ++i) {
-    // gaussian_log_pdf's expression tree with the logs precomputed:
-    //   -0.5*z*z - log(s) - 0.5*log(2 pi), then exp — same doubles.
-    const double z = (w - mu_[i]) / sigma_[i];
-    e[i] = std::exp(-0.5 * z * z - log_sigma_[i] - half_log_2pi_);
-  }
 }
 
 }  // namespace cs2p

@@ -22,10 +22,39 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 
 #include "hmm/model.h"
 
 namespace cs2p {
+
+// Flat-buffer primitives shared by the kernel and Baum-Welch's E step
+// (forward_backward.h), so serving and training evaluate one density and one
+// propagation. Compiled with -ffp-contract=off like the rest of the kernel.
+
+/// Hoists gaussian_pdf's per-call constants for each state: mu[i],
+/// sigma[i] = max(sigma_i, kMinEmissionSigma) (util/gaussian.h) and
+/// log_sigma[i] = log(sigma[i]).
+void hoist_emission_constants(std::span<const EmissionState> states, double* mu,
+                              double* sigma, double* log_sigma) noexcept;
+
+/// e[i] = N(w; mu[i], sigma[i]^2) for i < n from hoisted constants,
+/// bit-identical to gaussian_pdf: its expression tree with the logs
+/// precomputed, -0.5*z*z - log(s) - 0.5*log(2 pi), then exp.
+void emission_densities(double w, const double* mu, const double* sigma,
+                        const double* log_sigma, std::size_t n,
+                        double* e) noexcept;
+
+/// out[j] = sum_i in[i] * p[i*n + j] for a row-major n x n `p`, in
+/// vec_mat's i-outer/j-inner accumulation order. Requires in[i] >= +0.0
+/// (beliefs), which makes the branchless walk equal vec_mat's bit for bit.
+void propagate_belief(const double* in, const double* p, std::size_t n,
+                      double* out) noexcept;
+
+/// normalize_in_place (util/matrix.h) on a flat buffer: scales v to sum 1,
+/// or fills it uniform when the sum is non-positive or non-finite. Returns
+/// the pre-normalisation sum.
+double normalize_belief(double* v, std::size_t n) noexcept;
 
 class HmmKernel {
  public:
@@ -52,8 +81,6 @@ class HmmKernel {
   const double* sigma() const noexcept { return sigma_; }
   /// log(sigma()) — the per-state constant of the log-density.
   const double* log_sigma() const noexcept { return log_sigma_; }
-  /// 0.5 * log(2 pi), hoisted out of the emission loop.
-  double half_log_2pi() const noexcept { return half_log_2pi_; }
   const double* initial() const noexcept { return initial_; }
 
   /// Row-major P^steps for 1 <= steps <= cached_powers(); nullptr beyond
@@ -63,16 +90,20 @@ class HmmKernel {
     return powers_ + (static_cast<std::size_t>(steps) - 1) * power_stride_;
   }
 
-  /// out[j] = sum_i in[i] * p[i*n + j] — vec_mat's accumulation order, with
-  /// `p` one of the cached powers (or any row-major n x n matrix).
-  void propagate(const double* in, const double* p, double* out) const noexcept;
+  /// propagate_belief with `p` one of the cached powers (or any row-major
+  /// n x n matrix).
+  void propagate(const double* in, const double* p, double* out) const noexcept {
+    propagate_belief(in, p, n_, out);
+  }
 
   /// out = in · P^steps, served from the power cache when possible and
   /// Matrix::pow beyond it. Requires steps >= 1.
   void propagate_steps(const double* in, unsigned steps, double* out) const;
 
   /// e[i] = N(w; mu_i, sigma_i^2), bit-identical to gaussian_pdf.
-  void emissions(double w, double* e) const noexcept;
+  void emissions(double w, double* e) const noexcept {
+    emission_densities(w, mu_, sigma_, log_sigma_, n_, e);
+  }
 
  private:
   HmmKernel() = default;
@@ -85,7 +116,6 @@ class HmmKernel {
   std::size_t n_ = 0;
   std::size_t power_stride_ = 0;  ///< doubles per cached power (n*n padded)
   unsigned cached_powers_ = 0;
-  double half_log_2pi_ = 0.0;
   /// One 64-byte-aligned allocation carved into the sections below.
   std::unique_ptr<double[], AlignedFree> block_;
   const double* mu_ = nullptr;

@@ -8,19 +8,6 @@ namespace cs2p {
 
 namespace {
 
-/// normalize_in_place's semantics on a flat buffer: scale to sum 1, or fill
-/// uniform on a degenerate (non-positive / non-finite) sum.
-void normalize_buffer(double* v, std::size_t n) noexcept {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += v[i];
-  if (sum <= 0.0 || !std::isfinite(sum)) {
-    const double uniform = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = uniform;
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) v[i] /= sum;
-}
-
 std::size_t argmax_buffer(const double* v, std::size_t n) noexcept {
   std::size_t best = 0;
   for (std::size_t i = 1; i < n; ++i)
@@ -47,7 +34,7 @@ double OnlineHmmFilter::predict(unsigned steps_ahead) const {
   // Stack scratch: the filter never allocates on the predict path.
   double projected[kMaxHmmStates];
   kernel_->propagate_steps(belief_.data(), steps_ahead, projected);
-  normalize_buffer(projected, n);
+  normalize_belief(projected, n);
   const double* mu = kernel_->mu();
   if (rule_ == PredictionRule::kMleState) {
     return mu[argmax_buffer(projected, n)];
@@ -65,7 +52,7 @@ OnlineHmmFilter::Forecast OnlineHmmFilter::predict_distribution(
   const std::size_t n = kernel_->num_states();
   double projected[kMaxHmmStates];
   kernel_->propagate_steps(belief_.data(), steps_ahead, projected);
-  normalize_buffer(projected, n);
+  normalize_belief(projected, n);
 
   // Mixture moments: E[W] = sum p_x mu_x;
   // Var[W] = sum p_x (sigma_x^2 + mu_x^2) - E[W]^2.

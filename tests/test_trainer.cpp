@@ -199,6 +199,23 @@ TEST(Trainer, ShiftedClusterRetrainsThroughCanaryWithLineage) {
             snapshot_checksum(root_snapshot));
 }
 
+TEST(Trainer, RetrainFitCountsInEngineEmHistogram) {
+  // A retrain is an EM fit like any other: it must go through the engine's
+  // entry point and land in cs2p_engine_em_train_seconds.
+  auto root = tiny_engine();
+  const auto& em_seconds = root->metrics().histogram(
+      "cs2p_engine_em_train_seconds", obs::default_latency_buckets_seconds());
+  const std::uint64_t before = em_seconds.count();
+  ContinuousTrainer trainer(root, fast_trainer_config());
+  Rng rng(11);
+  for (int i = 0; i < 24; ++i)
+    trainer.ingest(city_features("low-city"), 12.0, sequence_at(20.0, rng));
+
+  ASSERT_EQ(trainer.run_once(), 1u);
+  EXPECT_EQ(trainer.stats().retrains, 1u);
+  EXPECT_EQ(em_seconds.count(), before + 1);
+}
+
 TEST(Trainer, CanaryBlocksPoisonedRetrain) {
   auto root = tiny_engine();
   const auto [candidate_id, bucket_key] =
