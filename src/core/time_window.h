@@ -36,14 +36,15 @@ constexpr int num_blocks(TimeGranularity g) noexcept {
   return 1;
 }
 
-/// Maps an hour of day in [0, 24) to its block under `g`.
+/// Maps an hour of day in [0, 24) to its block under `g`. Other hours clamp:
+/// NaN and negative hours to block 0, hours >= 24 to the last block. The
+/// clamp compares doubles, so the cast only ever sees an in-range value.
 constexpr int block_of(double hour, TimeGranularity g) noexcept {
   const int blocks = num_blocks(g);
-  const double width = 24.0 / blocks;
-  int block = static_cast<int>(hour / width);
-  if (block < 0) block = 0;
-  if (block >= blocks) block = blocks - 1;
-  return block;
+  const double block = hour / (24.0 / blocks);
+  if (!(block >= 0.0)) return 0;
+  if (block >= blocks) return blocks - 1;
+  return static_cast<int>(block);
 }
 
 constexpr std::string_view time_granularity_name(TimeGranularity g) noexcept {

@@ -59,12 +59,12 @@ constexpr std::size_t kSessionHistoryCap = 512;
 /// One frame moving through a batch round (DESIGN.md §16). Extracted off its
 /// connection's read buffer, parsed, answered either by handle() or as a
 /// lane of the OBSERVE/PREDICT executor, and finally queued back onto the
-/// connection. Nothing closes a connection inside a round, so the pointer
-/// holds until the round ends.
+/// connection. Nothing closes a connection or reads into its buffer inside a
+/// pass, so the pointer and the payload view hold until the round ends.
 struct PredictionServer::RoundFrame {
   Connection* conn = nullptr;
-  std::string payload;
-  PendingReply reply;     ///< t_recv stamped at extraction
+  std::string_view payload;  ///< aliases conn->read_buffer
+  PendingReply reply;     ///< t_recv stamped with the pass's wakeup
   Request request;
   Response response;
   bool handled = false;   ///< `response` is final
@@ -416,10 +416,10 @@ void PredictionServer::close_connection(Worker& worker, Connection& conn,
   if (idle_timed_out) m_.idle_timeouts->inc();
   // Replies queued on a dying connection will never flush; release their
   // contribution to the worker's pending-work depth.
-  if (!conn.pending.empty())
-    worker.queued_replies.fetch_sub(conn.pending.size(),
-                                    std::memory_order_relaxed);
+  if (conn.unflushed() > 0)
+    worker.queued_replies.fetch_sub(conn.unflushed(), std::memory_order_relaxed);
   conn.pending.clear();
+  conn.pending_head = 0;
   m_.connection_seconds->observe(
       std::chrono::duration<double>(Clock::now() - conn.opened_at).count());
   m_.active_connections->set(
@@ -460,6 +460,7 @@ void PredictionServer::worker_loop(Worker& worker) {
       pollfds.push_back({fd, events, 0});
     }
 
+    const auto poll_start = Clock::now();
     int wait_ms = kMaxPollWaitMs;
     if (config_.idle_timeout_ms > 0 && !worker.connections.empty()) {
       auto nearest = Clock::time_point::max();
@@ -468,11 +469,10 @@ void PredictionServer::worker_loop(Worker& worker) {
       const auto deadline =
           nearest + std::chrono::milliseconds(config_.idle_timeout_ms);
       const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - Clock::now());
+          deadline - poll_start);
       wait_ms = std::clamp(static_cast<int>(remaining.count()), 0,
                            kMaxPollWaitMs);
     }
-    const auto poll_start = Clock::now();
     const int rc = ::poll(pollfds.data(), pollfds.size(), wait_ms);
     const auto poll_end = Clock::now();
     m_.loop_iterations->inc();
@@ -518,11 +518,13 @@ void PredictionServer::worker_loop(Worker& worker) {
     }
 
     // Everything readable this wakeup has been pulled into read buffers;
-    // drain the complete frames in batched rounds (DESIGN.md §16).
-    run_batch_rounds(worker);
+    // drain the complete frames in batched rounds (DESIGN.md §16). The
+    // wakeup time stamps every frame the pass extracts.
+    run_batch_rounds(worker, poll_end);
 
+    // One clock read for the idle, stall and evict sweeps.
+    const auto now = Clock::now();
     if (config_.idle_timeout_ms > 0) {
-      const auto now = Clock::now();
       const auto deadline =
           now - std::chrono::milliseconds(config_.idle_timeout_ms);
       expired.clear();
@@ -539,7 +541,6 @@ void PredictionServer::worker_loop(Worker& worker) {
       // Slow-reader kick: queued replies whose flush made zero progress past
       // the stall deadline mean the peer stopped reading — reclaim the
       // buffer and the slot instead of carrying the connection forever.
-      const auto now = Clock::now();
       const auto stall_deadline =
           now - std::chrono::milliseconds(config_.write_stall_timeout_ms);
       expired.clear();
@@ -554,7 +555,6 @@ void PredictionServer::worker_loop(Worker& worker) {
       }
     }
 
-    const auto now = Clock::now();
     if (now >= next_evict) {
       next_evict = now + kEvictTickInterval;
       const auto stats = sessions_.evict_tick(
@@ -599,6 +599,10 @@ bool PredictionServer::handle_io(Worker& worker, Connection& conn,
     const auto n = recv_some(conn.fd, chunk);
     if (!n.has_value()) return false;  // clean EOF
     if (*n == 0) return true;          // spurious wakeup
+    // Compact once per pass: the last pass's round frames, which aliased the
+    // consumed prefix, are gone, and this pass's rounds run after its reads.
+    conn.read_buffer.erase(0, conn.read_pos);
+    conn.read_pos = 0;
     conn.read_buffer.append(reinterpret_cast<const char*>(chunk), *n);
     // Frames are consumed by run_batch_rounds after the ready sweep, in the
     // same loop iteration — reading and handling are decoupled so frames
@@ -607,23 +611,21 @@ bool PredictionServer::handle_io(Worker& worker, Connection& conn,
   return true;
 }
 
-bool PredictionServer::extract_frame(Connection& conn, std::string& payload) {
-  if (conn.state == ConnState::kReadingHeader) {
-    if (conn.read_buffer.size() < kFrameHeaderBytes) return false;
-    // A malformed header (wrong version, absurd length) desyncs the
-    // stream: drop the connection, exactly like the blocking server did.
-    conn.body_size = parse_frame_header(conn.read_buffer);
-    conn.read_buffer.erase(0, kFrameHeaderBytes);
-    conn.state = ConnState::kReadingBody;
-  }
-  if (conn.read_buffer.size() < conn.body_size) return false;
-  payload = conn.read_buffer.substr(0, conn.body_size);
-  conn.read_buffer.erase(0, conn.body_size);
-  conn.state = ConnState::kReadingHeader;
+bool PredictionServer::extract_frame(Connection& conn, std::string_view& payload,
+                                     Clock::time_point now) {
+  const std::string_view input =
+      std::string_view(conn.read_buffer).substr(conn.read_pos);
+  if (input.size() < kFrameHeaderBytes) return false;
+  // A malformed header (wrong version, absurd length) desyncs the stream:
+  // drop the connection, exactly like the blocking server did.
+  const std::uint32_t body_size = parse_frame_header(input);
+  if (input.size() - kFrameHeaderBytes < body_size) return false;
+  payload = input.substr(kFrameHeaderBytes, body_size);
+  conn.read_pos += kFrameHeaderBytes + body_size;
   // A complete frame is the activity signal for the idle sweep — a peer
   // trickling header bytes never refreshes its deadline (slow-header
   // folding, DESIGN.md §14).
-  conn.last_activity = Clock::now();
+  conn.last_activity = now;
   // Count before replying: once the client sees the response, the request
   // must already be visible in requests_handled() — and a reply can never
   // outrun its request (the scrape invariant of §11).
@@ -631,7 +633,7 @@ bool PredictionServer::extract_frame(Connection& conn, std::string& payload) {
   return true;
 }
 
-void PredictionServer::run_batch_rounds(Worker& worker) {
+void PredictionServer::run_batch_rounds(Worker& worker, Clock::time_point now) {
   // Reused round scratch: one worker per thread, so thread_local is exactly
   // per-worker state, and the steady-state serve path allocates nothing.
   thread_local std::vector<RoundFrame> round;
@@ -655,10 +657,9 @@ void PredictionServer::run_batch_rounds(Worker& worker) {
         // the queue can exceed it by at most the one reply that crossed —
         // the bound max_write_queue_bytes() certifies, unchanged by batching.
         if (conn.queued() > config_.write_budget_bytes) continue;
-        RoundFrame frame;
-        frame.conn = &conn;
+        std::string_view payload;
         try {
-          if (!extract_frame(conn, frame.payload)) continue;
+          if (!extract_frame(conn, payload, now)) continue;
         } catch (const std::exception&) {
           // Desynced framing: drop the connection, after handing the kernel
           // the replies this pass queued for its earlier frames. A failed
@@ -670,8 +671,10 @@ void PredictionServer::run_batch_rounds(Worker& worker) {
           dead.push_back(fd);
           continue;
         }
-        frame.reply.t_recv = Clock::now();
-        round.push_back(std::move(frame));
+        RoundFrame& frame = round.emplace_back();  // built in place
+        frame.conn = &conn;
+        frame.payload = payload;
+        frame.reply.t_recv = now;
       }
       close_dead();
       if (round.empty()) break;
@@ -702,16 +705,22 @@ void PredictionServer::run_batch_rounds(Worker& worker) {
 
 void PredictionServer::handle_round(Worker& worker,
                                     std::vector<RoundFrame>& round) {
+  // Stage clocks feed only the trace records' parse_us/handle_us, so they
+  // are read only while a trace log is configured; otherwise every stamp is
+  // the epoch and every stage reads 0.
+  const auto stamp = [traced = trace_ != nullptr] {
+    return traced ? Clock::now() : Clock::time_point{};
+  };
   // Phase 1: parse every frame. Errors short-circuit to a reply here, and so
   // does every verb once the server is stopping; OBSERVE/PREDICT frames
   // become lanes of the executor.
   thread_local std::vector<RoundFrame*> lanes;
   lanes.clear();
   const bool stopping = stopping_.load();
+  const auto t_parse = stamp();
   for (RoundFrame& frame : round) {
     try {
       frame.request = parse_request(frame.payload);
-      frame.reply.parse_us = elapsed_us(frame.reply.t_recv, Clock::now());
       verb_counter(frame.request)->inc();
     } catch (const ProtocolError& e) {
       m_.verb_invalid->inc();
@@ -738,11 +747,14 @@ void PredictionServer::handle_round(Worker& worker,
     }
   }
 
+  const std::uint64_t parse_us = elapsed_us(t_parse, stamp());
+  for (RoundFrame& frame : round) frame.reply.parse_us = parse_us;
+
   // Phase 2: the session-lifecycle and control verbs through handle()
   // (HELLO, BYE, SYNC, STATS, MODEL), in round order.
   for (RoundFrame& frame : round) {
     if (frame.handled || frame.lane) continue;
-    const auto t_handle = Clock::now();
+    const auto t_handle = stamp();
     try {
       frame.response = handle(frame.request, worker, *frame.conn, frame.reply.info);
     } catch (const ProtocolError& e) {
@@ -751,25 +763,39 @@ void PredictionServer::handle_round(Worker& worker,
     } catch (const std::exception& e) {
       frame.response = ErrorResponse{WireErrorCode::kInternal, e.what()};
     }
-    frame.reply.handle_us = elapsed_us(t_handle, Clock::now());
+    frame.reply.handle_us = elapsed_us(t_handle, stamp());
     frame.handled = true;
   }
 
-  // Phase 3: the lane executor (DESIGN.md §16).
-  if (!lanes.empty()) serve_lanes(lanes);
+  // Phase 3: the lane executor (DESIGN.md §16). Its wall time is attributed
+  // evenly: per-reply handle_us stays meaningful in traces without per-lane
+  // clock reads inside the lock.
+  if (!lanes.empty()) {
+    const auto t_lanes = stamp();
+    serve_lanes(lanes);
+    const std::uint64_t per_lane = elapsed_us(t_lanes, stamp()) / lanes.size();
+    for (RoundFrame* frame : lanes) frame->reply.handle_us = per_lane;
+  }
 
   // Phase 4: queue, in round order: reply framing, error accounting and
   // the queue-depth high-water mark. run_batch_rounds flushes the queues
   // once the pass's rounds run dry.
   for (RoundFrame& frame : round) {
     Connection& conn = *frame.conn;
+    try {
+      append_response_frame(conn.write_buffer, frame.response);
+    } catch (const ProtocolError& e) {
+      // Only a reply past kMaxFrameBytes fails to frame.
+      frame.response = ErrorResponse{WireErrorCode::kInternal, e.what()};
+      append_response_frame(conn.write_buffer, frame.response);
+    }
     const auto* err = std::get_if<ErrorResponse>(&frame.response);
     frame.reply.is_error = err != nullptr;
     frame.reply.error_code = err != nullptr ? wire_error_code_name(err->code)
                                             : std::string_view{};
     if (frame.reply.is_error) m_.error_replies->inc();
-    if (conn.pending.empty()) conn.last_write_progress = Clock::now();
-    conn.write_buffer += encode_frame(serialize_response(frame.response));
+    // A reply queued on an empty queue starts the stall clock.
+    if (conn.unflushed() == 0) conn.last_write_progress = frame.reply.t_recv;
     frame.reply.end_offset = conn.write_buffer.size();
     conn.pending.push_back(std::move(frame.reply));
     worker.queued_replies.fetch_add(1, std::memory_order_relaxed);
@@ -784,13 +810,11 @@ void PredictionServer::serve_lanes(std::span<RoundFrame* const> lanes) {
   for (const RoundFrame* frame : lanes) ids.push_back(frame->session);
   const std::uint8_t drain_flag = draining() ? serve_flags::kDraining : 0;
   std::size_t width = 0;
-  const auto t_lanes = Clock::now();
   // One hold over every lane's shard. A session addressed twice in the round
   // resolves to the same entry, and lanes run in round order, so its frames
   // apply in that order.
   sessions_.with_sessions(ids, [&](std::span<SessionTable::Entry* const>
                                         entries) {
-    const auto now = Clock::now();
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       RoundFrame& frame = *lanes[i];
       SessionTable::Entry* entry = entries[i];
@@ -823,7 +847,7 @@ void PredictionServer::serve_lanes(std::span<RoundFrame* const> lanes) {
             ErrorResponse{WireErrorCode::kBadRequest, "steps_ahead must be >= 1"};
         continue;
       }
-      entry->last_used = now;
+      entry->last_used = frame.reply.t_recv;  // the TTL touch
       ++width;
       SessionPredictor& predictor = *entry->predictor;
       try {
@@ -854,47 +878,55 @@ void PredictionServer::serve_lanes(std::span<RoundFrame* const> lanes) {
     }
   });
   if (width > 0) m_.batch_size->observe(static_cast<double>(width));
-  // Attribute the pass's wall time evenly: per-reply handle_us stays
-  // meaningful in traces without per-lane clock reads inside the lock.
-  const std::uint64_t per_lane =
-      elapsed_us(t_lanes, Clock::now()) / lanes.size();
-  for (RoundFrame* frame : lanes) frame->reply.handle_us = per_lane;
 }
 
 void PredictionServer::flush_write(Worker& worker, Connection& conn) {
+  const std::size_t start = conn.write_pos;
   while (conn.queued() > 0) {
     const auto remaining = std::span(conn.write_buffer).subspan(conn.write_pos);
     m_.send_calls->inc();
     const std::size_t n = send_some(conn.fd, std::as_bytes(remaining));
     if (n == 0) break;  // kernel buffer full; wait for POLLOUT
     conn.write_pos += n;
-    conn.last_write_progress = Clock::now();
   }
-  complete_flushed_replies(worker, conn);
+  if (conn.write_pos == start) return;  // no progress, no reply completed
+  const auto now = Clock::now();
+  conn.last_write_progress = now;
+  complete_flushed_replies(worker, conn, now);
   if (conn.queued() == 0) {
     // Fully flushed: reclaim the buffer instead of letting offsets grow
     // without bound over the connection's lifetime.
     conn.write_buffer.clear();
     conn.write_pos = 0;
+    conn.pending.clear();
+    conn.pending_head = 0;
+  } else if (conn.write_pos > conn.write_buffer.size() / 2) {
+    // A reader that keeps the queue from ever emptying: drop the sent
+    // prefix so the buffer and the reply list stay bounded by the budget.
+    conn.write_buffer.erase(0, conn.write_pos);
+    conn.pending.erase(conn.pending.begin(),
+                       conn.pending.begin() +
+                           static_cast<std::ptrdiff_t>(conn.pending_head));
+    for (PendingReply& reply : conn.pending) reply.end_offset -= conn.write_pos;
+    conn.write_pos = 0;
+    conn.pending_head = 0;
   }
 }
 
 void PredictionServer::complete_flushed_replies(Worker& worker,
-                                                Connection& conn) {
-  while (!conn.pending.empty() &&
-         conn.pending.front().end_offset <= conn.write_pos) {
-    const PendingReply reply = std::move(conn.pending.front());
-    conn.pending.pop_front();
-    worker.queued_replies.fetch_sub(1, std::memory_order_relaxed);
-    m_.replies->inc();
-    const auto t_done = Clock::now();
-    conn.last_activity = t_done;
+                                                Connection& conn,
+                                                Clock::time_point now) {
+  const std::size_t first = conn.pending_head;
+  while (conn.pending_head < conn.pending.size() &&
+         conn.pending[conn.pending_head].end_offset <= conn.write_pos) {
+    const PendingReply& reply = conn.pending[conn.pending_head++];
     m_.request_seconds->observe(
-        std::chrono::duration<double>(t_done - reply.t_recv).count());
+        std::chrono::duration<double>(now - reply.t_recv).count());
     const RequestInfo& info = reply.info;
     if (trace_ && info.traced) {
-      const std::uint64_t send_us = elapsed_us(reply.t_recv, t_done) -
-                                    reply.parse_us - reply.handle_us;
+      const std::uint64_t total_us = elapsed_us(reply.t_recv, now);
+      const std::uint64_t staged_us = reply.parse_us + reply.handle_us;
+      const std::uint64_t send_us = total_us > staged_us ? total_us - staged_us : 0;
       if (reply.is_error) {
         trace_->emit("reply-error", info.session_id,
                      {{"verb", info.event},
@@ -924,6 +956,11 @@ void PredictionServer::complete_flushed_replies(Worker& worker,
       }
     }
   }
+  const std::size_t done = conn.pending_head - first;
+  if (done == 0) return;
+  worker.queued_replies.fetch_sub(done, std::memory_order_relaxed);
+  m_.replies->inc(done);
+  conn.last_activity = now;
 }
 
 Response PredictionServer::handle(const Request& request, Worker& worker,
@@ -1038,6 +1075,9 @@ Response PredictionServer::handle(const Request& request, Worker& worker,
 
   if (const auto* model = std::get_if<ModelRequest>(&request)) {
     info.event = "model";
+    if (!std::isfinite(model->start_hour))
+      return ErrorResponse{WireErrorCode::kBadRequest,
+                           "start_hour must be finite"};
     SessionContext context;
     context.features = model->features;
     context.start_hour = model->start_hour;

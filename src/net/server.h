@@ -6,9 +6,9 @@
 // Serving core (DESIGN.md §12): a fixed pool of event-driven I/O workers.
 // The accept thread hands each connection to one of `io_threads` workers;
 // every worker runs a poll(2) loop over its connections with non-blocking
-// sockets, buffering partial frames through a per-connection state machine
-// (READING_HEADER → READING_BODY, replies pipelining through a bounded
-// per-connection write queue). The server's thread count is
+// sockets, buffering partial frames in a per-connection read buffer that
+// complete frames are parsed in place from (replies pipeline through a
+// bounded per-connection write queue). The server's thread count is
 // io_threads + 1 (accept) regardless of connection count — no
 // thread-per-connection, no thread churn. Per-session predictor state lives
 // in a sharded SessionTable (net/session_table.h) so a session can migrate
@@ -28,7 +28,8 @@
 // SHUTTING_DOWN to every frame at parse. Rounds only queue replies; when
 // they run dry, each connection that got replies is flushed once, so a
 // pipelined burst leaves in one send(2) and a reply waits for the rest of
-// its pass.
+// its pass. The pass reads the clock once, at the wakeup, and an
+// OBSERVE/PREDICT on a live session allocates nothing.
 //
 // Fault discipline (ROADMAP north star: degrade, don't die):
 //   - connection cap with a typed OVERLOADED rejection frame,
@@ -67,7 +68,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -320,22 +320,12 @@ class PredictionServer {
     std::string cluster_label;       ///< HELLO only
   };
 
-  /// Per-connection frame state machine (the read side). Requests pipeline:
-  /// replies append to the bounded write queue and input keeps being
-  /// consumed until the queue passes write_budget_bytes, at which point
-  /// the connection leaves the rounds and the worker stops polling it for
-  /// reads (backpressure) until the queue flushes back under budget.
-  enum class ConnState : std::uint8_t {
-    kReadingHeader,
-    kReadingBody,
-  };
-
   /// One queued reply's telemetry context, finished (counted, timed,
   /// traced) when write_pos passes end_offset — i.e. when the reply's last
   /// byte has been handed to the kernel.
   struct PendingReply {
     std::size_t end_offset = 0;  ///< write_buffer offset one past the reply
-    Clock::time_point t_recv{};
+    Clock::time_point t_recv{};  ///< wakeup of the pass that extracted it
     std::uint64_t parse_us = 0;
     std::uint64_t handle_us = 0;
     RequestInfo info;
@@ -353,17 +343,27 @@ class PredictionServer {
     std::string buffer;
   };
 
+  /// Requests pipeline: replies append to the bounded write queue and input
+  /// keeps being consumed until the queue passes write_budget_bytes, at
+  /// which point the connection leaves the rounds and the worker stops
+  /// polling it for reads (backpressure) until the queue flushes back under
+  /// budget.
   struct Connection {
     FdHandle fd;
-    ConnState state = ConnState::kReadingHeader;
-    std::string read_buffer;    ///< unconsumed inbound bytes
-    std::uint32_t body_size = 0;
-    /// The bounded write queue: encoded replies append here, flush_write
-    /// drains from write_pos, and the buffer is compacted once fully
-    /// flushed. pending tracks each reply's end offset + telemetry.
+    /// Inbound bytes. Frames are parsed where they lie: read_pos moves past
+    /// each extracted frame, and the consumed prefix is dropped before the
+    /// next read appends, once no round frame aliases it.
+    std::string read_buffer;
+    std::size_t read_pos = 0;
+    /// The bounded write queue: replies are framed straight into it,
+    /// flush_write drains from write_pos, and the buffer is compacted once
+    /// fully flushed. pending tracks each reply's end offset + telemetry;
+    /// pending_head is the first reply not yet on the wire, and it resets
+    /// with the buffer.
     std::string write_buffer;
     std::size_t write_pos = 0;
-    std::deque<PendingReply> pending;
+    std::vector<PendingReply> pending;
+    std::size_t pending_head = 0;
     /// Got replies in the current pass; run_batch_rounds flushes it once
     /// the pass's rounds run dry.
     bool replied = false;
@@ -380,10 +380,10 @@ class PredictionServer {
 
     /// Reply bytes not yet handed to the kernel.
     std::size_t queued() const noexcept { return write_buffer.size() - write_pos; }
-    /// Holds inbound bytes: a complete frame or the start of one.
-    bool has_input() const noexcept {
-      return !read_buffer.empty() || state == ConnState::kReadingBody;
-    }
+    /// Replies queued and not yet fully handed to the kernel.
+    std::size_t unflushed() const noexcept { return pending.size() - pending_head; }
+    /// Holds unconsumed inbound bytes: a complete frame or the start of one.
+    bool has_input() const noexcept { return read_pos < read_buffer.size(); }
   };
 
   /// One event-loop worker: a poll(2) loop over the connections it owns
@@ -466,19 +466,21 @@ class PredictionServer {
   void adopt_inbox(Worker& worker);
   /// Returns false when the connection must be closed.
   bool handle_io(Worker& worker, Connection& conn, short revents);
-  /// Pops one complete frame off the connection's read buffer into
-  /// `payload` (counting the request and refreshing the idle clock, exactly
-  /// like the old inline path). Returns false when no complete frame is
-  /// buffered; throws ProtocolError on a malformed header (stream desync —
-  /// the caller closes the connection).
-  bool extract_frame(Connection& conn, std::string& payload);
+  /// Points `payload` at the next complete frame in the connection's read
+  /// buffer and moves read_pos past it, counting the request and stamping
+  /// the idle clock with the pass's wakeup time `now`. Returns false when no
+  /// complete frame is buffered; throws ProtocolError on a malformed header
+  /// (stream desync — the caller closes the connection).
+  bool extract_frame(Connection& conn, std::string_view& payload,
+                     Clock::time_point now);
   /// One event-loop pass over the buffered input: rounds of one frame per
   /// connection (preserving per-connection order and the backpressure
   /// budget) until no frames remain, then one flush_write per connection
   /// that got replies. A flush that brings a throttled connection holding
   /// buffered frames back under budget runs the rounds again: those frames
-  /// get no further POLLIN.
-  void run_batch_rounds(Worker& worker);
+  /// get no further POLLIN. `now` is the wakeup time every extracted frame
+  /// is stamped with.
+  void run_batch_rounds(Worker& worker, Clock::time_point now);
   /// Parses, dispatches (lifecycle and control verbs through handle(),
   /// OBSERVE/PREDICT as lanes of the executor), and queues every reply of
   /// one round on its connection's write buffer.
@@ -489,11 +491,13 @@ class PredictionServer {
   /// others are unaffected.
   void serve_lanes(std::span<RoundFrame* const> lanes);
   /// Hands queued reply bytes to the kernel until it is done or full;
-  /// throws std::system_error when the peer is gone.
+  /// throws std::system_error when the peer is gone. A flush that moves
+  /// bytes reads the clock once.
   void flush_write(Worker& worker, Connection& conn);
   /// Counts/times/traces every pending reply whose bytes are fully on the
-  /// wire (end_offset <= write_pos).
-  void complete_flushed_replies(Worker& worker, Connection& conn);
+  /// wire (end_offset <= write_pos), as handed off at `now`.
+  void complete_flushed_replies(Worker& worker, Connection& conn,
+                                Clock::time_point now);
   /// The single close path: churn histogram, active-connection gauge, idle
   /// accounting, fd teardown — a connection that dies mid-reply goes
   /// through here exactly like any other.

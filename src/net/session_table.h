@@ -139,18 +139,23 @@ class SessionTable {
   /// unknown (expired, BYEd, or never created). Pointers are valid only
   /// inside `fn`, which is responsible for refreshing entry.last_used if
   /// the touch should count against the TTL. A repeated id resolves to the
-  /// same entry.
+  /// same entry. The server holds the table once per round, so the call
+  /// reuses per-thread scratch and allocates nothing once warm; `fn` must
+  /// not call with_sessions itself.
   template <typename Fn>
   void with_sessions(std::span<const std::uint64_t> ids, Fn&& fn) {
-    std::vector<std::size_t> order;
-    order.reserve(ids.size());
+    thread_local std::vector<std::size_t> order;
+    thread_local std::vector<std::unique_lock<std::mutex>> locks;
+    thread_local std::vector<Entry*> entries;
+    order.clear();
     for (const std::uint64_t id : ids) order.push_back(shard_index(id));
     std::sort(order.begin(), order.end());
     order.erase(std::unique(order.begin(), order.end()), order.end());
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(order.size());
+    struct Unlock {  // releases the shard locks however the call exits
+      ~Unlock() { locks.clear(); }
+    } unlock;
     for (const std::size_t s : order) locks.push_back(lock_shard(*shards_[s]));
-    std::vector<Entry*> entries(ids.size(), nullptr);
+    entries.assign(ids.size(), nullptr);
     for (std::size_t k = 0; k < ids.size(); ++k) {
       Shard& shard = *shards_[shard_index(ids[k])];
       const auto it = shard.index.find(ids[k]);

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <vector>
 
 #include "util/hash.h"
 
@@ -18,17 +17,32 @@ constexpr bool is_wire_space(char c) noexcept {
          c == '\r';
 }
 
+// The longest messages, HELLO and MODEL, have 8 tokens; a payload with more
+// is malformed whatever its verb, so the tokenizer needs no heap.
+constexpr std::size_t kMaxTokens = 8;
+
+struct Tokens {
+  std::array<std::string_view, kMaxTokens> token;
+  std::size_t count = 0;
+
+  std::size_t size() const noexcept { return count; }
+  bool empty() const noexcept { return count == 0; }
+  std::string_view operator[](std::size_t i) const noexcept { return token[i]; }
+};
+
 // Whitespace split without streams: requests ride the serve hot path, and an
 // istringstream round-trip costs more than the rest of the parse combined.
 // Views alias `payload`, which outlives every parse_* call that uses them.
-std::vector<std::string_view> tokenize(std::string_view payload) {
-  std::vector<std::string_view> tokens;
+Tokens tokenize(std::string_view payload) {
+  Tokens tokens;
   std::size_t i = 0;
   while (i < payload.size()) {
     while (i < payload.size() && is_wire_space(payload[i])) ++i;
     const std::size_t start = i;
     while (i < payload.size() && !is_wire_space(payload[i])) ++i;
-    if (i > start) tokens.push_back(payload.substr(start, i - start));
+    if (i == start) continue;
+    if (tokens.count == kMaxTokens) throw ProtocolError("wire: too many fields");
+    tokens.token[tokens.count++] = payload.substr(start, i - start);
   }
   return tokens;
 }
@@ -342,12 +356,16 @@ Request parse_request(std::string_view payload) {
     model.start_hour = parse_double(tokens[7], "start_hour");
     return model;
   }
-  throw ProtocolError("wire: unknown request verb " + std::string(verb));
+  // Echoed cut short: the reply to a 64 KB one-token frame must fit a frame.
+  throw ProtocolError("wire: unknown request verb " +
+                      std::string(verb.substr(0, 32)));
 }
 
-std::string serialize_response(const Response& response) {
-  std::string out;
-  out.reserve(64);
+namespace {
+
+// The one response formatter: serialize_response and append_response_frame
+// both write through it.
+void append_response(std::string& out, const Response& response) {
   if (const auto* session = std::get_if<SessionResponse>(&response)) {
     out += "SESSION ";
     append_u64(out, session->session_id);
@@ -394,7 +412,28 @@ std::string serialize_response(const Response& response) {
     out += '\n';
     out += snap->data;
   }
+}
+
+}  // namespace
+
+std::string serialize_response(const Response& response) {
+  std::string out;
+  out.reserve(64);
+  append_response(out, response);
   return out;
+}
+
+void append_response_frame(std::string& out, const Response& response) {
+  const std::size_t start = out.size();
+  out.append(kFrameHeaderBytes, '\0');
+  append_response(out, response);
+  const std::size_t size = out.size() - start - kFrameHeaderBytes;
+  if (size > kMaxFrameBytes) {
+    out.resize(start);
+    throw ProtocolError("wire: frame too large");
+  }
+  const auto header = encode_frame_header(static_cast<std::uint32_t>(size));
+  std::memcpy(out.data() + start, header.data(), header.size());
 }
 
 Response parse_response(std::string_view payload) {
@@ -482,7 +521,8 @@ Response parse_response(std::string_view payload) {
                               static_cast<std::uint8_t>(flags)};
   }
   if (verb == "OK") return OkResponse{};
-  throw ProtocolError("wire: unknown response verb " + std::string(verb));
+  throw ProtocolError("wire: unknown response verb " +
+                      std::string(verb.substr(0, 32)));
 }
 
 }  // namespace cs2p

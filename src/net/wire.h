@@ -265,4 +265,11 @@ Request parse_request(std::string_view payload);
 std::string serialize_response(const Response& response);
 Response parse_response(std::string_view payload);
 
+/// Appends one reply frame to `out`: the bytes of
+/// encode_frame(serialize_response(response)), formatted in place with no
+/// intermediate string (the server frames every reply straight into its
+/// connection's write buffer). Throws ProtocolError, with `out` unchanged,
+/// when the payload exceeds kMaxFrameBytes.
+void append_response_frame(std::string& out, const Response& response);
+
 }  // namespace cs2p

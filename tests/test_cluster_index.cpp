@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace cs2p {
 namespace {
 
@@ -48,6 +50,21 @@ TEST(TimeWindows, BlockBoundaries) {
   EXPECT_EQ(block_of(23.99, TimeGranularity::kDaypart), 3);
   EXPECT_EQ(block_of(25.0, TimeGranularity::kDaypart), 3);  // clamped
   EXPECT_EQ(block_of(4.0, TimeGranularity::kTriHour), 1);
+  // Hours no int can hold clamp like any other out-of-range hour; NaN maps
+  // to block 0. Read through a volatile, so the mapping runs at run time,
+  // where an unchecked double->int cast of such an hour is undefined.
+  const auto block_at = [](double hour, TimeGranularity g) {
+    const volatile double at = hour;
+    return block_of(at, g);
+  };
+  EXPECT_EQ(block_at(1e300, TimeGranularity::kDaypart), 3);
+  EXPECT_EQ(block_at(-1e300, TimeGranularity::kDaypart), 0);
+  EXPECT_EQ(block_at(std::numeric_limits<double>::infinity(),
+                     TimeGranularity::kTriHour),
+            7);
+  EXPECT_EQ(block_at(std::numeric_limits<double>::quiet_NaN(),
+                     TimeGranularity::kDaypart),
+            0);
 }
 
 TEST(CandidateIndex, GroupsByMaskedFeatures) {

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "predictors/hmm_session.h"
 #include "predictors/predictor.h"
 
@@ -703,6 +706,44 @@ TEST(PredictionService, OversizedPredictHorizonIsBadRequest) {
   EXPECT_DOUBLE_EQ(std::get<PredictionResponse>(ok).mbps, 1.0);
 }
 
+// Over-long frames are refused whole and the connection keeps serving: 60 KB
+// of 30,000 one-letter tokens stops at the tokenizer's bound, and a 64 KB
+// one-token frame gets an error reply that still fits a frame.
+TEST(PredictionService, OverlongFramesAnswerBadRequestAndConnectionServes) {
+  PredictionServer server(std::make_shared<EchoPlusOneModel>());
+  const auto conn = raw_connection(server.port());
+  const Response hello = raw_round_trip(*conn, HelloRequest{features(), 1.0});
+  const std::uint64_t id = std::get<SessionResponse>(hello).session_id;
+  std::string tokens = "a";
+  for (int k = 1; k < 30'000; ++k) tokens += " a";
+  for (const std::string& payload : {tokens, std::string(kMaxFrameBytes, 'X')}) {
+    send_frame(*conn, payload);
+    const auto frame = recv_frame(*conn);
+    ASSERT_TRUE(frame.has_value()) << "EOF instead of a reply";
+    const Response reply = parse_response(*frame);
+    const auto* err = std::get_if<ErrorResponse>(&reply);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->code, WireErrorCode::kBadRequest);
+    const Response ok = raw_round_trip(*conn, ObserveRequest{id, 5.0});
+    EXPECT_DOUBLE_EQ(std::get<PredictionResponse>(ok).mbps, 6.0);
+  }
+}
+
+// MODEL refuses a start hour that is not finite, as HELLO does, before the
+// model is asked for a download.
+TEST(PredictionService, ModelRejectsNonFiniteStartHour) {
+  PredictionServer server(std::make_shared<EchoPlusOneModel>());
+  const auto conn = raw_connection(server.port());
+  for (const double hour : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    const Response reply = raw_round_trip(*conn, ModelRequest{features(), hour});
+    const auto* err = std::get_if<ErrorResponse>(&reply);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->code, WireErrorCode::kBadRequest);
+    EXPECT_EQ(err->message, "start_hour must be finite");
+  }
+}
+
 /// Order-sensitive sessions: state folds every sample (s = s/2 + w) and the
 /// forecast is s + steps, so a reply pins the state and any reordering of a
 /// session's observations shows in its replies. A session opened at
@@ -931,6 +972,88 @@ TEST(PredictionService, RepliesBeforeADesyncedFrameStillLeave) {
   ASSERT_TRUE(frame.has_value()) << "EOF before the OBSERVE's reply";
   EXPECT_DOUBLE_EQ(std::get<PredictionResponse>(parse_response(*frame)).mbps, 6.0);
   EXPECT_FALSE(recv_frame(*conn).has_value());
+}
+
+// With a trace log configured, every reply's record carries the round's
+// stage fields, and send_us is what is left of the request time: a stage
+// attributed more than the request took floors it at 0, never wraps it.
+TEST(PredictionService, TracedRepliesCarryStageFields) {
+  const std::string path = ::testing::TempDir() + "/cs2p_server_trace.jsonl";
+  std::remove(path.c_str());
+  ServerConfig config;
+  config.trace = std::make_shared<obs::TraceLog>(obs::TraceLog::Config{path, 1.0});
+  {
+    PredictionServer server(std::make_shared<EchoPlusOneModel>(), config);
+    PredictionClient client(server.port());
+    const SessionResponse session = client.hello(features(), 1.0);
+    for (int k = 0; k < 8; ++k) client.observe(session.session_id, 1.0 + k);
+    client.predict(session.session_id, 3);
+    client.bye(session.session_id);
+  }  // stopped: every record is emitted
+  config.trace->flush();
+
+  std::ifstream in(path);
+  std::string line;
+  std::size_t records = 0;
+  while (std::getline(in, line)) {
+    ++records;
+    for (const std::string field : {"parse_us", "handle_us", "send_us"}) {
+      const std::size_t at = line.find("\"" + field + "\":");
+      ASSERT_NE(at, std::string::npos) << field << " missing: " << line;
+      const double us = std::strtod(line.c_str() + at + field.size() + 3, nullptr);
+      EXPECT_LT(us, 60e6) << field << " in " << line;
+    }
+  }
+  EXPECT_EQ(records, 11u);  // hello, 8 observes, predict, bye
+}
+
+// A pipeline dribbled one byte per send splits headers and bodies across
+// reads and passes, so frames are parsed where they lie in a read buffer that
+// is compacted between passes. Its replies must equal those of the same
+// pipeline sent whole for a twin session.
+TEST(PredictionService, ByteDribbledPipelineIsServedInOrder) {
+  constexpr int kFrames = 32;
+  PredictionServer server(std::make_shared<FoldingGateModel>());
+  const auto control = raw_connection(server.port());
+  const auto session = [&] {
+    const Response hello = raw_round_trip(*control, HelloRequest{features(), 0.0});
+    return std::get<SessionResponse>(hello).session_id;
+  };
+  const std::uint64_t dribbled = session();
+  const std::uint64_t whole = session();
+  const auto pipeline = [](std::uint64_t id) {
+    std::string bytes;
+    for (int k = 0; k < kFrames; ++k) {
+      const Request request =
+          k % 2 == 0 ? Request{ObserveRequest{id, 1.0 + k}}
+                     : Request{PredictRequest{id, 1u + static_cast<unsigned>(k % 5)}};
+      bytes += encode_frame(serialize_request(request));
+    }
+    return bytes;
+  };
+  const auto replies = [](Transport& transport) {
+    std::vector<std::string> out;
+    for (int k = 0; k < kFrames; ++k) {
+      auto frame = recv_frame(transport);
+      if (!frame) throw ConnectionError("server closed connection");
+      out.push_back(std::move(*frame));
+    }
+    return out;
+  };
+
+  const auto a = raw_connection(server.port());
+  const std::string bytes = pipeline(dribbled);
+  for (const char& byte : bytes) a->send(std::as_bytes(std::span(&byte, 1)));
+  const std::vector<std::string> dribbled_replies = replies(*a);
+
+  const auto b = raw_connection(server.port());
+  const std::string whole_bytes = pipeline(whole);
+  b->send(std::as_bytes(std::span(whole_bytes.data(), whole_bytes.size())));
+  const std::vector<std::string> whole_replies = replies(*b);
+
+  EXPECT_EQ(dribbled_replies, whole_replies);
+  EXPECT_TRUE(std::holds_alternative<PredictionResponse>(
+      parse_response(dribbled_replies.back())));
 }
 
 // A round holding a PREDICT for a session whose predict() throws and a

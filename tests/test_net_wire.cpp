@@ -24,6 +24,13 @@ SessionFeatures sample_features() {
   return {"ISP1", "AS10", "Province2", "City2-1", "Server3", "Pfx42"};
 }
 
+/// "a a a ...": `count` one-letter tokens, 60 KB at 30,000.
+std::string one_letter_tokens(std::size_t count) {
+  std::string payload = "a";
+  for (std::size_t k = 1; k < count; ++k) payload += " a";
+  return payload;
+}
+
 TEST(Wire, HelloRoundTrip) {
   const HelloRequest hello{sample_features(), 13.75};
   const Request parsed = parse_request(serialize_request(hello));
@@ -338,6 +345,12 @@ TEST(Wire, MalformedRequestsThrow) {
   EXPECT_THROW(parse_request("PREDICT 1 4294967297"), ProtocolError);
   EXPECT_THROW(parse_request("BYE"), std::runtime_error);
   EXPECT_THROW(parse_request("MODEL just one"), std::runtime_error);
+  // Over-long messages are rejected whole: no message has more than 8
+  // tokens, and the tokenizer stops at that bound.
+  EXPECT_THROW(parse_request("HELLO isp as province city server prefix 1 extra"),
+               ProtocolError);
+  EXPECT_THROW(parse_request("OBSERVE 1 2.0 extra"), ProtocolError);
+  EXPECT_THROW(parse_request(one_letter_tokens(30'000)), ProtocolError);
 }
 
 TEST(Wire, MalformedResponsesThrow) {
@@ -345,6 +358,8 @@ TEST(Wire, MalformedResponsesThrow) {
   EXPECT_THROW(parse_response("WHAT 1"), std::runtime_error);
   EXPECT_THROW(parse_response("PRED"), std::runtime_error);
   EXPECT_THROW(parse_response("SESSION 1 2.0 1"), std::runtime_error);
+  EXPECT_THROW(parse_response("PRED 2.75 0 " + one_letter_tokens(30'000)),
+               ProtocolError);
 }
 
 TEST(Wire, HelloRejectsWhitespaceFeatureValues) {
@@ -568,6 +583,29 @@ TEST(WireProperty, EveryVerbRoundTripsUnchanged) {
   }
 }
 
+// The server frames replies in place, after whatever its write buffer
+// holds: for every response verb the bytes must be those of
+// encode_frame(serialize_response(...)).
+TEST(WireProperty, InPlaceFrameMatchesEncodeFrame) {
+  WireFuzz fuzz(0xf4a3);
+  for (unsigned i = 0; i < 512; ++i) {
+    const Response responses[] = {
+        SessionResponse{fuzz.u64(), fuzz.real(), fuzz.coin(), fuzz.token()},
+        PredictionResponse{fuzz.real(), static_cast<std::uint8_t>(i & 0xff)},
+        OkResponse{},
+        ErrorResponse{WireErrorCode::kOverloaded, fuzz.message(),
+                      static_cast<std::uint32_t>(fuzz.u64())},
+        ModelResponse{fuzz.real(), fuzz.coin(), fuzz.bytes()},
+        StatsResponse{static_cast<int>(i), fuzz.bytes()},
+        SnapshotChunkResponse{fuzz.u64(), fuzz.u64(), fuzz.u64(), fuzz.bytes()}};
+    for (const Response& response : responses) {
+      std::string queued = "queued";
+      append_response_frame(queued, response);
+      EXPECT_EQ(queued, "queued" + encode_frame(serialize_response(response)));
+    }
+  }
+}
+
 TEST(Wire, FrameRoundTripOverLoopback) {
   auto [listener, port] = listen_loopback(0);
   std::thread server([&listener] {
@@ -612,6 +650,12 @@ TEST(Wire, OversizedFrameRejected) {
   auto [listener, port] = listen_loopback(0);
   FdHandle client = connect_loopback(port);
   EXPECT_THROW(send_frame(client, too_big), ProtocolError);
+  // A reply too large for a frame is refused whole: the buffer it was to
+  // join is left as it was.
+  std::string queued = "queued";
+  EXPECT_THROW(append_response_frame(queued, ModelResponse{1.0, false, too_big}),
+               ProtocolError);
+  EXPECT_EQ(queued, "queued");
 }
 
 // -- Wire-protocol hardening: truncated and corrupted frames must produce
