@@ -1,14 +1,14 @@
 // Recovery bench — time-to-recover after a world shift: continuous training
-// vs. the --drift-reload full retrain (DESIGN.md §15, EXPERIMENTS.md).
+// vs. a full retrain from the on-disk dataset (DESIGN.md §15, EXPERIMENTS.md).
 //
 // Scenario: a serving engine trained offline on the pre-shift world, then
 // every cluster's live throughput collapses to 25% of its trained level (an
 // access-network regime change). Live sessions keep completing and the two
 // recovery strategies race:
 //
-//   - full-retrain: the reload loop retrains from --data. The CSV on disk
-//     predates the shift, so however often it retrains it reproduces the
-//     same stale model — the pre-PR behavior (and why interval reloads now
+//   - full-retrain: a reload (SIGHUP or --reload-interval) retrains from
+//     --data. The CSV on disk predates the shift, so however often it
+//     retrains it reproduces the same stale model (and why interval reloads
 //     skip unchanged datasets entirely).
 //   - continuous: the streaming trainer ingests the completed post-shift
 //     sessions, marks the moved clusters dirty, retrains them on the live
@@ -135,7 +135,7 @@ int main() {
               "(recover when <= %.3f)\n\n",
               baseline, recover_threshold);
 
-  // Arm 1: --drift-reload style full retrain from --data. The dataset on
+  // Arm 1: a full retrain from --data, as a reload runs it. The dataset on
   // disk never saw the shift, and identical data + config reproduce an
   // identical model, so one rebuild stands in for every per-round retrain.
   auto full_retrain_engine =

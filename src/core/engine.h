@@ -137,10 +137,11 @@ struct ClusterModelView {
   bool cluster_specific = false;
 };
 
-// -- Per-round serving API (DESIGN.md §16) ----------------------------------
-// One round's worth of (session, value) items, served in item order through
-// each session's own observe()/predict(): the engine-side work of the
-// server's lane executor, without sockets or the session table.
+// -- Item-list serving API (DESIGN.md §16) ----------------------------------
+// A list of (session, value) items, served in item order through each
+// session's own observe()/predict(): the engine-side work of the server's
+// OBSERVE/PREDICT frames, without sockets or the session table. servebench
+// replays captured traffic through it.
 
 /// One OBSERVE: advance the session on `observation`, then produce the
 /// next-epoch prediction.
@@ -238,8 +239,7 @@ class Cs2pEngine {
   void note_guardrail_event(const Cluster* cluster, GuardrailEvent event,
                             bool tripped) const;
 
-  /// Clusters currently drift-marked (what a reload loop polls to decide an
-  /// early retrain).
+  /// Clusters currently drift-marked.
   std::size_t drifted_cluster_count() const;
 
   /// True when the given cluster is drift-marked.

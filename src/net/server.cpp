@@ -56,22 +56,6 @@ constexpr std::size_t kSessionHistoryCap = 512;
 
 }  // namespace
 
-/// One frame moving through a batch round (DESIGN.md §16). Extracted off its
-/// connection's read buffer, parsed, answered either by handle() or as a
-/// lane of the OBSERVE/PREDICT executor, and finally queued back onto the
-/// connection. Nothing closes a connection or reads into its buffer inside a
-/// pass, so the pointer and the payload view hold until the round ends.
-struct PredictionServer::RoundFrame {
-  Connection* conn = nullptr;
-  std::string_view payload;  ///< aliases conn->read_buffer
-  PendingReply reply;     ///< t_recv stamped with the pass's wakeup
-  Request request;
-  Response response;
-  bool handled = false;   ///< `response` is final
-  bool lane = false;      ///< OBSERVE/PREDICT, served by the lane executor
-  std::uint64_t session = 0;  ///< the lane's session id
-};
-
 PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
     obs::MetricsRegistry& registry) {
   MetricHandles m;
@@ -121,9 +105,6 @@ PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
   m.session_seconds =
       &registry.histogram("cs2p_server_session_seconds",
                           obs::default_duration_buckets_seconds());
-  m.batch_size = &registry.histogram(
-      "cs2p_server_batch_size",
-      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
   return m;
 }
 
@@ -518,9 +499,9 @@ void PredictionServer::worker_loop(Worker& worker) {
     }
 
     // Everything readable this wakeup has been pulled into read buffers;
-    // drain the complete frames in batched rounds (DESIGN.md §16). The
-    // wakeup time stamps every frame the pass extracts.
-    run_batch_rounds(worker, poll_end);
+    // serve the complete frames (DESIGN.md §16). The wakeup time stamps
+    // every frame the pass extracts.
+    serve_pass(worker, poll_end);
 
     // One clock read for the idle, stall and evict sweeps.
     const auto now = Clock::now();
@@ -586,8 +567,8 @@ bool PredictionServer::handle_io(Worker& worker, Connection& conn,
     flush_write(worker, conn);  // throws when the peer is gone mid-reply
     // The flush may have pulled the queue back under budget; frames read
     // before backpressure engaged are still sitting in read_buffer and get
-    // no further POLLIN (the kernel side is already drained). The batch
-    // rounds after the ready sweep re-scan every connection, so they resume
+    // no further POLLIN (the kernel side is already drained). The pass
+    // after the ready sweep re-scans every connection, so they resume
     // automatically — a slow-then-recovering reader cannot wedge.
   }
   if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
@@ -599,14 +580,14 @@ bool PredictionServer::handle_io(Worker& worker, Connection& conn,
     const auto n = recv_some(conn.fd, chunk);
     if (!n.has_value()) return false;  // clean EOF
     if (*n == 0) return true;          // spurious wakeup
-    // Compact once per pass: the last pass's round frames, which aliased the
-    // consumed prefix, are gone, and this pass's rounds run after its reads.
+    // Compact once per pass: a frame's view into the consumed prefix lives
+    // only while serve_pass serves it, and the pass serves after its reads.
     conn.read_buffer.erase(0, conn.read_pos);
     conn.read_pos = 0;
     conn.read_buffer.append(reinterpret_cast<const char*>(chunk), *n);
-    // Frames are consumed by run_batch_rounds after the ready sweep, in the
-    // same loop iteration — reading and handling are decoupled so frames
-    // arriving on many connections in one poll wakeup batch together.
+    // Frames are served by serve_pass after the ready sweep, in the same
+    // loop iteration — reading and serving are decoupled so the replies to
+    // everything one poll wakeup read leave in one flush per connection.
   }
   return true;
 }
@@ -633,10 +614,9 @@ bool PredictionServer::extract_frame(Connection& conn, std::string_view& payload
   return true;
 }
 
-void PredictionServer::run_batch_rounds(Worker& worker, Clock::time_point now) {
-  // Reused round scratch: one worker per thread, so thread_local is exactly
-  // per-worker state, and the steady-state serve path allocates nothing.
-  thread_local std::vector<RoundFrame> round;
+void PredictionServer::serve_pass(Worker& worker, Clock::time_point now) {
+  // Reused scratch: one worker per thread, so thread_local is exactly
+  // per-worker state.
   thread_local std::vector<int> dead;
   const auto close_dead = [&] {
     for (const int fd : dead) {
@@ -648,14 +628,16 @@ void PredictionServer::run_batch_rounds(Worker& worker, Clock::time_point now) {
   };
   bool resume = true;
   while (resume) {
-    while (true) {
-      round.clear();
+    // Sweeps of one frame per connection, each frame served before the next
+    // is extracted, until no connection under its write budget has one.
+    for (bool served = true; served;) {
+      served = false;
       for (auto& [fd, conn] : worker.connections) {
         if (!conn.has_input()) continue;
-        // Pipelined serving with backpressure: a connection stops
-        // contributing frames once its write queue crosses the budget, so
-        // the queue can exceed it by at most the one reply that crossed —
-        // the bound max_write_queue_bytes() certifies, unchanged by batching.
+        // Pipelined serving with backpressure: a connection is not served
+        // once its write queue crosses the budget, so the queue can exceed
+        // it by at most the one reply that crossed — the bound
+        // max_write_queue_bytes() certifies.
         if (conn.queued() > config_.write_budget_bytes) continue;
         std::string_view payload;
         try {
@@ -671,17 +653,13 @@ void PredictionServer::run_batch_rounds(Worker& worker, Clock::time_point now) {
           dead.push_back(fd);
           continue;
         }
-        RoundFrame& frame = round.emplace_back();  // built in place
-        frame.conn = &conn;
-        frame.payload = payload;
-        frame.reply.t_recv = now;
+        serve_frame(worker, conn, payload, now);
+        served = true;
       }
       close_dead();
-      if (round.empty()) break;
-      handle_round(worker, round);
     }
     // The pass's replies leave now: one send per connection, however many
-    // rounds it took part in (DESIGN.md §16).
+    // of its frames the pass served (DESIGN.md §16).
     resume = false;
     for (auto& [fd, conn] : worker.connections) {
       if (!conn.replied) continue;
@@ -703,181 +681,127 @@ void PredictionServer::run_batch_rounds(Worker& worker, Clock::time_point now) {
   }
 }
 
-void PredictionServer::handle_round(Worker& worker,
-                                    std::vector<RoundFrame>& round) {
+void PredictionServer::serve_frame(Worker& worker, Connection& conn,
+                                   std::string_view payload,
+                                   Clock::time_point now) {
   // Stage clocks feed only the trace records' parse_us/handle_us, so they
   // are read only while a trace log is configured; otherwise every stamp is
   // the epoch and every stage reads 0.
   const auto stamp = [traced = trace_ != nullptr] {
     return traced ? Clock::now() : Clock::time_point{};
   };
-  // Phase 1: parse every frame. Errors short-circuit to a reply here, and so
-  // does every verb once the server is stopping; OBSERVE/PREDICT frames
-  // become lanes of the executor.
-  thread_local std::vector<RoundFrame*> lanes;
-  lanes.clear();
-  const bool stopping = stopping_.load();
+  PendingReply reply;
+  reply.t_recv = now;
+  Response response;
   const auto t_parse = stamp();
-  for (RoundFrame& frame : round) {
-    try {
-      frame.request = parse_request(frame.payload);
-      verb_counter(frame.request)->inc();
-    } catch (const ProtocolError& e) {
-      m_.verb_invalid->inc();
-      frame.response = ErrorResponse{WireErrorCode::kBadRequest, e.what()};
-      frame.handled = true;
-      continue;
-    } catch (const std::exception& e) {
-      frame.response = ErrorResponse{WireErrorCode::kInternal, e.what()};
-      frame.handled = true;
-      continue;
-    }
-    if (stopping) {
-      frame.response =
+  auto t_handle = t_parse;
+  try {
+    const Request request = parse_request(payload);
+    verb_counter(request)->inc();
+    t_handle = stamp();
+    if (stopping_.load()) {
+      response =
           ErrorResponse{WireErrorCode::kShuttingDown, "server is stopping"};
-      frame.handled = true;
-    } else if (const auto* observe = std::get_if<ObserveRequest>(&frame.request)) {
-      frame.lane = true;
-      frame.session = observe->session_id;
-      lanes.push_back(&frame);
-    } else if (const auto* predict = std::get_if<PredictRequest>(&frame.request)) {
-      frame.lane = true;
-      frame.session = predict->session_id;
-      lanes.push_back(&frame);
+    } else if (std::holds_alternative<ObserveRequest>(request) ||
+               std::holds_alternative<PredictRequest>(request)) {
+      response = serve_prediction(request, now, reply.info);
+    } else {
+      response = handle(request, worker, conn, reply.info);
     }
+  } catch (const ProtocolError& e) {
+    m_.verb_invalid->inc();
+    response = ErrorResponse{WireErrorCode::kBadRequest, e.what()};
+  } catch (const std::exception& e) {
+    // A predictor that throws (e.g. a history baseline asked to predict
+    // before its first observation) fails its own frame, not the worker.
+    response = ErrorResponse{WireErrorCode::kInternal, e.what()};
   }
+  reply.parse_us = elapsed_us(t_parse, t_handle);
+  reply.handle_us = elapsed_us(t_handle, stamp());
 
-  const std::uint64_t parse_us = elapsed_us(t_parse, stamp());
-  for (RoundFrame& frame : round) frame.reply.parse_us = parse_us;
-
-  // Phase 2: the session-lifecycle and control verbs through handle()
-  // (HELLO, BYE, SYNC, STATS, MODEL), in round order.
-  for (RoundFrame& frame : round) {
-    if (frame.handled || frame.lane) continue;
-    const auto t_handle = stamp();
-    try {
-      frame.response = handle(frame.request, worker, *frame.conn, frame.reply.info);
-    } catch (const ProtocolError& e) {
-      m_.verb_invalid->inc();
-      frame.response = ErrorResponse{WireErrorCode::kBadRequest, e.what()};
-    } catch (const std::exception& e) {
-      frame.response = ErrorResponse{WireErrorCode::kInternal, e.what()};
-    }
-    frame.reply.handle_us = elapsed_us(t_handle, stamp());
-    frame.handled = true;
+  // Queue the reply: framing, error accounting and the queue-depth
+  // high-water mark. serve_pass flushes the queue once the pass has no
+  // frame left to serve.
+  try {
+    append_response_frame(conn.write_buffer, response);
+  } catch (const ProtocolError& e) {
+    // Only a reply past kMaxFrameBytes fails to frame.
+    response = ErrorResponse{WireErrorCode::kInternal, e.what()};
+    append_response_frame(conn.write_buffer, response);
   }
-
-  // Phase 3: the lane executor (DESIGN.md §16). Its wall time is attributed
-  // evenly: per-reply handle_us stays meaningful in traces without per-lane
-  // clock reads inside the lock.
-  if (!lanes.empty()) {
-    const auto t_lanes = stamp();
-    serve_lanes(lanes);
-    const std::uint64_t per_lane = elapsed_us(t_lanes, stamp()) / lanes.size();
-    for (RoundFrame* frame : lanes) frame->reply.handle_us = per_lane;
-  }
-
-  // Phase 4: queue, in round order: reply framing, error accounting and
-  // the queue-depth high-water mark. run_batch_rounds flushes the queues
-  // once the pass's rounds run dry.
-  for (RoundFrame& frame : round) {
-    Connection& conn = *frame.conn;
-    try {
-      append_response_frame(conn.write_buffer, frame.response);
-    } catch (const ProtocolError& e) {
-      // Only a reply past kMaxFrameBytes fails to frame.
-      frame.response = ErrorResponse{WireErrorCode::kInternal, e.what()};
-      append_response_frame(conn.write_buffer, frame.response);
-    }
-    const auto* err = std::get_if<ErrorResponse>(&frame.response);
-    frame.reply.is_error = err != nullptr;
-    frame.reply.error_code = err != nullptr ? wire_error_code_name(err->code)
-                                            : std::string_view{};
-    if (frame.reply.is_error) m_.error_replies->inc();
-    // A reply queued on an empty queue starts the stall clock.
-    if (conn.unflushed() == 0) conn.last_write_progress = frame.reply.t_recv;
-    frame.reply.end_offset = conn.write_buffer.size();
-    conn.pending.push_back(std::move(frame.reply));
-    worker.queued_replies.fetch_add(1, std::memory_order_relaxed);
-    record_write_queue_depth(conn.queued());
-    conn.replied = true;
-  }
+  const auto* err = std::get_if<ErrorResponse>(&response);
+  reply.is_error = err != nullptr;
+  reply.error_code =
+      err != nullptr ? wire_error_code_name(err->code) : std::string_view{};
+  if (reply.is_error) m_.error_replies->inc();
+  // A reply queued on an empty queue starts the stall clock.
+  if (conn.unflushed() == 0) conn.last_write_progress = now;
+  reply.end_offset = conn.write_buffer.size();
+  conn.pending.push_back(std::move(reply));
+  worker.queued_replies.fetch_add(1, std::memory_order_relaxed);
+  record_write_queue_depth(conn.queued());
+  conn.replied = true;
 }
 
-void PredictionServer::serve_lanes(std::span<RoundFrame* const> lanes) {
-  thread_local std::vector<std::uint64_t> ids;
-  ids.clear();
-  for (const RoundFrame* frame : lanes) ids.push_back(frame->session);
+Response PredictionServer::serve_prediction(const Request& request,
+                                            Clock::time_point now,
+                                            RequestInfo& info) {
+  const auto* observe = std::get_if<ObserveRequest>(&request);
+  const auto* predict = std::get_if<PredictRequest>(&request);
+  const std::uint64_t id =
+      observe != nullptr ? observe->session_id : predict->session_id;
+  const double w = observe != nullptr ? observe->throughput_mbps : 0.0;
+  const unsigned steps = predict != nullptr ? predict->steps_ahead : 1;
+  info.event = observe != nullptr ? "observe" : "predict";
+  info.session_id = id;
   const std::uint8_t drain_flag = draining() ? serve_flags::kDraining : 0;
-  std::size_t width = 0;
-  // One hold over every lane's shard. A session addressed twice in the round
-  // resolves to the same entry, and lanes run in round order, so its frames
-  // apply in that order.
-  sessions_.with_sessions(ids, [&](std::span<SessionTable::Entry* const>
-                                        entries) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      RoundFrame& frame = *lanes[i];
-      SessionTable::Entry* entry = entries[i];
-      RequestInfo& info = frame.reply.info;
-      info.session_id = ids[i];
-      if (entry != nullptr) info.traced = entry->traced;
-      const auto* observe = std::get_if<ObserveRequest>(&frame.request);
-      const auto* predict = std::get_if<PredictRequest>(&frame.request);
-      const double w = observe != nullptr ? observe->throughput_mbps : 0.0;
-      const unsigned steps = predict != nullptr ? predict->steps_ahead : 1;
-      info.event = observe != nullptr ? "observe" : "predict";
-      // Validate before touching the predictor, in a fixed order: an invalid
-      // sample, then an unknown session, then a zero horizon. One NaN in the
-      // forward filter poisons every belief state after it; zero is allowed
-      // (a fully stalled epoch is a real measurement).
-      if (!(std::isfinite(w) && w >= 0.0 && w <= config_.max_sample_mbps)) {
-        frame.response = ErrorResponse{
-            WireErrorCode::kInvalidSample,
-            "throughput sample must be finite, non-negative and <= " +
-                std::to_string(config_.max_sample_mbps)};
-        continue;
-      }
-      if (entry == nullptr) {
-        frame.response =
-            ErrorResponse{WireErrorCode::kUnknownSession, "unknown session"};
-        continue;
-      }
-      if (steps == 0) {
-        frame.response =
-            ErrorResponse{WireErrorCode::kBadRequest, "steps_ahead must be >= 1"};
-        continue;
-      }
-      entry->last_used = frame.reply.t_recv;  // the TTL touch
-      ++width;
-      SessionPredictor& predictor = *entry->predictor;
-      try {
-        if (observe != nullptr) {
-          if (config_.on_session_complete &&
-              entry->observations.size() < kSessionHistoryCap)
-            entry->observations.push_back(w);
-          predictor.observe(w);
-        }
-        const double mbps = predictor.predict(steps);
-        // serve_flags() after the observe: why this reply is served the way
-        // it is. kDraining alone is planned-migration housekeeping, not a
-        // degraded answer — the health signal counts everything else.
-        const PredictionResponse response{
-            mbps,
-            static_cast<std::uint8_t>(predictor.serve_flags() | drain_flag)};
-        if ((response.flags & ~serve_flags::kDraining) != serve_flags::kPrimary)
-          m_.degraded_replies->inc();
-        info.flags = response.flags;
-        info.mbps = response.mbps;
-        info.log_likelihood = predictor.last_log_likelihood();
-        frame.response = response;
-      } catch (const std::exception& e) {
-        // A predictor that throws (e.g. a history baseline asked to predict
-        // before its first observation) fails its own lane, not the worker.
-        frame.response = ErrorResponse{WireErrorCode::kInternal, e.what()};
-      }
+  Response response;
+  const auto serve = [&](std::span<SessionTable::Entry* const> entries) {
+    SessionTable::Entry* entry = entries[0];
+    if (entry != nullptr) info.traced = entry->traced;
+    // Validate before touching the predictor, in a fixed order: an invalid
+    // sample, then an unknown session, then a zero horizon. One NaN in the
+    // forward filter poisons every belief state after it; zero is allowed
+    // (a fully stalled epoch is a real measurement).
+    if (!(std::isfinite(w) && w >= 0.0 && w <= config_.max_sample_mbps)) {
+      response = ErrorResponse{
+          WireErrorCode::kInvalidSample,
+          "throughput sample must be finite, non-negative and <= " +
+              std::to_string(config_.max_sample_mbps)};
+      return;
     }
-  });
-  if (width > 0) m_.batch_size->observe(static_cast<double>(width));
+    if (entry == nullptr) {
+      response = ErrorResponse{WireErrorCode::kUnknownSession, "unknown session"};
+      return;
+    }
+    if (steps == 0) {
+      response =
+          ErrorResponse{WireErrorCode::kBadRequest, "steps_ahead must be >= 1"};
+      return;
+    }
+    entry->last_used = now;  // the TTL touch
+    SessionPredictor& predictor = *entry->predictor;
+    if (observe != nullptr) {
+      if (config_.on_session_complete &&
+          entry->observations.size() < kSessionHistoryCap)
+        entry->observations.push_back(w);
+      predictor.observe(w);
+    }
+    const double mbps = predictor.predict(steps);
+    // serve_flags() after the observe: why this reply is served the way it
+    // is. kDraining alone is planned-migration housekeeping, not a degraded
+    // answer — the health signal counts everything else.
+    const PredictionResponse served{
+        mbps, static_cast<std::uint8_t>(predictor.serve_flags() | drain_flag)};
+    if ((served.flags & ~serve_flags::kDraining) != serve_flags::kPrimary)
+      m_.degraded_replies->inc();
+    info.flags = served.flags;
+    info.mbps = served.mbps;
+    info.log_likelihood = predictor.last_log_likelihood();
+    response = served;
+  };
+  sessions_.with_sessions(std::span(&id, 1), serve);
+  return response;
 }
 
 void PredictionServer::flush_write(Worker& worker, Connection& conn) {

@@ -17,19 +17,20 @@
 // never a full-table sweep under one lock).
 //
 // One OBSERVE/PREDICT serving path (DESIGN.md §16): after each poll wakeup
-// the worker drains its readable connections in rounds — one complete frame
-// per connection per round, so per-connection reply order is untouched.
-// handle() answers the lifecycle and control verbs (HELLO, BYE, SYNC,
-// STATS, MODEL); every OBSERVE/PREDICT is a lane of one executor, which
-// locks the round's shards once through SessionTable::with_sessions and
-// serves each lane in round order through its session's own observe() and
-// predict(). A session driven over two connections at once resolves to one
-// entry, so its frames apply in round order. A stopping server answers
-// SHUTTING_DOWN to every frame at parse. Rounds only queue replies; when
-// they run dry, each connection that got replies is flushed once, so a
-// pipelined burst leaves in one send(2) and a reply waits for the rest of
-// its pass. The pass reads the clock once, at the wakeup, and an
-// OBSERVE/PREDICT on a live session allocates nothing.
+// the worker serves its connections' buffered frames in sweeps of one
+// complete frame per connection, so per-connection reply order is
+// untouched. Each frame is parsed, answered and its reply queued before the
+// next is extracted: handle() answers the lifecycle and control verbs
+// (HELLO, BYE, SYNC, STATS, MODEL), and an OBSERVE/PREDICT runs through its
+// session's own observe() and predict() under that session's shard lock
+// (SessionTable::with_sessions). A session driven over two connections at
+// once resolves to one entry, so its frames apply in the order the sweeps
+// serve them. A stopping server answers SHUTTING_DOWN to every frame.
+// Serving only queues replies; once no frame is left, each connection that
+// got replies is flushed once, so a pipelined burst leaves in one send(2)
+// and a reply waits for the rest of its pass. The pass reads the clock
+// once, at the wakeup, and an OBSERVE/PREDICT on a live session allocates
+// nothing.
 //
 // Fault discipline (ROADMAP north star: degrade, don't die):
 //   - connection cap with a typed OVERLOADED rejection frame,
@@ -44,8 +45,8 @@
 // Overload control & drain (DESIGN.md §14):
 //   - write backpressure: replies queue in a bounded per-connection write
 //     buffer; a connection whose queue exceeds write_budget_bytes stops
-//     contributing frames to rounds and being read (so a slow reader
-//     throttles itself, not the worker), and
+//     being served and read (so a slow reader throttles itself, not the
+//     worker), and
 //     one whose queue makes no progress past write_stall_timeout_ms is
 //     closed — the unbounded-buffer OOM hole is shut by construction,
 //   - admission control: each worker tracks a utilization EWMA and its
@@ -72,7 +73,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -308,8 +308,8 @@ class PredictionServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// What handle() or the lane executor learned about the request, for the
-  /// trace record the worker emits after the reply is on the wire.
+  /// What serving a frame learned about its request, for the trace record
+  /// the worker emits after the reply is on the wire.
   struct RequestInfo {
     std::string_view event = "invalid";  ///< lifecycle stage / verb name
     std::uint64_t session_id = 0;
@@ -345,14 +345,14 @@ class PredictionServer {
 
   /// Requests pipeline: replies append to the bounded write queue and input
   /// keeps being consumed until the queue passes write_budget_bytes, at
-  /// which point the connection leaves the rounds and the worker stops
+  /// which point the pass stops serving the connection and the worker stops
   /// polling it for reads (backpressure) until the queue flushes back under
   /// budget.
   struct Connection {
     FdHandle fd;
     /// Inbound bytes. Frames are parsed where they lie: read_pos moves past
     /// each extracted frame, and the consumed prefix is dropped before the
-    /// next read appends, once no round frame aliases it.
+    /// next read appends (no frame view outlives the pass that serves it).
     std::string read_buffer;
     std::size_t read_pos = 0;
     /// The bounded write queue: replies are framed straight into it,
@@ -364,8 +364,8 @@ class PredictionServer {
     std::size_t write_pos = 0;
     std::vector<PendingReply> pending;
     std::size_t pending_head = 0;
-    /// Got replies in the current pass; run_batch_rounds flushes it once
-    /// the pass's rounds run dry.
+    /// Got replies in the current pass; serve_pass flushes it once the pass
+    /// has no frame left to serve.
     bool replied = false;
     Clock::time_point opened_at{};
     /// Progress clock for the idle sweep: refreshed only when a *complete*
@@ -449,16 +449,9 @@ class PredictionServer {
     /// paths (BYE and eviction) — eviction used to bypass all duration
     /// accounting.
     obs::Histogram* session_seconds = nullptr;
-    /// OBSERVE/PREDICT lanes served per round (how many frames one round
-    /// coalesces under real traffic).
-    obs::Histogram* batch_size = nullptr;
 
     static MetricHandles create(obs::MetricsRegistry& registry);
   };
-
-  /// One extracted frame moving through a batch round (defined in
-  /// server.cpp; workers keep a reused thread_local round buffer of these).
-  struct RoundFrame;
 
   void accept_loop();
   void dispatch_connection(FdHandle connection);
@@ -473,23 +466,24 @@ class PredictionServer {
   /// (stream desync — the caller closes the connection).
   bool extract_frame(Connection& conn, std::string_view& payload,
                      Clock::time_point now);
-  /// One event-loop pass over the buffered input: rounds of one frame per
+  /// One event-loop pass over the buffered input: sweeps of one frame per
   /// connection (preserving per-connection order and the backpressure
-  /// budget) until no frames remain, then one flush_write per connection
-  /// that got replies. A flush that brings a throttled connection holding
-  /// buffered frames back under budget runs the rounds again: those frames
-  /// get no further POLLIN. `now` is the wakeup time every extracted frame
-  /// is stamped with.
-  void run_batch_rounds(Worker& worker, Clock::time_point now);
-  /// Parses, dispatches (lifecycle and control verbs through handle(),
-  /// OBSERVE/PREDICT as lanes of the executor), and queues every reply of
-  /// one round on its connection's write buffer.
-  void handle_round(Worker& worker, std::vector<RoundFrame>& round);
-  /// Serves a round's OBSERVE/PREDICT lanes in order under one multi-shard
-  /// session lock: per lane validation, observe(), predict(), and reply
-  /// composition. A lane whose predictor throws answers INTERNAL; the
-  /// others are unaffected.
-  void serve_lanes(std::span<RoundFrame* const> lanes);
+  /// budget), each frame served as it is extracted, until no frames remain;
+  /// then one flush_write per connection that got replies. A flush that
+  /// brings a throttled connection holding buffered frames back under
+  /// budget runs the sweeps again: those frames get no further POLLIN.
+  /// `now` is the wakeup time every extracted frame is stamped with.
+  void serve_pass(Worker& worker, Clock::time_point now);
+  /// Parses one extracted frame, answers it (lifecycle and control verbs
+  /// through handle(), OBSERVE/PREDICT through serve_prediction()) and
+  /// queues the reply on the connection's write buffer. A frame that fails
+  /// to parse answers BAD_REQUEST, and one whose predictor throws INTERNAL.
+  void serve_frame(Worker& worker, Connection& conn, std::string_view payload,
+                   Clock::time_point now);
+  /// Serves one OBSERVE/PREDICT under its session's shard lock: validation,
+  /// the TTL touch (`now`), observe(), predict(), and reply composition.
+  Response serve_prediction(const Request& request, Clock::time_point now,
+                            RequestInfo& info);
   /// Hands queued reply bytes to the kernel until it is done or full;
   /// throws std::system_error when the peer is gone. A flush that moves
   /// bytes reads the clock once.
@@ -503,7 +497,8 @@ class PredictionServer {
   /// through here exactly like any other.
   void close_connection(Worker& worker, Connection& conn, bool idle_timed_out);
   /// Answers the lifecycle and control verbs (HELLO, BYE, SYNC, STATS,
-  /// MODEL); OBSERVE/PREDICT never come here — serve_lanes answers them.
+  /// MODEL); OBSERVE/PREDICT never come here — serve_prediction answers
+  /// them.
   Response handle(const Request& request, Worker& worker, Connection& conn,
                   RequestInfo& info);
   Response handle_sync(const Request& request, SyncStaging& staging);

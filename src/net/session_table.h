@@ -21,15 +21,16 @@
 //     locks, so a session touched from several connections (HELLO on one,
 //     OBSERVE on another — sessions migrate freely between connections)
 //     always sees one coherent filter state. It locks every owning shard
-//     (in shard-index order, so concurrent batches never deadlock) and
-//     exposes the whole group at once — what lets the server serve a poll
-//     round's sessions under one lock acquisition.
+//     (in shard-index order, so concurrent groups never deadlock) and
+//     exposes the whole group at once. The server passes one id per
+//     OBSERVE/PREDICT frame; groups of several ids come from servebench's
+//     table replay and from tests.
 //
 // Storage (DESIGN.md §16): entries live in per-shard slab arenas — fixed
 // 64-slot slabs, index-stable for the table's lifetime, with a freelist
 // recycling slots on erase/evict. The hash map per shard holds only
-// id -> slot index. A batch therefore touches a handful of contiguous slabs
-// instead of pointer-chasing one heap node per session, and long-running
+// id -> slot index. A group of sessions therefore touches a few contiguous
+// slabs instead of pointer-chasing one heap node per session, and long-running
 // servers stop exercising the allocator on session churn. A released slot's
 // Entry is reset to a default-constructed Entry immediately (predictor and
 // model pin freed, history cleared) — reuse can never leak a previous
@@ -133,15 +134,15 @@ class SessionTable {
   }
 
   /// Locks every shard owning one of `ids` (in ascending shard-index order
-  /// — concurrent batches cannot deadlock, and single-shard operations
+  /// — concurrent groups cannot deadlock, and single-shard operations
   /// still take one lock at a time underneath), then runs `fn(entries)`
   /// with entries[k] pointing at the session of ids[k], or nullptr when
   /// unknown (expired, BYEd, or never created). Pointers are valid only
   /// inside `fn`, which is responsible for refreshing entry.last_used if
   /// the touch should count against the TTL. A repeated id resolves to the
-  /// same entry. The server holds the table once per round, so the call
-  /// reuses per-thread scratch and allocates nothing once warm; `fn` must
-  /// not call with_sessions itself.
+  /// same entry. The server holds the table once per OBSERVE/PREDICT frame,
+  /// so the call reuses per-thread scratch and allocates nothing once warm;
+  /// `fn` must not call with_sessions itself.
   template <typename Fn>
   void with_sessions(std::span<const std::uint64_t> ids, Fn&& fn) {
     thread_local std::vector<std::size_t> order;

@@ -67,6 +67,27 @@ TEST(Cli, HelpShortCircuits) {
   EXPECT_FALSE(parse(parser, {"--help"}));
 }
 
+// A numeric flag must parse whole: std::stol("1e4") alone reads 1, and
+// std::stod("0.5x") reads 0.5.
+TEST(Cli, PartialNumbersRejected) {
+  ArgParser parser = make_parser();
+  ASSERT_TRUE(parse(parser, {"--count", "1e4", "--rate", "0.5x"}));
+  try {
+    parser.get_long("count");
+    ADD_FAILURE() << "--count 1e4 read as a number";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(parser.get_double("rate"), std::invalid_argument);
+  for (const std::string bad : {"", "x", "7 ", "3.5", "99999999999999999999"}) {
+    ASSERT_TRUE(parse(parser, {"--count", bad}));
+    EXPECT_THROW(parser.get_long("count"), std::invalid_argument) << "'" << bad << "'";
+  }
+  ASSERT_TRUE(parse(parser, {"--count", "-12", "--rate", "1e4"}));
+  EXPECT_EQ(parser.get_long("count"), -12);
+  EXPECT_DOUBLE_EQ(parser.get_double("rate"), 1e4);
+}
+
 TEST(Cli, UnregisteredAccessThrows) {
   const ArgParser parser = make_parser();
   EXPECT_THROW(parser.get("never-registered"), std::logic_error);

@@ -12,10 +12,13 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hmm/kernel.h"
@@ -506,8 +509,7 @@ TEST(PredictionService, StatsVerbScrapesLiveRegistry) {
 // OBSERVE/PREDICT on HMM sessions are served by each session's own filter on
 // the shared kernel: replies are the MLE-state means of Algorithm 1 (the
 // initial value before any observation, P^tau propagation for longer
-// horizons), and every served lane lands in the cs2p_server_batch_size
-// histogram.
+// horizons).
 TEST(PredictionService, HmmSessionsServeMleForecastsThroughLaneExecutor) {
   PredictionServer server(std::make_shared<SharedKernelHmmModel>());
   PredictionClient client(server.port());
@@ -521,11 +523,6 @@ TEST(PredictionService, HmmSessionsServeMleForecastsThroughLaneExecutor) {
   // state 0 (0.5066).
   EXPECT_DOUBLE_EQ(client.predict(b.session_id, 3), 5.0);
   EXPECT_DOUBLE_EQ(client.predict(b.session_id, 4), 1.0);
-
-  // One connection with one frame in flight: six rounds of one lane each.
-  const StatsResponse stats = client.stats();
-  EXPECT_EQ(series_value(stats.exposition, "cs2p_server_batch_size_count"), 6.0);
-  EXPECT_EQ(series_value(stats.exposition, "cs2p_server_batch_size_sum"), 6.0);
   client.bye(a.session_id);
   client.bye(b.session_id);
 }
@@ -803,17 +800,21 @@ class FoldingGateModel final : public PredictorModel {
 };
 
 // One session driven from two connections at once: each pipelines 16
-// OBSERVEs, and both pipelines reach the worker in the same poll wakeup, so
-// every round holds a frame of each for the same session — the later one
-// runs in a second wave of the executor. The 32 replies must match one
-// interleaving that keeps each connection's order, found by a DP over the
-// 17x17 grid of (A frames applied, B frames applied) that replays candidate
-// interleavings through make_session.
+// frames, and both pipelines reach the worker in the same poll wakeup, so
+// every sweep of the pass serves a frame of each for the same session. The
+// 32 replies must match one interleaving that keeps each connection's
+// order, found by a DP over the 17x17 grid of (A frames applied, B frames
+// applied) that replays candidate interleavings through make_session. A
+// sends OBSERVEs. So does B, and on the second run B's pipeline ends in
+// BYE: A's replies are then forecasts up to the BYE and UNKNOWN_SESSION
+// after it, and B's last reply is OK. A server that served a pass's
+// lifecycle frames ahead of its OBSERVEs would answer B's own OBSERVEs
+// UNKNOWN_SESSION.
 TEST(PredictionService, DuplicateSessionFramesApplyInOneConnectionOrderInterleaving) {
-  constexpr int kFrames = 16;
+  constexpr std::size_t kFrames = 16;
   auto model = std::make_shared<FoldingGateModel>();
   ServerConfig config;
-  config.io_threads = 1;  // every connection shares the one worker's rounds
+  config.io_threads = 1;  // every connection shares the one worker's passes
   PredictionServer server(model, config);
 
   const auto control = raw_connection(server.port());
@@ -822,84 +823,129 @@ TEST(PredictionService, DuplicateSessionFramesApplyInOneConnectionOrderInterleav
         raw_round_trip(*control, HelloRequest{features(), start_hour});
     return std::get<SessionResponse>(hello).session_id;
   };
-  const std::uint64_t id = session_of(0.0);
   const std::uint64_t gate_id = session_of(99.0);
   const auto a = raw_connection(server.port());
   const auto b = raw_connection(server.port());
 
-  std::vector<double> a_values, b_values;
-  std::string a_bytes, b_bytes;
-  for (int k = 0; k < kFrames; ++k) {
-    a_values.push_back(1.0 + k);
-    b_values.push_back(100.0 + k);
-    a_bytes += encode_frame(serialize_request(ObserveRequest{id, a_values.back()}));
-    b_bytes += encode_frame(serialize_request(ObserveRequest{id, b_values.back()}));
-  }
-
-  // Park the worker inside a round, queue both pipelines behind it, then
-  // release: the next wakeup reads both connections at once.
-  std::thread parked([&] { raw_round_trip(*control, ObserveRequest{gate_id, 1.0}); });
-  model->gate()->entered.wait(false);
-  a->send(std::as_bytes(std::span(a_bytes.data(), a_bytes.size())));
-  b->send(std::as_bytes(std::span(b_bytes.data(), b_bytes.size())));
-  model->gate()->open.store(true);
-  model->gate()->open.notify_all();
-  parked.join();
-
+  // A pipeline frame: an OBSERVE of the value, or a BYE when empty.
+  using Pipeline = std::vector<std::optional<double>>;
+  // A reply as the DP compares it: PRED with its forecast, OK, or the code
+  // of an ERR.
+  using Reply = std::pair<std::string_view, double>;
   const auto replies = [](Transport& transport) {
-    std::vector<double> out;
-    for (int k = 0; k < kFrames; ++k) {
+    std::vector<Reply> out;
+    for (std::size_t k = 0; k < kFrames; ++k) {
       const auto frame = recv_frame(transport);
       if (!frame) throw ConnectionError("server closed connection");
-      out.push_back(std::get<PredictionResponse>(parse_response(*frame)).mbps);
+      const Response response = parse_response(*frame);
+      if (const auto* pred = std::get_if<PredictionResponse>(&response))
+        out.emplace_back("PRED", pred->mbps);
+      else if (const auto* err = std::get_if<ErrorResponse>(&response))
+        out.emplace_back(wire_error_code_name(err->code), 0.0);
+      else
+        out.emplace_back("OK", 0.0);
     }
     return out;
   };
-  const std::vector<double> a_replies = replies(*a);
-  const std::vector<double> b_replies = replies(*b);
 
-  // The OBSERVE reply after applying the interleaving `moves` ('a'/'b').
-  const auto replay = [&](const std::string& moves) {
-    const auto predictor = model->make_session(SessionContext{});
-    std::size_t i = 0, j = 0;
-    for (const char move : moves)
-      predictor->observe(move == 'a' ? a_values[i++] : b_values[j++]);
-    return predictor->predict(1);
-  };
-  // reached[i][j]: interleavings of i A frames and j B frames whose every
-  // reply matched. A matched reply pins the state, so one witness per last
-  // mover covers every interleaving ending at (i, j).
-  std::vector<std::vector<std::vector<std::string>>> reached(
-      kFrames + 1, std::vector<std::vector<std::string>>(kFrames + 1));
-  reached[0][0].push_back("");
-  const auto extend = [&](std::size_t i, std::size_t j, const std::string& moves) {
-    if (std::none_of(reached[i][j].begin(), reached[i][j].end(),
-                     [&](const std::string& w) { return w.back() == moves.back(); }))
-      reached[i][j].push_back(moves);
-  };
-  for (std::size_t i = 0; i <= kFrames; ++i) {
-    for (std::size_t j = 0; j <= kFrames; ++j) {
-      for (const std::string& moves : reached[i][j]) {
-        if (i < kFrames && replay(moves + 'a') == a_replies[i])
-          extend(i + 1, j, moves + 'a');
-        if (j < kFrames && replay(moves + 'b') == b_replies[j])
-          extend(i, j + 1, moves + 'b');
+  for (const bool b_ends_in_bye : {false, true}) {
+    const std::uint64_t id = session_of(0.0);
+    Pipeline a_frames, b_frames;
+    for (std::size_t k = 0; k < kFrames; ++k) {
+      a_frames.push_back(1.0 + static_cast<double>(k));
+      b_frames.push_back(100.0 + static_cast<double>(k));
+    }
+    if (b_ends_in_bye) b_frames.back().reset();
+    const auto encode = [id](const Pipeline& frames) {
+      std::string bytes;
+      for (const std::optional<double>& w : frames)
+        bytes += encode_frame(serialize_request(
+            w ? Request{ObserveRequest{id, *w}} : Request{ByeRequest{id}}));
+      return bytes;
+    };
+    const std::string a_bytes = encode(a_frames);
+    const std::string b_bytes = encode(b_frames);
+
+    // Park the worker inside a pass, queue both pipelines behind it, then
+    // release: the next wakeup reads both connections at once.
+    const auto gate = model->gate();
+    gate->entered.store(false);
+    gate->open.store(false);
+    std::thread parked([&] { raw_round_trip(*control, ObserveRequest{gate_id, 1.0}); });
+    gate->entered.wait(false);
+    a->send(std::as_bytes(std::span(a_bytes.data(), a_bytes.size())));
+    b->send(std::as_bytes(std::span(b_bytes.data(), b_bytes.size())));
+    gate->open.store(true);
+    gate->open.notify_all();
+    parked.join();
+    const std::vector<Reply> a_replies = replies(*a);
+    const std::vector<Reply> b_replies = replies(*b);
+
+    // The reply to the last move of the interleaving `moves` ('a'/'b').
+    const auto replay = [&](const std::string& moves) {
+      const auto predictor = model->make_session(SessionContext{});
+      bool live = true;
+      Reply reply;
+      std::size_t i = 0, j = 0;
+      for (const char move : moves) {
+        const std::optional<double>& w = move == 'a' ? a_frames[i++] : b_frames[j++];
+        if (!w) {
+          live = false;
+          reply = {"OK", 0.0};
+        } else if (!live) {
+          reply = {wire_error_code_name(WireErrorCode::kUnknownSession), 0.0};
+        } else {
+          predictor->observe(*w);
+          reply = {"PRED", predictor->predict(1)};
+        }
+      }
+      return reply;
+    };
+    // reached[i][j]: interleavings of i A frames and j B frames whose every
+    // reply matched. A matched reply pins the state (a forecast pins the
+    // fold, anything else means the session is gone), so one witness per
+    // last mover covers every interleaving ending at (i, j).
+    std::vector<std::vector<std::vector<std::string>>> reached(
+        kFrames + 1, std::vector<std::vector<std::string>>(kFrames + 1));
+    reached[0][0].push_back("");
+    const auto extend = [&](std::size_t i, std::size_t j, const std::string& moves) {
+      if (std::none_of(reached[i][j].begin(), reached[i][j].end(),
+                       [&](const std::string& w) { return w.back() == moves.back(); }))
+        reached[i][j].push_back(moves);
+    };
+    for (std::size_t i = 0; i <= kFrames; ++i) {
+      for (std::size_t j = 0; j <= kFrames; ++j) {
+        for (const std::string& moves : reached[i][j]) {
+          if (i < kFrames && replay(moves + 'a') == a_replies[i])
+            extend(i + 1, j, moves + 'a');
+          if (j < kFrames && replay(moves + 'b') == b_replies[j])
+            extend(i, j + 1, moves + 'b');
+        }
       }
     }
+    ASSERT_FALSE(reached[kFrames][kFrames].empty())
+        << "the replies match no interleaving that keeps each connection's order"
+        << (b_ends_in_bye ? " (B ends in BYE)" : "");
+    // The pipelines really shared sweeps: the witness is no concatenation.
+    const std::string& witness = reached[kFrames][kFrames].front();
+    std::size_t switches = 0;
+    for (std::size_t k = 1; k < witness.size(); ++k)
+      switches += witness[k] != witness[k - 1];
+    EXPECT_GT(switches, 1u) << witness;
+    if (b_ends_in_bye) {
+      EXPECT_EQ(b_replies.back(), Reply("OK", 0.0));
+      const auto gone = std::find_if(a_replies.begin(), a_replies.end(),
+                                     [](const Reply& r) { return r.first != "PRED"; });
+      EXPECT_TRUE(std::all_of(gone, a_replies.end(), [](const Reply& r) {
+        return r.first == "UNKNOWN_SESSION";
+      })) << "A's replies after the BYE must all be UNKNOWN_SESSION";
+    }
   }
-  ASSERT_FALSE(reached[kFrames][kFrames].empty())
-      << "the replies match no interleaving that keeps each connection's order";
-  // The pipelines really shared rounds: the witness is no concatenation.
-  const std::string& witness = reached[kFrames][kFrames].front();
-  std::size_t switches = 0;
-  for (std::size_t k = 1; k < witness.size(); ++k)
-    switches += witness[k] != witness[k - 1];
-  EXPECT_GT(switches, 1u) << witness;
 }
 
 // Replies queue for the whole event-loop pass and each connection is flushed
-// once when its rounds run dry: 32 pipelined OBSERVEs read in one wakeup
-// take 32 rounds and leave in one send, in order. The sends counted over
+// once when its sweeps run dry: 32 pipelined OBSERVEs read in one wakeup
+// take 32 sweeps and leave in one send, in order. The sends counted over
 // the burst are the gate's reply and that one flush.
 TEST(PredictionService, PipelinedBurstLeavesInOneSend) {
   constexpr int kFrames = 32;
@@ -925,7 +971,7 @@ TEST(PredictionService, PipelinedBurstLeavesInOneSend) {
     bytes += encode_frame(serialize_request(ObserveRequest{id, values.back()}));
   }
 
-  // Park the worker inside a round, queue the whole burst behind it in one
+  // Park the worker inside a pass, queue the whole burst behind it in one
   // send, then release: the next wakeup reads all 32 frames at once.
   const obs::Counter& sends =
       server.metrics().counter("cs2p_server_send_calls_total");
@@ -974,7 +1020,7 @@ TEST(PredictionService, RepliesBeforeADesyncedFrameStillLeave) {
   EXPECT_FALSE(recv_frame(*conn).has_value());
 }
 
-// With a trace log configured, every reply's record carries the round's
+// With a trace log configured, every reply's record carries its frame's
 // stage fields, and send_us is what is left of the request time: a stage
 // attributed more than the request took floors it at 0, never wraps it.
 TEST(PredictionService, TracedRepliesCarryStageFields) {
@@ -1056,16 +1102,16 @@ TEST(PredictionService, ByteDribbledPipelineIsServedInOrder) {
       parse_response(dribbled_replies.back())));
 }
 
-// A round holding a PREDICT for a session whose predict() throws and a
+// A pass serving a PREDICT for a session whose predict() throws and a
 // PREDICT for a healthy session, each from its own connection: the broken
-// lane answers INTERNAL, the healthy one its normal forecast, and both
-// connections keep serving. The two lanes swap connections for a second
-// round, so the broken lane comes first in one of the two rounds whatever
+// frame answers INTERNAL, the healthy one its normal forecast, and both
+// connections keep serving. The two frames swap connections for a second
+// pass, so the broken frame comes first in one of the two passes whatever
 // order the worker visits its connections in.
 TEST(PredictionService, ThrowingPredictorFailsOnlyItsOwnLane) {
   auto model = std::make_shared<FoldingGateModel>();
   ServerConfig config;
-  config.io_threads = 1;  // every connection shares the one worker's rounds
+  config.io_threads = 1;  // every connection shares the one worker's passes
   PredictionServer server(model, config);
 
   const auto control = raw_connection(server.port());
@@ -1086,16 +1132,12 @@ TEST(PredictionService, ThrowingPredictorFailsOnlyItsOwnLane) {
   EXPECT_DOUBLE_EQ(forecast(raw_round_trip(*a, PredictRequest{healthy, 1})), 1.0);
   EXPECT_DOUBLE_EQ(forecast(raw_round_trip(*b, PredictRequest{healthy, 1})), 1.0);
 
-  const obs::Histogram& widths =
-      server.metrics().histogram("cs2p_server_batch_size", {});
   for (const bool broken_on_a : {true, false}) {
     Transport& to_broken = broken_on_a ? *a : *b;
     Transport& to_healthy = broken_on_a ? *b : *a;
-    const std::uint64_t rounds_before = widths.count();
-    const double lanes_before = widths.sum();
 
-    // Park the worker inside a round, queue one frame on each connection
-    // behind it, then release: the next wakeup reads both into one round.
+    // Park the worker inside a pass, queue one frame on each connection
+    // behind it, then release: the next wakeup reads both into one pass.
     const auto gate = model->gate();
     gate->entered.store(false);
     gate->open.store(false);
@@ -1115,9 +1157,6 @@ TEST(PredictionService, ThrowingPredictorFailsOnlyItsOwnLane) {
     ASSERT_NE(err, nullptr);
     EXPECT_EQ(err->code, WireErrorCode::kInternal);
     EXPECT_DOUBLE_EQ(forecast(parse_response(*healthy_frame)), 2.0);
-    // The gate's round, then one round holding both lanes.
-    EXPECT_EQ(widths.count() - rounds_before, 2u);
-    EXPECT_EQ(widths.sum() - lanes_before, 3.0);
 
     EXPECT_DOUBLE_EQ(forecast(raw_round_trip(*a, PredictRequest{healthy, 3})), 3.0);
     EXPECT_DOUBLE_EQ(forecast(raw_round_trip(*b, PredictRequest{healthy, 4})), 4.0);

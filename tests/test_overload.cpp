@@ -7,8 +7,8 @@
 //     it,
 //   - admission control: shed HELLOs answer OVERLOADED with the configured
 //     retry-after hint while existing sessions keep being served,
-//   - the lane executor: a guarded session's degraded reply is served by
-//     exactly one predict(),
+//   - the OBSERVE/PREDICT serve path: a guarded session's degraded reply is
+//     served by exactly one predict(),
 //   - graceful drain: new work refused with SHUTTING_DOWN, in-flight
 //     sessions stamped kDraining and proactively migrated by ReplicaSet,
 //     abandoned sessions reaped under the shrunk drain TTL.
@@ -345,7 +345,7 @@ TEST(AdmissionControl, ShedRejectsNewHellosKeepsServingSessions) {
   EXPECT_GT(second.session_id, 0u);
 }
 
-// -- Lane executor ------------------------------------------------------------
+// -- OBSERVE/PREDICT serve path ----------------------------------------------
 
 TEST(LaneExecutor, GuardedSessionCountsOneFallbackPerDegradedReply) {
   obs::MetricsRegistry registry;
@@ -359,7 +359,7 @@ TEST(LaneExecutor, GuardedSessionCountsOneFallbackPerDegradedReply) {
 
   // In-distribution samples first (healthy), then a collapse to 0.2 Mbps
   // that trips the guardrail. A degraded guarded predictor counts one
-  // fallback per predict(), so a lane that predicted twice would count two.
+  // fallback per predict(), so a frame that predicted twice would count two.
   Rng rng(11);
   std::vector<double> samples =
       testing_support::sample_sequence(testing_support::two_state_model(), 8, rng);

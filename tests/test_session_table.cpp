@@ -199,9 +199,9 @@ TEST(SessionTable, ArenaSlotsReusedAfterEvictWithoutStaleState) {
   }
 }
 
-// with_sessions: the lane executor's multi-session lookup locks each
-// involved shard once, hands back entries in id order, reports misses as
-// null, and resolves a repeated id to the same entry.
+// with_sessions: a multi-session lookup (servebench's table replay) locks
+// each involved shard once, hands back entries in id order, reports misses
+// as null, and resolves a repeated id to the same entry.
 TEST(SessionTable, WithSessionsResolvesHitsAndMissesInOrder) {
   SessionTable table({.shards = 4, .ttl_ms = 0});
   const auto now = Clock::now();

@@ -55,12 +55,36 @@ std::string ArgParser::get(const std::string& name) const {
   return it->second;
 }
 
+namespace {
+
+/// Converts the whole of a flag's value or throws std::invalid_argument
+/// naming the flag: std::stol/std::stod alone accept any numeric prefix, so
+/// "1e4" would read as 1 and "0.5x" as 0.5.
+template <typename Convert>
+auto convert_whole(const std::string& name, const std::string& value,
+                   Convert convert) {
+  std::size_t used = 0;
+  try {
+    const auto number = convert(value, &used);
+    if (used == value.size()) return number;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("--" + name + ": '" + value +
+                              "' is not a valid number");
+}
+
+}  // namespace
+
 long ArgParser::get_long(const std::string& name) const {
-  return std::stol(get(name));
+  return convert_whole(name, get(name), [](const std::string& s, std::size_t* used) {
+    return std::stol(s, used);
+  });
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return convert_whole(name, get(name), [](const std::string& s, std::size_t* used) {
+    return std::stod(s, used);
+  });
 }
 
 bool ArgParser::has(const std::string& name) const {

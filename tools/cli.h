@@ -35,6 +35,8 @@ class ArgParser {
   bool parse(int argc, char** argv);
 
   std::string get(const std::string& name) const;
+  /// Numeric accessors: the whole value must parse, or they throw
+  /// std::invalid_argument naming the flag.
   long get_long(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool has(const std::string& name) const;

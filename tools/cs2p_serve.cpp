@@ -23,10 +23,6 @@
 //   - With --guardrail, every session runs behind the sanitizer + surprise
 //     monitor + fallback chain of GuardedSessionPredictor, and PRED replies
 //     carry serve-flags explaining the serving path.
-//   - With --drift-reload (implies the guardrail), a cluster whose live
-//     sessions trip their guardrails in quorum triggers an early retrain +
-//     hot-swap, same path as SIGHUP — the drifted cluster serves the global
-//     fallback in the meantime.
 //
 // Continuous training (DESIGN.md §15):
 //   - With --continuous-train (implies the guardrail), every completed
@@ -37,8 +33,7 @@
 //     serve under a --probation-ms window in which a drift-quorum trip
 //     rolls the cluster back to its parent generation automatically.
 //   - Interval reloads skip the full retrain when the dataset fingerprint
-//     is unchanged (SIGHUP and drift retrains always run — they exist to
-//     rebuild state, not to pick up new rows).
+//     is unchanged (a SIGHUP retrain always runs: it is an operator order).
 //
 // Telemetry (DESIGN.md §11):
 //   - One process-wide metrics registry is wired through the engine, the
@@ -138,9 +133,6 @@ int main(int argc, char** argv) try {
   args.add_option("guardrail",
                   "wrap sessions in prediction guardrails (sanitizer + "
                   "surprise monitor + fallback chain) (1/0)", "0");
-  args.add_option("drift-reload",
-                  "retrain + hot-swap when a cluster drifts (implies "
-                  "--guardrail 1) (1/0)", "0");
   args.add_option("continuous-train",
                   "stream completed sessions into a background trainer with "
                   "a canary gate + probation rollback (implies --guardrail "
@@ -217,12 +209,11 @@ int main(int argc, char** argv) try {
   Cs2pConfig config;
   config.metrics = metrics;
   config.hmm.num_states = static_cast<std::size_t>(args.get_long("hmm-states"));
-  const bool drift_reload = args.get_long("drift-reload") != 0;
   const bool continuous_train = args.get_long("continuous-train") != 0;
   // Continuous training leans on the drift quorum for rollback, so it
-  // forces the guardrail on just like --drift-reload does.
+  // forces the guardrail on.
   config.guardrail.enabled =
-      args.get_long("guardrail") != 0 || drift_reload || continuous_train;
+      args.get_long("guardrail") != 0 || continuous_train;
   const bool lenient_ingest = args.get_long("lenient-ingest") != 0;
   const int train_days = static_cast<int>(args.get_long("train-days"));
   const bool warm_up = args.get_long("warm-up") != 0;
@@ -266,8 +257,7 @@ int main(int argc, char** argv) try {
   // up new rows, so when the training split hashes to the fingerprint the
   // serving engine was built from, the retrain is skipped (returns null)
   // instead of burning a Baum-Welch pass to rebuild the same model. SIGHUP
-  // and drift retrains never skip — they rebuild state on purpose (a drift
-  // retrain must clear the drift marks even on identical data).
+  // retrains never skip — they rebuild state on purpose.
   std::uint64_t served_dataset_fp = 0;
   auto build_model = [&](bool use_snapshot, bool skip_if_unchanged =
                                                 false) -> std::shared_ptr<Cs2pPredictorModel> {
@@ -368,8 +358,7 @@ int main(int argc, char** argv) try {
       static_cast<std::size_t>(args.get_long("session-shards"));
   server_config.idle_timeout_ms = static_cast<int>(args.get_long("idle-timeout-ms"));
   server_config.session_ttl_ms = static_cast<int>(args.get_long("session-ttl-ms"));
-  server_config.max_sample_mbps =
-      static_cast<double>(args.get_long("max-sample-mbps"));
+  server_config.max_sample_mbps = args.get_double("max-sample-mbps");
   server_config.metrics = metrics;
   server_config.trace = trace;
   server_config.shed_utilization = args.get_double("shed-utilization");
@@ -427,9 +416,7 @@ int main(int argc, char** argv) try {
                 server.config().retry_after_ms);
   if (reload_interval_s > 0)
     std::printf("reload: retrain + hot-swap every %ld s\n", reload_interval_s);
-  if (config.guardrail.enabled)
-    std::printf("guardrail: on%s\n",
-                drift_reload ? " (cluster drift triggers retrain)" : "");
+  if (config.guardrail.enabled) std::printf("guardrail: on\n");
   const long metrics_interval_s = args.get_long("metrics-interval");
   if (metrics_interval_s > 0)
     std::printf("metrics: dump every %ld s\n", metrics_interval_s);
@@ -472,11 +459,6 @@ int main(int argc, char** argv) try {
   };
   publish_and_push(*model);
 
-  // Drift-marked clusters already answered with a retrain: a failed reload
-  // must not retrigger every poll tick. Atomic because the trainer's publish
-  // hook (trainer thread) resets it when a swap clears the drift marks.
-  std::atomic<std::size_t> drift_handled{0};
-
   // Joins the trainer thread on every exit path BEFORE the server (declared
   // above it) is destroyed — the publish hook below swaps models into the
   // server, so the thread must be gone first.
@@ -495,7 +477,6 @@ int main(int argc, char** argv) try {
         const std::lock_guard<std::mutex> lock(model_mutex);
         model = fresh;
       }
-      drift_handled.store(0);  // fresh engines start with clean drift marks
       push_snapshot_bytes(bytes);
       return true;
     });
@@ -568,34 +549,21 @@ int main(int argc, char** argv) try {
     const bool interval_due =
         reload_interval_s > 0 &&
         Clock::now() - last_reload >= std::chrono::seconds(reload_interval_s);
-    bool drift_due = false;
-    if (drift_reload) {
-      const std::size_t drifted =
-          current_model()->engine().drifted_cluster_count();
-      if (drifted > drift_handled.load()) {
-        std::printf("drift: %zu cluster(s) tripped their quorum, retraining\n",
-                    drifted);
-        drift_handled.store(drifted);
-        drift_due = true;
-      }
-    }
     const bool manual_reload = g_reload.exchange(false);
-    if (!manual_reload && !interval_due && !drift_due) continue;
+    if (!manual_reload && !interval_due) continue;
     last_reload = Clock::now();
     try {
       // Retrain while the old model keeps serving; swap only on success.
       // Only the pure interval trigger may skip on an unchanged dataset:
-      // SIGHUP is an operator order and a drift retrain must rebuild state.
-      auto fresh = build_model(
-          /*use_snapshot=*/false,
-          /*skip_if_unchanged=*/interval_due && !manual_reload && !drift_due);
+      // SIGHUP is an operator order.
+      auto fresh = build_model(/*use_snapshot=*/false,
+                               /*skip_if_unchanged=*/interval_due && !manual_reload);
       if (!fresh) continue;  // dataset unchanged, retrain skipped
       server.swap_model(fresh);
       {
         const std::lock_guard<std::mutex> lock(model_mutex);
-        model = fresh;  // poll drift on the engine now serving
+        model = fresh;
       }
-      drift_handled.store(0);
       const std::string bytes = publish_and_push(*fresh);
       // Hand the reloaded engine to the trainer OUTSIDE model_mutex: its
       // publish hook takes model_mutex on the trainer thread while holding
