@@ -17,9 +17,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "abr/mpc.h"
 #include "bench/common.h"
@@ -33,6 +35,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/player.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -288,10 +291,10 @@ BENCHMARK(BM_ServerConcurrency)
 /// OBSERVEs, BYE) from far more concurrent clients than the 2-worker server
 /// is sized for. With admission control off every session is admitted and
 /// they all contend; with shedding on, HELLOs past the utilization/queue
-/// thresholds answer OVERLOADED (counted as `shed`, not goodput) and the
-/// admitted sessions keep their latency. The claim EXPERIMENTS.md records:
-/// the shedding server sustains >= 90% of its saturation goodput at ~2x
-/// capacity, instead of collapsing.
+/// thresholds answer OVERLOADED (counted as `shed`, not goodput). Every
+/// admitted OBSERVE round trip is timed, and each repetition reports the p50
+/// and p99 over all threads' samples: what shedding buys the sessions it
+/// admits, to weigh against the goodput it costs (EXPERIMENTS.md).
 void BM_GoodputUnderOverload(benchmark::State& state, bool shed) {
   auto& f = fixture();
   static PredictionServer* servers[2] = {nullptr, nullptr};
@@ -311,20 +314,37 @@ void BM_GoodputUnderOverload(benchmark::State& state, bool shed) {
     }
   }
   PredictionServer& server = *servers[shed ? 1 : 0];
+  // Admitted OBSERVE round trips (us) of every thread in this repetition.
+  // Thread 0 clears them before the loop's start barrier, every thread
+  // appends inside the loop, and thread 0 reads them after its end barrier.
+  static std::mutex samples_mutex;
+  static std::vector<double> samples_us;
+  if (state.thread_index() == 0) {
+    std::scoped_lock lock(samples_mutex);
+    samples_us.clear();
+  }
   PredictionClient client(server.port());
   std::uint64_t served = 0;
   std::uint64_t shed_hellos = 0;
+  std::array<double, 8> round_trips_us{};
   for (auto _ : state) {
     try {
       const SessionResponse session =
           client.hello(f.probe->features, f.probe->start_hour);
-      for (int i = 0; i < 8; ++i)
+      for (std::size_t i = 0; i < round_trips_us.size(); ++i) {
+        const auto sent = std::chrono::steady_clock::now();
         benchmark::DoNotOptimize(client.observe(
             session.session_id,
-            f.probe->throughput_mbps[static_cast<std::size_t>(i) %
-                                     f.probe->throughput_mbps.size()]));
+            f.probe->throughput_mbps[i % f.probe->throughput_mbps.size()]));
+        round_trips_us[i] = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - sent)
+                                .count();
+      }
       client.bye(session.session_id);
       served += 8;
+      std::scoped_lock lock(samples_mutex);
+      samples_us.insert(samples_us.end(), round_trips_us.begin(),
+                        round_trips_us.end());
     } catch (const ServerError&) {
       ++shed_hellos;  // admission refused with a retry-after hint
     }
@@ -332,6 +352,13 @@ void BM_GoodputUnderOverload(benchmark::State& state, bool shed) {
   state.counters["goodput/s"] = benchmark::Counter(
       static_cast<double>(served), benchmark::Counter::kIsRate);
   state.counters["shed_hellos"] = static_cast<double>(shed_hellos);
+  if (state.thread_index() == 0) {
+    std::scoped_lock lock(samples_mutex);
+    if (!samples_us.empty()) {
+      state.counters["admitted_p50_us"] = quantile(samples_us, 0.50);
+      state.counters["admitted_p99_us"] = quantile(samples_us, 0.99);
+    }
+  }
 }
 BENCHMARK_CAPTURE(BM_GoodputUnderOverload, shed_off, false)
     ->Threads(2)

@@ -249,7 +249,6 @@ class Cs2pEngine {
   /// constructor produces generation 0 (offline root); the restore
   /// constructor adopts whatever the snapshot recorded.
   const ModelLineage& lineage() const noexcept { return lineage_; }
-  void set_lineage(ModelLineage lineage) noexcept { lineage_ = lineage; }
 
   /// The cluster a (candidate id, bucket key) identity resolves to in this
   /// engine's index, or nullptr when the bucket does not exist (e.g. the

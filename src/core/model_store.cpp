@@ -171,8 +171,7 @@ std::string serialize_engine(const Cs2pEngine& engine) {
   payload << "config " << hex16(config_fingerprint(engine.config())) << "\n";
   payload << "dataset " << hex16(dataset_fingerprint(engine.training())) << ' '
           << engine.training().size() << "\n";
-  // Continuous-training lineage (DESIGN.md §15). Written unconditionally;
-  // readers treat it as optional so pre-lineage snapshots stay loadable.
+  // Continuous-training lineage (DESIGN.md §15).
   payload << "lineage " << engine.lineage().generation << ' '
           << hex16(engine.lineage().parent_checksum) << "\n";
   payload << "global-initial " << engine.global_initial() << "\n";
@@ -289,20 +288,14 @@ EngineRestoreData parse_snapshot(const std::string& bytes,
 
   EngineRestoreData restored;
   {
-    // Optional lineage record (snapshots predating continuous training go
-    // straight to global-initial and keep the zero-lineage default).
-    auto is = line_stream(cursor.next_line());
-    std::string tag;
-    if (!(is >> tag)) corrupt("empty payload record");
-    if (tag == "lineage") {
-      std::string parent_hex;
-      if (!(is >> restored.lineage.generation >> parent_hex))
-        corrupt("lineage record malformed");
-      restored.lineage.parent_checksum = parse_hex16(parent_hex);
-      is = line_stream(cursor.next_line());
-      if (!(is >> tag)) corrupt("empty payload record");
-    }
-    if (tag != "global-initial") corrupt("expected 'global-initial' record");
+    auto is = expect_tag(cursor, "lineage");
+    std::string parent_hex;
+    if (!(is >> restored.lineage.generation >> parent_hex))
+      corrupt("lineage record malformed");
+    restored.lineage.parent_checksum = parse_hex16(parent_hex);
+  }
+  {
+    auto is = expect_tag(cursor, "global-initial");
     if (!(is >> restored.global_initial) ||
         !std::isfinite(restored.global_initial) || restored.global_initial < 0.0)
       corrupt("global-initial invalid");

@@ -20,6 +20,15 @@ constexpr double kLogLikelihoodFloor = -50.0;
 /// Denominator floor for relative horizon error (Mbps).
 constexpr double kThroughputFloor = 0.01;
 
+/// "Statistics moved" threshold: retrain when the mean throughput of
+/// sessions since the last retrain differs from the cluster's baseline by
+/// more than this fraction.
+constexpr double kStatShiftFraction = 0.2;
+
+/// The candidate's median horizon relative error may exceed the
+/// incumbent's by at most this fraction.
+constexpr double kHorizonTolerance = 0.25;
+
 double clamped_log_likelihood(double ll) noexcept {
   if (std::isnan(ll)) return kLogLikelihoodFloor;
   return std::max(ll, kLogLikelihoodFloor);
@@ -218,7 +227,7 @@ void ContinuousTrainer::ingest(const SessionFeatures& features,
         state.recent_sum / static_cast<double>(state.new_since_train);
     const double base = std::max(state.baseline_mean, kThroughputFloor);
     if (std::abs(recent_mean - state.baseline_mean) >
-        config_.stat_shift_fraction * base) {
+        kStatShiftFraction * base) {
       if (!state.dirty) {
         state.dirty = true;
         state.dirty_since = Clock::now();
@@ -388,7 +397,7 @@ void ContinuousTrainer::retrain_cluster(ClusterState& state,
   if (candidate_score.has_horizon && incumbent_score.has_horizon &&
       candidate_score.median_horizon_error >
           incumbent_score.median_horizon_error *
-                  (1.0 + config_.horizon_tolerance) +
+                  (1.0 + kHorizonTolerance) +
               1e-9) {
     reject(CanaryRejectReason::kHorizonError);
     return;

@@ -57,18 +57,11 @@ struct TrainerConfig {
   std::size_t min_new_sessions = 8;
   /// Sequences shorter than this carry no usable transition signal.
   std::size_t min_sequence_epochs = 4;
-  /// "Statistics moved" threshold: retrain when the mean throughput of
-  /// sessions since the last retrain differs from the cluster's baseline by
-  /// more than this fraction.
-  double stat_shift_fraction = 0.2;
   /// Every k-th reservoir entry is held out of training for the canary.
   std::size_t holdout_stride = 4;
   /// Canary win margin, in nats per observation of median one-step
   /// log-likelihood: the candidate must beat the incumbent by at least this.
   double canary_margin = 0.05;
-  /// The candidate's median horizon relative error may exceed the
-  /// incumbent's by at most this fraction.
-  double horizon_tolerance = 0.25;
   /// Look-ahead (epochs) of the horizon-error leg of the canary.
   unsigned horizon = 4;
   /// Background thread cadence.

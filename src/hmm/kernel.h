@@ -74,7 +74,6 @@ class HmmKernel {
 
   std::size_t num_states() const noexcept { return n_; }
   const GaussianHmm& model() const noexcept { return model_; }
-  unsigned cached_powers() const noexcept { return cached_powers_; }
 
   const double* mu() const noexcept { return mu_; }
   /// Emission sigmas, floored at kMinEmissionSigma (util/gaussian.h).
@@ -83,8 +82,8 @@ class HmmKernel {
   const double* log_sigma() const noexcept { return log_sigma_; }
   const double* initial() const noexcept { return initial_; }
 
-  /// Row-major P^steps for 1 <= steps <= cached_powers(); nullptr beyond
-  /// the cache (callers fall back to propagate_steps / Matrix::pow).
+  /// Row-major P^steps for steps in the cached ladder P^1..P^τmax; nullptr
+  /// beyond it (callers fall back to propagate_steps / Matrix::pow).
   const double* power(unsigned steps) const noexcept {
     if (steps == 0 || steps > cached_powers_) return nullptr;
     return powers_ + (static_cast<std::size_t>(steps) - 1) * power_stride_;

@@ -56,7 +56,7 @@ constexpr std::size_t kSessionHistoryCap = 512;
 
 }  // namespace
 
-PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
+FrameServer::MetricHandles FrameServer::MetricHandles::create(
     obs::MetricsRegistry& registry) {
   MetricHandles m;
   m.requests = &registry.counter("cs2p_server_requests_total");
@@ -108,7 +108,7 @@ PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
   return m;
 }
 
-obs::Counter* PredictionServer::verb_counter(
+obs::Counter* FrameServer::verb_counter(
     const Request& request) const noexcept {
   if (std::holds_alternative<HelloRequest>(request)) return m_.verb_hello;
   if (std::holds_alternative<ObserveRequest>(request)) return m_.verb_observe;
@@ -128,19 +128,24 @@ PredictionServer::PredictionServer(std::shared_ptr<const PredictorModel> model,
                                    std::uint16_t port)
     : PredictionServer(std::move(model), ServerConfig{}, port) {}
 
-PredictionServer::PredictionServer(std::shared_ptr<const PredictorModel> model,
-                                   ServerConfig config, std::uint16_t port)
-    : model_(std::move(model)),
-      config_(resolve_config(std::move(config))),
+FrameServer::FrameServer(std::shared_ptr<const PredictorModel> model,
+                         ServerConfig config)
+    : config_(resolve_config(std::move(config))),
       metrics_(config_.metrics ? config_.metrics
                                : std::make_shared<obs::MetricsRegistry>()),
       m_(MetricHandles::create(*metrics_)),
       trace_(config_.trace),
+      model_(std::move(model)),
       sessions_(SessionTableConfig{config_.session_shards,
                                    config_.session_ttl_ms,
                                    config_.evict_scan_budget},
                 metrics_.get()) {
   if (!model_) throw std::invalid_argument("PredictionServer: null model");
+}
+
+PredictionServer::PredictionServer(std::shared_ptr<const PredictorModel> model,
+                                   ServerConfig config, std::uint16_t port)
+    : FrameServer(std::move(model), std::move(config)) {
   if (config_.max_connections == 0)
     throw std::invalid_argument("PredictionServer: max_connections must be > 0");
   auto [listener, bound_port] = listen_loopback(port);
@@ -155,7 +160,7 @@ PredictionServer::PredictionServer(std::shared_ptr<const PredictorModel> model,
     auto [wake_read, wake_write] = make_wake_pipe();
     worker->wake_read = std::move(wake_read);
     worker->wake_write = std::move(wake_write);
-    worker->utilization_gauge = &metrics_->gauge(
+    worker->utilization = &metrics_->gauge(
         "cs2p_server_worker_utilization", {{"worker", std::to_string(i)}});
     workers_.push_back(std::move(worker));
   }
@@ -167,7 +172,7 @@ PredictionServer::PredictionServer(std::shared_ptr<const PredictorModel> model,
 PredictionServer::~PredictionServer() { stop(); }
 
 void PredictionServer::stop() {
-  stopping_.store(true);
+  FrameServer::stop();
   // Serialize the teardown: std::thread::join from two threads racing each
   // other is undefined behaviour, so the whole shutdown runs under a lock
   // and every step is idempotent.
@@ -182,7 +187,7 @@ void PredictionServer::stop() {
     if (worker->thread.joinable()) worker->thread.join();
 }
 
-void PredictionServer::swap_model(std::shared_ptr<const PredictorModel> model) {
+void FrameServer::swap_model(std::shared_ptr<const PredictorModel> model) {
   if (!model) throw std::invalid_argument("PredictionServer: null model in swap");
   {
     std::scoped_lock lock(model_mutex_);
@@ -193,12 +198,12 @@ void PredictionServer::swap_model(std::shared_ptr<const PredictorModel> model) {
   // still holds a reference, and releases it on BYE or TTL eviction.
 }
 
-std::shared_ptr<const PredictorModel> PredictionServer::current_model() const {
+std::shared_ptr<const PredictorModel> FrameServer::current_model() const {
   std::scoped_lock lock(model_mutex_);
   return model_;
 }
 
-void PredictionServer::publish_snapshot(std::string snapshot_bytes) {
+void FrameServer::publish_snapshot(std::string snapshot_bytes) {
   std::shared_ptr<const std::string> published;
   std::uint64_t checksum = 0;
   if (!snapshot_bytes.empty()) {
@@ -210,7 +215,7 @@ void PredictionServer::publish_snapshot(std::string snapshot_bytes) {
   snapshot_checksum_ = checksum;
 }
 
-std::shared_ptr<const std::string> PredictionServer::published_snapshot() const {
+std::shared_ptr<const std::string> FrameServer::published_snapshot() const {
   std::scoped_lock lock(snapshot_mutex_);
   return snapshot_;
 }
@@ -222,13 +227,12 @@ bool PredictionServer::should_shed(const Worker& worker) const noexcept {
           config_.shed_pending_replies)
     return true;
   if (config_.shed_utilization > 0.0 &&
-      worker.utilization.load(std::memory_order_relaxed) >=
-          config_.shed_utilization)
+      worker.utilization->value() >= config_.shed_utilization)
     return true;
   return false;
 }
 
-void PredictionServer::begin_drain() {
+void FrameServer::begin_drain() {
   if (draining_.exchange(true, std::memory_order_acq_rel)) return;
   const auto now_us = std::chrono::duration_cast<std::chrono::microseconds>(
                           Clock::now().time_since_epoch())
@@ -238,28 +242,25 @@ void PredictionServer::begin_drain() {
   if (config_.drain_session_ttl_ms > 0)
     sessions_.set_ttl_ms(
         std::min(config_.session_ttl_ms, config_.drain_session_ttl_ms));
-  // Wake every worker: the drain TTL and the kDraining reply stamping take
-  // effect on their next iteration, not at their next natural wakeup.
-  for (auto& worker : workers_) wake_pipe_signal(worker->wake_write);
 }
 
-void PredictionServer::note_drain_progress() {
+void FrameServer::note_drain_progress(Clock::time_point now) {
   if (!draining() || sessions_.size() != 0) return;
   if (drain_recorded_.exchange(true, std::memory_order_acq_rel)) return;
   const auto now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          Clock::now().time_since_epoch())
+                          now.time_since_epoch())
                           .count();
   const auto started = drain_started_us_.load(std::memory_order_acquire);
   m_.last_drain_seconds->set(static_cast<double>(now_us - started) / 1e6);
 }
 
-void PredictionServer::complete_session(std::uint64_t id,
-                                        SessionTable::Entry& entry,
-                                        std::string_view reason) {
+void FrameServer::complete_session(std::uint64_t id,
+                                   SessionTable::Entry& entry,
+                                   std::string_view reason,
+                                   Clock::time_point now) {
   if (entry.created_at != Clock::time_point{}) {
     m_.session_seconds->observe(
-        std::chrono::duration<double>(Clock::now() - entry.created_at)
-            .count());
+        std::chrono::duration<double>(now - entry.created_at).count());
   }
   if (!config_.on_session_complete) return;
   CompletedSession completed;
@@ -284,7 +285,7 @@ bool PredictionServer::wait_drained(int timeout_ms) {
     if (Clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  note_drain_progress();
+  note_drain_progress(Clock::now());
   return drained();
 }
 
@@ -337,7 +338,8 @@ void PredictionServer::accept_loop() {
                         "server is draining, connect to another replica");
       continue;
     }
-    if (active_connections_.load() >= config_.max_connections) {
+    if (m_.active_connections->value() >=
+        static_cast<double>(config_.max_connections)) {
       reject_connection(connection, WireErrorCode::kOverloaded,
                         "connection limit reached, try again later");
       continue;  // FdHandle destructor closes it
@@ -348,15 +350,13 @@ void PredictionServer::accept_loop() {
 
 void PredictionServer::dispatch_connection(FdHandle connection) {
   m_.connections->inc();
-  m_.active_connections->set(
-      static_cast<double>(active_connections_.fetch_add(1) + 1));
+  m_.active_connections->add(1.0);
   try {
     set_nonblocking(connection);
   } catch (const std::exception&) {
     // Raced a peer reset between accept and fcntl: undo the accounting and
     // drop it — never hand a dead fd to a worker.
-    m_.active_connections->set(
-        static_cast<double>(active_connections_.fetch_sub(1) - 1));
+    m_.active_connections->add(-1.0);
     return;
   }
   if (config_.so_sndbuf > 0) {
@@ -403,8 +403,7 @@ void PredictionServer::close_connection(Worker& worker, Connection& conn,
   conn.pending_head = 0;
   m_.connection_seconds->observe(
       std::chrono::duration<double>(Clock::now() - conn.opened_at).count());
-  m_.active_connections->set(
-      static_cast<double>(active_connections_.fetch_sub(1) - 1));
+  m_.active_connections->add(-1.0);
   conn.fd.reset();
 }
 
@@ -414,7 +413,6 @@ void PredictionServer::worker_loop(Worker& worker) {
   std::vector<int> expired;   // fds past their idle or stall deadline
   auto next_evict = Clock::now();
   auto iter_start = Clock::now();
-  const bool leads_ticks = !workers_.empty() && workers_[0].get() == &worker;
   while (true) {
     adopt_inbox(worker);
     const bool stopping = stopping_.load();
@@ -470,9 +468,8 @@ void PredictionServer::worker_loop(Worker& worker) {
                          std::chrono::duration<double>(total).count();
         busy = std::clamp(busy, 0.0, 1.0);
       }
-      const double prev = worker.utilization.load(std::memory_order_relaxed);
-      worker.utilization.store(
-          prev + kUtilizationAlpha * (busy - prev), std::memory_order_relaxed);
+      const double prev = worker.utilization->value();
+      worker.utilization->set(prev + kUtilizationAlpha * (busy - prev));
       iter_start = poll_end;
     }
 
@@ -538,27 +535,24 @@ void PredictionServer::worker_loop(Worker& worker) {
 
     if (now >= next_evict) {
       next_evict = now + kEvictTickInterval;
-      const auto stats = sessions_.evict_tick(
-          now, [this](std::uint64_t id, SessionTable::Entry& entry) {
-            if (trace_ && entry.traced)
-              trace_->emit("evict", id,
-                           {{"ttl_ms", static_cast<std::int64_t>(
-                                           sessions_.ttl_ms())}});
-            m_.evicted->inc();
-            complete_session(id, entry, "evict");
-          });
-      if (stats.evicted > 0)
-        m_.live_sessions->set(static_cast<double>(sessions_.size()));
-      if (leads_ticks) {
-        // One worker publishes every worker's utilization gauge.
-        for (auto& w : workers_)
-          if (w->utilization_gauge != nullptr)
-            w->utilization_gauge->set(
-                w->utilization.load(std::memory_order_relaxed));
-      }
-      if (draining()) note_drain_progress();
+      evict_tick(now);
     }
   }
+}
+
+void FrameServer::evict_tick(Clock::time_point now) {
+  const auto stats = sessions_.evict_tick(
+      now, [this, now](std::uint64_t id, SessionTable::Entry& entry) {
+        if (trace_ && entry.traced)
+          trace_->emit("evict", id,
+                       {{"ttl_ms", static_cast<std::int64_t>(
+                                       sessions_.ttl_ms())}});
+        m_.evicted->inc();
+        complete_session(id, entry, "evict", now);
+      });
+  if (stats.evicted > 0)
+    m_.live_sessions->set(static_cast<double>(sessions_.size()));
+  if (draining()) note_drain_progress(now);
 }
 
 bool PredictionServer::handle_io(Worker& worker, Connection& conn,
@@ -607,10 +601,6 @@ bool PredictionServer::extract_frame(Connection& conn, std::string_view& payload
   // trickling header bytes never refreshes its deadline (slow-header
   // folding, DESIGN.md §14).
   conn.last_activity = now;
-  // Count before replying: once the client sees the response, the request
-  // must already be visible in requests_handled() — and a reply can never
-  // outrun its request (the scrape invariant of §11).
-  m_.requests->inc();
   return true;
 }
 
@@ -681,17 +671,19 @@ void PredictionServer::serve_pass(Worker& worker, Clock::time_point now) {
   }
 }
 
-void PredictionServer::serve_frame(Worker& worker, Connection& conn,
-                                   std::string_view payload,
-                                   Clock::time_point now) {
+Response FrameServer::serve(std::string_view payload, SyncStaging& staging,
+                            Clock::time_point now, bool shed,
+                            RequestInfo& info) {
+  // Count before replying: once the client sees the response, the request
+  // must already be visible in requests_handled() — and a reply can never
+  // outrun its request (the scrape invariant of §11).
+  m_.requests->inc();
   // Stage clocks feed only the trace records' parse_us/handle_us, so they
   // are read only while a trace log is configured; otherwise every stamp is
   // the epoch and every stage reads 0.
   const auto stamp = [traced = trace_ != nullptr] {
     return traced ? Clock::now() : Clock::time_point{};
   };
-  PendingReply reply;
-  reply.t_recv = now;
   Response response;
   const auto t_parse = stamp();
   auto t_handle = t_parse;
@@ -704,9 +696,9 @@ void PredictionServer::serve_frame(Worker& worker, Connection& conn,
           ErrorResponse{WireErrorCode::kShuttingDown, "server is stopping"};
     } else if (std::holds_alternative<ObserveRequest>(request) ||
                std::holds_alternative<PredictRequest>(request)) {
-      response = serve_prediction(request, now, reply.info);
+      response = serve_prediction(request, now, info);
     } else {
-      response = handle(request, worker, conn, reply.info);
+      response = handle(request, staging, now, shed, info);
     }
   } catch (const ProtocolError& e) {
     m_.verb_invalid->inc();
@@ -716,8 +708,18 @@ void PredictionServer::serve_frame(Worker& worker, Connection& conn,
     // before its first observation) fails its own frame, not the worker.
     response = ErrorResponse{WireErrorCode::kInternal, e.what()};
   }
-  reply.parse_us = elapsed_us(t_parse, t_handle);
-  reply.handle_us = elapsed_us(t_handle, stamp());
+  info.parse_us = elapsed_us(t_parse, t_handle);
+  info.handle_us = elapsed_us(t_handle, stamp());
+  return response;
+}
+
+void PredictionServer::serve_frame(Worker& worker, Connection& conn,
+                                   std::string_view payload,
+                                   Clock::time_point now) {
+  PendingReply reply;
+  reply.t_recv = now;
+  Response response =
+      serve(payload, conn.sync, now, should_shed(worker), reply.info);
 
   // Queue the reply: framing, error accounting and the queue-depth
   // high-water mark. serve_pass flushes the queue once the pass has no
@@ -743,9 +745,9 @@ void PredictionServer::serve_frame(Worker& worker, Connection& conn,
   conn.replied = true;
 }
 
-Response PredictionServer::serve_prediction(const Request& request,
-                                            Clock::time_point now,
-                                            RequestInfo& info) {
+Response FrameServer::serve_prediction(const Request& request,
+                                       Clock::time_point now,
+                                       RequestInfo& info) {
   const auto* observe = std::get_if<ObserveRequest>(&request);
   const auto* predict = std::get_if<PredictRequest>(&request);
   const std::uint64_t id =
@@ -849,21 +851,21 @@ void PredictionServer::complete_flushed_replies(Worker& worker,
     const RequestInfo& info = reply.info;
     if (trace_ && info.traced) {
       const std::uint64_t total_us = elapsed_us(reply.t_recv, now);
-      const std::uint64_t staged_us = reply.parse_us + reply.handle_us;
+      const std::uint64_t staged_us = info.parse_us + info.handle_us;
       const std::uint64_t send_us = total_us > staged_us ? total_us - staged_us : 0;
       if (reply.is_error) {
         trace_->emit("reply-error", info.session_id,
                      {{"verb", info.event},
                       {"code", reply.error_code},
-                      {"parse_us", reply.parse_us},
-                      {"handle_us", reply.handle_us},
+                      {"parse_us", info.parse_us},
+                      {"handle_us", info.handle_us},
                       {"send_us", send_us}});
       } else if (info.event == "hello") {
         trace_->emit("hello", info.session_id,
                      {{"cluster", std::string_view(info.cluster_label)},
                       {"initial_mbps", info.mbps},
-                      {"parse_us", reply.parse_us},
-                      {"handle_us", reply.handle_us},
+                      {"parse_us", info.parse_us},
+                      {"handle_us", info.handle_us},
                       {"send_us", send_us}});
       } else {
         // observe / predict / bye: flags + prediction + the filter's
@@ -874,8 +876,8 @@ void PredictionServer::complete_flushed_replies(Worker& worker,
              {"mbps", info.mbps},
              {"ll", info.log_likelihood.value_or(
                         std::numeric_limits<double>::quiet_NaN())},
-             {"parse_us", reply.parse_us},
-             {"handle_us", reply.handle_us},
+             {"parse_us", info.parse_us},
+             {"handle_us", info.handle_us},
              {"send_us", send_us}});
       }
     }
@@ -887,14 +889,15 @@ void PredictionServer::complete_flushed_replies(Worker& worker,
   conn.last_activity = now;
 }
 
-Response PredictionServer::handle(const Request& request, Worker& worker,
-                                  Connection& conn, RequestInfo& info) {
+Response FrameServer::handle(const Request& request, SyncStaging& staging,
+                             Clock::time_point now, bool shed,
+                             RequestInfo& info) {
   if (std::holds_alternative<SyncBeginRequest>(request) ||
       std::holds_alternative<SyncChunkRequest>(request) ||
       std::holds_alternative<SyncCommitRequest>(request) ||
       std::holds_alternative<SyncFetchRequest>(request)) {
     info.event = "sync";
-    return handle_sync(request, conn.sync);
+    return handle_sync(request, staging);
   }
 
   if (const auto* hello = std::get_if<HelloRequest>(&request)) {
@@ -909,7 +912,7 @@ Response PredictionServer::handle(const Request& request, Worker& worker,
                            "server is draining, connect to another replica",
                            static_cast<std::uint32_t>(config_.retry_after_ms)};
     }
-    if (should_shed(worker)) {
+    if (shed) {
       m_.hellos_shed->inc();
       return ErrorResponse{WireErrorCode::kOverloaded,
                            "server is shedding new sessions, retry later",
@@ -932,7 +935,6 @@ Response PredictionServer::handle(const Request& request, Worker& worker,
     // Cluster metadata is predictor-specific; expose what we can.
     response.cluster_label = model->name();
 
-    const auto now = Clock::now();
     response.session_id = sessions_.emplace([&](std::uint64_t id) {
       info.session_id = id;
       info.traced = trace_ && trace_->should_sample(id);
@@ -964,15 +966,15 @@ Response PredictionServer::handle(const Request& request, Worker& worker,
     // polite way into the unified completion path.
     if (sessions_.erase(
             bye->session_id,
-            [this](std::uint64_t id, SessionTable::Entry& entry) {
-              complete_session(id, entry, "bye");
+            [this, now](std::uint64_t id, SessionTable::Entry& entry) {
+              complete_session(id, entry, "bye", now);
             },
             &traced))
       info.traced = traced;
     m_.live_sessions->set(static_cast<double>(sessions_.size()));
     // The last BYE is usually what completes a drain — record it now rather
     // than waiting for the next evict tick.
-    if (draining()) note_drain_progress();
+    if (draining()) note_drain_progress(now);
     return OkResponse{};
   }
 
@@ -1019,8 +1021,8 @@ Response PredictionServer::handle(const Request& request, Worker& worker,
   return ErrorResponse{WireErrorCode::kBadRequest, "unhandled request"};
 }
 
-Response PredictionServer::handle_sync(const Request& request,
-                                       SyncStaging& staging) {
+Response FrameServer::handle_sync(const Request& request,
+                                  SyncStaging& staging) {
   const auto reject = [&](const std::string& why) -> Response {
     staging = SyncStaging{};
     m_.syncs_rejected->inc();

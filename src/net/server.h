@@ -1,69 +1,7 @@
-// PredictionServer: the deployed Prediction Engine (paper §6).
-//
-// Holds a trained PredictorModel (normally Cs2pPredictorModel) and serves
-// the wire protocol of net/wire.h over loopback TCP.
-//
-// Serving core (DESIGN.md §12): a fixed pool of event-driven I/O workers.
-// The accept thread hands each connection to one of `io_threads` workers;
-// every worker runs a poll(2) loop over its connections with non-blocking
-// sockets, buffering partial frames in a per-connection read buffer that
-// complete frames are parsed in place from (replies pipeline through a
-// bounded per-connection write queue). The server's thread count is
-// io_threads + 1 (accept) regardless of connection count — no
-// thread-per-connection, no thread churn. Per-session predictor state lives
-// in a sharded SessionTable (net/session_table.h) so a session can migrate
-// between connections and N workers touching N sessions take N different
-// locks; TTL eviction is amortized into the worker loops (bounded scans,
-// never a full-table sweep under one lock).
-//
-// One OBSERVE/PREDICT serving path (DESIGN.md §16): after each poll wakeup
-// the worker serves its connections' buffered frames in sweeps of one
-// complete frame per connection, so per-connection reply order is
-// untouched. Each frame is parsed, answered and its reply queued before the
-// next is extracted: handle() answers the lifecycle and control verbs
-// (HELLO, BYE, SYNC, STATS, MODEL), and an OBSERVE/PREDICT runs through its
-// session's own observe() and predict() under that session's shard lock
-// (SessionTable::with_sessions). A session driven over two connections at
-// once resolves to one entry, so its frames apply in the order the sweeps
-// serve them. A stopping server answers SHUTTING_DOWN to every frame.
-// Serving only queues replies; once no frame is left, each connection that
-// got replies is flushed once, so a pipelined burst leaves in one send(2)
-// and a reply waits for the rest of its pass. The pass reads the clock
-// once, at the wakeup, and an OBSERVE/PREDICT on a live session allocates
-// nothing.
-//
-// Fault discipline (ROADMAP north star: degrade, don't die):
-//   - connection cap with a typed OVERLOADED rejection frame,
-//   - per-connection idle deadline enforced by the worker loop (a hung or
-//     silent peer cannot pin a worker — workers are never blocked on any
-//     single connection),
-//   - request validation (NaN/negative/absurd throughput samples answer
-//     INVALID_SAMPLE instead of poisoning the HMM filter),
-//   - TTL eviction of session entries abandoned without BYE (a crashed
-//     client leaks nothing permanently).
-//
-// Overload control & drain (DESIGN.md §14):
-//   - write backpressure: replies queue in a bounded per-connection write
-//     buffer; a connection whose queue exceeds write_budget_bytes stops
-//     being served and read (so a slow reader throttles itself, not the
-//     worker), and
-//     one whose queue makes no progress past write_stall_timeout_ms is
-//     closed — the unbounded-buffer OOM hole is shut by construction,
-//   - admission control: each worker tracks a utilization EWMA and its
-//     queued-reply depth; past the shed thresholds new HELLOs answer
-//     OVERLOADED with a retry-after hint while existing sessions keep
-//     being served — latency sheds before it collapses,
-//   - graceful drain: begin_drain() stops accepting, answers new HELLOs
-//     with SHUTTING_DOWN + retry-after, stamps kDraining on every PRED so
-//     ReplicaSet migrates sessions proactively, and shrinks the session TTL
-//     so abandoned entries cannot hold the drain open — a SIGTERM becomes a
-//     zero-drop rolling restart.
-//
-// Model lifecycle (DESIGN.md §9): the served model sits behind an RCU-style
-// shared_ptr. swap_model() atomically publishes a retrained model; sessions
-// opened before the swap pin their creating model (each session entry holds
-// a reference) and keep predicting on it until BYE/eviction, while new
-// HELLOs land on the fresh model. No session is ever dropped by a swap.
+// The deployed Prediction Engine (paper §6): a trained PredictorModel
+// (normally Cs2pPredictorModel) served over the wire protocol of net/wire.h
+// on loopback TCP, in two layers (DESIGN.md §12): FrameServer decides what
+// each frame means, and PredictionServer is the I/O shell around it.
 #pragma once
 
 #include <atomic>
@@ -170,27 +108,89 @@ struct ServerConfig {
   int so_sndbuf = 0;
 };
 
-class PredictionServer {
+/// Answers frames, and owns everything an answer depends on: the served
+/// model, the sharded session table and its TTL eviction, the published
+/// snapshot, drain state and the session-completion hook. It owns no
+/// socket, thread or poll loop, and without a trace log it reads no clock:
+/// every time it stamps (TTL touch, session creation and lifetime, drain
+/// completion) is the `now` its caller hands it, so a test can drive it
+/// frame by frame with an injected clock.
+///
+/// One serving path (DESIGN.md §16): serve() parses a payload; handle()
+/// answers the lifecycle and control verbs (HELLO, BYE, SYNC, STATS, MODEL),
+/// and an OBSERVE/PREDICT runs through its session's own observe() and
+/// predict() under that session's shard lock (SessionTable::with_sessions),
+/// so a session addressed from several connections resolves to one entry
+/// and its frames apply in the order they are served. A frame that fails to
+/// parse answers BAD_REQUEST, one whose predictor throws INTERNAL, and every
+/// frame after stop() SHUTTING_DOWN. An OBSERVE/PREDICT on a live session
+/// allocates nothing.
+///
+/// Request validation (ROADMAP north star: degrade, don't die): NaN,
+/// negative and absurd throughput samples answer INVALID_SAMPLE instead of
+/// poisoning the HMM filter, and sessions abandoned without BYE are evicted
+/// after the TTL, so a crashed client leaks nothing permanently.
+///
+/// Model lifecycle (DESIGN.md §9): the served model sits behind an RCU-style
+/// shared_ptr. swap_model() atomically publishes a retrained model; sessions
+/// opened before the swap pin their creating model (each session entry holds
+/// a reference) and keep predicting on it until BYE/eviction, while new
+/// HELLOs land on the fresh model. No session is ever dropped by a swap.
+///
+/// Drain and admission (DESIGN.md §14): begin_drain() answers new HELLOs
+/// with SHUTTING_DOWN + retry-after, stamps kDraining on every PRED so
+/// ReplicaSet migrates sessions proactively, and shrinks the session TTL so
+/// abandoned entries cannot hold the drain open — a SIGTERM becomes a
+/// zero-drop rolling restart. A HELLO the caller's shed verdict refuses
+/// answers OVERLOADED with a retry-after hint, while existing sessions keep
+/// being served.
+class FrameServer {
  public:
-  /// Starts serving immediately on 127.0.0.1:`port` (0 = ephemeral).
+  using Clock = std::chrono::steady_clock;
+
+  /// In-progress SYNC shipment on one connection. Staging is per-connection
+  /// by design: a dropped trainer connection discards its partial snapshot
+  /// with the fd, and concurrent trainers cannot interleave chunks.
+  struct SyncStaging {
+    bool active = false;
+    std::uint64_t expected_bytes = 0;
+    std::uint64_t expected_checksum = 0;
+    std::string buffer;
+  };
+
+  /// What serving a frame learned about its request, for the trace record
+  /// the shell emits after the reply is on the wire.
+  struct RequestInfo {
+    std::string_view event = "invalid";  ///< lifecycle stage / verb name
+    std::uint64_t session_id = 0;
+    bool traced = false;
+    std::uint64_t flags = 0;         ///< serve_flags of a PRED reply
+    double mbps = 0.0;               ///< predicted (or initial) throughput
+    std::optional<double> log_likelihood;
+    std::string cluster_label;       ///< HELLO only
+    std::uint64_t parse_us = 0;      ///< stage clocks, traced servers only
+    std::uint64_t handle_us = 0;
+  };
+
   /// The server shares ownership of the model (and of every model later
   /// published via swap_model) for as long as any session uses it.
-  PredictionServer(std::shared_ptr<const PredictorModel> model,
-                   std::uint16_t port = 0);
-  PredictionServer(std::shared_ptr<const PredictorModel> model,
-                   ServerConfig config, std::uint16_t port = 0);
-
-  /// Stops accepting, closes connections, joins all threads.
-  ~PredictionServer();
-
-  PredictionServer(const PredictionServer&) = delete;
-  PredictionServer& operator=(const PredictionServer&) = delete;
-
-  std::uint16_t port() const noexcept { return port_; }
+  FrameServer(std::shared_ptr<const PredictorModel> model, ServerConfig config);
 
   /// Resolved configuration: io_threads and session_shards report the
   /// values actually in effect (defaults substituted, shards rounded).
   const ServerConfig& config() const noexcept { return config_; }
+
+  /// Answers one frame's payload: counts the request, parses it, and serves
+  /// it with `staging` as its connection's SYNC shipment, `now` as the time
+  /// every stamp it makes reads, and `shed` as the admission verdict for a
+  /// HELLO. Fills `info` for the trace record and returns the reply.
+  Response serve(std::string_view payload, SyncStaging& staging,
+                 Clock::time_point now, bool shed, RequestInfo& info);
+
+  /// One amortized TTL sweep step at `now` (SessionTable::evict_tick):
+  /// evicted sessions go through the completion hook, and a drain whose
+  /// table has emptied records its duration.
+  void evict_tick(Clock::time_point now);
 
   /// Served-request counter (for the throughput microbench). Since the
   /// telemetry layer, these accessors read the metrics registry — the
@@ -198,20 +198,11 @@ class PredictionServer {
   /// test-friendly view.
   std::uint64_t requests_handled() const noexcept { return m_.requests->value(); }
 
-  /// Fully written replies; trails requests_handled() by the in-flight count
-  /// (the wire-visible requests >= replies invariant).
-  std::uint64_t replies_sent() const noexcept { return m_.replies->value(); }
-
   /// Live entries in the session table (for leak checks in tests).
   std::size_t session_count() const { return sessions_.size(); }
 
   /// Sessions reaped by the TTL sweeper because no BYE ever arrived.
   std::uint64_t sessions_evicted() const noexcept { return m_.evicted->value(); }
-
-  /// Connections refused at the cap with an OVERLOADED frame.
-  std::uint64_t connections_rejected() const noexcept {
-    return m_.rejected->value();
-  }
 
   /// PRED replies whose serve_flags were non-primary (guardrail fallback,
   /// drifted cluster, global model) — the service-level health signal the
@@ -257,11 +248,179 @@ class PredictionServer {
     return m_.syncs_rejected->value();
   }
 
-  // -- Overload control & drain (DESIGN.md §14) ------------------------------
-
   /// New HELLOs answered OVERLOADED by admission control (existing sessions
   /// kept being served).
   std::uint64_t hellos_shed() const noexcept { return m_.hellos_shed->value(); }
+
+  /// Starts a graceful drain: stop accepting (PredictionServer), answer new
+  /// HELLOs with SHUTTING_DOWN + retry-after, stamp kDraining on in-flight
+  /// sessions' replies so the client tier migrates them, shrink the session
+  /// TTL (workers apply it at their next evict tick). In-flight sessions
+  /// keep being served until they BYE, migrate, or expire. Idempotent;
+  /// irreversible for this server instance.
+  void begin_drain();
+
+  bool draining() const noexcept {
+    return draining_.load(std::memory_order_acquire);
+  }
+
+  /// Drain complete: draining and the session table is empty. The caller
+  /// (cs2p_serve's SIGTERM path, ChaosReplica::drain_and_restart) may then
+  /// stop() with zero session loss.
+  bool drained() const { return draining() && sessions_.size() == 0; }
+
+  /// Every frame served after this answers SHUTTING_DOWN.
+  void stop() noexcept { stopping_.store(true); }
+
+ protected:
+  /// Registry handles cached at construction: the serving path increments
+  /// through these pointers lock-free (obs/metrics.h rule 1).
+  struct MetricHandles {
+    obs::Counter* requests = nullptr;
+    obs::Counter* replies = nullptr;
+    obs::Counter* error_replies = nullptr;
+    obs::Counter* degraded_replies = nullptr;
+    obs::Counter* verb_hello = nullptr;
+    obs::Counter* verb_observe = nullptr;
+    obs::Counter* verb_predict = nullptr;
+    obs::Counter* verb_bye = nullptr;
+    obs::Counter* verb_model = nullptr;
+    obs::Counter* verb_stats = nullptr;
+    obs::Counter* verb_sync = nullptr;
+    obs::Counter* verb_invalid = nullptr;
+    obs::Counter* connections = nullptr;
+    obs::Counter* idle_timeouts = nullptr;
+    obs::Counter* rejected = nullptr;
+    obs::Counter* evicted = nullptr;
+    obs::Counter* swaps = nullptr;
+    obs::Counter* syncs_applied = nullptr;
+    obs::Counter* syncs_rejected = nullptr;
+    obs::Counter* loop_iterations = nullptr;
+    /// Every send(2)/recv(2) a worker issues on a connection, EAGAIN
+    /// included: with replies_total, the syscalls per reply.
+    obs::Counter* send_calls = nullptr;
+    obs::Counter* recv_calls = nullptr;
+    obs::Counter* hellos_shed = nullptr;
+    obs::Counter* slow_reader_kicks = nullptr;
+    obs::Counter* drain_rejections = nullptr;
+    obs::Counter* completion_hook_errors = nullptr;
+    obs::Gauge* active_connections = nullptr;  ///< what the cap reads
+    obs::Gauge* live_sessions = nullptr;
+    obs::Gauge* draining = nullptr;
+    obs::Gauge* last_drain_seconds = nullptr;
+    obs::Gauge* max_write_queue = nullptr;
+    obs::Histogram* request_seconds = nullptr;
+    obs::Histogram* connection_seconds = nullptr;
+    /// Session lifetime from HELLO to teardown, observed on BOTH completion
+    /// paths (BYE and eviction) — eviction used to bypass all duration
+    /// accounting.
+    obs::Histogram* session_seconds = nullptr;
+
+    static MetricHandles create(obs::MetricsRegistry& registry);
+  };
+
+  /// Publishes the drain-duration gauge, as of `now`, once the table first
+  /// reaches empty.
+  void note_drain_progress(Clock::time_point now);
+
+  ServerConfig config_;
+  std::shared_ptr<obs::MetricsRegistry> metrics_;
+  MetricHandles m_;
+  std::shared_ptr<obs::TraceLog> trace_;
+  std::atomic<bool> stopping_{false};
+
+ private:
+  /// Serves one OBSERVE/PREDICT under its session's shard lock: validation,
+  /// the TTL touch (`now`), observe(), predict(), and reply composition.
+  Response serve_prediction(const Request& request, Clock::time_point now,
+                            RequestInfo& info);
+  /// Answers the lifecycle and control verbs (HELLO, BYE, SYNC, STATS,
+  /// MODEL); OBSERVE/PREDICT never come here — serve_prediction answers
+  /// them.
+  Response handle(const Request& request, SyncStaging& staging,
+                  Clock::time_point now, bool shed, RequestInfo& info);
+  Response handle_sync(const Request& request, SyncStaging& staging);
+  obs::Counter* verb_counter(const Request& request) const noexcept;
+  /// The single teardown tail shared by BYE and eviction: session-duration
+  /// histogram up to `now`, then the on_session_complete hook. Runs outside
+  /// shard locks (the entry has already been moved out of the table).
+  void complete_session(std::uint64_t id, SessionTable::Entry& entry,
+                        std::string_view reason, Clock::time_point now);
+
+  mutable std::mutex model_mutex_;  ///< guards model_ (reads copy the ptr)
+  std::shared_ptr<const PredictorModel> model_;
+  mutable std::mutex snapshot_mutex_;  ///< guards snapshot_ (reads copy)
+  std::shared_ptr<const std::string> snapshot_;  ///< served to SYNCFETCH
+  std::uint64_t snapshot_checksum_ = 0;  ///< cached sync_checksum(*snapshot_)
+
+  SessionTable sessions_;
+
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> drain_recorded_{false};
+  /// begin_drain() timestamp (us since epoch of Clock); stored before the
+  /// draining_ release-store so note_drain_progress always sees it.
+  std::atomic<std::int64_t> drain_started_us_{0};
+};
+
+/// The I/O shell (DESIGN.md §12). The accept thread hands each connection to
+/// one of `io_threads` workers; every worker runs a poll(2) loop over its
+/// connections with non-blocking sockets, buffering partial frames in a
+/// per-connection read buffer that complete frames are parsed in place from
+/// (replies pipeline through a bounded per-connection write queue). The
+/// server's thread count is io_threads + 1 (accept) regardless of connection
+/// count — no thread-per-connection, no thread churn.
+///
+/// Passes (DESIGN.md §16): after each poll wakeup the worker serves its
+/// connections' buffered frames in sweeps of one complete frame per
+/// connection, so per-connection reply order is untouched. Each frame goes
+/// to FrameServer::serve() with its connection's SYNC staging, the pass's
+/// wakeup time (the one clock read of the pass) and the worker's shed
+/// verdict, and its reply is queued before the next frame is extracted.
+/// Once no frame is left, each connection that got replies is flushed once,
+/// so a pipelined burst leaves in one send(2) and a reply waits for the
+/// rest of its pass.
+///
+/// Fault discipline and overload control (DESIGN.md §8, §14):
+///   - connection cap with a typed OVERLOADED rejection frame,
+///   - per-connection idle deadline enforced by the worker loop (a hung or
+///     silent peer cannot pin a worker — workers are never blocked on any
+///     single connection),
+///   - write backpressure: replies queue in a bounded per-connection write
+///     buffer; a connection whose queue exceeds write_budget_bytes stops
+///     being served and read (so a slow reader throttles itself, not the
+///     worker), and one whose queue makes no progress past
+///     write_stall_timeout_ms is closed — the unbounded-buffer OOM hole is
+///     shut by construction,
+///   - admission control: each worker tracks a utilization EWMA and its
+///     queued-reply depth; past the shed thresholds the worker's verdict
+///     makes new HELLOs answer OVERLOADED — latency sheds before it
+///     collapses,
+///   - draining stops accepting connections; TTL eviction is amortized into
+///     the worker loops (bounded scans, never a full-table sweep under one
+///     lock).
+class PredictionServer : public FrameServer {
+ public:
+  /// Starts serving immediately on 127.0.0.1:`port` (0 = ephemeral).
+  PredictionServer(std::shared_ptr<const PredictorModel> model,
+                   std::uint16_t port = 0);
+  PredictionServer(std::shared_ptr<const PredictorModel> model,
+                   ServerConfig config, std::uint16_t port = 0);
+
+  /// Stops accepting, closes connections, joins all threads.
+  ~PredictionServer();
+
+  std::uint16_t port() const noexcept { return port_; }
+
+  /// Fully written replies; trails requests_handled() by the in-flight count
+  /// (the wire-visible requests >= replies invariant).
+  std::uint64_t replies_sent() const noexcept { return m_.replies->value(); }
+
+  /// Connections refused at the cap with an OVERLOADED frame.
+  std::uint64_t connections_rejected() const noexcept {
+    return m_.rejected->value();
+  }
+
+  // -- Overload control & drain (DESIGN.md §14) ------------------------------
 
   /// Connections closed because their queued replies made no flush progress
   /// past write_stall_timeout_ms.
@@ -283,22 +442,6 @@ class PredictionServer {
     shed_override_.store(shed, std::memory_order_relaxed);
   }
 
-  /// Starts a graceful drain: stop accepting, answer new HELLOs with
-  /// SHUTTING_DOWN + retry-after, stamp kDraining on in-flight sessions'
-  /// replies so the client tier migrates them, shrink the session TTL.
-  /// In-flight sessions keep being served until they BYE, migrate, or
-  /// expire. Idempotent; irreversible for this server instance.
-  void begin_drain();
-
-  bool draining() const noexcept {
-    return draining_.load(std::memory_order_acquire);
-  }
-
-  /// Drain complete: draining and the session table is empty. The caller
-  /// (cs2p_serve's SIGTERM path, ChaosReplica::drain_and_restart) may then
-  /// stop() with zero session loss.
-  bool drained() const { return draining() && sessions_.size() == 0; }
-
   /// Blocks until drained() or `timeout_ms` elapses; returns drained().
   bool wait_drained(int timeout_ms);
 
@@ -306,41 +449,15 @@ class PredictionServer {
   void stop();
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  /// What serving a frame learned about its request, for the trace record
-  /// the worker emits after the reply is on the wire.
-  struct RequestInfo {
-    std::string_view event = "invalid";  ///< lifecycle stage / verb name
-    std::uint64_t session_id = 0;
-    bool traced = false;
-    std::uint64_t flags = 0;         ///< serve_flags of a PRED reply
-    double mbps = 0.0;               ///< predicted (or initial) throughput
-    std::optional<double> log_likelihood;
-    std::string cluster_label;       ///< HELLO only
-  };
-
   /// One queued reply's telemetry context, finished (counted, timed,
   /// traced) when write_pos passes end_offset — i.e. when the reply's last
   /// byte has been handed to the kernel.
   struct PendingReply {
     std::size_t end_offset = 0;  ///< write_buffer offset one past the reply
     Clock::time_point t_recv{};  ///< wakeup of the pass that extracted it
-    std::uint64_t parse_us = 0;
-    std::uint64_t handle_us = 0;
     RequestInfo info;
     bool is_error = false;
     std::string_view error_code;  ///< wire_error_code_name of an ERR reply
-  };
-
-  /// In-progress SYNC shipment on one connection. Staging is per-connection
-  /// by design: a dropped trainer connection discards its partial snapshot
-  /// with the fd, and concurrent trainers cannot interleave chunks.
-  struct SyncStaging {
-    bool active = false;
-    std::uint64_t expected_bytes = 0;
-    std::uint64_t expected_checksum = 0;
-    std::string buffer;
   };
 
   /// Requests pipeline: replies append to the bounded write queue and input
@@ -398,59 +515,13 @@ class PredictionServer {
     std::vector<Connection> inbox;
     std::unordered_map<int, Connection> connections;
     /// Busy-fraction EWMA of the event loop (1 - poll_wait/iteration),
-    /// admission control's load signal. Written by the owning worker,
-    /// read by should_shed() from any worker.
-    std::atomic<double> utilization{0.0};
+    /// admission control's load signal: the worker's own
+    /// cs2p_server_worker_utilization gauge, written by the owning worker
+    /// and read by should_shed() from any worker.
+    obs::Gauge* utilization = nullptr;
     /// Replies queued across this worker's connections (pending-work
     /// depth, the other shed signal).
     std::atomic<std::size_t> queued_replies{0};
-    obs::Gauge* utilization_gauge = nullptr;
-  };
-
-  /// Registry handles cached at construction: the serving path increments
-  /// through these pointers lock-free (obs/metrics.h rule 1).
-  struct MetricHandles {
-    obs::Counter* requests = nullptr;
-    obs::Counter* replies = nullptr;
-    obs::Counter* error_replies = nullptr;
-    obs::Counter* degraded_replies = nullptr;
-    obs::Counter* verb_hello = nullptr;
-    obs::Counter* verb_observe = nullptr;
-    obs::Counter* verb_predict = nullptr;
-    obs::Counter* verb_bye = nullptr;
-    obs::Counter* verb_model = nullptr;
-    obs::Counter* verb_stats = nullptr;
-    obs::Counter* verb_sync = nullptr;
-    obs::Counter* verb_invalid = nullptr;
-    obs::Counter* connections = nullptr;
-    obs::Counter* idle_timeouts = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* evicted = nullptr;
-    obs::Counter* swaps = nullptr;
-    obs::Counter* syncs_applied = nullptr;
-    obs::Counter* syncs_rejected = nullptr;
-    obs::Counter* loop_iterations = nullptr;
-    /// Every send(2)/recv(2) a worker issues on a connection, EAGAIN
-    /// included: with replies_total, the syscalls per reply.
-    obs::Counter* send_calls = nullptr;
-    obs::Counter* recv_calls = nullptr;
-    obs::Counter* hellos_shed = nullptr;
-    obs::Counter* slow_reader_kicks = nullptr;
-    obs::Counter* drain_rejections = nullptr;
-    obs::Counter* completion_hook_errors = nullptr;
-    obs::Gauge* active_connections = nullptr;
-    obs::Gauge* live_sessions = nullptr;
-    obs::Gauge* draining = nullptr;
-    obs::Gauge* last_drain_seconds = nullptr;
-    obs::Gauge* max_write_queue = nullptr;
-    obs::Histogram* request_seconds = nullptr;
-    obs::Histogram* connection_seconds = nullptr;
-    /// Session lifetime from HELLO to teardown, observed on BOTH completion
-    /// paths (BYE and eviction) — eviction used to bypass all duration
-    /// accounting.
-    obs::Histogram* session_seconds = nullptr;
-
-    static MetricHandles create(obs::MetricsRegistry& registry);
   };
 
   void accept_loop();
@@ -460,10 +531,10 @@ class PredictionServer {
   /// Returns false when the connection must be closed.
   bool handle_io(Worker& worker, Connection& conn, short revents);
   /// Points `payload` at the next complete frame in the connection's read
-  /// buffer and moves read_pos past it, counting the request and stamping
-  /// the idle clock with the pass's wakeup time `now`. Returns false when no
-  /// complete frame is buffered; throws ProtocolError on a malformed header
-  /// (stream desync — the caller closes the connection).
+  /// buffer and moves read_pos past it, stamping the idle clock with the
+  /// pass's wakeup time `now`. Returns false when no complete frame is
+  /// buffered; throws ProtocolError on a malformed header (stream desync —
+  /// the caller closes the connection).
   bool extract_frame(Connection& conn, std::string_view& payload,
                      Clock::time_point now);
   /// One event-loop pass over the buffered input: sweeps of one frame per
@@ -474,16 +545,10 @@ class PredictionServer {
   /// budget runs the sweeps again: those frames get no further POLLIN.
   /// `now` is the wakeup time every extracted frame is stamped with.
   void serve_pass(Worker& worker, Clock::time_point now);
-  /// Parses one extracted frame, answers it (lifecycle and control verbs
-  /// through handle(), OBSERVE/PREDICT through serve_prediction()) and
-  /// queues the reply on the connection's write buffer. A frame that fails
-  /// to parse answers BAD_REQUEST, and one whose predictor throws INTERNAL.
+  /// Answers one extracted frame through FrameServer::serve() and queues
+  /// the reply on the connection's write buffer.
   void serve_frame(Worker& worker, Connection& conn, std::string_view payload,
                    Clock::time_point now);
-  /// Serves one OBSERVE/PREDICT under its session's shard lock: validation,
-  /// the TTL touch (`now`), observe(), predict(), and reply composition.
-  Response serve_prediction(const Request& request, Clock::time_point now,
-                            RequestInfo& info);
   /// Hands queued reply bytes to the kernel until it is done or full;
   /// throws std::system_error when the peer is gone. A flush that moves
   /// bytes reads the clock once.
@@ -496,51 +561,17 @@ class PredictionServer {
   /// accounting, fd teardown — a connection that dies mid-reply goes
   /// through here exactly like any other.
   void close_connection(Worker& worker, Connection& conn, bool idle_timed_out);
-  /// Answers the lifecycle and control verbs (HELLO, BYE, SYNC, STATS,
-  /// MODEL); OBSERVE/PREDICT never come here — serve_prediction answers
-  /// them.
-  Response handle(const Request& request, Worker& worker, Connection& conn,
-                  RequestInfo& info);
-  Response handle_sync(const Request& request, SyncStaging& staging);
   void reject_connection(const FdHandle& connection, WireErrorCode code,
                          const std::string& message);
-  obs::Counter* verb_counter(const Request& request) const noexcept;
   /// Admission verdict for a new HELLO landing on `worker`.
   bool should_shed(const Worker& worker) const noexcept;
-  /// Publishes the drain-duration gauge once the table first reaches empty.
-  void note_drain_progress();
-  /// The single teardown tail shared by BYE and eviction: session-duration
-  /// histogram, then the on_session_complete hook. Runs outside shard locks
-  /// (the entry has already been moved out of the table).
-  void complete_session(std::uint64_t id, SessionTable::Entry& entry,
-                        std::string_view reason);
   void record_write_queue_depth(std::size_t bytes) noexcept;
 
-  mutable std::mutex model_mutex_;  ///< guards model_ (reads copy the ptr)
-  std::shared_ptr<const PredictorModel> model_;
-  mutable std::mutex snapshot_mutex_;  ///< guards snapshot_ (reads copy)
-  std::shared_ptr<const std::string> snapshot_;  ///< served to SYNCFETCH
-  std::uint64_t snapshot_checksum_ = 0;  ///< cached sync_checksum(*snapshot_)
-  ServerConfig config_;
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
-  MetricHandles m_;
-  std::shared_ptr<obs::TraceLog> trace_;
   FdHandle listener_;
   std::uint16_t port_ = 0;
 
-  SessionTable sessions_;
-
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> active_connections_{0};
   std::atomic<std::size_t> next_worker_{0};  ///< round-robin dispatch
   std::mutex stop_mutex_;  ///< serializes concurrent stop() callers
-
-  // -- Overload control & drain state (DESIGN.md §14) ------------------------
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> drain_recorded_{false};
-  /// begin_drain() timestamp (us since epoch of Clock); stored before the
-  /// draining_ release-store so note_drain_progress always sees it.
-  std::atomic<std::int64_t> drain_started_us_{0};
   std::atomic<bool> shed_override_{false};
   std::atomic<std::size_t> max_write_queue_{0};
 

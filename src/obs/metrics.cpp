@@ -277,9 +277,4 @@ std::string MetricsRegistry::scrape() const {
   return os.str();
 }
 
-MetricsRegistry& global_metrics() {
-  static MetricsRegistry* registry = new MetricsRegistry();  // never destroyed
-  return *registry;
-}
-
 }  // namespace cs2p::obs

@@ -188,9 +188,4 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Series>> series_;
 };
 
-/// Process-wide default registry, used when a component is not handed an
-/// explicit one. Never destroyed (telemetry may be written from static
-/// teardown paths).
-MetricsRegistry& global_metrics();
-
 }  // namespace cs2p::obs

@@ -8,11 +8,16 @@
 namespace cs2p {
 namespace {
 
-double spike_ceiling(const GaussianHmm& model, const GuardrailConfig& config) {
+/// Samples above this multiple of the model's largest state mean are
+/// clamped to that bound: a physically-implausible spike (measurement
+/// glitch, unit bug upstream) must not yank the belief, but the epoch still
+/// happened.
+constexpr double kMaxSpikeMultiple = 10.0;
+
+double spike_ceiling(const GaussianHmm& model) {
   double max_mean = 0.0;
   for (const auto& state : model.states) max_mean = std::max(max_mean, state.mean);
-  return config.max_spike_multiple > 0.0 ? config.max_spike_multiple * max_mean
-                                         : 0.0;  // 0 disables clamping
+  return kMaxSpikeMultiple * max_mean;
 }
 
 }  // namespace
@@ -36,7 +41,7 @@ GuardedSessionPredictor::GuardedSessionPredictor(
       initial_value_(initial_value),
       global_fallback_mbps_(global_fallback_mbps),
       config_(config),
-      sanitizer_(spike_ceiling(kernel->model(), config), metrics),
+      sanitizer_(spike_ceiling(kernel->model()), metrics),
       monitor_(baseline, config),
       static_flags_(static_flags),
       on_event_(std::move(on_event)),

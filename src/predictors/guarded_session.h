@@ -96,7 +96,6 @@ class GuardedSessionPredictor final : public SessionPredictor {
     return monitor_.state() == GuardrailState::kDegraded;
   }
 
-  GuardrailState guardrail_state() const noexcept { return monitor_.state(); }
   Stats stats() const;
 
   /// Exposed for diagnostics (same contract as HmmSessionPredictor).

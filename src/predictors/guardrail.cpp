@@ -8,10 +8,21 @@
 #include "util/stats.h"
 
 namespace cs2p {
+namespace {
+
+/// Monte Carlo seed: the baseline is a deterministic function of the model.
+constexpr std::uint64_t kBaselineSeed = 0x20160816;
+
+/// Degenerate filter updates (all-zero emission vector) carry -infinity
+/// log-likelihood; they enter the window as baseline mean minus this many
+/// baseline sigmas so the score stays finite but maximally alarmed.
+constexpr double kDegeneratePenaltySigmas = 12.0;
+
+}  // namespace
 
 SurpriseBaseline compute_surprise_baseline(const GaussianHmm& model,
                                            const GuardrailConfig& config) {
-  Rng rng(config.baseline_seed);
+  Rng rng(kBaselineSeed);
   std::vector<double> log_likelihoods;
   log_likelihoods.reserve(config.baseline_sequences * config.baseline_length);
 
@@ -117,7 +128,7 @@ GuardrailState SurpriseMonitor::record(double log_likelihood) {
   if (!std::isfinite(penalised)) {
     ++degenerate_;
     penalised = baseline_.mean_log_likelihood -
-                config_.degenerate_penalty_sigmas * baseline_.std_log_likelihood;
+                kDegeneratePenaltySigmas * baseline_.std_log_likelihood;
   }
   window_.push_back(penalised);
   window_sum_ += penalised;

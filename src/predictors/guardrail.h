@@ -56,12 +56,6 @@ struct GuardrailMetrics {
 struct GuardrailConfig {
   bool enabled = false;  ///< off: GuardedSessionPredictor is never created
 
-  // -- Observation sanitizer -------------------------------------------------
-  /// Samples above max_spike_multiple x (largest state mean) are clamped to
-  /// that bound: a physically-implausible spike (measurement glitch, unit
-  /// bug upstream) must not yank the belief, but the epoch still happened.
-  double max_spike_multiple = 10.0;
-
   // -- Surprise monitor ------------------------------------------------------
   std::size_t window = 8;             ///< sliding log-likelihood window
   std::size_t min_observations = 4;   ///< no verdicts before this many accepted
@@ -71,10 +65,6 @@ struct GuardrailConfig {
   double exit_z = 2.0;
   std::size_t confirm_observations = 3;   ///< streak: HEALTHY/SUSPECT -> DEGRADED
   std::size_t recovery_observations = 8;  ///< streak: DEGRADED -> HEALTHY
-  /// Degenerate filter updates (all-zero emission vector) carry -infinity
-  /// log-likelihood; they enter the window as baseline mean minus this many
-  /// baseline sigmas so the score stays finite but maximally alarmed.
-  double degenerate_penalty_sigmas = 12.0;
 
   // -- Fallback chain --------------------------------------------------------
   /// Harmonic mean over this many most-recent accepted samples (0 = all).
@@ -82,10 +72,9 @@ struct GuardrailConfig {
 
   // -- Offline baseline ------------------------------------------------------
   /// The baseline is estimated by sampling sequences from the model itself
-  /// and replaying them through the filter (deterministic from the seed).
+  /// and replaying them through the filter (deterministic: a fixed seed).
   std::size_t baseline_sequences = 32;
   std::size_t baseline_length = 48;
-  std::uint64_t baseline_seed = 0x20160816;
 };
 
 /// Per-cluster baseline distribution of the one-step predictive
@@ -97,7 +86,7 @@ struct SurpriseBaseline {
 };
 
 /// Estimates the baseline by Monte Carlo from the model itself:
-/// sample sequences with the config's seed, replay them through an
+/// sample sequences with a fixed seed, replay them through an
 /// OnlineHmmFilter, and summarise the per-step predictive log-likelihoods.
 /// Deterministic; costs ~baseline_sequences x baseline_length filter steps
 /// (microseconds for the paper's 6-state models).
@@ -115,7 +104,7 @@ enum class SampleVerdict : std::uint8_t {
 
 /// Stateless validation + clamping in front of OnlineHmmFilter::observe,
 /// with rejection counters. `spike_ceiling_mbps` is precomputed by the
-/// owner as max_spike_multiple x the model's largest state mean.
+/// owner as a fixed multiple (10x) of the model's largest state mean.
 class ObservationSanitizer {
  public:
   /// `metrics` (optional) receives the same verdicts as the local counters,

@@ -34,10 +34,6 @@ struct VideoSpec {
   double chunk_seconds = 6.0;
   std::size_t num_chunks = 44;  ///< ~260 s
   double buffer_capacity_seconds = 30.0;
-
-  double max_bitrate() const noexcept {
-    return bitrates_kbps.empty() ? 0.0 : bitrates_kbps.back();
-  }
 };
 
 /// What an ABR controller sees at each decision point.

@@ -88,6 +88,26 @@ TEST(Cli, PartialNumbersRejected) {
   EXPECT_DOUBLE_EQ(parser.get_double("rate"), 1e4);
 }
 
+TEST(Cli, PortListsParseStrictly) {
+  EXPECT_EQ(parse_ports("peers", "9001,9002"),
+            (std::vector<std::uint16_t>{9001, 9002}));
+  EXPECT_EQ(parse_ports("peers", "1,,65535,"),
+            (std::vector<std::uint16_t>{1, 65535}));
+  EXPECT_TRUE(parse_ports("peers", "").empty());
+  // std::stol alone reads "9o02" as 9 and "1e4" as 1: each would push
+  // snapshots to the wrong port.
+  for (const std::string bad : {"9001,9o02", "1e4", "9001,x", "0", "65536",
+                                "-9001", "9001,70000", "9001;9002"}) {
+    try {
+      parse_ports("peers", bad);
+      ADD_FAILURE() << "'" << bad << "' parsed as a port list";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--peers"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Cli, UnregisteredAccessThrows) {
   const ArgParser parser = make_parser();
   EXPECT_THROW(parser.get("never-registered"), std::logic_error);

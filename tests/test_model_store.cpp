@@ -11,6 +11,7 @@
 
 #include "dataset/synthetic.h"
 #include "net/wire.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace cs2p {
@@ -210,6 +211,28 @@ TEST(ModelStore, VersionAndMagicMismatch) {
 
   std::string garbage = "definitely not a snapshot\n" + bytes;
   EXPECT_EQ(code_of(garbage, train, config), SnapshotErrorCode::kBadMagic);
+}
+
+TEST(ModelStore, SnapshotWithoutLineageRecordIsCorrupt) {
+  const Dataset train = tiny_dataset();
+  const Cs2pConfig config = tiny_config();
+  const Cs2pEngine engine(train, config);
+
+  // Cut the lineage line out of the payload and re-seal the envelope (length
+  // and checksum), so only the missing record can fail the restore.
+  const std::string bytes = serialize_engine(engine);
+  const std::size_t payload_start = bytes.find('\n') + 1;
+  const std::size_t footer_start = bytes.rfind("checksum ");
+  std::string payload = bytes.substr(payload_start, footer_start - payload_start);
+  const std::size_t lineage = payload.find("\nlineage ") + 1;
+  ASSERT_NE(lineage, 0u);
+  payload.erase(lineage, payload.find('\n', lineage) + 1 - lineage);
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(payload)));
+  const std::string resealed = "cs2p-snapshot-v2 " + std::to_string(payload.size()) +
+                               "\n" + payload + "checksum " + checksum + "\n";
+  EXPECT_EQ(code_of(resealed, train, config), SnapshotErrorCode::kCorruptModel);
 }
 
 TEST(ModelStore, SnapshotChecksumIsTheSyncChecksum) {

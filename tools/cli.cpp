@@ -87,6 +87,23 @@ double ArgParser::get_double(const std::string& name) const {
   });
 }
 
+std::vector<std::uint16_t> parse_ports(const std::string& flag,
+                                       const std::string& csv) {
+  std::vector<std::uint16_t> ports;
+  std::istringstream tokens(csv);
+  for (std::string token; std::getline(tokens, token, ',');) {
+    if (token.empty()) continue;
+    const long port = convert_whole(flag, token, [](const std::string& s, std::size_t* used) {
+      return std::stol(s, used);
+    });
+    if (port <= 0 || port > 65535)
+      throw std::invalid_argument("--" + flag + ": port " + token +
+                                  " is outside 1-65535");
+    ports.push_back(static_cast<std::uint16_t>(port));
+  }
+  return ports;
+}
+
 bool ArgParser::has(const std::string& name) const {
   const auto it = values_.find(name);
   return it != values_.end() && !it->second.empty();

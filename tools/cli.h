@@ -50,4 +50,10 @@ class ArgParser {
   std::map<std::string, std::string> values_;
 };
 
+/// "9001,9002" -> {9001, 9002} for a port-list flag such as --peers. Empty
+/// tokens are skipped; one that is not a whole number in 1–65535 throws
+/// std::invalid_argument naming `--flag` (a typo fails at startup).
+std::vector<std::uint16_t> parse_ports(const std::string& flag,
+                                       const std::string& csv);
+
 }  // namespace cs2p::cli

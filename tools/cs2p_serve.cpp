@@ -85,25 +85,6 @@ void handle_signal(int) { g_stop.store(true); }
 // SIGINT stays the immediate stop it always was.
 void handle_sigterm(int) { g_drain.store(true); }
 void handle_sighup(int) { g_reload.store(true); }
-
-/// "9001,9002" -> {9001, 9002}; throws on junk so a typo'd replica list
-/// fails at startup, not at the first push.
-std::vector<std::uint16_t> parse_ports(const std::string& csv) {
-  std::vector<std::uint16_t> ports;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    std::size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string token = csv.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (token.empty()) continue;
-    const long port = std::stol(token);
-    if (port <= 0 || port > 65535)
-      throw std::runtime_error("bad port in peer list: " + token);
-    ports.push_back(static_cast<std::uint16_t>(port));
-  }
-  return ports;
-}
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -221,6 +202,47 @@ int main(int argc, char** argv) try {
   const std::string snapshot_path =
       snapshot_dir.empty() ? "" : snapshot_dir + "/cs2p_engine.snapshot";
   const long reload_interval_s = args.get_long("reload-interval");
+  const long metrics_interval_s = args.get_long("metrics-interval");
+  const auto port = static_cast<std::uint16_t>(args.get_long("port"));
+
+  // -- Replication (DESIGN.md §13) ------------------------------------------
+  const std::vector<std::uint16_t> peer_ports =
+      cli::parse_ports("peers", args.get("peers"));
+  const auto sync_from =
+      static_cast<std::uint16_t>(args.get_long("sync-from"));
+  const bool accept_sync = args.get_long("accept-sync") != 0;
+
+  TrainerConfig trainer_config;
+  trainer_config.canary_margin = args.get_double("canary-margin");
+  trainer_config.probation_ms =
+      static_cast<std::uint64_t>(args.get_long("probation-ms"));
+  trainer_config.reservoir_size =
+      static_cast<std::size_t>(args.get_long("reservoir-size"));
+
+  ServerConfig server_config;
+  server_config.max_connections =
+      static_cast<std::size_t>(args.get_long("max-connections"));
+  server_config.io_threads = static_cast<std::size_t>(args.get_long("io-threads"));
+  server_config.session_shards =
+      static_cast<std::size_t>(args.get_long("session-shards"));
+  server_config.idle_timeout_ms = static_cast<int>(args.get_long("idle-timeout-ms"));
+  server_config.session_ttl_ms = static_cast<int>(args.get_long("session-ttl-ms"));
+  server_config.max_sample_mbps = args.get_double("max-sample-mbps");
+  server_config.metrics = metrics;
+  server_config.trace = trace;
+  server_config.shed_utilization = args.get_double("shed-utilization");
+  server_config.shed_pending_replies =
+      static_cast<std::size_t>(args.get_long("shed-pending"));
+  server_config.retry_after_ms =
+      static_cast<int>(args.get_long("retry-after-ms"));
+  server_config.write_budget_bytes =
+      static_cast<std::size_t>(args.get_long("write-budget-bytes"));
+  server_config.write_stall_timeout_ms =
+      static_cast<int>(args.get_long("write-stall-timeout-ms"));
+  const int drain_deadline_ms =
+      static_cast<int>(args.get_long("drain-deadline-ms"));
+  // Every flag has been read: a malformed value has failed by now, before
+  // the dataset load and the training below.
 
   auto load_dataset = [&]() {
     if (!lenient_ingest) return Dataset::load_csv(args.get("data"));
@@ -296,12 +318,6 @@ int main(int argc, char** argv) try {
     return std::make_shared<Cs2pPredictorModel>(std::move(engine));
   };
 
-  // -- Replication (DESIGN.md §13) ------------------------------------------
-  const std::vector<std::uint16_t> peer_ports = parse_ports(args.get("peers"));
-  const auto sync_from =
-      static_cast<std::uint16_t>(args.get_long("sync-from"));
-  const bool accept_sync = args.get_long("accept-sync") != 0;
-
   // SYNC restore needs the training split (snapshot fingerprints are
   // verified against it); load it once up front when any SYNC path is on.
   std::shared_ptr<const Dataset> sync_training;
@@ -339,39 +355,10 @@ int main(int argc, char** argv) try {
   // publish hook swaps models into) can be torn down.
   std::mutex model_mutex;  // guards `model`: main loop vs trainer publish
   std::unique_ptr<ContinuousTrainer> trainer;
-  if (continuous_train) {
-    TrainerConfig trainer_config;
-    trainer_config.canary_margin = args.get_double("canary-margin");
-    trainer_config.probation_ms =
-        static_cast<std::uint64_t>(args.get_long("probation-ms"));
-    trainer_config.reservoir_size =
-        static_cast<std::size_t>(args.get_long("reservoir-size"));
+  if (continuous_train)
     trainer = std::make_unique<ContinuousTrainer>(model->engine_ptr(),
                                                   trainer_config);
-  }
 
-  ServerConfig server_config;
-  server_config.max_connections =
-      static_cast<std::size_t>(args.get_long("max-connections"));
-  server_config.io_threads = static_cast<std::size_t>(args.get_long("io-threads"));
-  server_config.session_shards =
-      static_cast<std::size_t>(args.get_long("session-shards"));
-  server_config.idle_timeout_ms = static_cast<int>(args.get_long("idle-timeout-ms"));
-  server_config.session_ttl_ms = static_cast<int>(args.get_long("session-ttl-ms"));
-  server_config.max_sample_mbps = args.get_double("max-sample-mbps");
-  server_config.metrics = metrics;
-  server_config.trace = trace;
-  server_config.shed_utilization = args.get_double("shed-utilization");
-  server_config.shed_pending_replies =
-      static_cast<std::size_t>(args.get_long("shed-pending"));
-  server_config.retry_after_ms =
-      static_cast<int>(args.get_long("retry-after-ms"));
-  server_config.write_budget_bytes =
-      static_cast<std::size_t>(args.get_long("write-budget-bytes"));
-  server_config.write_stall_timeout_ms =
-      static_cast<int>(args.get_long("write-stall-timeout-ms"));
-  const int drain_deadline_ms =
-      static_cast<int>(args.get_long("drain-deadline-ms"));
   if (accept_sync) {
     // Decode a SYNC-shipped snapshot against our training split + config;
     // any fingerprint/parse failure throws SnapshotError and the server
@@ -394,8 +381,7 @@ int main(int argc, char** argv) try {
     };
   }
 
-  PredictionServer server(model, server_config,
-                          static_cast<std::uint16_t>(args.get_long("port")));
+  PredictionServer server(model, server_config, port);
   std::printf("serving on 127.0.0.1:%u (SIGINT to stop, SIGHUP to reload)\n",
               server.port());
   std::printf("limits: %zu connections, %d ms idle timeout, %d ms session TTL\n",
@@ -417,7 +403,6 @@ int main(int argc, char** argv) try {
   if (reload_interval_s > 0)
     std::printf("reload: retrain + hot-swap every %ld s\n", reload_interval_s);
   if (config.guardrail.enabled) std::printf("guardrail: on\n");
-  const long metrics_interval_s = args.get_long("metrics-interval");
   if (metrics_interval_s > 0)
     std::printf("metrics: dump every %ld s\n", metrics_interval_s);
   if (trace)
