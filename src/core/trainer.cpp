@@ -172,7 +172,9 @@ void ContinuousTrainer::ingest(const SessionFeatures& features,
   clean.reserve(observations.size());
   for (double w : observations)
     if (std::isfinite(w) && w >= 0.0) clean.push_back(w);
-  if (clean.size() < config_.min_sequence_epochs) {
+  // Sequences shorter than this carry no usable transition signal.
+  constexpr std::size_t kMinSequenceEpochs = 4;
+  if (clean.size() < kMinSequenceEpochs) {
     m_.dropped_short->inc();
     return;
   }

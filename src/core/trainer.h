@@ -55,8 +55,6 @@ struct TrainerConfig {
   /// A cluster is retrain-eligible only after this many completed sessions
   /// arrived since its last (attempted) retrain.
   std::size_t min_new_sessions = 8;
-  /// Sequences shorter than this carry no usable transition signal.
-  std::size_t min_sequence_epochs = 4;
   /// Every k-th reservoir entry is held out of training for the canary.
   std::size_t holdout_stride = 4;
   /// Canary win margin, in nats per observation of median one-step

@@ -215,11 +215,6 @@ void FrameServer::publish_snapshot(std::string snapshot_bytes) {
   snapshot_checksum_ = checksum;
 }
 
-std::shared_ptr<const std::string> FrameServer::published_snapshot() const {
-  std::scoped_lock lock(snapshot_mutex_);
-  return snapshot_;
-}
-
 bool PredictionServer::should_shed(const Worker& worker) const noexcept {
   if (shed_override_.load(std::memory_order_relaxed)) return true;
   if (config_.shed_pending_replies > 0 &&

@@ -236,9 +236,6 @@ class FrameServer {
   /// commit so a replica chain re-serves what it accepted. Empty clears.
   void publish_snapshot(std::string snapshot_bytes);
 
-  /// The currently published snapshot (null when none).
-  std::shared_ptr<const std::string> published_snapshot() const;
-
   /// SYNC commits that passed verification and hot-swapped the model.
   std::uint64_t syncs_applied() const noexcept { return m_.syncs_applied->value(); }
 

@@ -1,8 +1,8 @@
 #include "net/session_table.h"
 
+#include <bit>
+#include <stdexcept>
 #include <string>
-
-#include "util/hash.h"
 
 namespace cs2p {
 namespace {
@@ -21,6 +21,9 @@ SessionTable::SessionTable(SessionTableConfig config,
     : config_(config), ttl_ms_(config.ttl_ms) {
   const std::size_t count = round_up_pow2(config_.shards == 0 ? 16 : config_.shards);
   shard_mask_ = count - 1;
+  shard_bits_ = static_cast<unsigned>(std::countr_zero(count));
+  slot_limit_ = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(std::uint64_t{1} << (32 - shard_bits_), kNoSlot));
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -34,17 +37,7 @@ SessionTable::SessionTable(SessionTableConfig config,
   if (config_.evict_scan_budget == 0) config_.evict_scan_budget = 1;
 }
 
-SessionTable::Shard& SessionTable::shard_for(std::uint64_t id) noexcept {
-  return *shards_[shard_index(id)];
-}
-
-std::size_t SessionTable::shard_index(std::uint64_t id) const noexcept {
-  // Mixed, so sequential session ids do not land in sequential shards: one
-  // busy tenant allocating a burst of sessions must not hammer one lock.
-  return splitmix64(id) & shard_mask_;
-}
-
-std::uint32_t SessionTable::Shard::acquire_slot() {
+std::uint32_t SessionTable::Shard::acquire_slot(std::uint32_t limit) {
   if (free_head != kNoSlot) {
     const std::uint32_t i = free_head;
     Slot& s = slot(i);
@@ -52,6 +45,7 @@ std::uint32_t SessionTable::Shard::acquire_slot() {
     s.next_free = kNoSlot;
     return i;
   }
+  if (allocated == limit) throw std::length_error("session table: shard is full");
   if (allocated == slabs.size() * kSlabSlots)
     slabs.push_back(std::make_unique<Slab>());
   return allocated++;
@@ -59,9 +53,11 @@ std::uint32_t SessionTable::Shard::acquire_slot() {
 
 void SessionTable::Shard::release_slot(std::uint32_t i) {
   Slot& s = slot(i);
-  s.id = 0;
   s.live = false;
+  --live;
   s.entry = Entry{};  // predictor, model pin, and history die here, not later
+  // A slot whose generation would wrap is retired: ids never repeat.
+  if (next_generation(s.id) == 0) return;
   s.next_free = free_head;
   free_head = i;
 }
@@ -78,7 +74,6 @@ std::size_t SessionTable::arena_slots() const {
 std::unique_lock<std::mutex> SessionTable::lock_shard(Shard& shard) noexcept {
   std::unique_lock<std::mutex> lock(shard.mutex, std::try_to_lock);
   if (!lock.owns_lock()) {
-    contentions_.fetch_add(1, std::memory_order_relaxed);
     if (shard.contention != nullptr) shard.contention->inc();
     lock.lock();
   }
@@ -86,28 +81,19 @@ std::unique_lock<std::mutex> SessionTable::lock_shard(Shard& shard) noexcept {
 }
 
 bool SessionTable::erase(std::uint64_t id, bool* traced) {
-  Shard& shard = shard_for(id);
-  const auto lock = lock_shard(shard);
-  const auto it = shard.index.find(id);
-  if (it == shard.index.end()) return false;
-  if (traced != nullptr) *traced = shard.slot(it->second).entry.traced;
-  shard.release_slot(it->second);
-  shard.index.erase(it);
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
+  return erase(id, EvictCallback{}, traced);
 }
 
 bool SessionTable::erase(std::uint64_t id, const EvictCallback& on_erase,
                          bool* traced) {
-  Shard& shard = shard_for(id);
+  Shard& shard = shard_of(id);
   Entry removed;
   {
     const auto lock = lock_shard(shard);
-    const auto it = shard.index.find(id);
-    if (it == shard.index.end()) return false;
-    removed = std::move(shard.slot(it->second).entry);
-    shard.release_slot(it->second);
-    shard.index.erase(it);
+    Entry* const entry = find(id);
+    if (entry == nullptr) return false;
+    removed = std::move(*entry);
+    shard.release_slot(slot_index(id));
     size_.fetch_sub(1, std::memory_order_relaxed);
   }
   if (traced != nullptr) *traced = removed.traced;
@@ -127,7 +113,7 @@ SessionTable::EvictStats SessionTable::evict_tick(Clock::time_point now,
     removed.clear();
     {
       const auto lock = lock_shard(shard);
-      if (shard.allocated == 0 || shard.index.empty()) continue;
+      if (shard.live == 0) continue;
       if (shard.cursor >= shard.allocated) shard.cursor = 0;
       const std::uint32_t start = shard.cursor;
       std::size_t scanned = 0;
@@ -141,7 +127,6 @@ SessionTable::EvictStats SessionTable::evict_tick(Clock::time_point now,
         ++scanned;
         if (slot.live && slot.entry.last_used < deadline) {
           removed.emplace_back(slot.id, std::move(slot.entry));
-          shard.index.erase(slot.id);
           shard.release_slot(i);
           size_.fetch_sub(1, std::memory_order_relaxed);
         }

@@ -4,9 +4,14 @@
 // The paper's deployed engine (§6) keeps every session's HMM filter state
 // server-side, so serving capacity is bounded by how cheaply the server can
 // hold and touch millions of concurrent entries. This module owns that
-// state: a power-of-two array of shards, each a mutex + hash map, with the
-// owning shard picked by a splitmix64 hash of the session id. N serving
-// threads touching N different sessions take N different locks.
+// state: a power-of-two array of shards, each a mutex over a slab arena. A
+// session id is its slot's address, generation << 32 | slot << shard_bits |
+// shard, so a lookup is a mask, a shift, a bounds check and one compare of
+// the whole id — no hash index. A slot's generation advances on every reuse
+// and a slot whose generation would wrap is retired, so ids never repeat and
+// a stale, forged or zero id finds no session. Sessions are dealt to the
+// shards round-robin, so whichever threads create them, they spread evenly
+// over the shards and their locks.
 //
 // Contracts the server relies on:
 //   - Entries pin their creating model (RCU hot-swap, DESIGN.md §9): the
@@ -28,13 +33,12 @@
 //
 // Storage (DESIGN.md §16): entries live in per-shard slab arenas — fixed
 // 64-slot slabs, index-stable for the table's lifetime, with a freelist
-// recycling slots on erase/evict. The hash map per shard holds only
-// id -> slot index. A group of sessions therefore touches a few contiguous
-// slabs instead of pointer-chasing one heap node per session, and long-running
-// servers stop exercising the allocator on session churn. A released slot's
-// Entry is reset to a default-constructed Entry immediately (predictor and
-// model pin freed, history cleared) — reuse can never leak a previous
-// session's belief state.
+// recycling slots on erase/evict. A group of sessions therefore touches a
+// few contiguous slabs instead of pointer-chasing one heap node per session,
+// and long-running servers stop exercising the allocator on session churn. A
+// released slot's Entry is reset to a default-constructed Entry immediately
+// (predictor and model pin freed, history cleared) — reuse can never leak a
+// previous session's belief state.
 #pragma once
 
 #include <algorithm>
@@ -46,7 +50,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,7 +61,7 @@ namespace cs2p {
 struct SessionTableConfig {
   /// Shard count; rounded up to a power of two, minimum 1; 0 picks the
   /// default (16). More shards = less lock contention, slightly costlier
-  /// eviction sweeps.
+  /// eviction sweeps. A shard holds at most 2^(32 - log2(shards)) sessions.
   std::size_t shards = 16;
   /// Entries untouched this long are eligible for eviction; <= 0 disables
   /// TTL eviction entirely.
@@ -114,54 +117,59 @@ class SessionTable {
   SessionTable(const SessionTable&) = delete;
   SessionTable& operator=(const SessionTable&) = delete;
 
-  /// Allocates the next session id (ids start at 1 and never repeat),
-  /// builds the entry via `make(id)` outside any lock, and inserts it under
-  /// the owning shard's lock. Returns the id.
+  /// Creates a session in the next shard round-robin and returns its id.
+  /// The id names the slot, so `make(id)` runs in the lock hold that
+  /// reserves it and should only move a prepared entry; if it throws, the
+  /// slot is released. Throws std::length_error when the shard has no slot
+  /// index left.
   template <typename Make>
   std::uint64_t emplace(Make&& make) {
-    const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    Entry entry = make(id);
-    Shard& shard = shard_for(id);
+    const std::size_t s =
+        next_shard_.fetch_add(1, std::memory_order_relaxed) & shard_mask_;
+    Shard& shard = *shards_[s];
     const auto lock = lock_shard(shard);
-    const std::uint32_t slot_index = shard.acquire_slot();
-    Slot& slot = shard.slot(slot_index);
-    slot.id = id;
+    const std::uint32_t index = shard.acquire_slot(slot_limit_);
+    Slot& slot = shard.slot(index);
+    slot.id = std::uint64_t{next_generation(slot.id)} << 32 |
+              std::uint64_t{index} << shard_bits_ | s;
     slot.live = true;
-    slot.entry = std::move(entry);
-    shard.index.emplace(id, slot_index);
+    ++shard.live;
+    try {
+      slot.entry = make(slot.id);
+    } catch (...) {
+      shard.release_slot(index);
+      throw;
+    }
     size_.fetch_add(1, std::memory_order_relaxed);
-    return id;
+    return slot.id;
   }
 
   /// Locks every shard owning one of `ids` (in ascending shard-index order
   /// — concurrent groups cannot deadlock, and single-shard operations
   /// still take one lock at a time underneath), then runs `fn(entries)`
   /// with entries[k] pointing at the session of ids[k], or nullptr when
-  /// unknown (expired, BYEd, or never created). Pointers are valid only
-  /// inside `fn`, which is responsible for refreshing entry.last_used if
-  /// the touch should count against the TTL. A repeated id resolves to the
-  /// same entry. The server holds the table once per OBSERVE/PREDICT frame,
-  /// so the call reuses per-thread scratch and allocates nothing once warm;
-  /// `fn` must not call with_sessions itself.
+  /// unknown (expired, BYEd, never issued or of a past generation).
+  /// Pointers are valid only inside `fn`, which is responsible for
+  /// refreshing entry.last_used if the touch should count against the TTL.
+  /// A repeated id resolves to the same entry. The server holds the table
+  /// once per OBSERVE/PREDICT frame, so the call reuses per-thread scratch
+  /// and allocates nothing once warm; `fn` must not call with_sessions
+  /// itself.
   template <typename Fn>
   void with_sessions(std::span<const std::uint64_t> ids, Fn&& fn) {
     thread_local std::vector<std::size_t> order;
     thread_local std::vector<std::unique_lock<std::mutex>> locks;
     thread_local std::vector<Entry*> entries;
     order.clear();
-    for (const std::uint64_t id : ids) order.push_back(shard_index(id));
+    for (const std::uint64_t id : ids) order.push_back(id & shard_mask_);
     std::sort(order.begin(), order.end());
     order.erase(std::unique(order.begin(), order.end()), order.end());
     struct Unlock {  // releases the shard locks however the call exits
       ~Unlock() { locks.clear(); }
     } unlock;
     for (const std::size_t s : order) locks.push_back(lock_shard(*shards_[s]));
-    entries.assign(ids.size(), nullptr);
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      Shard& shard = *shards_[shard_index(ids[k])];
-      const auto it = shard.index.find(ids[k]);
-      if (it != shard.index.end()) entries[k] = &shard.slot(it->second).entry;
-    }
+    entries.clear();
+    for (const std::uint64_t id : ids) entries.push_back(find(id));
     fn(std::span<Entry* const>(entries.data(), entries.size()));
   }
 
@@ -203,11 +211,6 @@ class SessionTable {
     ttl_ms_.store(ttl_ms, std::memory_order_relaxed);
   }
 
-  /// Times a shard lock was already held by another thread when requested.
-  std::uint64_t lock_contentions() const noexcept {
-    return contentions_.load(std::memory_order_relaxed);
-  }
-
   /// Largest number of arena slots ever examined under one eviction lock
   /// hold — the observable guarantee that eviction is incremental (stays
   /// around evict_scan_budget no matter how large the table grows).
@@ -215,19 +218,30 @@ class SessionTable {
     return max_scanned_.load(std::memory_order_relaxed);
   }
 
-  /// Arena slots allocated across all shards (the high-water session count,
-  /// rounded up to slab granularity). Slabs never shrink; erase/evict
+  /// Arena slots handed out across all shards (each shard's high-water
+  /// session count, retired slots included). Slabs never shrink; erase/evict
   /// recycles slots through per-shard freelists — a stable value under
   /// session churn is the observable proof of slot reuse.
   std::size_t arena_slots() const;
 
+  /// The generation a slot's next tenant gets after the tenant `previous`
+  /// (0 for a fresh slot); 0 means it would wrap, and the slot is retired.
+  static constexpr std::uint32_t next_generation(std::uint64_t previous) noexcept {
+    return static_cast<std::uint32_t>(previous >> 32) + 1;
+  }
+
  private:
+  /// Ages a live slot's generation in tests (tests/test_session_table.cpp),
+  /// which cannot reuse one slot 2^32 times to reach the wrap.
+  friend struct SessionTableTestPeer;
+
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// Slots per slab: 64 entries per allocation keeps slab bookkeeping
   /// negligible while capping the largest single arena allocation.
   static constexpr std::size_t kSlabSlots = 64;
 
   struct Slot {
+    /// The id of this slot's session, or of its last one while it is free.
     std::uint64_t id = 0;
     std::uint32_t next_free = kNoSlot;
     bool live = false;
@@ -239,13 +253,13 @@ class SessionTable {
 
   struct alignas(64) Shard {
     mutable std::mutex mutex;
-    /// id -> arena slot index; the slot holds the Entry itself.
-    std::unordered_map<std::uint64_t, std::uint32_t> index;
     /// Index-stable slab arena (slabs are never freed or moved).
     std::vector<std::unique_ptr<Slab>> slabs;
     std::uint32_t free_head = kNoSlot;
     /// Slots ever handed out; the eviction scan's upper bound.
     std::uint32_t allocated = 0;
+    /// Live sessions; evict_tick skips a shard that has none.
+    std::uint32_t live = 0;
     /// Slot index where the next evict_tick resumes scanning.
     std::uint32_t cursor = 0;
     /// Contention counter of this shard (null without a registry).
@@ -255,16 +269,28 @@ class SessionTable {
       return slabs[i / kSlabSlots]->slots[i % kSlabSlots];
     }
     /// Pops the freelist, or carves a fresh slot (growing by one slab when
-    /// the arena is full). Caller holds the shard lock.
-    std::uint32_t acquire_slot();
-    /// Resets the slot's Entry to default (dropping the predictor, model
-    /// pin, and history — no state survives into the next tenant) and
-    /// pushes it onto the freelist. Caller holds the shard lock.
+    /// the arena is full; `limit` slots at most). Caller holds the shard lock.
+    std::uint32_t acquire_slot(std::uint32_t limit);
+    /// Frees the slot and resets its Entry (predictor, model pin, history: no
+    /// state survives into the next tenant), then pushes it onto the freelist
+    /// unless its generation is spent. Caller holds the shard lock.
     void release_slot(std::uint32_t i);
   };
 
-  Shard& shard_for(std::uint64_t id) noexcept;
-  std::size_t shard_index(std::uint64_t id) const noexcept;
+  Shard& shard_of(std::uint64_t id) const noexcept {
+    return *shards_[id & shard_mask_];
+  }
+  std::uint32_t slot_index(std::uint64_t id) const noexcept {
+    return static_cast<std::uint32_t>(id) >> shard_bits_;
+  }
+  /// Session `id`'s entry, or nullptr. Caller holds shard_of(id)'s lock.
+  Entry* find(std::uint64_t id) const noexcept {
+    Shard& shard = shard_of(id);
+    const std::uint32_t i = slot_index(id);
+    if (i >= shard.allocated) return nullptr;
+    Slot& slot = shard.slot(i);
+    return slot.live && slot.id == id ? &slot.entry : nullptr;
+  }
   std::unique_lock<std::mutex> lock_shard(Shard& shard) noexcept;
 
   SessionTableConfig config_;
@@ -272,9 +298,10 @@ class SessionTable {
   std::atomic<int> ttl_ms_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t shard_mask_ = 0;
-  std::atomic<std::uint64_t> next_id_{1};
+  unsigned shard_bits_ = 0;
+  std::uint32_t slot_limit_ = 0;  ///< slot indices that fit beside the shard bits
+  std::atomic<std::size_t> next_shard_{0};  ///< emplace's round-robin
   std::atomic<std::size_t> size_{0};
-  std::atomic<std::uint64_t> contentions_{0};
   std::atomic<std::size_t> max_scanned_{0};
 };
 

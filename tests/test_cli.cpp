@@ -108,6 +108,24 @@ TEST(Cli, PortListsParseStrictly) {
   }
 }
 
+TEST(Cli, SinglePortsParseStrictly) {
+  EXPECT_EQ(parse_port("port", "0"), 0u);  // ephemeral, or "off" for --sync-from
+  EXPECT_EQ(parse_port("port", "9471"), 9471u);
+  EXPECT_EQ(parse_port("sync-from", "65535"), 65535u);
+  // A narrowing cast served --port 70000 on 4464.
+  for (const std::string bad : {"70000", "65536", "-1", "1e4", "90x", "", "9001,9002"}) {
+    for (const std::string flag : {"port", "sync-from"}) {
+      try {
+        parse_port(flag, bad);
+        ADD_FAILURE() << "'" << bad << "' parsed as a port for --" << flag;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(Cli, UnregisteredAccessThrows) {
   const ArgParser parser = make_parser();
   EXPECT_THROW(parser.get("never-registered"), std::logic_error);

@@ -4,7 +4,9 @@
 // std::map of sessions, each pinned to the model that created it, plus
 // per-connection SYNC staging — answers the same seeded schedules as the
 // server, and the two must agree on every reply, on every session handed to
-// the completion hook and on the live session count.
+// the completion hook and on the live session count. Session ids are the
+// server's to choose: the reference takes each one from the server's SESSION
+// reply, after checking that it is non-zero and was never issued before.
 //
 // In process, FrameServer is driven frame by frame with an injected clock:
 // thousands of schedules over several connections' SYNC stagings, with
@@ -192,11 +194,37 @@ class Reference {
   void begin_drain() { draining_ = true; }
   void stop() { stopping_ = true; }
 
+  /// The server's id for the session the last HELLO opened: written into
+  /// the reference's reply once it is non-zero and never issued before.
+  ::testing::AssertionResult learn_id(const Response& got, Response& want) {
+    auto* opened = std::get_if<SessionResponse>(&want);
+    if (opened == nullptr) return ::testing::AssertionSuccess();
+    const auto* session = std::get_if<SessionResponse>(&got);
+    if (session == nullptr)
+      return ::testing::AssertionFailure()
+             << "server replied '" << serialize_response(got)
+             << "' to a HELLO the reference opened";
+    const std::uint64_t id = session->session_id;
+    if (id == 0 || std::find(issued_.begin(), issued_.end(), id) != issued_.end())
+      return ::testing::AssertionFailure()
+             << "server issued session id " << id << (id == 0 ? "" : " again");
+    issued_.push_back(id);
+    opened->session_id = id;
+    sessions_.emplace(id, std::move(*pending_));
+    pending_.reset();
+    return ::testing::AssertionSuccess();
+  }
+
   std::size_t session_count() const { return sessions_.size(); }
-  std::uint64_t next_id() const { return next_id_; }
+  /// Every id issued so far, and the ones BYE'd or evicted since.
+  const std::vector<std::uint64_t>& issued_ids() const { return issued_; }
+  const std::vector<std::uint64_t>& dead_ids() const { return dead_; }
+  /// Open sessions' ids, oldest first: issue order, since an id's value
+  /// says nothing of its age.
   std::vector<std::uint64_t> live_ids() const {
     std::vector<std::uint64_t> ids;
-    for (const auto& [id, session] : sessions_) ids.push_back(id);
+    for (const std::uint64_t id : issued_)
+      if (sessions_.contains(id)) ids.push_back(id);
     return ids;
   }
   bool draining() const { return draining_; }
@@ -229,11 +257,10 @@ class Reference {
     entry.features = hello.features;
     entry.start_hour = hello.start_hour;
     entry.last_used = now;
-    SessionResponse reply;
-    reply.session_id = next_id_++;  // ids start at 1 and never repeat
+    SessionResponse reply;  // the id comes from the server's reply (learn_id)
     reply.initial_mbps = entry.predictor->predict_initial().value_or(0.0);
     reply.cluster_label = model_->name();
-    sessions_.emplace(reply.session_id, std::move(entry));
+    pending_ = std::move(entry);
     return reply;
   }
 
@@ -326,13 +353,16 @@ class Reference {
     completions.push_back(Completion{it->first, std::string(reason),
                                      std::move(entry.features), entry.start_hour,
                                      std::move(entry.observations)});
+    dead_.push_back(it->first);
     sessions_.erase(it);
   }
 
   std::shared_ptr<const PredictorModel> model_;
   ServerConfig config_;
   std::map<std::uint64_t, Entry> sessions_;
-  std::uint64_t next_id_ = 1;
+  std::optional<Entry> pending_;  ///< opened by the last HELLO, id not yet known
+  std::vector<std::uint64_t> issued_;
+  std::vector<std::uint64_t> dead_;
   std::string snapshot_;
   bool draining_ = false;
   bool stopping_ = false;
@@ -649,17 +679,49 @@ class InProcessSchedule {
   }
 
   /// A session id to address: mostly live ones, also ids BYE'd or evicted
-  /// before, ids never issued, and 0.
+  /// before, ids forged from them (the generation one up or down, the slot
+  /// index one past its shard's arena), random 64-bit values, and 0. Forging
+  /// reads the id layout of DESIGN.md §12: generation << 32 | slot <<
+  /// shard_bits | shard.
   std::uint64_t target() {
     const auto live = reference_->live_ids();
     // Long schedules drive the oldest live session past the history cap.
     if (steps_ > 1000 && !live.empty() && rng_.bernoulli(0.7)) return live.front();
     const double u = rng_.uniform();
     if (u < 0.75 && !live.empty()) return live[pick(rng_, 0, live.size() - 1)];
-    const std::uint64_t issued = reference_->next_id() - 1;
-    if (u < 0.88 && issued > 0) return pick(rng_, 1, issued);
-    if (u < 0.97) return reference_->next_id() + pick(rng_, 0, 3);
+    const auto& dead = reference_->dead_ids();
+    if (u < 0.97 && !dead.empty()) {
+      const std::uint64_t id = dead[pick(rng_, 0, dead.size() - 1)];
+      constexpr std::uint64_t kGeneration = std::uint64_t{1} << 32;
+      const double v = rng_.uniform();
+      if (v < 0.45) {
+        // The slot's next tenant differs from this id only in generation.
+        const auto slot_live = [id](std::uint64_t other) {
+          return static_cast<std::uint32_t>(other) == static_cast<std::uint32_t>(id);
+        };
+        if (std::any_of(live.begin(), live.end(), slot_live))
+          ++coverage_["dead id whose slot holds a live session"];
+        return id;
+      }
+      if (v < 0.60) return id + kGeneration;
+      if (v < 0.75) return id - kGeneration;
+      if (v < 0.90) return past_arena(id);
+      return rng_();
+    }
     return 0;
+  }
+
+  /// `id` with its slot index one past the highest slot its shard has
+  /// handed out: the first index beyond the shard's arena.
+  std::uint64_t past_arena(std::uint64_t id) const {
+    const std::uint64_t mask = config_.session_shards - 1;
+    const int bits = std::countr_zero(config_.session_shards);
+    std::uint64_t next = 0;
+    for (const std::uint64_t issued : reference_->issued_ids())
+      if ((issued & mask) == (id & mask))
+        next = std::max<std::uint64_t>(
+            next, (static_cast<std::uint32_t>(issued) >> bits) + 1);
+    return (id >> 32 << 32) | next << bits | (id & mask);
   }
 
   std::string sync_payload(std::size_t conn) {
@@ -733,7 +795,8 @@ class InProcessSchedule {
             payload.substr(0, 80);
     FrameServer::RequestInfo info;
     const Response got = server_->serve(payload, staging_[conn], now_, shed, info);
-    const Response want = reference_->serve(payload, ref_staging_[conn], now_, shed);
+    Response want = reference_->serve(payload, ref_staging_[conn], now_, shed);
+    ASSERT_TRUE(reference_->learn_id(got, want)) << context();
     ASSERT_TRUE(same_reply(got, want)) << context();
     ++coverage_[kind + " -> " + outcome(want)];
     if (const auto* session = std::get_if<SessionResponse>(&want))
@@ -785,7 +848,8 @@ TEST(FrameOracle, InProcessSchedulesMatchTheReference) {
            "SYNCCOMMIT -> ERR SYNC_REJECTED", "SYNCFETCH -> SNAPSHOT",
            "SYNCFETCH -> ERR UNSUPPORTED", "SYNCFETCH -> ERR BAD_REQUEST",
            "malformed -> ERR BAD_REQUEST", "completed bye", "completed evict",
-           "history capped", "PRED for a session opened on another connection"})
+           "history capped", "PRED for a session opened on another connection",
+           "dead id whose slot holds a live session"})
     EXPECT_GT(coverage[required], 0u) << required << " never came up";
 }
 
@@ -867,12 +931,6 @@ class LoopbackSchedule {
   }
 
  private:
-  /// A reference-side session and the id the server gave it.
-  struct Owned {
-    std::uint64_t server_id = 0;
-    std::uint64_t reference_id = 0;
-  };
-
   std::string context() const {
     return "seed " + std::to_string(seed_) + ", io_threads " +
            std::to_string(config_.io_threads) + ", round " + std::to_string(round_);
@@ -909,41 +967,28 @@ class LoopbackSchedule {
         const auto got = read_reply(conns_[c]);
         ASSERT_TRUE(got.has_value()) << context() << ": no HELLO reply";
         Response want = reference_->serve(payload, ref_staging_[c], Clock::now(), shed_);
-        // The server numbers sessions in the order its workers served the
-        // HELLOs; map its ids onto the reference's.
-        if (const auto* session = std::get_if<SessionResponse>(&*got)) {
-          if (auto* expected = std::get_if<SessionResponse>(&want)) {
-            sessions_[c].push_back(Owned{session->session_id, expected->session_id});
-            expected->session_id = session->session_id;
-          }
-        }
+        ASSERT_TRUE(reference_->learn_id(*got, want)) << context() << ", conn " << c;
+        if (const auto* session = std::get_if<SessionResponse>(&want))
+          sessions_[c].push_back(session->session_id);
         ASSERT_TRUE(same_reply(*got, want)) << context() << ", conn " << c;
       }
     }
   }
 
   /// A frame for one of connection `c`'s own sessions (or an id nobody
-  /// owns), as the (server payload, reference payload) pair.
-  std::pair<std::string, std::string> own_frame(std::size_t c) {
+  /// owns).
+  std::string own_frame(std::size_t c) {
     const auto& owned = sessions_[c];
-    Owned target{1ull << 40, 1ull << 40};  // never issued on either side
+    // Generation 0 is never issued (DESIGN.md §12).
+    std::uint64_t target = pick(rng_, 0, 0xffffffffu);
     if (!owned.empty() && rng_.bernoulli(0.92))
       target = owned[pick(rng_, 0, owned.size() - 1)];
-    const auto both = [&](auto make) {
-      return std::pair{serialize_request(make(target.server_id)),
-                       serialize_request(make(target.reference_id))};
-    };
     const double u = rng_.uniform();
-    if (u < 0.55) {
-      const double w = sample_mbps(rng_, config_.max_sample_mbps);
-      return both([w](std::uint64_t id) { return Request{ObserveRequest{id, w}}; });
-    }
-    if (u < 0.80) {
-      const unsigned steps = horizon(rng_);
-      return both([steps](std::uint64_t id) { return Request{PredictRequest{id, steps}}; });
-    }
-    if (u < 0.84)
-      return both([](std::uint64_t id) { return Request{ByeRequest{id}}; });
+    if (u < 0.55)
+      return serialize_request(
+          ObserveRequest{target, sample_mbps(rng_, config_.max_sample_mbps)});
+    if (u < 0.80) return serialize_request(PredictRequest{target, horizon(rng_)});
+    if (u < 0.84) return serialize_request(ByeRequest{target});
     std::string payload;
     if (u < 0.88) {
       payload = serialize_request(StatsRequest{});
@@ -957,7 +1002,7 @@ class LoopbackSchedule {
       const auto& bad = malformed_payloads();
       payload = bad[pick(rng_, 0, bad.size() - 1)];
     }
-    return {payload, payload};
+    return payload;
   }
 
   void pipeline() {
@@ -966,10 +1011,10 @@ class LoopbackSchedule {
     for (std::size_t c = 0; c < conns_.size(); ++c) {
       const std::size_t frames = pick(rng_, 20, 60);
       for (std::size_t i = 0; i < frames; ++i) {
-        auto [to_server, to_reference] = own_frame(c);
-        bursts[c] += encode_frame(to_server);
+        const std::string payload = own_frame(c);
+        bursts[c] += encode_frame(payload);
         expected[c].push_back(
-            reference_->serve(to_reference, ref_staging_[c], Clock::now(), shed_));
+            reference_->serve(payload, ref_staging_[c], Clock::now(), shed_));
       }
     }
     // Every connection's burst goes out in fragments, round robin, so
@@ -1040,11 +1085,7 @@ class LoopbackSchedule {
       got = std::exchange(completed_, {});
     }
     // Replies are read before this runs, and BYE completes its session
-    // before it answers; map server ids onto the reference's.
-    for (Completion& done : got)
-      for (const auto& owned : sessions_)
-        for (const Owned& session : owned)
-          if (session.server_id == done.id) done.id = session.reference_id;
+    // before it answers.
     EXPECT_TRUE(same_completions(std::move(got),
                                  std::exchange(reference_->completions, {})))
         << context();
@@ -1061,7 +1102,7 @@ class LoopbackSchedule {
   std::unique_ptr<Reference> reference_;
   std::vector<FdHandle> conns_;
   std::vector<RefStaging> ref_staging_;
-  std::vector<std::vector<Owned>> sessions_;
+  std::vector<std::vector<std::uint64_t>> sessions_;  ///< ids opened per connection
 };
 
 TEST(FrameOracle, LoopbackSchedulesMatchTheReferencePerConnection) {

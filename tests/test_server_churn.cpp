@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -66,6 +67,44 @@ double series_value(const std::string& exposition, const std::string& key) {
   return std::numeric_limits<double>::quiet_NaN();
 }
 
+/// One client's calls on its current session. A client thread starved past
+/// the TTL may find its session evicted, which the TTL contract allows: the
+/// sweep evicts only after last_used + TTL, and last_used is stamped no
+/// earlier than the send of the previous request on the session. So an
+/// UNKNOWN_SESSION reply that arrives more than the TTL after that send is
+/// an allowed eviction; any other error, or an earlier UNKNOWN_SESSION, is a
+/// failure and propagates.
+class SessionCalls {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit SessionCalls(int ttl_ms) : ttl_(std::chrono::milliseconds(ttl_ms)) {}
+
+  /// Call just before the HELLO goes out: the first request on the session.
+  void opening() { previous_send_ = Clock::now(); }
+
+  /// Runs `call` (one request on the session); false when it found the
+  /// session evicted as the contract allows.
+  template <typename Call>
+  bool operator()(Call&& call) {
+    const auto sent = Clock::now();
+    try {
+      call();
+    } catch (const ServerError& e) {
+      if (e.code() != WireErrorCode::kUnknownSession ||
+          Clock::now() - previous_send_ <= ttl_)
+        throw;
+      return false;
+    }
+    previous_send_ = sent;
+    return true;
+  }
+
+ private:
+  Clock::duration ttl_;
+  Clock::time_point previous_send_{};
+};
+
 TEST(ServerChurnSoak, SixtyFourClientsOverFourWorkers) {
   ServerConfig config;
   config.io_threads = 4;
@@ -80,6 +119,7 @@ TEST(ServerChurnSoak, SixtyFourClientsOverFourWorkers) {
   std::atomic<int> failures{0};
   std::atomic<std::uint64_t> byes{0};
   std::atomic<std::uint64_t> abandons{0};
+  std::atomic<std::uint64_t> starved_evictions{0};
 
   // Retrains land mid-flight the whole time: sessions must keep the model
   // that created them (RCU pin) while new sessions pick up the replacement.
@@ -112,21 +152,32 @@ TEST(ServerChurnSoak, SixtyFourClientsOverFourWorkers) {
   constexpr int kRoundsPerClient = 6;
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&server, &failures, &byes, &abandons, c] {
+    clients.emplace_back([&, c] {
       try {
         for (int round = 0; round < kRoundsPerClient; ++round) {
           // Fresh connection every round — this is the churn under test.
           PredictionClient client(server.port());
+          SessionCalls calls(config.session_ttl_ms);
+          calls.opening();
           const SessionResponse session =
               client.hello(features(), static_cast<double>(c % 24));
-          for (int i = 0; i < 4; ++i) {
+          bool live = true;
+          for (int i = 0; i < 4 && live; ++i) {
             const double sample = 1.0 + (c + round + i) % 9;
-            if (client.observe(session.session_id, sample) != sample + 1.0) {
+            double forecast = 0.0;
+            live = calls([&] { forecast = client.observe(session.session_id, sample); });
+            if (live && forecast != sample + 1.0) {
               ++failures;
               return;
             }
           }
-          if (client.predict(session.session_id, 2) <= 0.0) ++failures;
+          double ahead = 1.0;
+          if (live) live = calls([&] { ahead = client.predict(session.session_id, 2); });
+          if (ahead <= 0.0) ++failures;
+          if (!live) {
+            starved_evictions.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
           // Half the rounds close politely, half vanish without BYE and
           // leave their session for the TTL sweep.
           if ((c + round) % 2 == 0) {
@@ -149,20 +200,29 @@ TEST(ServerChurnSoak, SixtyFourClientsOverFourWorkers) {
   constexpr int kSlowRounds = 2;
   std::vector<std::thread> slow_clients;
   for (int c = 0; c < kSlowClients; ++c) {
-    slow_clients.emplace_back([&server, &failures, &byes, c] {
+    slow_clients.emplace_back([&, c] {
       try {
         for (int round = 0; round < kSlowRounds; ++round) {
           PredictionClient client(
               slow_client_connector(loopback_connector(server.port()),
                                     /*recv_delay_ms=*/3));
+          SessionCalls calls(config.session_ttl_ms);
+          calls.opening();
           const SessionResponse session =
               client.hello(features(), static_cast<double>(c % 24));
-          for (int i = 0; i < 2; ++i) {
+          bool live = true;
+          for (int i = 0; i < 2 && live; ++i) {
             const double sample = 1.0 + (c + round + i) % 9;
-            if (client.observe(session.session_id, sample) != sample + 1.0) {
+            double forecast = 0.0;
+            live = calls([&] { forecast = client.observe(session.session_id, sample); });
+            if (live && forecast != sample + 1.0) {
               ++failures;
               return;
             }
+          }
+          if (!live) {
+            starved_evictions.fetch_add(1, std::memory_order_relaxed);
+            continue;
           }
           client.bye(session.session_id);
           byes.fetch_add(1, std::memory_order_relaxed);
@@ -180,6 +240,10 @@ TEST(ServerChurnSoak, SixtyFourClientsOverFourWorkers) {
   scraper.join();
 
   EXPECT_EQ(failures.load(), 0);
+  if (starved_evictions.load() > 0)
+    std::printf("%llu client round(s) found their session evicted after a stall "
+                "longer than the TTL\n",
+                static_cast<unsigned long long>(starved_evictions.load()));
   EXPECT_GT(byes.load(), 0u);
   EXPECT_GT(abandons.load(), 0u);
   // hello + 4 observes + predict per round, plus byes and scrapes.

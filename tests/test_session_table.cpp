@@ -14,6 +14,20 @@
 #include "obs/metrics.h"
 
 namespace cs2p {
+
+// Reaches into a live session's slot, so a test can age its generation
+// without reusing the slot 2^32 times. Returns the session's new id.
+struct SessionTableTestPeer {
+  static std::uint64_t age(SessionTable& table, std::uint64_t id,
+                           std::uint32_t generation) {
+    SessionTable::Shard& shard = table.shard_of(id);
+    const std::scoped_lock lock(shard.mutex);
+    SessionTable::Slot& slot = shard.slot(table.slot_index(id));
+    slot.id = std::uint64_t{generation} << 32 | static_cast<std::uint32_t>(id);
+    return slot.id;
+  }
+};
+
 namespace {
 
 using Clock = SessionTable::Clock;
@@ -95,9 +109,8 @@ TEST(SessionTable, ShardCountRoundsUpToPowerOfTwo) {
 
 // The satellite guarantee: with 10k expired sessions in the table, no single
 // eviction lock hold scans anywhere near the whole table — each hold is
-// bounded by evict_scan_budget (plus at most one hash-bucket chain, since a
-// hold finishes the bucket it started), while repeated ticks still drain
-// every expired entry.
+// bounded by evict_scan_budget, while repeated ticks still drain every
+// expired entry.
 TEST(SessionTable, EvictionIsIncrementalOverTenThousandExpired) {
   constexpr std::size_t kSessions = 10'000;
   constexpr std::size_t kBudget = 64;
@@ -125,6 +138,35 @@ TEST(SessionTable, EvictionIsIncrementalOverTenThousandExpired) {
   EXPECT_LE(table.max_scanned_in_one_hold(), 2 * kBudget);
   // And it genuinely took many small steps, not one big sweep.
   EXPECT_GT(ticks, kSessions / (kBudget * table.shard_count()) / 2);
+}
+
+// A mass expiry sweeps at the whole table's pace: round-robin placement
+// spreads the sessions of two creating threads evenly over the 16 shards, so
+// each tick clears up to 16 x 64 slots and 16,384 sessions take 16 ticks. The
+// hash placement that slot-addressed ids replaced took 17 (its shards filled
+// unevenly); a shard per creating thread took 128.
+TEST(SessionTable, MassExpiryFromTwoThreadsSweepsAtTableWidePace) {
+  constexpr std::size_t kPerThread = 8'192;
+  SessionTable table({.shards = 16, .ttl_ms = 1'000, .evict_scan_budget = 64});
+  const auto now = Clock::now();
+  const auto stale = now - std::chrono::seconds(10);
+  const auto create = [&] {
+    for (std::size_t i = 0; i < kPerThread; ++i)
+      table.emplace([&](std::uint64_t) { return bare_entry(stale); });
+  };
+  std::thread first(create);
+  std::thread second(create);
+  first.join();
+  second.join();
+  ASSERT_EQ(table.size(), 2 * kPerThread);
+
+  std::size_t ticks = 0;
+  while (table.size() > 0 && ticks < 1'000) {
+    table.evict_tick(now);
+    ++ticks;
+  }
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_LE(ticks, 17u);
 }
 
 TEST(SessionTable, RecentlyTouchedEntriesSurviveEviction) {
@@ -227,6 +269,131 @@ TEST(SessionTable, WithSessionsResolvesHitsAndMissesInOrder) {
     entries[0]->last_used = now;  // writable under the shard locks
   });
   EXPECT_TRUE(ran);
+}
+
+// Ids are slot addresses (DESIGN.md §12): generation << 32 | slot <<
+// shard_bits | shard. One slot reused 10,000 times issues 10,000 ids.
+TEST(SessionTable, IdsNeverRepeatAcrossSlotReuse) {
+  SessionTable table({.shards = 1, .ttl_ms = 0});
+  std::set<std::uint64_t> ids;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint64_t id =
+        table.emplace([](std::uint64_t) { return bare_entry(Clock::now()); });
+    EXPECT_GE(id, std::uint64_t{1} << 32);  // generations start at 1
+    ids.insert(id);
+    ASSERT_TRUE(table.erase(id));
+  }
+  EXPECT_EQ(ids.size(), 10'000u);
+  EXPECT_EQ(table.arena_slots(), 1u);  // one slot of one slab, reused
+}
+
+TEST(SessionTable, StaleGenerationIsUnknown) {
+  SessionTable table({.shards = 1, .ttl_ms = 0});
+  const auto now = Clock::now();
+  const std::uint64_t a = table.emplace([&](std::uint64_t) { return bare_entry(now); });
+  ASSERT_TRUE(table.erase(a));
+  const std::uint64_t b =
+      table.emplace([&](std::uint64_t) { return bare_entry(now, /*traced=*/true); });
+  // B took A's slot: the same low 32 bits, the next generation.
+  ASSERT_EQ(static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(a));
+  ASSERT_EQ(b, a + (std::uint64_t{1} << 32));
+
+  EXPECT_FALSE(with_one(table, a, [](SessionTable::Entry&) {}));
+  EXPECT_FALSE(table.erase(a));
+  bool traced = false;
+  EXPECT_TRUE(with_one(table, b, [&](SessionTable::Entry& e) { traced = e.traced; }));
+  EXPECT_TRUE(traced);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(SessionTable, MalformedIdsAreUnknown) {
+  constexpr std::uint64_t kGeneration = std::uint64_t{1} << 32;
+  constexpr int kShardBits = 2;
+  SessionTable table({.shards = 4, .ttl_ms = 0});
+  const auto make = [](std::uint64_t) { return bare_entry(Clock::now()); };
+  const auto round = [&] {  // placement is round-robin: one session per shard
+    std::vector<std::uint64_t> ids;
+    for (int s = 0; s < 4; ++s) ids.push_back(table.emplace(make));
+    return ids;
+  };
+  // Every shard's slot 0 serves one generation and is freed. A takes shard
+  // 0's slot 0 on its second generation, so A - kGeneration was issued once.
+  // Shard 1's slot 0 serves a second generation too, then holds OTHER on its
+  // third; the other shards fill slot 1.
+  for (const std::uint64_t id : round()) ASSERT_TRUE(table.erase(id));
+  const std::vector<std::uint64_t> second = round();
+  ASSERT_TRUE(table.erase(second[1]));
+  const std::vector<std::uint64_t> third = round();
+  const std::uint64_t a = second[0];
+  const std::uint64_t other = third[1];
+  ASSERT_EQ(a, 2 * kGeneration | 0 << kShardBits | 0);
+  ASSERT_EQ(other, 3 * kGeneration | 0 << kShardBits | 1);
+  ASSERT_EQ(third[0], kGeneration | 1 << kShardBits | 0);
+
+  const auto unknown = [&](std::uint64_t id) {
+    return !with_one(table, id, [](SessionTable::Entry&) {}) && !table.erase(id);
+  };
+  EXPECT_TRUE(unknown(0));
+  EXPECT_TRUE(unknown(2 * kGeneration | 2 << kShardBits | 0))
+      << "slot index == shard 0's allocated count";
+  EXPECT_TRUE(unknown(2 * kGeneration | 0xfffffffcu))
+      << "slot index far past the arena";
+  EXPECT_TRUE(unknown(2 * kGeneration | 0 << kShardBits | 1))
+      << "A's generation and slot in shard 1, whose slot 0 holds another generation";
+  EXPECT_TRUE(unknown(a + kGeneration));
+  EXPECT_TRUE(unknown(a - kGeneration));
+  EXPECT_TRUE(with_one(table, a, [](SessionTable::Entry&) {}));
+  EXPECT_TRUE(with_one(table, other, [](SessionTable::Entry&) {}));
+  EXPECT_EQ(table.size(), 7u);
+}
+
+// A slot whose generation would wrap is retired, never reused, so ids never
+// repeat for the table's lifetime.
+TEST(SessionTable, GenerationAboutToWrapRetiresItsSlot) {
+  EXPECT_EQ(SessionTable::next_generation(0), 1u);  // a fresh slot
+  EXPECT_EQ(SessionTable::next_generation(std::uint64_t{7} << 32 | 0x51), 8u);
+  EXPECT_EQ(SessionTable::next_generation(std::uint64_t{0xffffffff} << 32 | 0x51), 0u);
+
+  SessionTable table({.shards = 1, .ttl_ms = 0});
+  const auto make = [](std::uint64_t) { return bare_entry(Clock::now()); };
+  const std::uint64_t last =
+      SessionTableTestPeer::age(table, table.emplace(make), 0xffffffffu);
+  ASSERT_EQ(last, std::uint64_t{0xffffffff} << 32);  // slot 0, its last generation
+  ASSERT_TRUE(with_one(table, last, [](SessionTable::Entry&) {}));
+  ASSERT_TRUE(table.erase(last));
+  // Slot 0 stays off the freelist, so later sessions take a fresh slot and
+  // no id repeats (a reused slot 0 would issue id 0).
+  std::set<std::uint64_t> ids{last};
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t id = table.emplace(make);
+    EXPECT_EQ(static_cast<std::uint32_t>(id), 1u) << "slot 1";
+    EXPECT_TRUE(ids.insert(id).second);
+    EXPECT_EQ(table.arena_slots(), 2u);
+    ASSERT_TRUE(table.erase(id));
+  }
+  EXPECT_FALSE(with_one(table, last, [](SessionTable::Entry&) {}));
+}
+
+// Placement ignores the creating thread: consecutive sessions land in
+// different shards, and every thread finds every session.
+TEST(SessionTable, TwoThreadsCreateInDifferentShardsAndFindEachOther) {
+  SessionTable table({.shards = 16, .ttl_ms = 0});
+  const auto make = [](std::uint64_t) { return bare_entry(Clock::now()); };
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  std::thread([&] { first = table.emplace(make); }).join();
+  std::thread([&] { second = table.emplace(make); }).join();
+  EXPECT_NE(first & 15, second & 15);
+  bool found_second = false;
+  bool found_first = false;
+  std::thread([&] {
+    found_second = with_one(table, second, [](SessionTable::Entry&) {});
+  }).join();
+  std::thread([&] {
+    found_first = with_one(table, first, [](SessionTable::Entry&) {});
+  }).join();
+  EXPECT_TRUE(found_second);
+  EXPECT_TRUE(found_first);
 }
 
 TEST(SessionTable, TtlDisabledNeverEvicts) {

@@ -77,7 +77,6 @@ TrainerConfig fast_trainer_config() {
   TrainerConfig config;
   config.reservoir_size = 32;
   config.min_new_sessions = 8;
-  config.min_sequence_epochs = 4;
   config.holdout_stride = 4;
   config.canary_margin = 0.01;
   config.horizon = 2;

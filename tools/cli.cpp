@@ -73,6 +73,19 @@ auto convert_whole(const std::string& name, const std::string& value,
                               "' is not a valid number");
 }
 
+/// `token` as a port in [lowest, 65535], or std::invalid_argument naming
+/// the flag.
+std::uint16_t port_in_range(const std::string& flag, const std::string& token,
+                            long lowest) {
+  const long port = convert_whole(flag, token, [](const std::string& s, std::size_t* used) {
+    return std::stol(s, used);
+  });
+  if (port < lowest || port > 65535)
+    throw std::invalid_argument("--" + flag + ": port " + token + " is outside " +
+                                std::to_string(lowest) + "-65535");
+  return static_cast<std::uint16_t>(port);
+}
+
 }  // namespace
 
 long ArgParser::get_long(const std::string& name) const {
@@ -91,17 +104,13 @@ std::vector<std::uint16_t> parse_ports(const std::string& flag,
                                        const std::string& csv) {
   std::vector<std::uint16_t> ports;
   std::istringstream tokens(csv);
-  for (std::string token; std::getline(tokens, token, ',');) {
-    if (token.empty()) continue;
-    const long port = convert_whole(flag, token, [](const std::string& s, std::size_t* used) {
-      return std::stol(s, used);
-    });
-    if (port <= 0 || port > 65535)
-      throw std::invalid_argument("--" + flag + ": port " + token +
-                                  " is outside 1-65535");
-    ports.push_back(static_cast<std::uint16_t>(port));
-  }
+  for (std::string token; std::getline(tokens, token, ',');)
+    if (!token.empty()) ports.push_back(port_in_range(flag, token, 1));
   return ports;
+}
+
+std::uint16_t parse_port(const std::string& flag, const std::string& value) {
+  return port_in_range(flag, value, 0);
 }
 
 bool ArgParser::has(const std::string& name) const {

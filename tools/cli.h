@@ -56,4 +56,9 @@ class ArgParser {
 std::vector<std::uint16_t> parse_ports(const std::string& flag,
                                        const std::string& csv);
 
+/// One port for a single-port flag such as --port: a whole number in
+/// 0–65535 (0 is the flag's "ephemeral" or "off"), or std::invalid_argument
+/// naming `--flag`. A narrowing cast would wrap 70000 to 4464.
+std::uint16_t parse_port(const std::string& flag, const std::string& value);
+
 }  // namespace cs2p::cli

@@ -203,13 +203,12 @@ int main(int argc, char** argv) try {
       snapshot_dir.empty() ? "" : snapshot_dir + "/cs2p_engine.snapshot";
   const long reload_interval_s = args.get_long("reload-interval");
   const long metrics_interval_s = args.get_long("metrics-interval");
-  const auto port = static_cast<std::uint16_t>(args.get_long("port"));
+  const std::uint16_t port = cli::parse_port("port", args.get("port"));
 
   // -- Replication (DESIGN.md §13) ------------------------------------------
   const std::vector<std::uint16_t> peer_ports =
       cli::parse_ports("peers", args.get("peers"));
-  const auto sync_from =
-      static_cast<std::uint16_t>(args.get_long("sync-from"));
+  const std::uint16_t sync_from = cli::parse_port("sync-from", args.get("sync-from"));
   const bool accept_sync = args.get_long("accept-sync") != 0;
 
   TrainerConfig trainer_config;

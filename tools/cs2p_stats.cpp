@@ -224,24 +224,6 @@ void print_diff(const Scrape& before, const Scrape& after, long seconds) {
   }
 }
 
-/// "9000,9001" -> {9000, 9001}.
-std::vector<std::uint16_t> parse_ports(const std::string& csv) {
-  std::vector<std::uint16_t> ports;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    std::size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string token = csv.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (token.empty()) continue;
-    const long port = std::stol(token);
-    if (port <= 0 || port > 65535)
-      throw std::runtime_error("bad port in --peers: " + token);
-    ports.push_back(static_cast<std::uint16_t>(port));
-  }
-  return ports;
-}
-
 /// Scrape of one replica; `ok` false when the node could not be reached
 /// (its column prints as "-" so the survivors still line up).
 struct ReplicaScrape {
@@ -360,7 +342,8 @@ int main(int argc, char** argv) try {
                   "a merged per-replica view (overrides --port)", "");
   if (!args.parse(argc, argv)) return 1;
 
-  const std::vector<std::uint16_t> peer_ports = parse_ports(args.get("peers"));
+  const std::vector<std::uint16_t> peer_ports =
+      cli::parse_ports("peers", args.get("peers"));
   if (!peer_ports.empty()) {
     const long tier_diff_s = args.get_long("diff");
     const auto first = scrape_tier(peer_ports);
@@ -373,7 +356,7 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  const auto port = static_cast<std::uint16_t>(args.get_long("port"));
+  const std::uint16_t port = cli::parse_port("port", args.get("port"));
   if (args.get_long("raw") != 0) {
     PredictionClient client(port);
     const StatsResponse response = client.stats();
