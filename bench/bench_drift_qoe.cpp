@@ -62,10 +62,9 @@ ScenarioResult run_scenario(const Cs2pEngine& engine, const Dataset& test,
     if (s.throughput_mbps.size() < 8) continue;
     ++result.sessions;
     const SessionModelRef ref = engine.session_model(s.features, s.start_hour);
-    HmmSessionPredictor unguarded(*ref.hmm, ref.initial_prediction);
-    GuardedSessionPredictor guarded(*ref.hmm, ref.initial_prediction,
-                                    engine.global_initial(),
-                                    engine.surprise_baseline(ref.hmm),
+    HmmSessionPredictor unguarded(ref.kernel, ref.initial_prediction);
+    GuardedSessionPredictor guarded(ref.kernel, ref.initial_prediction,
+                                    engine.global_initial(), *ref.baseline,
                                     guardrail);
     const std::size_t shift_epoch = s.throughput_mbps.size() / 2;
     for (std::size_t t = 0; t < s.throughput_mbps.size(); ++t) {
@@ -108,6 +107,7 @@ int main() {
               train.size(), test.size());
 
   Cs2pConfig config;
+  config.guardrail.enabled = true;  // session_model() then hands out baselines
   const Cs2pEngine engine(std::move(train), config);
 
   constexpr std::size_t kSessions = 400;

@@ -108,7 +108,7 @@ int main() {
 
     const SessionModelRef ref =
         engine.session_model(session.features, session.start_hour);
-    OnlineHmmFilter filter(*ref.hmm);
+    OnlineHmmFilter filter(ref.kernel);
     std::vector<double> forecast(options.video.num_chunks);
     forecast[0] = ref.initial_prediction;
     for (std::size_t h = 1; h < forecast.size(); ++h)

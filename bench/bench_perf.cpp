@@ -376,11 +376,11 @@ void BM_ModelFootprint(benchmark::State& state) {
   const SessionModelRef ref =
       f.model->engine().session_model(f.probe->features, f.probe->start_hour);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ref.hmm->byte_size());
+    benchmark::DoNotOptimize(ref.kernel->model().byte_size());
   }
-  state.counters["model_bytes"] = static_cast<double>(ref.hmm->byte_size());
+  state.counters["model_bytes"] = static_cast<double>(ref.kernel->model().byte_size());
   state.counters["serialized_bytes"] =
-      static_cast<double>(serialize_hmm(*ref.hmm).size());
+      static_cast<double>(serialize_hmm(ref.kernel->model()).size());
 }
 BENCHMARK(BM_ModelFootprint);
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 
 #include "predictors/hmm_session.h"
 #include "util/stats.h"
@@ -107,7 +108,7 @@ Cs2pEngine::Cs2pEngine(Dataset training, Cs2pConfig config)
   // A failed *global* training is fatal: there is no coarser model to fall
   // back to, so TrainingError propagates to the caller here (unlike the
   // per-cluster path, which quarantines).
-  global_hmm_ = run_trainer(sequences).model;
+  global_.kernel = HmmKernel::create(run_trainer(sequences).model);
 }
 
 Cs2pEngine::Cs2pEngine(Dataset training, Cs2pConfig config,
@@ -120,9 +121,8 @@ Cs2pEngine::Cs2pEngine(Dataset training, Cs2pConfig config,
                                : std::make_shared<obs::MetricsRegistry>()),
       m_(MetricHandles::create(*metrics_)),
       guardrail_metrics_(GuardrailMetrics::from_registry(*metrics_)),
-      global_hmm_(std::move(restored.global_hmm)),
+      global_{HmmKernel::create(std::move(restored.global_hmm)), std::nullopt},
       global_initial_(restored.global_initial) {
-  global_hmm_.validate(1e-3);
   if (!std::isfinite(global_initial_) || global_initial_ < 0.0)
     throw std::invalid_argument("Cs2pEngine: restored global initial invalid");
   for (auto& entry : restored.cluster_models) {
@@ -134,11 +134,8 @@ Cs2pEngine::Cs2pEngine(Dataset training, Cs2pConfig config,
     if (it == clusters.end())
       throw std::invalid_argument(
           "Cs2pEngine: restored cluster model has unknown bucket key");
-    entry.hmm.validate(1e-3);
-    const auto [slot, inserted] = hmm_cache_.emplace(
-        &it->second, std::make_unique<GaussianHmm>(std::move(entry.hmm)));
-    (void)slot;
-    if (!inserted)
+    if (!models_.try_emplace(&it->second, HmmKernel::create(std::move(entry.hmm)))
+             .second)
       throw std::invalid_argument(
           "Cs2pEngine: duplicate cluster model in restored state");
     m_.clusters_restored->inc();
@@ -158,27 +155,20 @@ ClusterModelView Cs2pEngine::cluster_model_view(
     std::size_t candidate_id, const std::string& bucket_key) const {
   ClusterModelView view;
   const Cluster* cluster = find_cluster(candidate_id, bucket_key);
-  if (cluster == nullptr) {
-    view.hmm = global_hmm_;
+  if (cluster == nullptr || cluster_drifted(cluster)) {
+    view.hmm = global_hmm();
     return view;
-  }
-  {
-    std::scoped_lock lock(drift_mutex_);
-    if (drifted_.contains(cluster)) {
-      view.hmm = global_hmm_;
-      return view;
-    }
   }
   std::scoped_lock lock(cache_mutex_);
   if (!quarantined_.contains(cluster)) {
-    const auto it = hmm_cache_.find(cluster);
-    if (it != hmm_cache_.end()) {
-      view.hmm = *it->second;
+    const auto it = models_.find(cluster);
+    if (it != models_.end()) {
+      view.hmm = it->second.kernel->model();
       view.cluster_specific = true;
       return view;
     }
   }
-  view.hmm = global_hmm_;
+  view.hmm = global_hmm();
   return view;
 }
 
@@ -192,12 +182,12 @@ std::vector<ClusterModelEntry> Cs2pEngine::export_cluster_models() const {
 
   std::vector<ClusterModelEntry> out;
   std::scoped_lock lock(cache_mutex_);
-  out.reserve(hmm_cache_.size());
-  for (const auto& [cluster, hmm] : hmm_cache_) {
+  out.reserve(models_.size());
+  for (const auto& [cluster, record] : models_) {
     const auto it = identity.find(cluster);
     if (it == identity.end()) continue;  // unreachable: cache keys come from index_
     ClusterModelEntry entry = it->second;
-    entry.hmm = *hmm;
+    entry.hmm = record.kernel->model();
     out.push_back(std::move(entry));
   }
   return out;
@@ -212,24 +202,27 @@ double Cs2pEngine::cluster_initial(const Cluster& cluster) const {
   return mean(initials);
 }
 
-const GaussianHmm& Cs2pEngine::cluster_hmm(const Cluster& cluster) const {
+std::pair<const Cs2pEngine::ModelRecord*, std::optional<SurpriseBaseline>>
+Cs2pEngine::cluster_model(const Cluster& cluster) const {
   {
     std::scoped_lock lock(cache_mutex_);
-    if (quarantined_.contains(&cluster)) return global_hmm_;
-    const auto it = hmm_cache_.find(&cluster);
-    if (it != hmm_cache_.end()) return *it->second;
+    const ModelRecord* record = &global_;
+    if (!quarantined_.contains(&cluster)) {
+      const auto it = models_.find(&cluster);
+      record = it != models_.end() ? &it->second : nullptr;
+    }
+    if (record != nullptr) return {record, record->baseline};
   }
 
   // Train outside the lock: EM dominates, and a rare duplicate training of
-  // the same cluster is harmless (first insert wins).
+  // the same cluster is harmless (first insert wins). A cluster with no
+  // usable sequence gets its own record on the global model's kernel.
   auto sequences = gather_sequences(training_, cluster.session_indices,
                                     config_.max_sequences_per_cluster);
-  std::unique_ptr<GaussianHmm> model;
-  if (sequences.empty()) {
-    model = std::make_unique<GaussianHmm>(global_hmm_);
-  } else {
+  std::shared_ptr<const HmmKernel> kernel = global_.kernel;
+  if (!sequences.empty()) {
     try {
-      model = std::make_unique<GaussianHmm>(run_trainer(sequences).model);
+      kernel = HmmKernel::create(run_trainer(sequences).model);
     } catch (const std::exception&) {
       // Failure isolation: one degenerate cluster (EM collapse, zero
       // variance, injected fault) must not throw into the serving path —
@@ -237,70 +230,75 @@ const GaussianHmm& Cs2pEngine::cluster_hmm(const Cluster& cluster) const {
       // later session. Quarantine it once and serve the global model.
       std::scoped_lock lock(cache_mutex_);
       if (quarantined_.insert(&cluster).second) m_.clusters_quarantined->inc();
-      return global_hmm_;
+      return {&global_, global_.baseline};
     }
   }
 
   std::scoped_lock lock(cache_mutex_);
-  const auto [it, inserted] = hmm_cache_.emplace(&cluster, std::move(model));
+  const auto [it, inserted] = models_.try_emplace(&cluster, std::move(kernel));
   if (inserted) m_.clusters_trained->inc();
-  return *it->second;
+  return {&it->second, it->second.baseline};
+}
+
+SurpriseBaseline Cs2pEngine::baseline_of(const ModelRecord& record) const {
+  {
+    std::scoped_lock lock(cache_mutex_);
+    if (record.baseline) return *record.baseline;
+  }
+  // Monte Carlo over the model itself, outside the lock: it replays
+  // baseline_sequences synthetic sessions through a forward filter. A rare
+  // duplicate computation is harmless (deterministic seed, first insert
+  // wins).
+  const SurpriseBaseline baseline =
+      compute_surprise_baseline(record.kernel->model(), config_.guardrail);
+  std::scoped_lock lock(cache_mutex_);
+  if (!record.baseline) record.baseline = baseline;
+  return *record.baseline;
 }
 
 SessionModelRef Cs2pEngine::session_model(const SessionFeatures& features,
                                           double start_hour) const {
   const SelectionResult selection = selector_.select(features, start_hour);
   m_.sessions->inc();
-  if (!selection.found) m_.global_fallbacks->inc();
-
   SessionModelRef ref;
-  if (!selection.found) {
-    ref.hmm = &global_hmm_;
-    ref.initial_prediction = global_initial_;
-    ref.used_global_model = true;
+  ref.initial_prediction = global_initial_;
+  const ModelRecord* record = &global_;
+  const Cluster* cluster = selection.cluster;
+  if (cluster == nullptr) {
+    m_.global_fallbacks->inc();
     ref.cluster_label = "(global)";
-    return ref;
-  }
-
-  const CandidateIndex& candidate = index_.index_for(selection.candidate_id);
-  const Cluster* cluster = candidate.find(features, start_hour);
-  // select() only returns candidates with a usable cluster for this session.
-  {
-    // A drifted cluster's trained state no longer matches what its sessions
-    // measure, so — unlike quarantine — even the cluster's initial median is
-    // suspect: serve the global model wholesale and leave ref.cluster null
-    // so post-drift sessions don't keep feeding the quorum that already
-    // fired.
-    std::scoped_lock lock(drift_mutex_);
-    if (drifted_.contains(cluster)) {
+  } else {
+    ref.cluster_label =
+        candidate_to_string(index_.index_for(selection.candidate_id).candidate());
+    ref.cluster_size = cluster->size();
+    if (cluster_drifted(cluster)) {
+      // A drifted cluster's trained state no longer matches what its
+      // sessions measure, so — unlike quarantine — even the cluster's
+      // initial median is suspect: serve the global model wholesale and
+      // leave ref.cluster null so post-drift sessions don't keep feeding
+      // the quorum that already fired.
       m_.drifted_serves->inc();
-      ref.hmm = &global_hmm_;
-      ref.initial_prediction = global_initial_;
-      ref.used_global_model = true;
-      ref.cluster_drifted = true;
-      ref.cluster_label = candidate_to_string(candidate.candidate()) + " (drifted)";
-      ref.cluster_size = cluster->size();
-      return ref;
+      ref.flags = serve_flags::kClusterDrifted;
+      ref.cluster_label += " (drifted)";
+    } else {
+      std::tie(record, ref.baseline) = cluster_model(*cluster);
+      ref.initial_prediction = cluster_initial(*cluster);
+      ref.cluster = cluster;
+      // A quarantined cluster's sessions run on the global HMM (the
+      // cluster's initial median is still valid — it is raw data, not an
+      // EM product).
+      if (record == &global_) {
+        m_.quarantined_serves->inc();
+        ref.cluster_label += " (quarantined)";
+      } else {
+        m_.cluster_hits->inc();
+      }
     }
   }
-  ref.hmm = &cluster_hmm(*cluster);
-  ref.initial_prediction = cluster_initial(*cluster);
-  ref.cluster_label = candidate_to_string(candidate.candidate());
-  ref.cluster_size = cluster->size();
-  ref.cluster = cluster;
-  // A quarantined cluster's sessions run on the global HMM (the cluster's
-  // initial median is still valid — it is raw data, not an EM product).
-  {
-    std::scoped_lock lock(cache_mutex_);
-    if (quarantined_.contains(cluster)) {
-      ref.used_global_model = true;
-      ref.cluster_label += " (quarantined)";
-    }
-  }
-  if (ref.used_global_model)
-    m_.quarantined_serves->inc();
-  else
-    m_.cluster_hits->inc();
+  ref.used_global_model = record == &global_;
+  if (ref.used_global_model) ref.flags |= serve_flags::kGlobalModel;
+  ref.kernel = record->kernel;
+  if (config_.guardrail.enabled && !ref.baseline) ref.baseline = baseline_of(*record);
   return ref;
 }
 
@@ -308,54 +306,20 @@ std::size_t Cs2pEngine::warm_up(std::size_t max_clusters) const {
   std::size_t before = 0;
   {
     std::scoped_lock lock(cache_mutex_);
-    before = hmm_cache_.size();
+    before = models_.size();
   }
   for (const auto& session : training_.sessions()) {
     if (session.throughput_mbps.empty()) continue;
     const SelectionResult selection =
         selector_.select(session.features, session.start_hour);
-    if (!selection.found) continue;
-    const Cluster* cluster = index_.index_for(selection.candidate_id)
-                                 .find(session.features, session.start_hour);
-    if (cluster != nullptr) (void)cluster_hmm(*cluster);
+    if (selection.cluster != nullptr) (void)cluster_model(*selection.cluster);
     if (max_clusters > 0) {
       std::scoped_lock lock(cache_mutex_);
-      if (hmm_cache_.size() - before >= max_clusters) break;
+      if (models_.size() - before >= max_clusters) break;
     }
   }
   std::scoped_lock lock(cache_mutex_);
-  return hmm_cache_.size() - before;
-}
-
-SurpriseBaseline Cs2pEngine::surprise_baseline(const GaussianHmm* hmm) const {
-  {
-    std::scoped_lock lock(cache_mutex_);
-    const auto it = baseline_cache_.find(hmm);
-    if (it != baseline_cache_.end()) return it->second;
-  }
-  // Monte Carlo over the model itself, outside the lock: it replays
-  // baseline_sequences synthetic sessions through a forward filter. A rare
-  // duplicate computation is harmless (deterministic seed, first insert
-  // wins).
-  const SurpriseBaseline baseline =
-      compute_surprise_baseline(*hmm, config_.guardrail);
-  std::scoped_lock lock(cache_mutex_);
-  return baseline_cache_.emplace(hmm, baseline).first->second;
-}
-
-std::shared_ptr<const HmmKernel> Cs2pEngine::hmm_kernel(
-    const GaussianHmm* hmm) const {
-  {
-    std::scoped_lock lock(cache_mutex_);
-    const auto it = kernel_cache_.find(hmm);
-    if (it != kernel_cache_.end()) return it->second;
-  }
-  // Built outside the lock (Matrix::pow up to kMaxCachedPowers); a rare
-  // duplicate build is harmless, first insert wins and the loser's copy is
-  // dropped.
-  auto kernel = HmmKernel::create(*hmm);
-  std::scoped_lock lock(cache_mutex_);
-  return kernel_cache_.emplace(hmm, std::move(kernel)).first->second;
+  return models_.size() - before;
 }
 
 void Cs2pEngine::note_guardrail_event(const Cluster* cluster,
@@ -447,29 +411,25 @@ Cs2pPredictorModel::Cs2pPredictorModel(std::shared_ptr<const Cs2pEngine> engine)
 
 std::unique_ptr<SessionPredictor> Cs2pPredictorModel::make_session(
     const SessionContext& context) const {
-  const SessionModelRef ref =
+  SessionModelRef ref =
       engine_->session_model(context.features, context.start_hour);
   const Cs2pConfig& config = engine_->config();
   // Sessions share their model's SoA kernel: one contiguous constants block
   // per model instead of a private copy per session.
-  auto kernel = engine_->hmm_kernel(ref.hmm);
   if (!config.guardrail.enabled) {
     return std::make_unique<HmmSessionPredictor>(
-        std::move(kernel), ref.initial_prediction, config.prediction_rule);
+        std::move(ref.kernel), ref.initial_prediction, config.prediction_rule,
+        ref.flags);
   }
 
-  std::uint8_t static_flags = serve_flags::kPrimary;
-  if (ref.used_global_model) static_flags |= serve_flags::kGlobalModel;
-  if (ref.cluster_drifted) static_flags |= serve_flags::kClusterDrifted;
   // The callback owns a shared_ptr to the engine: a guarded session may
   // outlive a model hot-swap, and its kClosed event must still find the
   // drift counters it incremented at kOpened.
   auto engine = engine_;
   const Cluster* cluster = ref.cluster;
   return std::make_unique<GuardedSessionPredictor>(
-      std::move(kernel), ref.initial_prediction, engine_->global_initial(),
-      engine_->surprise_baseline(ref.hmm), config.guardrail,
-      config.prediction_rule, static_flags,
+      std::move(ref.kernel), ref.initial_prediction, engine_->global_initial(),
+      *ref.baseline, config.guardrail, config.prediction_rule, ref.flags,
       [engine = std::move(engine), cluster](GuardrailEvent event, bool tripped) {
         engine->note_guardrail_event(cluster, event, tripped);
       },
@@ -483,7 +443,7 @@ std::optional<DownloadableModel> Cs2pPredictorModel::downloadable_model(
   DownloadableModel out;
   out.initial_mbps = ref.initial_prediction;
   out.used_global_model = ref.used_global_model;
-  out.hmm = *ref.hmm;
+  out.hmm = ref.kernel->model();
   return out;
 }
 

@@ -16,10 +16,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/feature_selector.h"
@@ -67,12 +69,21 @@ struct Cs2pConfig {
   std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
-/// What the engine hands out for one session.
+/// What the engine hands out for one session: the model that serves it,
+/// resolved once.
 struct SessionModelRef {
-  const GaussianHmm* hmm = nullptr;  ///< owned by the engine
+  /// The serving model's shared kernel (the engine's only copy of it); every
+  /// session on that model holds the same one.
+  std::shared_ptr<const HmmKernel> kernel;
   double initial_prediction = 0.0;   ///< Mbps
   bool used_global_model = false;
-  bool cluster_drifted = false;      ///< cluster was drift-marked at lookup
+  /// serve_flags:: bits fixed for the session's lifetime: kGlobalModel when
+  /// the global HMM serves (no cluster, quarantine, or drift), plus
+  /// kClusterDrifted when the cluster is drift-marked.
+  std::uint8_t flags = serve_flags::kPrimary;
+  /// The serving model's surprise baseline; set when the engine's guardrail
+  /// is on (computed on the model's first session, then cached).
+  std::optional<SurpriseBaseline> baseline;
   std::string cluster_label;         ///< candidate description, for logs
   std::size_t cluster_size = 0;
   /// Identity of the serving cluster for drift attribution; null when the
@@ -208,17 +219,6 @@ class Cs2pEngine {
     return guardrail_metrics_;
   }
 
-  /// Surprise baseline of a model the engine owns (global or cached cluster
-  /// HMM), computed lazily once per model and cached. The pointer must come
-  /// from a SessionModelRef of this engine.
-  SurpriseBaseline surprise_baseline(const GaussianHmm* hmm) const;
-
-  /// Shared SoA inference kernel of an engine-owned HMM (hmm/kernel.h),
-  /// built lazily once per model and cached — every session pinned to that
-  /// model shares one kernel block.
-  /// Same pointer contract as surprise_baseline().
-  std::shared_ptr<const HmmKernel> hmm_kernel(const GaussianHmm* hmm) const;
-
   /// For each item in order: observe() its observation, then predict(1)
   /// into `prediction` (the OBSERVE reply). A session may appear more than
   /// once; its items apply in order. The caller holds whatever locks protect
@@ -265,7 +265,7 @@ class Cs2pEngine {
   ClusterModelView cluster_model_view(std::size_t candidate_id,
                                       const std::string& bucket_key) const;
 
-  const GaussianHmm& global_hmm() const noexcept { return global_hmm_; }
+  const GaussianHmm& global_hmm() const noexcept { return global_.kernel->model(); }
   double global_initial() const noexcept { return global_initial_; }
   const ClusterIndex& cluster_index() const noexcept { return index_; }
   const FeatureSelector& selector() const noexcept { return selector_; }
@@ -279,7 +279,23 @@ class Cs2pEngine {
   std::vector<ClusterModelEntry> export_cluster_models() const;
 
  private:
-  const GaussianHmm& cluster_hmm(const Cluster& cluster) const;
+  /// One served HMM: its kernel, built when the record is made (by EM, the
+  /// restore constructor, or global training), and its surprise baseline,
+  /// filled on the first guarded session. Records are never erased, so a
+  /// reference to one lives as long as the engine.
+  struct ModelRecord {
+    std::shared_ptr<const HmmKernel> kernel;
+    mutable std::optional<SurpriseBaseline> baseline;  ///< under cache_mutex_
+  };
+
+  /// The record serving `cluster` and its baseline as of the lookup, read in
+  /// one cache hold with the quarantine check: the cached model, trained by
+  /// EM outside the lock on a miss, or the global record once the cluster is
+  /// quarantined.
+  std::pair<const ModelRecord*, std::optional<SurpriseBaseline>> cluster_model(
+      const Cluster& cluster) const;
+  /// `record`'s baseline, computed outside the lock on first use.
+  SurpriseBaseline baseline_of(const ModelRecord& record) const;
   double cluster_initial(const Cluster& cluster) const;
 
   /// Registry handles cached at construction: the serving path increments
@@ -309,23 +325,17 @@ class Cs2pEngine {
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   MetricHandles m_;
   GuardrailMetrics guardrail_metrics_;
-  GaussianHmm global_hmm_;
+  ModelRecord global_;
   double global_initial_ = 0.0;
   ModelLineage lineage_;
 
   mutable std::mutex cache_mutex_;
-  mutable std::unordered_map<const Cluster*, std::unique_ptr<GaussianHmm>> hmm_cache_;
+  mutable std::unordered_map<const Cluster*, ModelRecord> models_;
   /// Clusters whose EM training threw: served by the global model from then
   /// on. Recording the failure (instead of caching a partial model or
   /// retrying forever) is what keeps one degenerate cluster from ever
   /// reaching the serving path again.
   mutable std::unordered_set<const Cluster*> quarantined_;
-  /// Lazily-computed per-model surprise baselines, keyed by the stable
-  /// address of an engine-owned HMM (global_hmm_ or a hmm_cache_ entry).
-  mutable std::unordered_map<const GaussianHmm*, SurpriseBaseline> baseline_cache_;
-  /// Lazily-built shared inference kernels, same key (DESIGN.md §16).
-  mutable std::unordered_map<const GaussianHmm*, std::shared_ptr<const HmmKernel>>
-      kernel_cache_;
 
   /// Cluster-level drift aggregation (guarded by its own mutex: the event
   /// feed runs on serving threads and must not contend with EM training).

@@ -24,6 +24,7 @@ std::string isp_city_key(const SessionFeatures& features) {
 void FeatureSelector::build_neighbourhoods() {
   const auto& sessions = index_->training().sessions();
   for (std::size_t i = 0; i < sessions.size(); ++i) {
+    if (i < config_.estimation_set_size) first_sessions_.push_back(i);
     if (sessions[i].throughput_mbps.empty()) continue;
     by_isp_city_[isp_city_key(sessions[i].features)].push_back(i);
     by_isp_[sessions[i].features.isp].push_back(i);
@@ -85,37 +86,27 @@ FeatureSelector::FeatureSelector(const ClusterIndex& index, FeatureSelectorConfi
   });
 }
 
-std::vector<std::size_t> FeatureSelector::estimation_set(
+FeatureSelector::Neighbourhood FeatureSelector::neighbourhood(
     const SessionFeatures& features) const {
-  auto take = [this](const std::vector<std::size_t>& pool) {
-    std::vector<std::size_t> out = pool;
-    if (out.size() > config_.estimation_set_size)
-      out.resize(config_.estimation_set_size);
-    return out;
+  const auto first = [this](const std::vector<std::size_t>& pool) {
+    return std::span(pool).first(std::min(pool.size(), config_.estimation_set_size));
   };
-
-  if (const auto it = by_isp_city_.find(isp_city_key(features));
-      it != by_isp_city_.end() && it->second.size() >= 5) {
-    return take(it->second);
-  }
-  if (const auto it = by_isp_.find(features.isp);
-      it != by_isp_.end() && !it->second.empty()) {
-    return take(it->second);
-  }
-  // Last resort: a slice of everything.
-  std::vector<std::size_t> out;
-  const std::size_t n = index_->training().size();
-  for (std::size_t i = 0; i < n && out.size() < config_.estimation_set_size; ++i)
-    out.push_back(i);
-  return out;
+  std::string key = isp_city_key(features);
+  if (const auto it = by_isp_city_.find(key);
+      it != by_isp_city_.end() && it->second.size() >= 5)
+    return {std::move(key), first(it->second)};
+  if (const auto it = by_isp_.find(features.isp); it != by_isp_.end())
+    return {features.isp, first(it->second)};
+  return {{}, first_sessions_};  // last resort: a slice of everything
 }
 
 const FeatureSelector::Ranking& FeatureSelector::ranking_for(
-    const std::vector<std::size_t>& est, const std::string& est_key) const {
+    const Neighbourhood& neighbourhood) const {
   std::scoped_lock lock(cache_mutex_);
-  const auto cached = ranking_cache_.find(est_key);
+  const auto cached = ranking_cache_.find(neighbourhood.key);
   if (cached != ranking_cache_.end()) return cached->second;
 
+  const std::span<const std::size_t> est = neighbourhood.est;
   Ranking ranking;
   ranking.reserve(index_->num_candidates());
   for (std::size_t c = 0; c < index_->num_candidates(); ++c) {
@@ -137,28 +128,18 @@ const FeatureSelector::Ranking& FeatureSelector::ranking_for(
   }
   std::stable_sort(ranking.begin(), ranking.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  return ranking_cache_.emplace(est_key, std::move(ranking)).first->second;
+  return ranking_cache_.emplace(neighbourhood.key, std::move(ranking)).first->second;
 }
 
 SelectionResult FeatureSelector::select(const SessionFeatures& features,
                                         double start_hour) const {
-  std::string est_key;
-  if (const auto it = by_isp_city_.find(isp_city_key(features));
-      it != by_isp_city_.end() && it->second.size() >= 5) {
-    est_key = isp_city_key(features);
-  } else if (by_isp_.contains(features.isp)) {
-    est_key = features.isp;
-  }  // else: empty key = global slice
-
-  const auto est = estimation_set(features);
-  const Ranking& ranking = ranking_for(est, est_key);
-
+  const Ranking& ranking = ranking_for(neighbourhood(features));
   for (const auto& [mean_err, candidate_id] : ranking) {
     if (std::isinf(mean_err)) break;  // ranking is sorted; the rest are unusable
     const Cluster* cluster =
         index_->index_for(candidate_id).find(features, start_hour);
     if (cluster != nullptr && cluster->size() >= config_.min_cluster_size) {
-      return {true, candidate_id, mean_err};
+      return {candidate_id, mean_err, cluster};
     }
   }
   return {};  // regress to the global model

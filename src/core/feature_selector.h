@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,9 +32,11 @@ struct FeatureSelectorConfig {
 
 /// Outcome of a best-candidate query.
 struct SelectionResult {
-  bool found = false;          ///< false -> fall back to the global model
   std::size_t candidate_id = 0;
   double estimated_error = std::numeric_limits<double>::infinity();
+  /// The session's cluster under the chosen candidate, owned by the
+  /// ClusterIndex; null -> fall back to the global model.
+  const Cluster* cluster = nullptr;
 };
 
 class FeatureSelector {
@@ -49,7 +52,7 @@ class FeatureSelector {
                   std::vector<std::vector<double>> precomputed_table);
 
   /// Best candidate for a session with the given features/start time.
-  /// Returns found = false when no candidate yields a usable cluster for
+  /// Returns a null cluster when no candidate yields a usable cluster for
   /// this session (the caller then regresses to the global model).
   SelectionResult select(const SessionFeatures& features, double start_hour) const;
 
@@ -70,8 +73,16 @@ class FeatureSelector {
   /// Est(s) neighbourhood maps, shared by both constructors.
   void build_neighbourhoods();
 
-  /// Training-session indices forming Est for an (ISP, City) neighbourhood.
-  std::vector<std::size_t> estimation_set(const SessionFeatures& features) const;
+  /// Est(s) of a session: the ranking-cache key of its neighbourhood and a
+  /// view of the first estimation_set_size sessions of its pool.
+  struct Neighbourhood {
+    std::string key;  ///< ISP+City, ISP, or empty for the global slice
+    std::span<const std::size_t> est;
+  };
+
+  /// The one relaxation rule: ISP+City when it has at least 5 training
+  /// sessions, else ISP, else the first training sessions.
+  Neighbourhood neighbourhood(const SessionFeatures& features) const;
 
   const ClusterIndex* index_;
   FeatureSelectorConfig config_;
@@ -80,13 +91,15 @@ class FeatureSelector {
   /// ISP+City -> training session indices (relaxation path uses ISP alone).
   std::unordered_map<std::string, std::vector<std::size_t>> by_isp_city_;
   std::unordered_map<std::string, std::vector<std::size_t>> by_isp_;
+  /// 0..n-1 over the first estimation_set_size training sessions: the pool
+  /// of a session whose ISP no training session shares.
+  std::vector<std::size_t> first_sessions_;
 
   /// Candidates ranked by mean err over one Est set, best first. Cached per
   /// Est-neighbourhood key; the final pick still checks that the candidate
   /// yields a usable cluster for the *probe* session.
   using Ranking = std::vector<std::pair<double, std::size_t>>;
-  const Ranking& ranking_for(const std::vector<std::size_t>& est,
-                             const std::string& est_key) const;
+  const Ranking& ranking_for(const Neighbourhood& neighbourhood) const;
 
   mutable std::mutex cache_mutex_;
   mutable std::unordered_map<std::string, Ranking> ranking_cache_;

@@ -186,7 +186,7 @@ void ContinuousTrainer::ingest(const SessionFeatures& features,
   }
   const SelectionResult selection =
       engine->selector().select(features, start_hour);
-  if (!selection.found) {
+  if (selection.cluster == nullptr) {
     m_.dropped_no_cluster->inc();
     return;
   }
@@ -245,8 +245,10 @@ ContinuousTrainer::CanaryScore ContinuousTrainer::score_model(
   std::vector<double> per_sequence_ll;
   std::vector<double> horizon_errors;
   per_sequence_ll.reserve(holdout.size());
+  // One kernel (validation and cached powers) shared by every replay.
+  const auto kernel = HmmKernel::create(model);
   for (const auto& sequence : holdout) {
-    OnlineHmmFilter filter(model, PredictionRule::kMleState);
+    OnlineHmmFilter filter(kernel, PredictionRule::kMleState);
     double ll_sum = 0.0;
     for (std::size_t t = 0; t < sequence.size(); ++t) {
       filter.observe(sequence[t]);

@@ -12,9 +12,11 @@ double one_step_cv_error(const GaussianHmm& model,
                          const std::vector<std::vector<double>>& sequences) {
   double total = 0.0;
   std::size_t count = 0;
+  // One kernel (validation and cached powers) shared by every replay.
+  const auto kernel = HmmKernel::create(model);
   for (const auto& seq : sequences) {
     if (seq.size() < 2) continue;
-    OnlineHmmFilter filter(model);
+    OnlineHmmFilter filter(kernel);
     filter.observe(seq[0]);
     for (std::size_t t = 1; t < seq.size(); ++t) {
       total += absolute_normalized_error(filter.predict(), seq[t]);

@@ -857,7 +857,7 @@ void PredictionServer::complete_flushed_replies(Worker& worker,
                       {"send_us", send_us}});
       } else if (info.event == "hello") {
         trace_->emit("hello", info.session_id,
-                     {{"cluster", std::string_view(info.cluster_label)},
+                     {{"model", std::string_view(info.model_name)},
                       {"initial_mbps", info.mbps},
                       {"parse_us", info.parse_us},
                       {"handle_us", info.handle_us},
@@ -927,8 +927,10 @@ Response FrameServer::handle(const Request& request, SyncStaging& staging,
 
     SessionResponse response;
     response.initial_mbps = predictor->predict_initial().value_or(0.0);
-    // Cluster metadata is predictor-specific; expose what we can.
-    response.cluster_label = model->name();
+    // The global bit is the one every PRED of this session carries.
+    response.used_global_model =
+        (predictor->serve_flags() & serve_flags::kGlobalModel) != 0;
+    response.model_name = model->name();
 
     response.session_id = sessions_.emplace([&](std::uint64_t id) {
       info.session_id = id;
@@ -948,7 +950,7 @@ Response FrameServer::handle(const Request& request, SyncStaging& staging,
       return entry;
     });
     info.mbps = response.initial_mbps;
-    info.cluster_label = response.cluster_label;
+    info.model_name = response.model_name;
     m_.live_sessions->set(static_cast<double>(sessions_.size()));
     return response;
   }

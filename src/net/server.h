@@ -167,7 +167,7 @@ class FrameServer {
     std::uint64_t flags = 0;         ///< serve_flags of a PRED reply
     double mbps = 0.0;               ///< predicted (or initial) throughput
     std::optional<double> log_likelihood;
-    std::string cluster_label;       ///< HELLO only
+    std::string model_name;          ///< HELLO only
     std::uint64_t parse_us = 0;      ///< stage clocks, traced servers only
     std::uint64_t handle_us = 0;
   };

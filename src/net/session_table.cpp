@@ -19,6 +19,8 @@ std::size_t round_up_pow2(std::size_t n) {
 SessionTable::SessionTable(SessionTableConfig config,
                            obs::MetricsRegistry* registry)
     : config_(config), ttl_ms_(config.ttl_ms) {
+  if (config_.shards > SessionTableConfig::kMaxShards)
+    throw std::invalid_argument("session table: more than 65536 shards");
   const std::size_t count = round_up_pow2(config_.shards == 0 ? 16 : config_.shards);
   shard_mask_ = count - 1;
   shard_bits_ = static_cast<unsigned>(std::countr_zero(count));

@@ -60,9 +60,13 @@ namespace cs2p {
 
 struct SessionTableConfig {
   /// Shard count; rounded up to a power of two, minimum 1; 0 picks the
-  /// default (16). More shards = less lock contention, slightly costlier
-  /// eviction sweeps. A shard holds at most 2^(32 - log2(shards)) sessions.
+  /// default (16); above kMaxShards the table's constructor throws
+  /// std::invalid_argument. More shards = less lock contention, slightly
+  /// costlier eviction sweeps. A shard holds at most 2^(32 - log2(shards))
+  /// sessions.
   std::size_t shards = 16;
+  /// 2^16: keeps at least 2^16 slot indices in the 32-bit half of an id.
+  static constexpr std::size_t kMaxShards = std::size_t{1} << 16;
   /// Entries untouched this long are eligible for eviction; <= 0 disables
   /// TTL eviction entirely.
   int ttl_ms = 120'000;

@@ -372,7 +372,7 @@ void append_response(std::string& out, const Response& response) {
     out += ' ';
     append_double(out, session->initial_mbps);
     out += session->used_global_model ? " 1 " : " 0 ";
-    out += session->cluster_label.empty() ? "-" : session->cluster_label;
+    out += session->model_name.empty() ? "-" : session->model_name;
   } else if (const auto* pred = std::get_if<PredictionResponse>(&response)) {
     out += "PRED ";
     append_double(out, pred->mbps);
@@ -509,7 +509,7 @@ Response parse_response(std::string_view payload) {
     session.session_id = parse_u64(tokens[1], "session_id");
     session.initial_mbps = parse_double(tokens[2], "initial_mbps");
     session.used_global_model = parse_u64(tokens[3], "global_flag") != 0;
-    session.cluster_label =
+    session.model_name =
         tokens[4] == "-" ? std::string{} : std::string(tokens[4]);
     return session;
   }

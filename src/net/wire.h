@@ -27,7 +27,10 @@
 //     SYNCFETCH <offset>                   (pull a chunk of the replica's
 //                                           published snapshot)
 //   server -> client
-//     SESSION <session-id> <initial-mbps> <global 0|1> <cluster-label>
+//     SESSION <session-id> <initial-mbps> <global 0|1> <model-name>
+//                                 (global: the session runs on the global
+//                                  model, the kGlobalModel bit its PREDs
+//                                  carry; model-name: PredictorModel::name())
 //     PRED <mbps> <flags>         (flags: serve_flags:: bits — why this
 //                                  prediction was served the way it was)
 //     MODEL <initial-mbps> <global 0|1> \n <serialized hmm ...>
@@ -214,7 +217,7 @@ struct SessionResponse {
   std::uint64_t session_id = 0;
   double initial_mbps = 0.0;
   bool used_global_model = false;
-  std::string cluster_label;
+  std::string model_name;  ///< PredictorModel::name(); "-" on the wire when empty
 };
 struct PredictionResponse {
   double mbps = 0.0;

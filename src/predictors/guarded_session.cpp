@@ -37,13 +37,11 @@ GuardedSessionPredictor::GuardedSessionPredictor(
     const GuardrailConfig& config, PredictionRule rule,
     std::uint8_t static_flags, EventCallback on_event,
     const GuardrailMetrics* metrics)
-    : filter_(kernel, rule),
-      initial_value_(initial_value),
+    : hmm_(std::move(kernel), initial_value, rule, static_flags),
       global_fallback_mbps_(global_fallback_mbps),
       config_(config),
-      sanitizer_(spike_ceiling(kernel->model()), metrics),
+      sanitizer_(spike_ceiling(hmm_.filter().model()), metrics),
       monitor_(baseline, config),
-      static_flags_(static_flags),
       on_event_(std::move(on_event)),
       metrics_(metrics) {
   if (on_event_) on_event_(GuardrailEvent::kOpened, false);
@@ -62,7 +60,7 @@ double GuardedSessionPredictor::fallback_forecast() const {
   // median before it when the global value is unusable.
   if (global_fallback_mbps_ > 0.0 && std::isfinite(global_fallback_mbps_))
     return global_fallback_mbps_;
-  return initial_value_;
+  return *hmm_.predict_initial();
 }
 
 double GuardedSessionPredictor::predict(unsigned steps_ahead) const {
@@ -72,8 +70,7 @@ double GuardedSessionPredictor::predict(unsigned steps_ahead) const {
       metrics_->fallback_predictions->inc();
     return fallback_forecast();
   }
-  if (filter_.observations() == 0) return initial_value_;
-  return filter_.predict(std::max(1U, steps_ahead));
+  return hmm_.predict(steps_ahead);
 }
 
 void GuardedSessionPredictor::observe(double throughput_mbps) {
@@ -86,8 +83,8 @@ void GuardedSessionPredictor::observe(double throughput_mbps) {
     recent_samples_.erase(recent_samples_.begin());
 
   const bool was_degraded = degraded();
-  filter_.observe(sample.value);
-  monitor_.record(filter_.last_log_likelihood());
+  hmm_.observe(sample.value);
+  monitor_.record(hmm_.filter().last_log_likelihood());
   const bool now_degraded = degraded();
   if (on_event_ && was_degraded != now_degraded) {
     on_event_(now_degraded ? GuardrailEvent::kTripped : GuardrailEvent::kRecovered,
@@ -96,17 +93,14 @@ void GuardedSessionPredictor::observe(double throughput_mbps) {
 }
 
 std::uint8_t GuardedSessionPredictor::serve_flags() const {
-  std::uint8_t flags = static_flags_;
+  std::uint8_t flags = hmm_.serve_flags();
   if (degraded())
     flags |= serve_flags::kDegraded | serve_flags::kGuardrailTripped;
   return flags;
 }
 
 std::optional<double> GuardedSessionPredictor::last_log_likelihood() const {
-  if (filter_.observations() == 0) return std::nullopt;
-  const double ll = filter_.last_log_likelihood();
-  if (std::isnan(ll)) return std::nullopt;
-  return ll;
+  return hmm_.last_log_likelihood();
 }
 
 GuardedSessionPredictor::Stats GuardedSessionPredictor::stats() const {
@@ -115,7 +109,7 @@ GuardedSessionPredictor::Stats GuardedSessionPredictor::stats() const {
   out.surprise_score = monitor_.score();
   out.trips = monitor_.trips();
   out.recoveries = monitor_.recoveries();
-  out.degenerate_updates = filter_.degenerate_updates();
+  out.degenerate_updates = hmm_.filter().degenerate_updates();
   out.rejected_samples = sanitizer_.total_rejected();
   out.clamped_samples = sanitizer_.clamped_spikes();
   out.fallback_predictions = fallback_predictions_;

@@ -7,8 +7,8 @@
 //     history so counters and diagnostics see them),
 //   - each accepted observation's one-step predictive log-likelihood feeds
 //     the SurpriseMonitor,
-//   - while the monitor is HEALTHY/SUSPECT, predictions come from the HMM
-//     exactly like HmmSessionPredictor,
+//   - while the monitor is HEALTHY/SUSPECT, predictions come from the
+//     wrapped HmmSessionPredictor,
 //   - while DEGRADED, predictions come from the stateless fallback chain:
 //     harmonic mean of the most recent accepted samples, then the global
 //     model's initial value when no usable history exists. The filter keeps
@@ -22,8 +22,8 @@
 #include <functional>
 #include <vector>
 
-#include "hmm/online_filter.h"
 #include "predictors/guardrail.h"
+#include "predictors/hmm_session.h"
 #include "predictors/predictor.h"
 
 namespace cs2p {
@@ -84,7 +84,9 @@ class GuardedSessionPredictor final : public SessionPredictor {
   GuardedSessionPredictor(const GuardedSessionPredictor&) = delete;
   GuardedSessionPredictor& operator=(const GuardedSessionPredictor&) = delete;
 
-  std::optional<double> predict_initial() const override { return initial_value_; }
+  std::optional<double> predict_initial() const override {
+    return hmm_.predict_initial();
+  }
   double predict(unsigned steps_ahead) const override;
   void observe(double throughput_mbps) override;
 
@@ -99,20 +101,19 @@ class GuardedSessionPredictor final : public SessionPredictor {
   Stats stats() const;
 
   /// Exposed for diagnostics (same contract as HmmSessionPredictor).
-  const OnlineHmmFilter& filter() const noexcept { return filter_; }
+  const OnlineHmmFilter& filter() const noexcept { return hmm_.filter(); }
   const ObservationSanitizer& sanitizer() const noexcept { return sanitizer_; }
   const SurpriseMonitor& monitor() const noexcept { return monitor_; }
 
  private:
   double fallback_forecast() const;
 
-  OnlineHmmFilter filter_;
-  double initial_value_;
+  /// Cold start, filter, prediction, log-likelihood and the fixed flags.
+  HmmSessionPredictor hmm_;
   double global_fallback_mbps_;
   GuardrailConfig config_;
   ObservationSanitizer sanitizer_;
   SurpriseMonitor monitor_;
-  std::uint8_t static_flags_;
   EventCallback on_event_;
   const GuardrailMetrics* metrics_;
   std::vector<double> recent_samples_;  ///< accepted samples, fallback window

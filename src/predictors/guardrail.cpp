@@ -26,8 +26,10 @@ SurpriseBaseline compute_surprise_baseline(const GaussianHmm& model,
   std::vector<double> log_likelihoods;
   log_likelihoods.reserve(config.baseline_sequences * config.baseline_length);
 
+  // One kernel (validation and cached powers) shared by every replay.
+  const auto kernel = HmmKernel::create(model);
   for (std::size_t s = 0; s < config.baseline_sequences; ++s) {
-    OnlineHmmFilter filter(model);
+    OnlineHmmFilter filter(kernel);
     std::size_t state = rng.categorical(model.initial);
     for (std::size_t t = 0; t < config.baseline_length; ++t) {
       if (t > 0) {
@@ -121,6 +123,7 @@ SurpriseMonitor::SurpriseMonitor(SurpriseBaseline baseline,
   if (config_.recovery_observations == 0) config_.recovery_observations = 1;
   // A hysteresis band with exit above enter would oscillate by construction.
   config_.exit_z = std::min(config_.exit_z, config_.enter_z);
+  window_.resize(config_.window);
 }
 
 GuardrailState SurpriseMonitor::record(double log_likelihood) {
@@ -130,21 +133,24 @@ GuardrailState SurpriseMonitor::record(double log_likelihood) {
     penalised = baseline_.mean_log_likelihood -
                 kDegeneratePenaltySigmas * baseline_.std_log_likelihood;
   }
-  window_.push_back(penalised);
+  // Add the new value, then subtract the evicted one: the sum's rounding
+  // stays that of a queue pushed at the back and popped at the front.
   window_sum_ += penalised;
-  if (window_.size() > config_.window) {
-    window_sum_ -= window_.front();
-    window_.pop_front();
-  }
+  if (window_count_ == window_.size())
+    window_sum_ -= window_[window_head_];
+  else
+    ++window_count_;
+  window_[window_head_] = penalised;
+  window_head_ = (window_head_ + 1) % window_.size();
 
-  if (window_.size() < std::max<std::size_t>(1, config_.min_observations)) {
+  if (window_count_ < std::max<std::size_t>(1, config_.min_observations)) {
     score_ = 0.0;
     return state_;
   }
 
   // z-score of the window mean under the baseline: low log-likelihood means
   // high surprise, so the score is positive when the model looks wrong.
-  const double n = static_cast<double>(window_.size());
+  const double n = static_cast<double>(window_count_);
   const double window_mean = window_sum_ / n;
   const double std_of_mean = baseline_.std_log_likelihood / std::sqrt(n);
   score_ = (baseline_.mean_log_likelihood - window_mean) / std_of_mean;

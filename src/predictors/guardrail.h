@@ -24,8 +24,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string_view>
+#include <vector>
 
 #include "hmm/model.h"
 #include "obs/metrics.h"
@@ -180,7 +180,11 @@ class SurpriseMonitor {
  private:
   SurpriseBaseline baseline_;
   GuardrailConfig config_;
-  std::deque<double> window_;  ///< recent (penalised) log-likelihoods
+  /// Ring of the recent (penalised) log-likelihoods, sized to the window at
+  /// construction so recording never allocates.
+  std::vector<double> window_;
+  std::size_t window_head_ = 0;   ///< slot the next value overwrites
+  std::size_t window_count_ = 0;  ///< values held, at most window_.size()
   double window_sum_ = 0.0;
   double score_ = 0.0;
   GuardrailState state_ = GuardrailState::kHealthy;

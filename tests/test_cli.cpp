@@ -88,6 +88,39 @@ TEST(Cli, PartialNumbersRejected) {
   EXPECT_DOUBLE_EQ(parser.get_double("rate"), 1e4);
 }
 
+// Integer flags read into their target type: a value outside the type is an
+// error naming the flag, not a wrapped cast (-1 as size_t is SIZE_MAX).
+TEST(Cli, IntegersMustFitTheirType) {
+  ArgParser parser = make_parser();
+  ASSERT_TRUE(parse(parser, {"--count", "16"}));
+  EXPECT_EQ(parser.get_int<std::size_t>("count"), 16u);
+  EXPECT_EQ(parser.get_int<int>("count"), 16);
+  ASSERT_TRUE(parse(parser, {"--count", "-1"}));
+  EXPECT_EQ(parser.get_int<int>("count"), -1);
+  EXPECT_EQ(parser.get_int<long>("count"), -1);
+  for (const std::string bad : {"-1", "-9223372036854775808"}) {
+    ASSERT_TRUE(parse(parser, {"--count", bad}));
+    try {
+      parser.get_int<std::size_t>("count");
+      ADD_FAILURE() << "'" << bad << "' read as a size_t";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(parser.get_int<std::uint64_t>("count"), std::invalid_argument);
+  }
+  ASSERT_TRUE(parse(parser, {"--count", "2147483648"}));  // INT_MAX + 1
+  EXPECT_THROW(parser.get_int<int>("count"), std::invalid_argument);
+  EXPECT_EQ(parser.get_int<std::size_t>("count"), 2147483648u);
+  ASSERT_TRUE(parse(parser, {"--count", "9223372036854775807"}));
+  EXPECT_EQ(parser.get_int<std::uint64_t>("count"), 9223372036854775807u);
+  ASSERT_TRUE(parse(parser, {"--count", "1"}));
+  EXPECT_TRUE(parser.get_int<bool>("count"));
+  ASSERT_TRUE(parse(parser, {"--count", "2"}));
+  EXPECT_THROW(parser.get_int<bool>("count"), std::invalid_argument);
+  ASSERT_TRUE(parse(parser, {"--count", "1e4"}));  // still whole-value parsing
+  EXPECT_THROW(parser.get_int<std::size_t>("count"), std::invalid_argument);
+}
+
 TEST(Cli, PortListsParseStrictly) {
   EXPECT_EQ(parse_ports("peers", "9001,9002"),
             (std::vector<std::uint16_t>{9001, 9002}));

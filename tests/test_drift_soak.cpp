@@ -106,9 +106,9 @@ TEST(Drift, QuorumOfTrippedSessionsMarksClusterDrifted) {
   // Post-drift lookups on that cluster serve the global model and say so.
   const SessionModelRef ref =
       engine.session_model(seed_session->features, seed_session->start_hour);
-  EXPECT_TRUE(ref.cluster_drifted);
+  EXPECT_TRUE(ref.flags & serve_flags::kClusterDrifted);
   EXPECT_TRUE(ref.used_global_model);
-  EXPECT_EQ(ref.hmm, &engine.global_hmm());
+  EXPECT_EQ(&ref.kernel->model(), &engine.global_hmm());
   EXPECT_EQ(ref.cluster, nullptr);
   EXPECT_NE(ref.cluster_label.find("(drifted)"), std::string::npos);
 
@@ -140,10 +140,14 @@ TEST(Drift, BaselineCacheIsStablePerModel) {
   Dataset dataset = generate_synthetic_dataset(soak_world());
   auto [train, test] = dataset.split_by_day(1);
   const Cs2pEngine engine(std::move(train), guarded_engine_config());
-  const SessionModelRef ref =
-      engine.session_model(test.sessions()[0].features, test.sessions()[0].start_hour);
-  const SurpriseBaseline a = engine.surprise_baseline(ref.hmm);
-  const SurpriseBaseline b = engine.surprise_baseline(ref.hmm);
+  // The guarded engine hands out its record's baseline with every lookup:
+  // computed on the first, cached for the second.
+  const Session& probe = test.sessions()[0];
+  const SessionModelRef first = engine.session_model(probe.features, probe.start_hour);
+  const SessionModelRef again = engine.session_model(probe.features, probe.start_hour);
+  ASSERT_TRUE(first.baseline.has_value() && again.baseline.has_value());
+  const SurpriseBaseline a = *first.baseline;
+  const SurpriseBaseline b = *again.baseline;
   EXPECT_DOUBLE_EQ(a.mean_log_likelihood, b.mean_log_likelihood);
   EXPECT_DOUBLE_EQ(a.std_log_likelihood, b.std_log_likelihood);
   EXPECT_TRUE(std::isfinite(a.mean_log_likelihood));

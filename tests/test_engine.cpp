@@ -70,8 +70,8 @@ TEST(Engine, ServesValidSessionModels) {
   for (const auto& s : test.sessions()) {
     if (++checked > 100) break;
     const SessionModelRef ref = engine.session_model(s.features, s.start_hour);
-    ASSERT_NE(ref.hmm, nullptr);
-    EXPECT_NO_THROW(ref.hmm->validate(1e-3));
+    ASSERT_NE(ref.kernel, nullptr);
+    EXPECT_NO_THROW(ref.kernel->model().validate(1e-3));
     EXPECT_GT(ref.initial_prediction, 0.0);
     if (!ref.used_global_model) {
       EXPECT_GE(ref.cluster_size, fast_config().selector.min_cluster_size);
@@ -92,9 +92,68 @@ TEST(Engine, ClusterModelsAreCached) {
   const auto& probe = test.sessions()[0];
   const SessionModelRef a = engine.session_model(probe.features, probe.start_hour);
   const SessionModelRef b = engine.session_model(probe.features, probe.start_hour);
-  EXPECT_EQ(a.hmm, b.hmm);  // same pointer = cached, no retraining
+  EXPECT_EQ(a.kernel, b.kernel);  // same kernel = cached, no retraining
   const EngineStats stats = engine.stats();
   EXPECT_LE(stats.clusters_trained, 1u);
+}
+
+/// The model a served session's filter runs on: the address of its kernel's
+/// copy, so equal addresses mean one shared kernel.
+const GaussianHmm* served_model(const SessionPredictor& session) {
+  if (const auto* hmm = dynamic_cast<const HmmSessionPredictor*>(&session))
+    return &hmm->filter().model();
+  return &dynamic_cast<const GuardedSessionPredictor&>(session).filter().model();
+}
+
+// One record per served HMM: every session a cluster serves runs on that
+// record's kernel, and every global-model session on the global record's,
+// with the guardrail off or on.
+TEST(Engine, SessionsOfOneModelShareItsKernel) {
+  Dataset dataset = generate_synthetic_dataset(engine_world());
+  auto [train, test] = dataset.split_by_day(1);
+  for (const bool guardrail : {false, true}) {
+    SCOPED_TRACE(guardrail ? "guardrail on" : "guardrail off");
+    Cs2pConfig config = fast_config();
+    config.guardrail.enabled = guardrail;
+    const Cs2pPredictorModel model(train, config);
+    const Cs2pEngine& engine = model.engine();
+
+    // Two distinct test sessions that resolve to one cluster.
+    const Session* first = nullptr;
+    const Session* second = nullptr;
+    for (std::size_t i = 0; i < test.size() && second == nullptr; ++i) {
+      const Session& s = test.sessions()[i];
+      const SessionModelRef ref = engine.session_model(s.features, s.start_hour);
+      if (ref.used_global_model) continue;
+      if (first == nullptr) {
+        first = &s;
+      } else if (ref.cluster ==
+                 engine.session_model(first->features, first->start_hour).cluster) {
+        second = &s;
+      }
+    }
+    ASSERT_NE(second, nullptr) << "no two test sessions share a cluster";
+    const SessionModelRef a = engine.session_model(first->features, first->start_hour);
+    const SessionModelRef b = engine.session_model(second->features, second->start_hour);
+    EXPECT_EQ(a.kernel, b.kernel);
+    const auto session_a = model.make_session(SessionContext::from(*first));
+    const auto session_b = model.make_session(SessionContext::from(*second));
+    EXPECT_EQ(served_model(*session_a), &a.kernel->model());
+    EXPECT_EQ(served_model(*session_b), &a.kernel->model());
+    EXPECT_EQ(session_a->serve_flags(), serve_flags::kPrimary);
+
+    // Sessions no cluster claims run on the global record's kernel itself.
+    const SessionFeatures alien = {"ISP-x", "AS-x", "P-x", "C-x", "S-x", "Pfx-x"};
+    const SessionFeatures other = {"ISP-y", "AS-y", "P-y", "C-y", "S-y", "Pfx-y"};
+    const SessionModelRef g1 = engine.session_model(alien, 3.0);
+    const SessionModelRef g2 = engine.session_model(other, 20.0);
+    EXPECT_EQ(g1.kernel, g2.kernel);
+    EXPECT_EQ(&g1.kernel->model(), &engine.global_hmm());
+    EXPECT_EQ(g1.flags, serve_flags::kGlobalModel);
+    const auto global_session = model.make_session(SessionContext{alien, 0, 3.0, nullptr});
+    EXPECT_EQ(served_model(*global_session), &engine.global_hmm());
+    EXPECT_EQ(global_session->serve_flags(), serve_flags::kGlobalModel);
+  }
 }
 
 TEST(Engine, GlobalFallbackForAlienSessions) {
@@ -104,7 +163,7 @@ TEST(Engine, GlobalFallbackForAlienSessions) {
   SessionFeatures alien = {"ISP-x", "AS-x", "P-x", "C-x", "S-x", "Pfx-x"};
   const SessionModelRef ref = engine.session_model(alien, 12.0);
   EXPECT_TRUE(ref.used_global_model);
-  EXPECT_EQ(ref.hmm, &engine.global_hmm());
+  EXPECT_EQ(&ref.kernel->model(), &engine.global_hmm());
   EXPECT_DOUBLE_EQ(ref.initial_prediction, engine.global_initial());
 }
 
@@ -114,8 +173,8 @@ TEST(Engine, ModelFootprintUnder5KB) {
   const Cs2pEngine engine(std::move(train), fast_config());
   const auto& probe = test.sessions()[0];
   const SessionModelRef ref = engine.session_model(probe.features, probe.start_hour);
-  EXPECT_LT(ref.hmm->byte_size(), 5u * 1024u);  // §5.3 claim
-  EXPECT_LT(serialize_hmm(*ref.hmm).size(), 5u * 1024u);
+  EXPECT_LT(ref.kernel->model().byte_size(), 5u * 1024u);  // §5.3 claim
+  EXPECT_LT(serialize_hmm(ref.kernel->model()).size(), 5u * 1024u);
 }
 
 TEST(Engine, WarmUpPreTrainsClusters) {
@@ -191,9 +250,9 @@ TEST(Engine, QuarantinesClustersWhoseTrainingThrows) {
     }
   }
   ASSERT_NE(probe, nullptr) << "no test session mapped to a trainable cluster";
-  ASSERT_NE(ref.hmm, nullptr);
+  ASSERT_NE(ref.kernel, nullptr);
   EXPECT_TRUE(ref.used_global_model) << "quarantined cluster must fall back";
-  EXPECT_EQ(ref.hmm, &engine.global_hmm());
+  EXPECT_EQ(&ref.kernel->model(), &engine.global_hmm());
   EXPECT_NE(ref.cluster_label.find("quarantined"), std::string::npos);
   EXPECT_EQ(engine.stats().clusters_quarantined, 1u);
   EXPECT_EQ(engine.stats().clusters_trained, 0u);
@@ -260,14 +319,14 @@ TEST(Engine, ThrowingCacheFillDoesNotPoisonTheCache) {
       engine.session_model(probe->features, probe->start_hour);
   EXPECT_TRUE(first.used_global_model);
   EXPECT_TRUE(again.used_global_model);
-  EXPECT_EQ(first.hmm, again.hmm);
+  EXPECT_EQ(first.kernel, again.kernel);
   EXPECT_EQ(engine.stats().clusters_quarantined, 1u);
 
   // A *different* cluster trains fine afterwards: isolation is per-cluster.
   for (const auto& s : test.sessions()) {
     const SessionModelRef other = engine.session_model(s.features, s.start_hour);
     if (!other.used_global_model) {
-      EXPECT_NE(other.hmm, &engine.global_hmm());
+      EXPECT_NE(&other.kernel->model(), &engine.global_hmm());
       break;
     }
   }

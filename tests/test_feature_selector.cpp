@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -44,7 +47,7 @@ TEST(FeatureSelector, PrefersTheDiscriminativeFeature) {
 
   const SelectionResult result =
       selector.select(train.sessions()[0].features, 12.0);
-  ASSERT_TRUE(result.found);
+  ASSERT_NE(result.cluster, nullptr);
   const CandidateSpec chosen = index.candidates()[result.candidate_id];
   // Any usable candidate must include a city-determining feature (City or
   // the per-city prefix); ISP-only candidates mix both levels.
@@ -72,7 +75,7 @@ TEST(FeatureSelector, FallsBackWhenNothingUsable) {
   const FeatureSelector selector(index, config);
   const SelectionResult result =
       selector.select(train.sessions()[0].features, 12.0);
-  EXPECT_FALSE(result.found);
+  EXPECT_EQ(result.cluster, nullptr);
 }
 
 TEST(FeatureSelector, UnseenFeatureValuesFallBack) {
@@ -82,7 +85,7 @@ TEST(FeatureSelector, UnseenFeatureValuesFallBack) {
   SessionFeatures alien = {"ISP-never", "AS-never", "P-never", "C-never",
                            "S-never", "Pfx-never"};
   const SelectionResult result = selector.select(alien, 12.0);
-  EXPECT_FALSE(result.found);
+  EXPECT_EQ(result.cluster, nullptr);
 }
 
 TEST(FeatureSelector, ErrorEntriesReflectClusterQuality) {
@@ -110,6 +113,97 @@ TEST(FeatureSelector, ErrorEntriesReflectClusterQuality) {
   EXPECT_LT(city_err, isp_err);
 }
 
+// select() hands back the cluster it matched: the one the chosen candidate's
+// index finds for the session, null when it regresses to the global model.
+TEST(FeatureSelector, SelectReturnsTheMatchedCluster) {
+  Dataset train = city_determined_dataset(30);
+  Rng rng(11);
+  for (std::size_t i = 0; i < 40; ++i) {  // a thin second ISP and city
+    Session s;
+    s.id = static_cast<std::int64_t>(train.size());
+    s.features = {i % 2 ? "ISP1" : "ISP0", "AS1", "P1", "mid-city", "S1", "Pfx-mid"};
+    s.start_hour = rng.uniform(0.0, 24.0);
+    s.throughput_mbps = {3.0, 3.5, 2.5};
+    train.add(s);
+  }
+  const ClusterIndex index(train, enumerate_candidates());
+  FeatureSelectorConfig config;
+  config.min_cluster_size = 10;
+  const FeatureSelector selector(index, config);
+  std::size_t matched = 0;
+  for (const Session& s : train.sessions()) {
+    const SelectionResult result = selector.select(s.features, s.start_hour);
+    if (result.cluster == nullptr) continue;
+    EXPECT_EQ(result.cluster,
+              index.index_for(result.candidate_id).find(s.features, s.start_hour));
+    ++matched;
+  }
+  EXPECT_GT(matched, 0u);
+}
+
+// The relaxation rule: a session whose ISP+City pool holds fewer than 5
+// training sessions ranks candidates over the first estimation_set_size
+// sessions of its ISP's pool, not its city's and not the global slice.
+TEST(FeatureSelector, ThinCityRanksAgainstItsIspPool) {
+  Dataset train;
+  Rng rng(5);
+  const auto add = [&](const std::string& isp, const std::string& city, double level) {
+    Session s;
+    s.id = static_cast<std::int64_t>(train.size());
+    s.features = {isp, "AS-" + isp, "P0", city, "S" + std::to_string(s.id % 3),
+                  "Pfx-" + city};
+    s.start_hour = rng.uniform(0.0, 24.0);
+    const double w = level * (1.0 + rng.uniform(-0.2, 0.2));
+    s.throughput_mbps = {w, w * 1.1, w * 0.9};
+    train.add(s);
+  };
+  // The global slice (the first sessions) is all ISP-other, so ranking
+  // against it would pick from different error rows than ISP-main's pool.
+  for (int i = 0; i < 50; ++i) add("ISP-other", "far-city", 9.0);
+  for (int i = 0; i < 30; ++i) add("ISP-main", i % 2 ? "city-a" : "city-b", i % 2 ? 1.0 : 4.0);
+  for (int i = 0; i < 3; ++i) add("ISP-main", "thin-city", 2.0);
+  for (int i = 0; i < 30; ++i) add("ISP-main", "city-c", 6.0);
+
+  const ClusterIndex index(train, enumerate_candidates());
+  FeatureSelectorConfig config;
+  config.min_cluster_size = 5;
+  config.estimation_set_size = 40;
+  const FeatureSelector selector(index, config);
+
+  const Session& probe = train.sessions()[80];  // the first thin-city session
+  ASSERT_EQ(probe.features.city, "thin-city");
+  std::vector<std::size_t> est;  // ISP-main's pool, in index order, capped
+  for (std::size_t i = 0; i < train.size() && est.size() < config.estimation_set_size; ++i)
+    if (train.sessions()[i].features.isp == "ISP-main") est.push_back(i);
+
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t best_candidate = 0;
+  for (std::size_t c = 0; c < index.num_candidates(); ++c) {
+    double sum = 0.0;
+    std::size_t usable = 0;
+    for (std::size_t i : est) {
+      if (std::isinf(selector.error_entry(c, i))) continue;
+      sum += selector.error_entry(c, i);
+      ++usable;
+    }
+    if (usable * 4 < est.size() || usable < 3) continue;
+    const Cluster* cluster = index.index_for(c).find(probe.features, probe.start_hour);
+    if (cluster == nullptr || cluster->size() < config.min_cluster_size) continue;
+    const double mean = sum / static_cast<double>(usable);
+    if (mean < best) {
+      best = mean;
+      best_candidate = c;
+    }
+  }
+  ASSERT_TRUE(std::isfinite(best));
+  const SelectionResult result = selector.select(probe.features, probe.start_hour);
+  ASSERT_NE(result.cluster, nullptr);
+  EXPECT_EQ(result.candidate_id, best_candidate)
+      << candidate_to_string(index.candidates()[result.candidate_id]) << " vs "
+      << candidate_to_string(index.candidates()[best_candidate]);
+  EXPECT_EQ(result.estimated_error, best);
+}
+
 TEST(FeatureSelector, SelectionIsDeterministic) {
   const Dataset train = city_determined_dataset(40);
   const ClusterIndex index(train, enumerate_candidates());
@@ -118,7 +212,7 @@ TEST(FeatureSelector, SelectionIsDeterministic) {
   const FeatureSelector selector(index, config);
   const auto a = selector.select(train.sessions()[3].features, 9.0);
   const auto b = selector.select(train.sessions()[3].features, 9.0);
-  EXPECT_EQ(a.found, b.found);
+  EXPECT_EQ(a.cluster, b.cluster);
   EXPECT_EQ(a.candidate_id, b.candidate_id);
 }
 

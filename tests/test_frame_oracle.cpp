@@ -259,7 +259,9 @@ class Reference {
     entry.last_used = now;
     SessionResponse reply;  // the id comes from the server's reply (learn_id)
     reply.initial_mbps = entry.predictor->predict_initial().value_or(0.0);
-    reply.cluster_label = model_->name();
+    reply.used_global_model =
+        (entry.predictor->serve_flags() & serve_flags::kGlobalModel) != 0;
+    reply.model_name = model_->name();
     pending_ = std::move(entry);
     return reply;
   }
@@ -386,7 +388,7 @@ bool same_bits(double a, double b) {
     const auto& w = std::get<SessionResponse>(want);
     if (g->session_id != w.session_id || !same_bits(g->initial_mbps, w.initial_mbps) ||
         g->used_global_model != w.used_global_model ||
-        g->cluster_label != w.cluster_label)
+        g->model_name != w.model_name)
       return differ();
   } else if (const auto* g = std::get_if<PredictionResponse>(&got)) {
     const auto& w = std::get<PredictionResponse>(want);
@@ -452,7 +454,10 @@ std::string hello_payload(Rng& rng, bool unseen_features) {
   const auto& sessions = models().sessions;
   HelloRequest hello;
   hello.features = sessions[pick(rng, 0, sessions.size() - 1)].features;
-  if (unseen_features) hello.features.city = "Nowhere";
+  // Every feature unseen: each candidate keys on at least one, so no
+  // cluster claims the session and it runs on the global model.
+  if (unseen_features) hello.features = {"Nowhere", "Nowhere", "Nowhere",
+                                         "Nowhere", "Nowhere", "Nowhere"};
   const double u = rng.uniform();
   hello.start_hour = u < 0.04   ? std::numeric_limits<double>::quiet_NaN()
                      : u < 0.06 ? std::numeric_limits<double>::infinity()
@@ -799,8 +804,10 @@ class InProcessSchedule {
     ASSERT_TRUE(reference_->learn_id(got, want)) << context();
     ASSERT_TRUE(same_reply(got, want)) << context();
     ++coverage_[kind + " -> " + outcome(want)];
-    if (const auto* session = std::get_if<SessionResponse>(&want))
+    if (const auto* session = std::get_if<SessionResponse>(&want)) {
       opened_on_[session->session_id] = conn;
+      if (session->used_global_model) ++coverage_["global-model SESSION"];
+    }
     if (std::holds_alternative<PredictionResponse>(want) &&
         opened_on_[addressed] != conn)
       ++coverage_["PRED for a session opened on another connection"];
@@ -848,7 +855,8 @@ TEST(FrameOracle, InProcessSchedulesMatchTheReference) {
            "SYNCCOMMIT -> ERR SYNC_REJECTED", "SYNCFETCH -> SNAPSHOT",
            "SYNCFETCH -> ERR UNSUPPORTED", "SYNCFETCH -> ERR BAD_REQUEST",
            "malformed -> ERR BAD_REQUEST", "completed bye", "completed evict",
-           "history capped", "PRED for a session opened on another connection",
+           "history capped", "global-model SESSION",
+           "PRED for a session opened on another connection",
            "dead id whose slot holds a live session"})
     EXPECT_GT(coverage[required], 0u) << required << " never came up";
 }

@@ -103,9 +103,9 @@ TEST(ModelStore, RoundTripProducesBitIdenticalSessionModels) {
   for (const auto& s : test.sessions()) {
     const SessionModelRef a = trained.session_model(s.features, s.start_hour);
     const SessionModelRef b = restored->session_model(s.features, s.start_hour);
-    ASSERT_NE(a.hmm, nullptr);
-    ASSERT_NE(b.hmm, nullptr);
-    EXPECT_EQ(serialize_hmm(*a.hmm), serialize_hmm(*b.hmm));
+    ASSERT_NE(a.kernel, nullptr);
+    ASSERT_NE(b.kernel, nullptr);
+    EXPECT_EQ(serialize_hmm(a.kernel->model()), serialize_hmm(b.kernel->model()));
     EXPECT_EQ(a.initial_prediction, b.initial_prediction);  // bit identical
     EXPECT_EQ(a.used_global_model, b.used_global_model);
     EXPECT_EQ(a.cluster_size, b.cluster_size);

@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine.h"
+#include "dataset/synthetic.h"
 #include "hmm/kernel.h"
 #include "net/client.h"
 #include "net/replica_set.h"
@@ -349,6 +351,62 @@ TEST(PredictionService, ServeFlagsTravelToClient) {
   // Recovery clears the flags again.
   const PredictionResponse recovered = client.observe_response(session.session_id, 4.0);
   EXPECT_EQ(recovered.flags, serve_flags::kPrimary);
+}
+
+// A CS2P session that no cluster claims says so in SESSION's global bit, and
+// every PRED of it carries kGlobalModel: the same serving path on both
+// replies, with the guardrail off or on. A clustered session answers 0 and
+// primary flags.
+TEST(PredictionService, GlobalModelSessionsSayItInSessionAndPred) {
+  SyntheticConfig world;
+  world.num_isps = 2;
+  world.num_provinces = 2;
+  world.cities_per_province = 2;
+  world.num_servers = 3;
+  world.prefixes_per_isp_city = 1;
+  world.num_sessions = 600;
+  world.seed = 29;
+  auto [train, test] = SyntheticWorld(world).generate().split_by_day(1);
+  Cs2pConfig config;
+  config.hmm.num_states = 2;
+  config.hmm.max_iterations = 6;
+  config.selector.min_cluster_size = 8;
+  config.max_sequences_per_cluster = 10;
+  config.max_global_sequences = 60;
+  const SessionFeatures unseen = {"ISP-x", "AS-x", "P-x", "C-x", "S-x", "Pfx-x"};
+  for (const bool guardrail : {false, true}) {
+    SCOPED_TRACE(guardrail ? "guardrail on" : "guardrail off");
+    config.guardrail.enabled = guardrail;
+    const auto model = std::make_shared<Cs2pPredictorModel>(train, config);
+    const Session* clustered = nullptr;
+    for (const Session& s : test.sessions()) {
+      if (s.throughput_mbps.size() >= 2 &&
+          !model->engine().session_model(s.features, s.start_hour).used_global_model) {
+        clustered = &s;
+        break;
+      }
+    }
+    ASSERT_NE(clustered, nullptr);
+    PredictionServer server(model);
+    PredictionClient client(server.port());
+
+    const SessionResponse global = client.hello(unseen, 12.0);
+    EXPECT_TRUE(global.used_global_model);
+    const PredictionResponse observed = client.observe_response(global.session_id, 2.0);
+    EXPECT_EQ(observed.flags, serve_flags::kGlobalModel);
+    EXPECT_EQ(client.predict_response(global.session_id, 3).flags,
+              serve_flags::kGlobalModel);
+
+    const SessionResponse primary =
+        client.hello(clustered->features, clustered->start_hour);
+    EXPECT_FALSE(primary.used_global_model);
+    EXPECT_EQ(client.observe_response(primary.session_id, clustered->throughput_mbps[0])
+                  .flags,
+              serve_flags::kPrimary);
+    EXPECT_EQ(client.predict_response(primary.session_id, 2).flags,
+              serve_flags::kPrimary);
+    EXPECT_EQ(server.degraded_replies(), 2u);  // the global session's two PREDs
+  }
 }
 
 TEST(PredictionService, RemotePredictorSurfacesServerFlags) {

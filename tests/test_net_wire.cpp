@@ -75,7 +75,7 @@ TEST(Wire, ResponseRoundTrips) {
     EXPECT_EQ(out->session_id, 42u);
     EXPECT_DOUBLE_EQ(out->initial_mbps, 3.25);
     EXPECT_TRUE(out->used_global_model);
-    EXPECT_EQ(out->cluster_label, "ISP+City@daypart");
+    EXPECT_EQ(out->model_name, "ISP+City@daypart");
   }
   {
     const Response parsed = parse_response(serialize_response(PredictionResponse{1.5}));
@@ -265,7 +265,7 @@ TEST(Wire, EmptyClusterLabelUsesPlaceholder) {
   const Response parsed = parse_response(serialize_response(in));
   const auto* out = std::get_if<SessionResponse>(&parsed);
   ASSERT_NE(out, nullptr);
-  EXPECT_TRUE(out->cluster_label.empty());
+  EXPECT_TRUE(out->model_name.empty());
 }
 
 TEST(Wire, ModelRequestRoundTrip) {
@@ -539,13 +539,13 @@ TEST(WireProperty, EveryVerbRoundTripsUnchanged) {
     // "-" is the wire placeholder of the empty label, so it is not a label.
     SessionResponse session{fuzz.u64(), fuzz.real(), fuzz.coin(), ""};
     if (fuzz.coin()) {
-      do session.cluster_label = fuzz.token(); while (session.cluster_label == "-");
+      do session.model_name = fuzz.token(); while (session.model_name == "-");
     }
     const SessionResponse session_out = response_round_trip(session);
     EXPECT_EQ(session_out.session_id, session.session_id);
     EXPECT_TRUE(same_bits(session_out.initial_mbps, session.initial_mbps));
     EXPECT_EQ(session_out.used_global_model, session.used_global_model);
-    EXPECT_EQ(session_out.cluster_label, session.cluster_label);
+    EXPECT_EQ(session_out.model_name, session.model_name);
 
     const PredictionResponse pred{fuzz.real(), static_cast<std::uint8_t>(i & 0xff)};
     const PredictionResponse pred_out = response_round_trip(pred);

@@ -1,8 +1,8 @@
 // The serve path allocates nothing per OBSERVE/PREDICT (DESIGN.md §16): a
 // warm server answers a pipelined burst of OBSERVE/PREDICT frames without a
-// single heap allocation per frame. Its own binary, because it replaces the
-// global operator new/delete to count allocations, as test_baum_welch.cpp
-// does.
+// single heap allocation per frame, with the guardrail off and on. Its own
+// binary, because it replaces the global operator new/delete to count
+// allocations, as test_baum_welch.cpp does.
 
 #include <gtest/gtest.h>
 
@@ -67,9 +67,8 @@ namespace cs2p {
 namespace {
 
 constexpr int kSessions = 8;
-constexpr int kBurstFrames = 512;
 
-std::shared_ptr<Cs2pPredictorModel> small_model() {
+std::shared_ptr<Cs2pPredictorModel> small_model(bool guardrail) {
   SyntheticConfig world;
   world.num_isps = 2;
   world.num_provinces = 2;
@@ -84,6 +83,7 @@ std::shared_ptr<Cs2pPredictorModel> small_model() {
   config.selector.min_cluster_size = 8;
   config.max_sequences_per_cluster = 10;
   config.max_global_sequences = 60;
+  config.guardrail.enabled = guardrail;
   auto [train, test] = SyntheticWorld(world).generate().split_by_day(1);
   (void)test;
   return std::make_shared<Cs2pPredictorModel>(std::move(train), config);
@@ -103,8 +103,10 @@ std::string_view recv_reply(const FdHandle& conn, std::span<char> buffer) {
   return std::string_view(body.data(), body.size());
 }
 
-TEST(ServeAllocations, PipelinedObservePredictAllocatesNothingPerFrame) {
-  const auto model = small_model();
+/// Allocations a warm one-worker server makes answering the third of three
+/// identical pipelined bursts of `burst_frames` OBSERVE/PREDICT frames.
+std::size_t counted_burst_allocations(bool guardrail, int burst_frames) {
+  const auto model = small_model(guardrail);
   ServerConfig config;
   config.io_threads = 1;
   PredictionServer server(model, config);
@@ -123,7 +125,7 @@ TEST(ServeAllocations, PipelinedObservePredictAllocatesNothingPerFrame) {
 
   // OBSERVEs and PREDICTs at horizons 1-5, round-robin over the sessions.
   std::string burst;
-  for (int k = 0; k < kBurstFrames; ++k) {
+  for (int k = 0; k < burst_frames; ++k) {
     const std::uint64_t id = ids[static_cast<std::size_t>(k % kSessions)];
     if (k % 2 == 0)
       burst += encode_frame(serialize_request(ObserveRequest{id, 1.0 + k % 7}));
@@ -141,15 +143,31 @@ TEST(ServeAllocations, PipelinedObservePredictAllocatesNothingPerFrame) {
     g_count_allocations.store(counted);
     send_all(conn, std::as_bytes(std::span(burst.data(), burst.size())));
     predictions = 0;
-    for (int k = 0; k < kBurstFrames; ++k)
+    for (int k = 0; k < burst_frames; ++k)
       predictions += recv_reply(conn, buffer).starts_with("PRED ");
     g_count_allocations.store(false);
     if (counted) allocations = g_allocations.load();
   }
+  EXPECT_EQ(predictions, static_cast<std::size_t>(burst_frames));
+  return allocations;
+}
 
-  EXPECT_EQ(predictions, static_cast<std::size_t>(kBurstFrames));
+TEST(ServeAllocations, PipelinedObservePredictAllocatesNothingPerFrame) {
+  constexpr int kBurstFrames = 512;
+  const std::size_t allocations = counted_burst_allocations(false, kBurstFrames);
   // A per-frame allocation anywhere on the path would count in the
   // hundreds; the bound leaves room for a buffer that grows once more.
+  EXPECT_LT(allocations, 8u) << allocations << " allocations over "
+                             << kBurstFrames << " frames";
+}
+
+// The guarded path: sanitizer, surprise monitor and fallback chain. The
+// burst is long enough (256 OBSERVEs per session) that even one allocation
+// per 64 OBSERVEs per session, which a node-based window makes, breaks the
+// bound.
+TEST(ServeAllocations, GuardedObservePredictAllocatesNothingPerFrame) {
+  constexpr int kBurstFrames = 4096;
+  const std::size_t allocations = counted_burst_allocations(true, kBurstFrames);
   EXPECT_LT(allocations, 8u) << allocations << " allocations over "
                              << kBurstFrames << " frames";
 }

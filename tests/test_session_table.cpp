@@ -5,8 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -105,6 +107,18 @@ TEST(SessionTable, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SessionTable({.shards = 3}).shard_count(), 4u);
   EXPECT_EQ(SessionTable({.shards = 16}).shard_count(), 16u);
   EXPECT_EQ(SessionTable({.shards = 0}).shard_count(), 16u);  // 0 = default
+}
+
+// Above 2^16 shards the slot half of an id would hold fewer than 2^16 slots,
+// and SIZE_MAX (a negative flag cast to size_t) would make rounding up to a
+// power of two loop forever: both are refused.
+TEST(SessionTable, ShardCountIsCappedAt65536) {
+  EXPECT_EQ(SessionTable({.shards = SessionTableConfig::kMaxShards}).shard_count(),
+            SessionTableConfig::kMaxShards);
+  EXPECT_THROW(SessionTable({.shards = SessionTableConfig::kMaxShards + 1}),
+               std::invalid_argument);
+  EXPECT_THROW(SessionTable({.shards = std::numeric_limits<std::size_t>::max()}),
+               std::invalid_argument);
 }
 
 // The satellite guarantee: with 10k expired sessions in the table, no single

@@ -99,7 +99,7 @@ std::pair<std::size_t, std::string> cluster_identity(
     const Cs2pEngine& engine, const SessionFeatures& features,
     double start_hour = 12.0) {
   const SelectionResult selection = engine.selector().select(features, start_hour);
-  EXPECT_TRUE(selection.found);
+  EXPECT_NE(selection.cluster, nullptr);
   return {selection.candidate_id,
           engine.cluster_index()
               .index_for(selection.candidate_id)

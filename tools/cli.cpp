@@ -94,6 +94,16 @@ long ArgParser::get_long(const std::string& name) const {
   });
 }
 
+long ArgParser::get_long_in(const std::string& name, long lowest,
+                            long highest) const {
+  const long value = get_long(name);
+  if (value < lowest || value > highest)
+    throw std::invalid_argument("--" + name + ": " + get(name) + " is outside " +
+                                std::to_string(lowest) + "-" +
+                                std::to_string(highest));
+  return value;
+}
+
 double ArgParser::get_double(const std::string& name) const {
   return convert_whole(name, get(name), [](const std::string& s, std::size_t* used) {
     return std::stod(s, used);

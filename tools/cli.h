@@ -5,10 +5,13 @@
 // typos fail fast.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace cs2p::cli {
@@ -39,11 +42,28 @@ class ArgParser {
   /// std::invalid_argument naming the flag.
   long get_long(const std::string& name) const;
   double get_double(const std::string& name) const;
+  /// An integer flag read into type T: the whole value must parse and fit
+  /// T (negatives are outside every unsigned type), or std::invalid_argument
+  /// names the flag and the range. A narrowing cast would turn
+  /// `--session-shards -1` into SIZE_MAX.
+  template <typename T>
+  T get_int(const std::string& name) const {
+    static_assert(std::is_integral_v<T> && sizeof(T) <= sizeof(long));
+    using Limits = std::numeric_limits<T>;
+    constexpr unsigned long kLongMax = std::numeric_limits<long>::max();
+    const long highest = static_cast<long>(
+        std::min(static_cast<unsigned long>(Limits::max()), kLongMax));
+    return static_cast<T>(
+        get_long_in(name, static_cast<long>(Limits::min()), highest));
+  }
   bool has(const std::string& name) const;
 
   std::string usage() const;
 
  private:
+  /// get_long(), or std::invalid_argument when outside [lowest, highest].
+  long get_long_in(const std::string& name, long lowest, long highest) const;
+
   std::string program_;
   std::string description_;
   std::vector<OptionSpec> specs_;

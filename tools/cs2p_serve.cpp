@@ -101,7 +101,7 @@ int main(int argc, char** argv) try {
                   "share of the connections (0 = hardware concurrency)", "0");
   args.add_option("session-shards",
                   "session-table shard count, rounded up to a power of two "
-                  "(0 = default 16)", "0");
+                  "(0 = default 16, at most 65536)", "0");
   args.add_option("idle-timeout-ms", "close connections idle this long", "30000");
   args.add_option("session-ttl-ms", "evict sessions untouched this long", "120000");
   args.add_option("max-sample-mbps", "reject OBSERVE samples above this", "10000");
@@ -183,63 +183,55 @@ int main(int argc, char** argv) try {
     obs::TraceLog::Config trace_config;
     trace_config.path = args.get("trace-log");
     trace_config.sample_rate = args.get_double("trace-sample");
-    trace_config.seed = static_cast<std::uint64_t>(args.get_long("trace-seed"));
+    trace_config.seed = args.get_int<std::uint64_t>("trace-seed");
     trace = std::make_shared<obs::TraceLog>(trace_config);
   }
 
   Cs2pConfig config;
   config.metrics = metrics;
-  config.hmm.num_states = static_cast<std::size_t>(args.get_long("hmm-states"));
-  const bool continuous_train = args.get_long("continuous-train") != 0;
+  config.hmm.num_states = args.get_int<std::size_t>("hmm-states");
+  const bool continuous_train = args.get_int<bool>("continuous-train");
   // Continuous training leans on the drift quorum for rollback, so it
   // forces the guardrail on.
-  config.guardrail.enabled =
-      args.get_long("guardrail") != 0 || continuous_train;
-  const bool lenient_ingest = args.get_long("lenient-ingest") != 0;
-  const int train_days = static_cast<int>(args.get_long("train-days"));
-  const bool warm_up = args.get_long("warm-up") != 0;
+  config.guardrail.enabled = args.get_int<bool>("guardrail") || continuous_train;
+  const bool lenient_ingest = args.get_int<bool>("lenient-ingest");
+  const int train_days = args.get_int<int>("train-days");
+  const bool warm_up = args.get_int<bool>("warm-up");
   const std::string snapshot_dir = args.get("snapshot-dir");
   const std::string snapshot_path =
       snapshot_dir.empty() ? "" : snapshot_dir + "/cs2p_engine.snapshot";
-  const long reload_interval_s = args.get_long("reload-interval");
-  const long metrics_interval_s = args.get_long("metrics-interval");
+  const long reload_interval_s = args.get_int<long>("reload-interval");
+  const long metrics_interval_s = args.get_int<long>("metrics-interval");
   const std::uint16_t port = cli::parse_port("port", args.get("port"));
 
   // -- Replication (DESIGN.md §13) ------------------------------------------
   const std::vector<std::uint16_t> peer_ports =
       cli::parse_ports("peers", args.get("peers"));
   const std::uint16_t sync_from = cli::parse_port("sync-from", args.get("sync-from"));
-  const bool accept_sync = args.get_long("accept-sync") != 0;
+  const bool accept_sync = args.get_int<bool>("accept-sync");
 
   TrainerConfig trainer_config;
   trainer_config.canary_margin = args.get_double("canary-margin");
-  trainer_config.probation_ms =
-      static_cast<std::uint64_t>(args.get_long("probation-ms"));
-  trainer_config.reservoir_size =
-      static_cast<std::size_t>(args.get_long("reservoir-size"));
+  trainer_config.probation_ms = args.get_int<std::uint64_t>("probation-ms");
+  trainer_config.reservoir_size = args.get_int<std::size_t>("reservoir-size");
 
   ServerConfig server_config;
-  server_config.max_connections =
-      static_cast<std::size_t>(args.get_long("max-connections"));
-  server_config.io_threads = static_cast<std::size_t>(args.get_long("io-threads"));
-  server_config.session_shards =
-      static_cast<std::size_t>(args.get_long("session-shards"));
-  server_config.idle_timeout_ms = static_cast<int>(args.get_long("idle-timeout-ms"));
-  server_config.session_ttl_ms = static_cast<int>(args.get_long("session-ttl-ms"));
+  server_config.max_connections = args.get_int<std::size_t>("max-connections");
+  server_config.io_threads = args.get_int<std::size_t>("io-threads");
+  server_config.session_shards = args.get_int<std::size_t>("session-shards");
+  server_config.idle_timeout_ms = args.get_int<int>("idle-timeout-ms");
+  server_config.session_ttl_ms = args.get_int<int>("session-ttl-ms");
   server_config.max_sample_mbps = args.get_double("max-sample-mbps");
   server_config.metrics = metrics;
   server_config.trace = trace;
   server_config.shed_utilization = args.get_double("shed-utilization");
-  server_config.shed_pending_replies =
-      static_cast<std::size_t>(args.get_long("shed-pending"));
-  server_config.retry_after_ms =
-      static_cast<int>(args.get_long("retry-after-ms"));
+  server_config.shed_pending_replies = args.get_int<std::size_t>("shed-pending");
+  server_config.retry_after_ms = args.get_int<int>("retry-after-ms");
   server_config.write_budget_bytes =
-      static_cast<std::size_t>(args.get_long("write-budget-bytes"));
+      args.get_int<std::size_t>("write-budget-bytes");
   server_config.write_stall_timeout_ms =
-      static_cast<int>(args.get_long("write-stall-timeout-ms"));
-  const int drain_deadline_ms =
-      static_cast<int>(args.get_long("drain-deadline-ms"));
+      args.get_int<int>("write-stall-timeout-ms");
+  const int drain_deadline_ms = args.get_int<int>("drain-deadline-ms");
   // Every flag has been read: a malformed value has failed by now, before
   // the dataset load and the training below.
 
