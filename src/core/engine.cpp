@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -190,6 +191,13 @@ std::vector<ClusterModelEntry> Cs2pEngine::export_cluster_models() const {
     entry.hmm = record.kernel->model();
     out.push_back(std::move(entry));
   }
+  // models_ iterates in Cluster-address order; sorting by the stable
+  // identity makes equal model sets serialize to equal bytes.
+  std::sort(out.begin(), out.end(),
+            [](const ClusterModelEntry& a, const ClusterModelEntry& b) {
+              return std::tie(a.candidate_id, a.bucket_key) <
+                     std::tie(b.candidate_id, b.bucket_key);
+            });
   return out;
 }
 

@@ -275,7 +275,8 @@ class Cs2pEngine {
   /// bucket key) identity — the snapshot store's view of the cache. Models
   /// that merely alias the global HMM (empty-sequence clusters) and
   /// quarantined clusters are included/excluded naturally: only real cache
-  /// entries are returned.
+  /// entries are returned, sorted by (candidate id, bucket key), so engines
+  /// holding the same models export (and snapshot) the same bytes.
   std::vector<ClusterModelEntry> export_cluster_models() const;
 
  private:

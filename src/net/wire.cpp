@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "util/hash.h"
 
 namespace cs2p {
 namespace {
+
+constexpr char kHexDigits[] = "0123456789abcdef";
 
 constexpr bool is_wire_space(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
@@ -112,11 +114,113 @@ void append_u64(std::string& out, std::uint64_t v) {
   out.append(buf.data(), static_cast<std::size_t>(ptr - buf.data()));
 }
 
+// -- Records (protocol v6) -----------------------------------------------------
+//
+// Fields move through std::memcpy: a frame starts at any offset of a
+// connection's read buffer, so its bytes are never read through a wider
+// type. On a little-endian host the copy is one unaligned load or store
+// plus a byte swap.
+
+/// `v` with its bytes in big-endian order; the swap is its own inverse, so
+/// this also reads a big-endian value back.
+constexpr std::uint64_t to_big_endian(std::uint64_t v) noexcept {
+  return std::endian::native == std::endian::big ? v : __builtin_bswap64(v);
+}
+
+/// Big-endian store of the low N bytes of `v` at `at`.
+template <std::size_t N>
+void store_be(char* at, std::uint64_t v) noexcept {
+  const std::uint64_t wire = to_big_endian(v << (64 - 8 * N));
+  std::memcpy(at, &wire, N);
+}
+
+/// Big-endian load of N bytes at `at`.
+template <std::size_t N>
+std::uint64_t load_be(const char* at) noexcept {
+  std::uint64_t wire = 0;
+  std::memcpy(&wire, at, N);
+  return to_big_endian(wire) >> (64 - 8 * N);
+}
+
+/// A payload whose first byte is below 0x20 and not wire whitespace is a
+/// record (or malformed); anything else is a text line.
+bool is_record(std::string_view payload) noexcept {
+  return !payload.empty() && static_cast<unsigned char>(payload[0]) < 0x20 &&
+         !is_wire_space(payload[0]);
+}
+
+[[noreturn]] void throw_record_size(std::size_t got, std::size_t size,
+                                   const char* name) {
+  throw ProtocolError(std::string("wire: ") + name + " record wants " +
+                      std::to_string(size) + " bytes, got " +
+                      std::to_string(got));
+}
+
+/// Throws unless `payload` is exactly one `name` record long.
+void require_record_size(std::string_view payload, std::size_t size,
+                         const char* name) {
+  if (payload.size() != size) throw_record_size(payload.size(), size, name);
+}
+
+[[noreturn]] void throw_unknown_tag(char tag, const char* direction) {
+  const auto byte = static_cast<unsigned char>(tag);
+  throw ProtocolError(std::string("wire: unknown ") + direction +
+                      " record tag 0x" + kHexDigits[byte >> 4] +
+                      kHexDigits[byte & 0xf]);
+}
+
+void append_observe_record(std::string& out, const ObserveRequest& observe) {
+  std::array<char, kObserveRecordBytes> record;
+  record[0] = kObserveTag;
+  store_be<8>(&record[1], observe.session_id);
+  store_be<8>(&record[9], std::bit_cast<std::uint64_t>(observe.throughput_mbps));
+  out.append(record.data(), record.size());
+}
+
+void append_predict_record(std::string& out, const PredictRequest& predict) {
+  std::array<char, kPredictRecordBytes> record;
+  record[0] = kPredictTag;
+  store_be<8>(&record[1], predict.session_id);
+  store_be<4>(&record[9], predict.steps_ahead);
+  out.append(record.data(), record.size());
+}
+
+void append_pred_record(std::string& out, const PredictionResponse& pred) {
+  std::array<char, kPredRecordBytes> record;
+  record[0] = kPredTag;
+  store_be<8>(&record[1], std::bit_cast<std::uint64_t>(pred.mbps));
+  record[9] = static_cast<char>(pred.flags);
+  out.append(record.data(), record.size());
+}
+
+Request parse_request_record(std::string_view payload) {
+  const char* p = payload.data();
+  switch (payload[0]) {
+    case kObserveTag:
+      require_record_size(payload, kObserveRecordBytes, "OBSERVE");
+      return ObserveRequest{load_be<8>(p + 1),
+                            std::bit_cast<double>(load_be<8>(p + 9))};
+    case kPredictTag:
+      require_record_size(payload, kPredictRecordBytes, "PREDICT");
+      return PredictRequest{load_be<8>(p + 1),
+                            static_cast<std::uint32_t>(load_be<4>(p + 9))};
+    default:
+      throw_unknown_tag(payload[0], "request");
+  }
+}
+
+Response parse_response_record(std::string_view payload) {
+  if (payload[0] != kPredTag) throw_unknown_tag(payload[0], "response");
+  require_record_size(payload, kPredRecordBytes, "PRED");
+  const char* p = payload.data();
+  return PredictionResponse{std::bit_cast<double>(load_be<8>(p + 1)),
+                            static_cast<std::uint8_t>(p[9])};
+}
+
 /// Fixed-width 16-hex checksum, matching the snapshot store's footer format.
 void append_hex16(std::string& out, std::uint64_t v) {
-  constexpr char digits[] = "0123456789abcdef";
   for (int shift = 60; shift >= 0; shift -= 4)
-    out += digits[(v >> shift) & 0xf];
+    out += kHexDigits[(v >> shift) & 0xf];
 }
 
 std::uint64_t parse_hex64(std::string_view token, const char* what) {
@@ -217,6 +321,14 @@ std::optional<std::string> recv_frame(Transport& transport) {
 
 std::string serialize_request(const Request& request) {
   std::string out;
+  if (const auto* observe = std::get_if<ObserveRequest>(&request)) {
+    append_observe_record(out, *observe);
+    return out;
+  }
+  if (const auto* predict = std::get_if<PredictRequest>(&request)) {
+    append_predict_record(out, *predict);
+    return out;
+  }
   out.reserve(96);
   if (const auto* hello = std::get_if<HelloRequest>(&request)) {
     const auto& f = hello->features;
@@ -235,16 +347,6 @@ std::string serialize_request(const Request& request) {
     out += f.client_prefix;
     out += ' ';
     append_double(out, hello->start_hour);
-  } else if (const auto* observe = std::get_if<ObserveRequest>(&request)) {
-    out += "OBSERVE ";
-    append_u64(out, observe->session_id);
-    out += ' ';
-    append_double(out, observe->throughput_mbps);
-  } else if (const auto* predict = std::get_if<PredictRequest>(&request)) {
-    out += "PREDICT ";
-    append_u64(out, predict->session_id);
-    out += ' ';
-    append_u64(out, predict->steps_ahead);
   } else if (const auto* bye = std::get_if<ByeRequest>(&request)) {
     out += "BYE ";
     append_u64(out, bye->session_id);
@@ -286,6 +388,7 @@ std::string serialize_request(const Request& request) {
 }
 
 Request parse_request(std::string_view payload) {
+  if (is_record(payload)) return parse_request_record(payload);
   // SYNCDATA carries raw snapshot bytes after its header line; handle it
   // before whitespace tokenization (snapshot bytes may contain anything).
   if (payload.starts_with("SYNCDATA\n")) {
@@ -307,19 +410,6 @@ Request parse_request(std::string_view payload) {
     hello.features.client_prefix = tokens[6];
     hello.start_hour = parse_double(tokens[7], "start_hour");
     return hello;
-  }
-  if (verb == "OBSERVE") {
-    if (tokens.size() != 3) throw ProtocolError("wire: OBSERVE wants 2 fields");
-    return ObserveRequest{parse_u64(tokens[1], "session_id"),
-                          parse_double(tokens[2], "throughput")};
-  }
-  if (verb == "PREDICT") {
-    if (tokens.size() != 3) throw ProtocolError("wire: PREDICT wants 2 fields");
-    const std::uint64_t steps = parse_u64(tokens[2], "steps_ahead");
-    if (steps > std::numeric_limits<unsigned>::max())
-      throw ProtocolError("wire: steps_ahead out of range");
-    return PredictRequest{parse_u64(tokens[1], "session_id"),
-                          static_cast<unsigned>(steps)};
   }
   if (verb == "BYE") {
     if (tokens.size() != 2) throw ProtocolError("wire: BYE wants 1 field");
@@ -366,18 +456,15 @@ namespace {
 // The one response formatter: serialize_response and append_response_frame
 // both write through it.
 void append_response(std::string& out, const Response& response) {
-  if (const auto* session = std::get_if<SessionResponse>(&response)) {
+  if (const auto* pred = std::get_if<PredictionResponse>(&response)) {
+    append_pred_record(out, *pred);
+  } else if (const auto* session = std::get_if<SessionResponse>(&response)) {
     out += "SESSION ";
     append_u64(out, session->session_id);
     out += ' ';
     append_double(out, session->initial_mbps);
     out += session->used_global_model ? " 1 " : " 0 ";
     out += session->model_name.empty() ? "-" : session->model_name;
-  } else if (const auto* pred = std::get_if<PredictionResponse>(&response)) {
-    out += "PRED ";
-    append_double(out, pred->mbps);
-    out += ' ';
-    append_u64(out, pred->flags);
   } else if (std::holds_alternative<OkResponse>(response)) {
     out += "OK";
   } else if (const auto* err = std::get_if<ErrorResponse>(&response)) {
@@ -418,7 +505,6 @@ void append_response(std::string& out, const Response& response) {
 
 std::string serialize_response(const Response& response) {
   std::string out;
-  out.reserve(64);
   append_response(out, response);
   return out;
 }
@@ -437,6 +523,7 @@ void append_response_frame(std::string& out, const Response& response) {
 }
 
 Response parse_response(std::string_view payload) {
+  if (is_record(payload)) return parse_response_record(payload);
   // STATS responses carry the raw exposition after the header line; handle
   // them before whitespace tokenization.
   if (payload.starts_with("STATS ")) {
@@ -512,13 +599,6 @@ Response parse_response(std::string_view payload) {
     session.model_name =
         tokens[4] == "-" ? std::string{} : std::string(tokens[4]);
     return session;
-  }
-  if (verb == "PRED") {
-    if (tokens.size() != 3) throw ProtocolError("wire: PRED wants 2 fields");
-    const std::uint64_t flags = parse_u64(tokens[2], "serve_flags");
-    if (flags > 0xff) throw ProtocolError("wire: serve_flags out of range");
-    return PredictionResponse{parse_double(tokens[1], "mbps"),
-                              static_cast<std::uint8_t>(flags)};
   }
   if (verb == "OK") return OkResponse{};
   throw ProtocolError("wire: unknown response verb " +

@@ -4,12 +4,13 @@
 // throughput and receives the next prediction in ~5 ms. We use the same
 // request/response shape over a persistent TCP connection with 4-byte
 // big-endian framing — one protocol-version byte followed by a 24-bit
-// payload length — and a line-oriented payload:
+// payload length. A payload is either a fixed-size binary record (the three
+// per-epoch messages) or a text line (every other verb):
 //
 //   client -> server
+//     OBSERVE record (17 bytes)            (report measurement, get forecast)
+//     PREDICT record (13 bytes)            (extra forecast, no new data)
 //     HELLO <isp> <as> <province> <city> <server> <prefix> <hour>
-//     OBSERVE <session-id> <mbps>          (report measurement, get forecast)
-//     PREDICT <session-id> <steps-ahead>   (extra forecast, no new data)
 //     MODEL <isp> <as> <province> <city> <server> <prefix> <hour>
 //                                          (download the compact per-session
 //                                           model for client-side execution,
@@ -27,12 +28,12 @@
 //     SYNCFETCH <offset>                   (pull a chunk of the replica's
 //                                           published snapshot)
 //   server -> client
+//     PRED record (10 bytes)      (the forecast, with its serve_flags:: bits —
+//                                  why it was served the way it was)
 //     SESSION <session-id> <initial-mbps> <global 0|1> <model-name>
 //                                 (global: the session runs on the global
 //                                  model, the kGlobalModel bit its PREDs
 //                                  carry; model-name: PredictorModel::name())
-//     PRED <mbps> <flags>         (flags: serve_flags:: bits — why this
-//                                  prediction was served the way it was)
 //     MODEL <initial-mbps> <global 0|1> \n <serialized hmm ...>
 //     STATS <exposition-version> \n <metrics text exposition ...>
 //     SNAPSHOT <total-bytes> <fnv64-hex> <offset> \n <raw snapshot chunk>
@@ -41,7 +42,25 @@
 //                                 (code: see WireErrorCode below; the
 //                                  retry-after field is the server's backoff
 //                                  hint in milliseconds, 0 = none; the
-//                                  message is everything after its space)
+//                                  message is everything after its space.
+//                                  An ERR answering an OBSERVE or PREDICT
+//                                  record is this text line too)
+//
+// Records (protocol v6). Byte 0 is the tag; integers and doubles follow in
+// big-endian byte order, like the frame header's length, and a double is
+// its IEEE-754 binary64 bit pattern, so every value (±0, subnormals, ±inf,
+// each NaN payload) arrives bit for bit:
+//
+//     OBSERVE  0x01 | session id u64 | throughput mbps f64     17 bytes
+//     PREDICT  0x02 | session id u64 | steps ahead u32         13 bytes
+//     PRED     0x03 | mbps f64 | serve flags u8                10 bytes
+//
+// The decoder dispatches on a payload's first byte before any tokenizing.
+// Tags are below 0x20 and are not wire whitespace (0x09-0x0D, 0x20), so no
+// text verb starts with one. A tagged record of the wrong size, a record
+// meant for the other direction, and any other first byte below 0x20 that
+// is not wire whitespace are ProtocolErrors; a text payload with leading
+// whitespace tokenizes as text.
 //
 // Every field is mandatory: the frame header admits only kProtocolVersion,
 // so the decoder carries no branches for older payload shapes.
@@ -67,9 +86,11 @@ namespace cs2p {
 /// v2 added the serve-flags field to PRED responses; v3 added the STATS
 /// scrape verb; v4 added the SYNC snapshot-shipping verbs; v5 added the
 /// retry-after-ms field to ERR responses (overload shedding + graceful
-/// drain, DESIGN.md §14) and the kDraining serve-flag bit (a v1–v4 client
-/// is rejected at the frame header, before any verb parsing).
-inline constexpr std::uint8_t kProtocolVersion = 5;
+/// drain, DESIGN.md §14) and the kDraining serve-flag bit; v6 made OBSERVE,
+/// PREDICT and PRED fixed-size binary records (the per-epoch path prints and
+/// parses no numbers). A v1–v5 peer is rejected at the frame header, before
+/// any verb parsing.
+inline constexpr std::uint8_t kProtocolVersion = 6;
 
 /// Maximum accepted frame payload; guards against malformed length prefixes.
 /// Must fit the 24-bit length field of the frame header.
@@ -77,6 +98,14 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64 * 1024;
 
 /// Size of the frame header ([version][len-hi][len-mid][len-lo]).
 inline constexpr std::size_t kFrameHeaderBytes = 4;
+
+/// Record tags (byte 0 of a record payload) and record sizes, tag included.
+inline constexpr char kObserveTag = 0x01;
+inline constexpr char kPredictTag = 0x02;
+inline constexpr char kPredTag = 0x03;
+inline constexpr std::size_t kObserveRecordBytes = 17;
+inline constexpr std::size_t kPredictRecordBytes = 13;
+inline constexpr std::size_t kPredRecordBytes = 10;
 
 /// Raw snapshot bytes carried per SYNCDATA/SNAPSHOT frame. Leaves headroom
 /// inside kMaxFrameBytes for the verb header line.
@@ -173,7 +202,7 @@ struct ObserveRequest {
 };
 struct PredictRequest {
   std::uint64_t session_id = 0;
-  unsigned steps_ahead = 1;
+  std::uint32_t steps_ahead = 1;
 };
 struct ByeRequest {
   std::uint64_t session_id = 0;

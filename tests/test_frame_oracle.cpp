@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -32,8 +33,10 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/engine.h"
@@ -484,30 +487,52 @@ unsigned horizon(Rng& rng) {
   return static_cast<unsigned>(pick(rng, 17, 40));
 }
 
+/// `record` cut to `size` bytes, or zero-padded up to it.
+std::string resized(std::string record, std::size_t size) {
+  record.resize(size, '\0');
+  return record;
+}
+
 const std::vector<std::string>& malformed_payloads() {
-  static const std::vector<std::string> payloads = {
-      "",
-      "HELLO",
-      "HELLO ISP0 AS0 P0 C0 S0",
-      "OBSERVE",
-      "OBSERVE 1",
-      "OBSERVE x 1.5",
-      "OBSERVE 1 fast",
-      "OBSERVE 1 1.5 2",
-      "PREDICT 1",
-      "PREDICT 1 -3",
-      "PREDICT 1 99999999999",
-      "BYE",
-      "BYE -1",
-      "STATS now",
-      "MODEL a b c d e f",
-      "SYNCBEGIN 10",
-      "SYNCBEGIN 10 notahexchecksum!",
-      "SYNCCOMMIT now",
-      "SYNCFETCH",
-      "FETCH 0",
-      "a b c d e f g h i",
-  };
+  static const std::vector<std::string> payloads = [] {
+    const std::string observe = serialize_request(ObserveRequest{1, 1.5});
+    const std::string predict = serialize_request(PredictRequest{1, 2});
+    return std::vector<std::string>{
+        "",
+        "HELLO",
+        "HELLO ISP0 AS0 P0 C0 S0",
+        // The v5 text forms of the records, now unknown verbs.
+        "OBSERVE",
+        "OBSERVE 1",
+        "OBSERVE x 1.5",
+        "OBSERVE 1 fast",
+        "OBSERVE 1 1.5 2",
+        "PREDICT 1",
+        "PREDICT 1 -3",
+        "PREDICT 1 99999999999",
+        // Records one byte short or long, a lone tag, the reply's PRED tag and
+        // first bytes that are no tag.
+        resized(observe, kObserveRecordBytes - 1),
+        resized(observe, kObserveRecordBytes + 1),
+        resized(predict, kPredictRecordBytes - 1),
+        resized(predict, kPredictRecordBytes + 1),
+        std::string(1, kObserveTag),
+        serialize_response(PredictionResponse{1.5, 0}),
+        resized(std::string(1, '\0'), kObserveRecordBytes),
+        resized(std::string(1, '\x04'), kPredictRecordBytes),
+        resized(std::string(1, '\x1f'), kObserveRecordBytes),
+        "BYE",
+        "BYE -1",
+        "STATS now",
+        "MODEL a b c d e f",
+        "SYNCBEGIN 10",
+        "SYNCBEGIN 10 notahexchecksum!",
+        "SYNCCOMMIT now",
+        "SYNCFETCH",
+        "FETCH 0",
+        "a b c d e f g h i",
+    };
+  }();
   return payloads;
 }
 
@@ -570,6 +595,16 @@ Shipment plan_shipment(Rng& rng) {
 /// How often each (frame kind, reply kind) pair and each completion kind
 /// came up: the in-process test requires every outcome the oracle compares.
 using Coverage = std::map<std::string, std::size_t>;
+
+/// The verb of a well-formed payload, named from its parsed request.
+std::string verb_of(std::string_view payload) {
+  constexpr const char* kVerbs[] = {"HELLO",     "OBSERVE",  "PREDICT",
+                                    "BYE",       "MODEL",    "STATS",
+                                    "SYNCBEGIN", "SYNCDATA", "SYNCCOMMIT",
+                                    "SYNCFETCH"};
+  static_assert(std::size(kVerbs) == std::variant_size_v<Request>);
+  return kVerbs[parse_request(payload).index()];
+}
 
 std::string outcome(const Response& reply) {
   if (const auto* err = std::get_if<ErrorResponse>(&reply))
@@ -794,7 +829,7 @@ class InProcessSchedule {
     } else {
       payload = sync_payload(conn);
     }
-    if (kind.empty()) kind = payload.substr(0, payload.find_first_of(" \n"));
+    if (kind.empty()) kind = verb_of(payload);
     if (kind == "SYNCBEGIN" && reference_->draining()) kind = "SYNCBEGIN while draining";
     last_ = "conn " + std::to_string(conn) + (shed ? " (shed) " : " ") +
             payload.substr(0, 80);

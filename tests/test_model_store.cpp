@@ -120,6 +120,25 @@ TEST(ModelStore, RoundTripProducesBitIdenticalSessionModels) {
             trained.stats().clusters_trained - warmed);
 }
 
+// A snapshot's checksum names a model set, not a memory layout: two engines
+// trained and warmed up in one process from the same data (so their
+// clusters sit at different addresses) serialize to the same bytes.
+TEST(ModelStore, EqualEnginesSerializeToEqualBytes) {
+  const Dataset dataset = SyntheticWorld(store_world()).generate();
+  auto [train, test] = dataset.split_by_day(1);
+  (void)test;
+  const Cs2pConfig config = fast_config();
+  const Cs2pEngine first(train, config);
+  const Cs2pEngine second(train, config);
+  ASSERT_GT(first.warm_up(), 1u);
+  ASSERT_EQ(second.warm_up(), first.stats().clusters_trained);
+
+  const std::string first_bytes = serialize_engine(first);
+  const std::string second_bytes = serialize_engine(second);
+  EXPECT_EQ(first_bytes, second_bytes);
+  EXPECT_EQ(snapshot_checksum(first_bytes), snapshot_checksum(second_bytes));
+}
+
 TEST(ModelStore, SaveRestoreThroughFileAndAtomicity) {
   const Dataset train = tiny_dataset();
   const Cs2pConfig config = tiny_config();

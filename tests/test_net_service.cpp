@@ -743,14 +743,17 @@ TEST(PredictionService, SessionMigratesAcrossConnections) {
   EXPECT_EQ(err->code, WireErrorCode::kUnknownSession);
 }
 
-// A horizon wider than the wire's u32 is refused at parse, not wrapped: the
-// request answers BAD_REQUEST and the connection keeps serving.
-TEST(PredictionService, OversizedPredictHorizonIsBadRequest) {
+// The horizon is a u32 field, so a wider one cannot be sent; a PREDICT
+// record with a u64 horizon is the wrong size, refused at parse rather than
+// read as its first four bytes: the request answers BAD_REQUEST and the
+// connection keeps serving.
+TEST(PredictionService, WrongSizePredictRecordIsBadRequest) {
   PredictionServer server(std::make_shared<EchoPlusOneModel>());
   const auto conn = raw_connection(server.port());
   const Response hello = raw_round_trip(*conn, HelloRequest{features(), 1.0});
   const std::uint64_t id = std::get<SessionResponse>(hello).session_id;
-  send_frame(*conn, "PREDICT " + std::to_string(id) + " 4294967297");
+  // Horizon 1 followed by four more bytes: the u64 horizon 4294967297.
+  send_frame(*conn, serialize_request(PredictRequest{id, 1}) + std::string("\0\0\0\x01", 4));
   const auto frame = recv_frame(*conn);
   ASSERT_TRUE(frame.has_value());
   const Response reply = parse_response(*frame);

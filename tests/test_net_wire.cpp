@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -29,6 +30,23 @@ std::string one_letter_tokens(std::size_t count) {
   std::string payload = "a";
   for (std::size_t k = 1; k < count; ++k) payload += " a";
   return payload;
+}
+
+/// The ProtocolError message `decode(payload)` throws, or "no error".
+template <typename Decode>
+std::string error_of(Decode decode, std::string_view payload) {
+  try {
+    (void)decode(payload);
+  } catch (const ProtocolError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+/// `record` cut to `size` bytes, or padded with 0xab bytes up to it.
+std::string resized(std::string record, std::size_t size) {
+  record.resize(size, '\xab');
+  return record;
 }
 
 TEST(Wire, HelloRoundTrip) {
@@ -55,7 +73,8 @@ TEST(Wire, ObservePredictByeRoundTrip) {
     EXPECT_EQ(out->steps_ahead, 5u);
   }
   {
-    const Request parsed = parse_request("PREDICT 9 4294967295");  // u32 max
+    const Request parsed =
+        parse_request(serialize_request(PredictRequest{9, 4294967295u}));  // u32 max
     const auto* out = std::get_if<PredictRequest>(&parsed);
     ASSERT_NE(out, nullptr);
     EXPECT_EQ(out->steps_ahead, 4294967295u);
@@ -203,9 +222,12 @@ TEST(Wire, PredictionFlagsRoundTripAllValues) {
 }
 
 TEST(Wire, PredictionFlagsOutOfRangeThrows) {
-  EXPECT_THROW(parse_response("PRED 2.75 256"), ProtocolError);
-  EXPECT_THROW(parse_response("PRED 2.75 -1"), ProtocolError);
-  EXPECT_THROW(parse_response("PRED 2.75 abc"), ProtocolError);
+  // The flags field is one byte: a PRED record whose flags run to a second
+  // byte (as flags 256 would need) is the wrong size, and so is one without
+  // them.
+  const std::string pred = serialize_response(PredictionResponse{2.75, 1});
+  EXPECT_THROW(parse_response(pred + '\0'), ProtocolError);
+  EXPECT_THROW(parse_response(resized(pred, kPredRecordBytes - 1)), ProtocolError);
 }
 
 TEST(Wire, ErrorRetryAfterRoundTrips) {
@@ -238,10 +260,15 @@ TEST(Wire, ErrorRetryAfterDisambiguatesNumericMessages) {
 }
 
 TEST(Wire, PreV5PayloadShapesAreRejected) {
-  // The frame header admits only v5, so the decoder has no fallbacks for
-  // older shapes: PRED without its flags token, ERR without a code, ERR
-  // without a retry-after, and a digit run too long to be a u32 hint.
+  // The frame header admits only kProtocolVersion, so the decoder has no
+  // fallbacks for older shapes: PRED without its flags, ERR without a code,
+  // ERR without a retry-after, and a digit run too long to be a u32 hint. A
+  // v5 text PRED is no reply at all, with or without its flags.
+  EXPECT_THROW(parse_response(resized(serialize_response(PredictionResponse{2.75}),
+                                      kPredRecordBytes - 1)),
+               ProtocolError);
   EXPECT_THROW(parse_response("PRED 2.75"), ProtocolError);
+  EXPECT_THROW(parse_response("PRED 2.75 0"), ProtocolError);
   EXPECT_THROW(parse_response("ERR something broke badly"), ProtocolError);
   EXPECT_THROW(parse_response("ERR OVERLOADED try again later"), ProtocolError);
   EXPECT_THROW(parse_response("ERR INTERNAL 12345678901 rows"), ProtocolError);
@@ -333,33 +360,37 @@ TEST(Wire, StatsResponseWithoutVersionThrows) {
 }
 
 TEST(Wire, MalformedRequestsThrow) {
+  const std::string observe = serialize_request(ObserveRequest{1, 2.0});
+  const std::string predict = serialize_request(PredictRequest{1, 2});
   EXPECT_THROW(parse_request(""), std::runtime_error);
   EXPECT_THROW(parse_request("NONSENSE 1 2"), std::runtime_error);
   EXPECT_THROW(parse_request("HELLO too few"), std::runtime_error);
-  EXPECT_THROW(parse_request("OBSERVE 1"), std::runtime_error);
-  EXPECT_THROW(parse_request("OBSERVE x 2.0"), std::runtime_error);
-  EXPECT_THROW(parse_request("PREDICT 1 x"), std::runtime_error);
-  // The horizon is a u32: wider values are refused, not wrapped (4294967297
-  // would otherwise be served as horizon 1).
-  EXPECT_THROW(parse_request("PREDICT 1 4294967296"), ProtocolError);
-  EXPECT_THROW(parse_request("PREDICT 1 4294967297"), ProtocolError);
+  // Records cut short: an OBSERVE without its throughput, one cut inside
+  // it, a PREDICT without its horizon.
+  EXPECT_THROW(parse_request(resized(observe, 9)), ProtocolError);
+  EXPECT_THROW(parse_request(resized(observe, 13)), ProtocolError);
+  EXPECT_THROW(parse_request(resized(predict, 9)), ProtocolError);
+  // The horizon is a u32 field: a record that carries a u64 horizon is the
+  // wrong size, refused rather than read as its first four bytes.
+  EXPECT_THROW(parse_request(predict + std::string(4, '\0')), ProtocolError);
   EXPECT_THROW(parse_request("BYE"), std::runtime_error);
   EXPECT_THROW(parse_request("MODEL just one"), std::runtime_error);
   // Over-long messages are rejected whole: no message has more than 8
-  // tokens, and the tokenizer stops at that bound.
+  // tokens, and the tokenizer stops at that bound; a record with bytes
+  // after its last field is the wrong size.
   EXPECT_THROW(parse_request("HELLO isp as province city server prefix 1 extra"),
                ProtocolError);
-  EXPECT_THROW(parse_request("OBSERVE 1 2.0 extra"), ProtocolError);
+  EXPECT_THROW(parse_request(observe + "extra"), ProtocolError);
   EXPECT_THROW(parse_request(one_letter_tokens(30'000)), ProtocolError);
 }
 
 TEST(Wire, MalformedResponsesThrow) {
+  const std::string pred = serialize_response(PredictionResponse{2.75, 0});
   EXPECT_THROW(parse_response(""), std::runtime_error);
   EXPECT_THROW(parse_response("WHAT 1"), std::runtime_error);
-  EXPECT_THROW(parse_response("PRED"), std::runtime_error);
+  EXPECT_THROW(parse_response(std::string(1, kPredTag)), ProtocolError);
   EXPECT_THROW(parse_response("SESSION 1 2.0 1"), std::runtime_error);
-  EXPECT_THROW(parse_response("PRED 2.75 0 " + one_letter_tokens(30'000)),
-               ProtocolError);
+  EXPECT_THROW(parse_response(pred + one_letter_tokens(30'000)), ProtocolError);
 }
 
 TEST(Wire, HelloRejectsWhitespaceFeatureValues) {
@@ -373,23 +404,190 @@ TEST(Wire, HelloRejectsWhitespaceFeatureValues) {
   EXPECT_THROW(serialize_request(hello), std::runtime_error);
 }
 
+/// Runs one decoder on `payload`: it must return or throw ProtocolError.
+template <typename Decode>
+void decodes_or_throws_protocol_error(Decode decode, std::string_view payload) {
+  try {
+    (void)decode(payload);
+  } catch (const ProtocolError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "non-protocol exception " << e.what() << " for a "
+                  << payload.size() << "-byte payload";
+  }
+}
+
+// Both decoders on 100,000 payloads of all 256 byte values, weighted toward
+// what the dispatch looks at: a record tag with each record's exact size
+// +-1, leading wire whitespace, and the text verbs' prefixes. Any outcome
+// but a value or a ProtocolError fails.
 TEST(Wire, FuzzedPayloadsThrowButNeverCrash) {
+  constexpr std::string_view kPrefixes[] = {
+      "HELLO ", "OBSERVE ", "PREDICT ", "PRED ", "BYE ", "MODEL ", "STATS",
+      "STATS ", "SYNCBEGIN ", "SYNCDATA\n", "SYNCCOMMIT", "SYNCFETCH ",
+      "SESSION ", "SNAPSHOT ", "ERR ", "ERR INTERNAL ", "OK"};
+  constexpr char kTags[] = {kObserveTag, kPredictTag, kPredTag};
+  constexpr std::size_t kSizes[] = {kObserveRecordBytes, kPredictRecordBytes,
+                                    kPredRecordBytes};
+  constexpr std::string_view kWireSpace = " \t\n\v\f\r";
   Rng rng(99);
-  for (int i = 0; i < 500; ++i) {
-    std::string payload;
-    const std::size_t length = rng.uniform_index(40);
-    for (std::size_t c = 0; c < length; ++c)
-      payload.push_back(static_cast<char>(rng.uniform_index(96) + 32));
-    try {
-      (void)parse_request(payload);
-    } catch (const std::runtime_error&) {
+  std::string payload;
+  for (int i = 0; i < 100'000; ++i) {
+    payload.clear();
+    std::size_t length = rng.uniform_index(40);
+    switch (rng.uniform_index(4)) {
+      case 0: {  // a record tag, at a record's exact size +-1
+        payload += kTags[rng.uniform_index(3)];
+        length = kSizes[rng.uniform_index(3)] + rng.uniform_index(3) - 1;
+        break;
+      }
+      case 1:  // leading wire whitespace
+        payload += kWireSpace[rng.uniform_index(kWireSpace.size())];
+        break;
+      case 2:  // a text verb's prefix
+        payload += kPrefixes[rng.uniform_index(std::size(kPrefixes))];
+        break;
+      default:  // any first byte
+        break;
     }
-    try {
-      (void)parse_response(payload);
-    } catch (const std::runtime_error&) {
+    while (payload.size() < length)
+      payload += static_cast<char>(rng.uniform_index(256));
+    decodes_or_throws_protocol_error(parse_request, payload);
+    decodes_or_throws_protocol_error(parse_response, payload);
+  }
+}
+
+// -- Records (protocol v6) ------------------------------------------------------
+
+// One record of each kind against its literal bytes: the tag, the field
+// order and big-endian byte order.
+TEST(WireRecord, LayoutMatchesLiteralBytes) {
+  using namespace std::string_literals;
+  EXPECT_EQ(serialize_request(ObserveRequest{0x0102030405060708ull, 2.5}),
+            "\x01\x01\x02\x03\x04\x05\x06\x07\x08"
+            "\x40\x04\x00\x00\x00\x00\x00\x00"s);
+  EXPECT_EQ(serialize_request(PredictRequest{0x1122334455667788ull, 0x0a0b0c0du}),
+            "\x02\x11\x22\x33\x44\x55\x66\x77\x88\x0a\x0b\x0c\x0d"s);
+  EXPECT_EQ(serialize_response(PredictionResponse{-0.75, 0x29}),
+            "\x03\xbf\xe8\x00\x00\x00\x00\x00\x00\x29"s);
+  // And the other way: literal bytes decode to the values they spell.
+  const Request observe = parse_request(
+      "\x01\x00\x00\x00\x01\x00\x00\x00\x02\x3f\xf8\x00\x00\x00\x00\x00\x00"s);
+  EXPECT_EQ(std::get<ObserveRequest>(observe).session_id, 0x100000002ull);
+  EXPECT_EQ(std::get<ObserveRequest>(observe).throughput_mbps, 1.5);
+  const Response pred =
+      parse_response("\x03\x40\x10\x00\x00\x00\x00\x00\x00\x08"s);
+  EXPECT_EQ(std::get<PredictionResponse>(pred).mbps, 4.0);
+  EXPECT_EQ(std::get<PredictionResponse>(pred).flags, 8u);
+}
+
+// Every value class a text codec could bend survives bit for bit: signed
+// zeros, subnormals, infinities and NaNs with any payload; the id and
+// horizon extremes; every flags byte.
+TEST(WireRecord, RecordsRoundTripEveryValueClass) {
+  constexpr std::uint64_t kNanBits[] = {
+      0x7ff8000000000000ull,  // quiet NaN
+      0xfff8000000000000ull,  // negative quiet NaN
+      0x7ff0000000000001ull,  // signalling NaN, lowest payload
+      0x7ff4000000000000ull,  // signalling NaN, top payload bit
+      0x7fffffffffffffffull,  // every payload bit set
+      0xfff0000000000badull,  // negative signalling NaN
+      0x7ff8dead0000beefull};
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -2.5, 0.1,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,  // a subnormal mid-range
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (const std::uint64_t bits : kNanBits) values.push_back(std::bit_cast<double>(bits));
+  constexpr std::uint64_t kIds[] = {0, 1, 0x00000001'00000000ull, ~0ull};
+  constexpr std::uint32_t kHorizons[] = {0, 1, 5, 0xffffffffu};
+
+  for (const std::uint64_t id : kIds) {
+    for (const double value : values) {
+      const Request parsed = parse_request(serialize_request(ObserveRequest{id, value}));
+      const auto& observe = std::get<ObserveRequest>(parsed);
+      EXPECT_EQ(observe.session_id, id);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(observe.throughput_mbps),
+                std::bit_cast<std::uint64_t>(value));
+    }
+    for (const std::uint32_t steps : kHorizons) {
+      const Request parsed = parse_request(serialize_request(PredictRequest{id, steps}));
+      EXPECT_EQ(std::get<PredictRequest>(parsed).session_id, id);
+      EXPECT_EQ(std::get<PredictRequest>(parsed).steps_ahead, steps);
     }
   }
-  SUCCEED();
+  for (const double value : values) {
+    for (unsigned flags = 0; flags <= 0xff; ++flags) {
+      const Response parsed = parse_response(serialize_response(
+          PredictionResponse{value, static_cast<std::uint8_t>(flags)}));
+      const auto& pred = std::get<PredictionResponse>(parsed);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pred.mbps),
+                std::bit_cast<std::uint64_t>(value));
+      EXPECT_EQ(pred.flags, flags);
+    }
+  }
+}
+
+// A record one byte short or one byte long throws, naming the record; so
+// does a record tag of the other direction and every other first byte
+// below 0x20 that is not wire whitespace. Leading whitespace is still text.
+TEST(WireRecord, WrongSizesAndUnknownTagsThrow) {
+  const std::string observe = serialize_request(ObserveRequest{3, 1.25});
+  const std::string predict = serialize_request(PredictRequest{3, 2});
+  const std::string pred = serialize_response(PredictionResponse{1.25, 0});
+  for (const int delta : {-1, 1}) {
+    EXPECT_NE(error_of(parse_request, resized(observe, observe.size() + delta))
+                  .find("OBSERVE record"),
+              std::string::npos);
+    EXPECT_NE(error_of(parse_request, resized(predict, predict.size() + delta))
+                  .find("PREDICT record"),
+              std::string::npos);
+    EXPECT_NE(error_of(parse_response, resized(pred, pred.size() + delta))
+                  .find("PRED record"),
+              std::string::npos);
+  }
+  // Each direction refuses the other's records.
+  EXPECT_THROW(parse_request(pred), ProtocolError);
+  EXPECT_THROW(parse_response(observe), ProtocolError);
+  EXPECT_THROW(parse_response(predict), ProtocolError);
+
+  for (int byte = 0x00; byte < 0x20; ++byte) {
+    if (byte >= 0x01 && byte <= 0x03) continue;  // the tags
+    const std::string payload = std::string(1, static_cast<char>(byte)) + "HELLO";
+    if (byte >= 0x09 && byte <= 0x0d) {
+      // Wire whitespace leads a text line: the HELLO is short of fields.
+      EXPECT_NE(error_of(parse_request, payload).find("HELLO wants"),
+                std::string::npos)
+          << byte;
+      continue;
+    }
+    for (const std::size_t size : {std::size_t{1}, kPredRecordBytes,
+                                   kPredictRecordBytes, kObserveRecordBytes}) {
+      const std::string bytes = resized(payload, size);
+      EXPECT_NE(error_of(parse_request, bytes).find("unknown request record tag"),
+                std::string::npos)
+          << byte;
+      EXPECT_NE(error_of(parse_response, bytes).find("unknown response record tag"),
+                std::string::npos)
+          << byte;
+    }
+  }
+  const Request spaced = parse_request(" \tSTATS");
+  EXPECT_NE(std::get_if<StatsRequest>(&spaced), nullptr);
+}
+
+// The v5 text forms of the three per-epoch messages are gone: the server's
+// decoder reads OBSERVE and PREDICT lines as unknown verbs, and the
+// client's refuses a text PRED.
+TEST(WireRecord, TextFormsOfRecordVerbsAreRefused) {
+  for (const std::string_view text : {"OBSERVE 1 2.5", "PREDICT 1 2"})
+    EXPECT_TRUE(error_of(parse_request, text).starts_with("wire: unknown request verb"))
+        << text;
+  EXPECT_THROW(parse_response("PRED 2.5 0"), ProtocolError);
 }
 
 // -- Serialize -> parse round-trip property -----------------------------------
@@ -689,10 +887,12 @@ TEST(WireHardening, BadVersionByteRejected) {
 }
 
 TEST(WireHardening, OldProtocolVersionsRejectedAtFrameHeader) {
-  // A v1, v2 or v3 client (pre-SYNC protocol) must be refused before any
-  // verb parsing: the frame header's version byte is the compatibility gate.
+  // A v1–v5 peer (v5 sent OBSERVE/PREDICT/PRED as text) must be refused
+  // before any verb parsing: the frame header's version byte is the
+  // compatibility gate.
   for (const std::uint8_t old_version :
-       {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{3}}) {
+       {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{4},
+        std::uint8_t{5}}) {
     auto [listener, port] = listen_loopback(0);
     const std::byte frame[9] = {std::byte{old_version}, std::byte{0},
                                 std::byte{0},   std::byte{5},   std::byte{'h'},

@@ -1,8 +1,9 @@
 // The serve path allocates nothing per OBSERVE/PREDICT (DESIGN.md §16): a
 // warm server answers a pipelined burst of OBSERVE/PREDICT frames without a
-// single heap allocation per frame, with the guardrail off and on. Its own
-// binary, because it replaces the global operator new/delete to count
-// allocations, as test_baum_welch.cpp does.
+// single heap allocation per frame, with the guardrail off and on, and with
+// a completion hook set (each session's history then grows to its cap and
+// stops). Its own binary, because it replaces the global operator new/delete
+// to count allocations, as test_baum_welch.cpp does.
 
 #include <gtest/gtest.h>
 
@@ -104,11 +105,15 @@ std::string_view recv_reply(const FdHandle& conn, std::span<char> buffer) {
 }
 
 /// Allocations a warm one-worker server makes answering the third of three
-/// identical pipelined bursts of `burst_frames` OBSERVE/PREDICT frames.
-std::size_t counted_burst_allocations(bool guardrail, int burst_frames) {
+/// identical pipelined bursts of `burst_frames` OBSERVE/PREDICT frames. With
+/// `completion_hook` the server runs a no-op on_session_complete, so every
+/// OBSERVE also appends to its session's history.
+std::size_t counted_burst_allocations(bool guardrail, int burst_frames,
+                                      bool completion_hook = false) {
   const auto model = small_model(guardrail);
   ServerConfig config;
   config.io_threads = 1;
+  if (completion_hook) config.on_session_complete = [](CompletedSession&&) {};
   PredictionServer server(model, config);
   const FdHandle conn = connect_loopback(server.port());
   std::vector<char> buffer(kMaxFrameBytes);
@@ -144,7 +149,7 @@ std::size_t counted_burst_allocations(bool guardrail, int burst_frames) {
     send_all(conn, std::as_bytes(std::span(burst.data(), burst.size())));
     predictions = 0;
     for (int k = 0; k < burst_frames; ++k)
-      predictions += recv_reply(conn, buffer).starts_with("PRED ");
+      predictions += recv_reply(conn, buffer).starts_with(kPredTag);
     g_count_allocations.store(false);
     if (counted) allocations = g_allocations.load();
   }
@@ -168,6 +173,19 @@ TEST(ServeAllocations, PipelinedObservePredictAllocatesNothingPerFrame) {
 TEST(ServeAllocations, GuardedObservePredictAllocatesNothingPerFrame) {
   constexpr int kBurstFrames = 4096;
   const std::size_t allocations = counted_burst_allocations(true, kBurstFrames);
+  EXPECT_LT(allocations, 8u) << allocations << " allocations over "
+                             << kBurstFrames << " frames";
+}
+
+// The completion hook's history: each session's observations grow by
+// doubling up to the server's cap of 512, at most 10 allocations per session
+// and none per frame after that. The two warm bursts carry every history to
+// the cap (256 OBSERVEs per session each), so the counted burst appends
+// nothing.
+TEST(ServeAllocations, CompletionHookHistoryAllocatesPerSessionNotPerFrame) {
+  constexpr int kBurstFrames = 4096;
+  const std::size_t allocations =
+      counted_burst_allocations(false, kBurstFrames, /*completion_hook=*/true);
   EXPECT_LT(allocations, 8u) << allocations << " allocations over "
                              << kBurstFrames << " frames";
 }
