@@ -6,6 +6,9 @@
 // prediction-free BB/RB baselines. Every predictor arm runs the same
 // (Robust)MPC controller; n-QoE normalises each session by its
 // perfect-knowledge offline optimum.
+//
+// The last stdout line is one JSON object with every number the table shows;
+// bench/check_shapes.py asserts the figure's shape claims on it.
 
 #include <cstdio>
 #include <memory>
@@ -67,6 +70,7 @@ int main() {
   std::printf("Fig 10: n-QoE by predictor (all arms share the same MPC)\n\n");
   TextTable table({"strategy", "median n-QoE", "mean n-QoE", "p25 n-QoE",
                    "avg kbps", "GoodRatio", "rebuf s", "startup s"});
+  bench::JsonObject arm_results;
   for (const auto& arm : arms) {
     AbrEvaluationOptions arm_options = options;
     arm_options.provide_oracle = arm.needs_oracle;
@@ -75,16 +79,31 @@ int main() {
     std::vector<double> n_qoes;
     for (const auto& outcome : eval.outcomes)
       n_qoes.push_back(outcome.normalized_qoe);
+    const double p25 = quantile(n_qoes, 0.25);
     table.add_row({arm.label, format_double(eval.median_n_qoe, 3),
-                   format_double(eval.mean_n_qoe, 3),
-                   format_double(quantile(n_qoes, 0.25), 3),
+                   format_double(eval.mean_n_qoe, 3), format_double(p25, 3),
                    format_double(eval.avg_bitrate_kbps, 0),
                    format_double(eval.good_ratio, 3),
                    format_double(eval.mean_rebuffer_seconds, 2),
                    format_double(eval.mean_startup_seconds, 2)});
+    arm_results.add(arm.label, bench::JsonObject()
+                                   .add("median", eval.median_n_qoe)
+                                   .add("mean", eval.mean_n_qoe)
+                                   .add("p25", p25)
+                                   .add("kbps", eval.avg_bitrate_kbps)
+                                   .add("good_ratio", eval.good_ratio)
+                                   .add("rebuffer_s", eval.mean_rebuffer_seconds)
+                                   .add("startup_s", eval.mean_startup_seconds));
   }
   std::fputs(table.to_string().c_str(), stdout);
-  std::printf("\npaper shape: CS2P+MPC > {HM, SVR, GBR, GHM}+MPC > BB/RB; "
-              "Oracle+MPC bounds what prediction can buy.\n");
+
+  const bench::JsonObject result =
+      bench::JsonObject()
+          .add("bench", "fig10")
+          .add("sessions", bench::standard_config_scaled().num_sessions)
+          .add("train", train.size())
+          .add("test", test.size())
+          .add("arms", arm_results);
+  std::printf("\n%s\n", result.str().c_str());
   return 0;
 }

@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Tests of bench/check_shapes.py on hand-made result lines.
+
+    python3 bench/check_shapes_test.py
+
+The lines carry the 16k standard world's numbers as the benches' tables print
+them (3 decimals), trimmed to the fields the checker reads. Each edit below
+breaks one claim, or removes one known divergence, and must fail the check.
+"""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+import unittest
+
+CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "check_shapes.py")
+
+
+def fig9_line():
+    def midstream(median, p75, cdf_at_015):
+        return {"median": median, "p75": p75, "cdf": [cdf_at_015]}
+
+    return {
+        "bench": "fig9", "sessions": 16000, "train": 7975, "test": 8025,
+        "fig9a": {
+            "predictors": {
+                name: {"median": median}
+                for name, median in [("SVR", 0.560), ("GBR", 0.359),
+                                     ("LM-client", 0.309), ("LM-server", 0.669),
+                                     ("GlobalMedian", 0.679), ("CS2P", 0.267)]
+            },
+            "fcc_cs2p_median": 0.289,
+        },
+        "fig9b": {
+            "grid": [0.15],
+            "predictors": {
+                "LS": midstream(0.112, 0.131, 0.88),
+                "HM": midstream(0.166, 0.239, 0.42),
+                "AR": midstream(0.117, 0.144, 0.79),
+                "SVR": midstream(0.128, 0.156, 0.71),
+                "GBR": midstream(0.137, 0.179, 0.60),
+                "GHM": midstream(0.192, 0.254, 0.33),
+                "CS2P": midstream(0.089, 0.126, 0.82),
+            },
+        },
+        "fig9c": {
+            "horizons": [1, 2, 3, 5, 7, 10],
+            "predictors": {
+                "LS": [0.113, 0.105, 0.116, 0.129, 0.140, 0.165],
+                "HM": [0.161, 0.170, 0.172, 0.187, 0.199, 0.212],
+                "AR": [0.116, 0.120, 0.132, 0.147, 0.169, 0.193],
+                "SVR": [0.128, 0.126, 0.137, 0.149, 0.164, 0.182],
+                "GBR": [0.139, 0.140, 0.146, 0.157, 0.167, 0.187],
+                "CS2P": [0.087, 0.090, 0.098, 0.113, 0.143, 0.201],
+            },
+        },
+    }
+
+
+def fig10_line():
+    arms = [("BB", 0.725, 1593), ("RB (HM)", 0.750, 1442), ("FESTIVE", 0.611, 1133),
+            ("HM + MPC", 0.877, 1608), ("SVR + MPC", 0.863, 1663),
+            ("GBR + MPC", 0.878, 1670), ("GHM + MPC", 0.865, 1660),
+            ("CS2P + MPC", 0.900, 1673), ("Oracle + MPC", 0.952, 1707)]
+    return {"bench": "fig10", "sessions": 16000, "train": 7975, "test": 8025,
+            "arms": {label: {"median": median, "kbps": kbps}
+                     for label, median, kbps in arms}}
+
+
+def run_checker(*lines):
+    text = "".join(line if isinstance(line, str) else json.dumps(line) + "\n"
+                   for line in lines)
+    return subprocess.run([sys.executable, CHECKER], input=text,
+                          capture_output=True, text=True).returncode
+
+
+def edited(line, edit):
+    line = copy.deepcopy(line)
+    edit(line)
+    return line
+
+
+class CheckShapesTest(unittest.TestCase):
+    def test_the_16k_claims_hold(self):
+        self.assertEqual(run_checker(fig9_line(), fig10_line()), 0)
+
+    def test_refuses_another_scale(self):
+        for sessions in (3000, 40000):
+            line = edited(fig9_line(), lambda l: l.update(sessions=sessions))
+            self.assertEqual(run_checker(line), 1, sessions)
+
+    def test_fails_a_broken_fig9_claim(self):
+        def cs2p_above_ls_in_9b(line):
+            line["fig9b"]["predictors"]["CS2P"]["median"] = 0.120
+
+        def cs2p_falls_with_horizon(line):
+            line["fig9c"]["predictors"]["CS2P"][3] = 0.095
+
+        for edit in (cs2p_above_ls_in_9b, cs2p_falls_with_horizon):
+            self.assertEqual(run_checker(edited(fig9_line(), edit)), 1, edit.__name__)
+
+    def test_fails_a_removed_divergence(self):
+        def cs2p_below_ls_at_h7(line):
+            line["fig9c"]["predictors"]["CS2P"][4] = 0.139
+
+        def fcc_below_standard(line):
+            line["fig9a"]["fcc_cs2p_median"] = 0.250
+
+        def cs2p_cdf_above_ls(line):
+            line["fig9b"]["predictors"]["CS2P"]["cdf"] = [0.90]
+
+        for edit in (cs2p_below_ls_at_h7, fcc_below_standard, cs2p_cdf_above_ls):
+            self.assertEqual(run_checker(edited(fig9_line(), edit)), 1, edit.__name__)
+
+    def test_fails_a_broken_fig10_claim(self):
+        def gbr_above_cs2p(line):
+            line["arms"]["GBR + MPC"]["median"] = 0.910
+
+        def bb_above_an_mpc_arm(line):
+            line["arms"]["BB"]["median"] = 0.870
+
+        for edit in (gbr_above_cs2p, bb_above_an_mpc_arm):
+            self.assertEqual(run_checker(edited(fig10_line(), edit)), 1, edit.__name__)
+
+    def test_fails_without_a_result_line(self):
+        self.assertEqual(run_checker(), 1)
+        self.assertEqual(run_checker("terminate called after throwing\n"), 1)
+        self.assertEqual(run_checker({"bench": "fig99", "sessions": 16000}), 1)
+        self.assertEqual(run_checker(edited(fig9_line(), lambda l: l.pop("fig9c"))), 1)
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -6,10 +6,19 @@
 // dozens-to-hundreds of training sessions, as the paper's 20M-session
 // dataset does at its clustering granularity. Day 0 trains, day 1 tests
 // (§7.1). Everything is deterministic from the seeds below.
+//
+// A figure bench whose shape claims bench/check_shapes.py asserts ends its
+// stdout with one JSON object (JsonObject) holding every number its tables
+// show.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "dataset/synthetic.h"
 
@@ -50,5 +59,70 @@ inline TrainTest standard_dataset() {
   auto [train, test] = dataset.split_by_day(1);
   return {std::move(train), std::move(test)};
 }
+
+/// One JSON object built field by field, in insertion order. A double is
+/// written in its shortest round-trip form (the tables print 3 decimals; the
+/// checker compares the exact values), a non-finite one as null.
+class JsonObject {
+ public:
+  JsonObject& add(std::string_view key, std::string_view value) {
+    append_string(field(key), value);
+    return *this;
+  }
+  JsonObject& add(std::string_view key, std::size_t value) {
+    field(key) += std::to_string(value);
+    return *this;
+  }
+  JsonObject& add(std::string_view key, double value) {
+    append_number(field(key), value);
+    return *this;
+  }
+  JsonObject& add(std::string_view key, const std::vector<double>& values) {
+    std::string& out = field(key);
+    out += '[';
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i > 0) out += ',';
+      append_number(out, values[i]);
+    }
+    out += ']';
+    return *this;
+  }
+  JsonObject& add(std::string_view key, const JsonObject& value) {
+    field(key) += value.str();
+    return *this;
+  }
+
+  std::string str() const { return "{" + body_ + "}"; }
+
+ private:
+  /// Appends `key`'s name and colon, and returns the text to append its
+  /// value to.
+  std::string& field(std::string_view key) {
+    if (!body_.empty()) body_ += ',';
+    append_string(body_, key);
+    body_ += ':';
+    return body_;
+  }
+
+  static void append_string(std::string& out, std::string_view s) {
+    out += '"';
+    for (const char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    out += '"';
+  }
+
+  static void append_number(std::string& out, double value) {
+    if (!std::isfinite(value)) {
+      out += "null";  // JSON has no NaN or infinity
+      return;
+    }
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  }
+
+  std::string body_;
+};
 
 }  // namespace cs2p::bench

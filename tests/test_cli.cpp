@@ -27,7 +27,7 @@ TEST(Cli, DefaultsApply) {
   ArgParser parser = make_parser();
   ASSERT_TRUE(parse(parser, {}));
   EXPECT_EQ(parser.get("name"), "default");
-  EXPECT_EQ(parser.get_long("count"), 3);
+  EXPECT_EQ(parser.get_int<long>("count"), 3);
   EXPECT_DOUBLE_EQ(parser.get_double("rate"), 0.5);
   EXPECT_FALSE(parser.has("empty"));
 }
@@ -36,7 +36,7 @@ TEST(Cli, SpaceSeparatedValues) {
   ArgParser parser = make_parser();
   ASSERT_TRUE(parse(parser, {"--name", "custom", "--count", "7"}));
   EXPECT_EQ(parser.get("name"), "custom");
-  EXPECT_EQ(parser.get_long("count"), 7);
+  EXPECT_EQ(parser.get_int<long>("count"), 7);
 }
 
 TEST(Cli, EqualsForm) {
@@ -73,7 +73,7 @@ TEST(Cli, PartialNumbersRejected) {
   ArgParser parser = make_parser();
   ASSERT_TRUE(parse(parser, {"--count", "1e4", "--rate", "0.5x"}));
   try {
-    parser.get_long("count");
+    parser.get_int<long>("count");
     ADD_FAILURE() << "--count 1e4 read as a number";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos) << e.what();
@@ -81,10 +81,11 @@ TEST(Cli, PartialNumbersRejected) {
   EXPECT_THROW(parser.get_double("rate"), std::invalid_argument);
   for (const std::string bad : {"", "x", "7 ", "3.5", "99999999999999999999"}) {
     ASSERT_TRUE(parse(parser, {"--count", bad}));
-    EXPECT_THROW(parser.get_long("count"), std::invalid_argument) << "'" << bad << "'";
+    EXPECT_THROW(parser.get_int<long>("count"), std::invalid_argument)
+        << "'" << bad << "'";
   }
   ASSERT_TRUE(parse(parser, {"--count", "-12", "--rate", "1e4"}));
-  EXPECT_EQ(parser.get_long("count"), -12);
+  EXPECT_EQ(parser.get_int<long>("count"), -12);
   EXPECT_DOUBLE_EQ(parser.get_double("rate"), 1e4);
 }
 

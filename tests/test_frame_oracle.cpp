@@ -140,6 +140,40 @@ ErrorResponse error(WireErrorCode code, std::uint32_t retry_after_ms = 0) {
   return ErrorResponse{code, "", retry_after_ms};
 }
 
+/// The unsigned big-endian integer `bytes` spell.
+std::uint64_t big_endian(std::string_view bytes) {
+  std::uint64_t value = 0;
+  for (const char byte : bytes) value = value << 8 | static_cast<unsigned char>(byte);
+  return value;
+}
+
+/// The request `payload` carries, or nullopt for a malformed one. The
+/// reference decodes the per-epoch records itself, from the v6 layout
+/// (net/wire.h) written out here rather than taken from the codec: a tag
+/// byte, big-endian fields, a double as its binary64 bits, and an exact
+/// size. OBSERVE is 0x01 | id u64 | mbps f64 (17 bytes), PREDICT is 0x02 |
+/// id u64 | steps u32 (13 bytes), and any other first byte below 0x20 that
+/// is not wire whitespace (0x09-0x0D) is no request. So a decoder fault
+/// shows as a reply the reference does not give. Text lines go to
+/// parse_request.
+std::optional<Request> decode(std::string_view payload) {
+  const int first = payload.empty() ? ' ' : static_cast<unsigned char>(payload[0]);
+  if (first < 0x20 && !(first >= 0x09 && first <= 0x0d)) {
+    const std::uint64_t id = big_endian(payload.substr(1, 8));
+    if (first == 0x01 && payload.size() == 17)
+      return ObserveRequest{id, std::bit_cast<double>(big_endian(payload.substr(9)))};
+    if (first == 0x02 && payload.size() == 13)
+      return PredictRequest{id,
+                            static_cast<std::uint32_t>(big_endian(payload.substr(9)))};
+    return std::nullopt;
+  }
+  try {
+    return parse_request(payload);
+  } catch (const ProtocolError&) {
+    return std::nullopt;
+  }
+}
+
 /// The protocol of DESIGN.md §8–§16 served one frame at a time.
 class Reference {
  public:
@@ -148,12 +182,9 @@ class Reference {
 
   Response serve(std::string_view payload, RefStaging& staging,
                  Clock::time_point now, bool shed) {
-    Request request;
-    try {
-      request = parse_request(payload);
-    } catch (const ProtocolError&) {
-      return error(WireErrorCode::kBadRequest);
-    }
+    const std::optional<Request> decoded = decode(payload);
+    if (!decoded) return error(WireErrorCode::kBadRequest);
+    const Request& request = *decoded;
     // A stopping server answers SHUTTING_DOWN to every frame it parsed.
     if (stopping_) return error(WireErrorCode::kShuttingDown);
     if (const auto* observe = std::get_if<ObserveRequest>(&request))

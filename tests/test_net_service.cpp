@@ -33,9 +33,13 @@
 #include "obs/trace.h"
 #include "predictors/hmm_session.h"
 #include "predictors/predictor.h"
+#include "worker_gate.h"
 
 namespace cs2p {
 namespace {
+
+using testing_support::ParkedRoundTrip;
+using testing_support::WorkerGate;
 
 /// Deterministic in-process model: initial = 2.0, forecast = last + 1.
 class EchoPlusOneModel final : public PredictorModel {
@@ -810,11 +814,6 @@ TEST(PredictionService, ModelRejectsNonFiniteStartHour) {
 /// predict().
 class FoldingGateModel final : public PredictorModel {
  public:
-  struct Gate {
-    std::atomic<bool> entered{false};
-    std::atomic<bool> open{false};
-  };
-
   std::string name() const override { return "FoldingGate"; }
   std::unique_ptr<SessionPredictor> make_session(
       const SessionContext& context) const override {
@@ -831,16 +830,12 @@ class FoldingGateModel final : public PredictorModel {
     };
     class Gated final : public SessionPredictor {
      public:
-      explicit Gated(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+      explicit Gated(std::shared_ptr<WorkerGate> gate) : gate_(std::move(gate)) {}
       double predict(unsigned) const override { return 0.0; }
-      void observe(double) override {
-        gate_->entered.store(true);
-        gate_->entered.notify_all();
-        gate_->open.wait(false);
-      }
+      void observe(double) override { gate_->park(); }
 
      private:
-      std::shared_ptr<Gate> gate_;
+      std::shared_ptr<WorkerGate> gate_;
     };
     class Throwing final : public SessionPredictor {
      public:
@@ -854,10 +849,10 @@ class FoldingGateModel final : public PredictorModel {
     return std::make_unique<Folding>();
   }
 
-  std::shared_ptr<Gate> gate() const { return gate_; }
+  WorkerGate& gate() const { return *gate_; }
 
  private:
-  std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
+  std::shared_ptr<WorkerGate> gate_ = std::make_shared<WorkerGate>();
 };
 
 // One session driven from two connections at once: each pipelines 16
@@ -929,16 +924,14 @@ TEST(PredictionService, DuplicateSessionFramesApplyInOneConnectionOrderInterleav
 
     // Park the worker inside a pass, queue both pipelines behind it, then
     // release: the next wakeup reads both connections at once.
-    const auto gate = model->gate();
-    gate->entered.store(false);
-    gate->open.store(false);
-    std::thread parked([&] { raw_round_trip(*control, ObserveRequest{gate_id, 1.0}); });
-    gate->entered.wait(false);
+    ParkedRoundTrip parked(model->gate(), [&] {
+      std::get<PredictionResponse>(
+          raw_round_trip(*control, ObserveRequest{gate_id, 1.0}));
+    });
+    ASSERT_TRUE(parked.entered());
     a->send(std::as_bytes(std::span(a_bytes.data(), a_bytes.size())));
     b->send(std::as_bytes(std::span(b_bytes.data(), b_bytes.size())));
-    gate->open.store(true);
-    gate->open.notify_all();
-    parked.join();
+    ASSERT_TRUE(parked.release());
     const std::vector<Reply> a_replies = replies(*a);
     const std::vector<Reply> b_replies = replies(*b);
 
@@ -1036,13 +1029,14 @@ TEST(PredictionService, PipelinedBurstLeavesInOneSend) {
   // send, then release: the next wakeup reads all 32 frames at once.
   const obs::Counter& sends =
       server.metrics().counter("cs2p_server_send_calls_total");
-  std::thread parked([&] { raw_round_trip(*control, ObserveRequest{gate_id, 1.0}); });
-  model->gate()->entered.wait(false);
+  ParkedRoundTrip parked(model->gate(), [&] {
+    std::get<PredictionResponse>(
+        raw_round_trip(*control, ObserveRequest{gate_id, 1.0}));
+  });
+  ASSERT_TRUE(parked.entered());
   const std::uint64_t sends_before = sends.value();
   burst->send(std::as_bytes(std::span(bytes.data(), bytes.size())));
-  model->gate()->open.store(true);
-  model->gate()->open.notify_all();
-  parked.join();
+  ASSERT_TRUE(parked.release());
 
   const auto replay = model->make_session(SessionContext{});
   for (int k = 0; k < kFrames; ++k) {
@@ -1199,16 +1193,14 @@ TEST(PredictionService, ThrowingPredictorFailsOnlyItsOwnLane) {
 
     // Park the worker inside a pass, queue one frame on each connection
     // behind it, then release: the next wakeup reads both into one pass.
-    const auto gate = model->gate();
-    gate->entered.store(false);
-    gate->open.store(false);
-    std::thread parked([&] { raw_round_trip(*control, ObserveRequest{gate_id, 1.0}); });
-    gate->entered.wait(false);
+    ParkedRoundTrip parked(model->gate(), [&] {
+      std::get<PredictionResponse>(
+          raw_round_trip(*control, ObserveRequest{gate_id, 1.0}));
+    });
+    ASSERT_TRUE(parked.entered());
     send_frame(to_broken, serialize_request(PredictRequest{broken, 1}));
     send_frame(to_healthy, serialize_request(PredictRequest{healthy, 2}));
-    gate->open.store(true);
-    gate->open.notify_all();
-    parked.join();
+    ASSERT_TRUE(parked.release());
 
     const auto broken_frame = recv_frame(to_broken);
     const auto healthy_frame = recv_frame(to_healthy);

@@ -49,9 +49,13 @@
 #include "predictors/guardrail.h"
 #include "predictors/predictor.h"
 #include "util/rng.h"
+#include "worker_gate.h"
 
 namespace cs2p {
 namespace {
+
+using testing_support::ParkedRoundTrip;
+using testing_support::WorkerGate;
 
 /// Deterministic in-process model: initial = 2.0, forecast = last + 1.
 class EchoPlusOneModel final : public PredictorModel {
@@ -77,36 +81,27 @@ class EchoPlusOneModel final : public PredictorModel {
 /// parks the serving worker inside observe() until the test opens the gate.
 class GatedEchoModel final : public PredictorModel {
  public:
-  struct Gate {
-    std::atomic<bool> entered{false};
-    std::atomic<bool> open{false};
-  };
-
   std::string name() const override { return "GatedEcho"; }
   std::unique_ptr<SessionPredictor> make_session(
       const SessionContext& context) const override {
     class Gated final : public SessionPredictor {
      public:
-      explicit Gated(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+      explicit Gated(std::shared_ptr<WorkerGate> gate) : gate_(std::move(gate)) {}
       double predict(unsigned) const override { return 0.0; }
-      void observe(double) override {
-        gate_->entered.store(true);
-        gate_->entered.notify_all();
-        gate_->open.wait(false);
-      }
+      void observe(double) override { gate_->park(); }
 
      private:
-      std::shared_ptr<Gate> gate_;
+      std::shared_ptr<WorkerGate> gate_;
     };
     if (context.start_hour == 99.0) return std::make_unique<Gated>(gate_);
     return echo_.make_session(context);
   }
 
-  std::shared_ptr<Gate> gate() const { return gate_; }
+  WorkerGate& gate() const { return *gate_; }
 
  private:
   EchoPlusOneModel echo_;
-  std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
+  std::shared_ptr<WorkerGate> gate_ = std::make_shared<WorkerGate>();
 };
 
 /// Guarded HMM sessions (the engine's guardrail wrapper) reporting into a
@@ -233,6 +228,12 @@ TEST(Backpressure, BurstLargerThanBudgetAnsweredInTheWakeupThatReadIt) {
   PredictionServer server(model, config);
 
   const auto control = connect_loopback(server.port());
+  // A receive deadline, so a gated OBSERVE the server never answers fails
+  // the parked round trip instead of blocking its join.
+  const timeval receive_deadline{2, 0};
+  ASSERT_EQ(::setsockopt(control.get(), SOL_SOCKET, SO_RCVTIMEO,
+                         &receive_deadline, sizeof receive_deadline),
+            0);
   std::size_t largest_frame = 0;
   const auto round_trip = [&](const FdHandle& fd, const Request& request) {
     const std::string frame = encode_frame(serialize_request(request));
@@ -261,13 +262,13 @@ TEST(Backpressure, BurstLargerThanBudgetAnsweredInTheWakeupThatReadIt) {
   // wakeup reads the whole burst at once.
   const obs::Counter& wakeups =
       server.metrics().counter("cs2p_server_loop_iterations_total");
-  std::thread parked([&] { round_trip(control, ObserveRequest{gate_id, 1.0}); });
-  model->gate()->entered.wait(false);
+  ParkedRoundTrip parked(model->gate(), [&] {
+    std::get<PredictionResponse>(round_trip(control, ObserveRequest{gate_id, 1.0}));
+  });
+  ASSERT_TRUE(parked.entered());
   const std::uint64_t wakeups_before = wakeups.value();
   send_all(reader, std::as_bytes(std::span(burst.data(), burst.size())));
-  model->gate()->open.store(true);
-  model->gate()->open.notify_all();
-  parked.join();
+  ASSERT_TRUE(parked.release());
 
   for (int k = 0; k < kFrames; ++k) {
     const std::optional<std::string> payload = recv_frame(reader);

@@ -88,15 +88,12 @@ std::uint16_t port_in_range(const std::string& flag, const std::string& token,
 
 }  // namespace
 
-long ArgParser::get_long(const std::string& name) const {
-  return convert_whole(name, get(name), [](const std::string& s, std::size_t* used) {
-    return std::stol(s, used);
-  });
-}
-
 long ArgParser::get_long_in(const std::string& name, long lowest,
                             long highest) const {
-  const long value = get_long(name);
+  const long value =
+      convert_whole(name, get(name), [](const std::string& s, std::size_t* used) {
+        return std::stol(s, used);
+      });
   if (value < lowest || value > highest)
     throw std::invalid_argument("--" + name + ": " + get(name) + " is outside " +
                                 std::to_string(lowest) + "-" +

@@ -38,14 +38,13 @@ class ArgParser {
   bool parse(int argc, char** argv);
 
   std::string get(const std::string& name) const;
-  /// Numeric accessors: the whole value must parse, or they throw
-  /// std::invalid_argument naming the flag.
-  long get_long(const std::string& name) const;
+  /// A numeric flag: the whole value must parse, or std::invalid_argument
+  /// names the flag.
   double get_double(const std::string& name) const;
-  /// An integer flag read into type T: the whole value must parse and fit
-  /// T (negatives are outside every unsigned type), or std::invalid_argument
-  /// names the flag and the range. A narrowing cast would turn
-  /// `--session-shards -1` into SIZE_MAX.
+  /// An integer flag read into type T, the only way to read one: the whole
+  /// value must parse and fit T (negatives are outside every unsigned type),
+  /// or std::invalid_argument names the flag and the range. A narrowing cast
+  /// would turn `--session-shards -1` into SIZE_MAX.
   template <typename T>
   T get_int(const std::string& name) const {
     static_assert(std::is_integral_v<T> && sizeof(T) <= sizeof(long));
@@ -61,7 +60,8 @@ class ArgParser {
   std::string usage() const;
 
  private:
-  /// get_long(), or std::invalid_argument when outside [lowest, highest].
+  /// The whole value as a long in [lowest, highest], or
+  /// std::invalid_argument naming the flag.
   long get_long_in(const std::string& name, long lowest, long highest) const;
 
   std::string program_;

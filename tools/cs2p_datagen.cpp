@@ -10,7 +10,7 @@
 #include "dataset/synthetic.h"
 #include "tools/cli.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cs2p;
   cli::ArgParser args("cs2p_datagen", "generate a synthetic trace dataset");
   args.add_option("out", "output CSV path", "traces.csv");
@@ -26,15 +26,14 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   SyntheticConfig config;
-  config.num_sessions = static_cast<std::size_t>(args.get_long("sessions"));
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed"));
-  config.days = static_cast<int>(args.get_long("days"));
-  config.num_isps = static_cast<std::size_t>(args.get_long("isps"));
-  config.num_provinces = static_cast<std::size_t>(args.get_long("provinces"));
-  config.cities_per_province =
-      static_cast<std::size_t>(args.get_long("cities-per-province"));
-  config.num_servers = static_cast<std::size_t>(args.get_long("servers"));
-  config.prefixes_per_isp_city = static_cast<std::size_t>(args.get_long("prefixes"));
+  config.num_sessions = args.get_int<std::size_t>("sessions");
+  config.seed = args.get_int<std::uint64_t>("seed");
+  config.days = args.get_int<int>("days");
+  config.num_isps = args.get_int<std::size_t>("isps");
+  config.num_provinces = args.get_int<std::size_t>("provinces");
+  config.cities_per_province = args.get_int<std::size_t>("cities-per-province");
+  config.num_servers = args.get_int<std::size_t>("servers");
+  config.prefixes_per_isp_city = args.get_int<std::size_t>("prefixes");
   config.burst_probability = args.get_double("burst-prob");
 
   const Dataset dataset = generate_synthetic_dataset(config);
@@ -46,4 +45,7 @@ int main(int argc, char** argv) {
   std::printf("median duration %.0f s, median epoch throughput %.2f Mbps\n",
               summary.median_duration_seconds, summary.median_epoch_throughput_mbps);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "cs2p_datagen: %s\n", e.what());
+  return 1;
 }

@@ -20,7 +20,7 @@
 #include "tools/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cs2p;
   cli::ArgParser args("cs2p_eval", "evaluate predictors on a trace dataset");
   args.add_option("data", "input CSV (from cs2p_datagen or external)", "traces.csv");
@@ -31,19 +31,23 @@ int main(int argc, char** argv) {
   args.add_option("min-cluster", "CS2P minimum cluster size", "20");
   if (!args.parse(argc, argv)) return 1;
 
+  // Every flag is read before the dataset loads, so a bad one fails at once.
+  const int test_day = args.get_int<int>("test-day");
+  Cs2pConfig cs2p_config;
+  cs2p_config.hmm.num_states = args.get_int<std::size_t>("hmm-states");
+  cs2p_config.selector.min_cluster_size = args.get_int<std::size_t>("min-cluster");
+  EvaluationOptions options;
+  options.horizon = args.get_int<unsigned>("horizon");
+  options.max_sessions = args.get_int<std::size_t>("max-sessions");
+
   const Dataset dataset = Dataset::load_csv(args.get("data"));
-  auto [train, test] = dataset.split_by_day(static_cast<int>(args.get_long("test-day")));
+  auto [train, test] = dataset.split_by_day(test_day);
   if (train.empty() || test.empty()) {
     std::fprintf(stderr, "need both training and test days in %s\n",
                  args.get("data").c_str());
     return 1;
   }
   std::printf("train %zu / test %zu sessions\n\n", train.size(), test.size());
-
-  Cs2pConfig cs2p_config;
-  cs2p_config.hmm.num_states = static_cast<std::size_t>(args.get_long("hmm-states"));
-  cs2p_config.selector.min_cluster_size =
-      static_cast<std::size_t>(args.get_long("min-cluster"));
 
   const LastSampleModel ls;
   const HarmonicMeanModel hm;
@@ -53,10 +57,6 @@ int main(int argc, char** argv) {
   const FeatureMedianModel lm_client = make_lm_client(train);
   const GlobalHmmModel ghm(train);
   const Cs2pPredictorModel cs2p(train, cs2p_config);
-
-  EvaluationOptions options;
-  options.horizon = static_cast<unsigned>(args.get_long("horizon"));
-  options.max_sessions = static_cast<std::size_t>(args.get_long("max-sessions"));
 
   TextTable table({"predictor", "initial median", "midstream median",
                    "midstream p75"});
@@ -73,4 +73,7 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.to_string().c_str(), stdout);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "cs2p_eval: %s\n", e.what());
+  return 1;
 }

@@ -18,7 +18,7 @@
 #include "tools/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cs2p;
   cli::ArgParser args("cs2p_qoe_compare", "QoE comparison of ABR strategies");
   args.add_option("data", "input CSV dataset", "traces.csv");
@@ -28,8 +28,17 @@ int main(int argc, char** argv) {
   args.add_option("robust", "1 = RobustMPC discount, 0 = plain FastMPC", "1");
   if (!args.parse(argc, argv)) return 1;
 
+  // Every flag is read before the dataset loads, so a bad one fails at once.
+  const int test_day = args.get_int<int>("test-day");
+  AbrEvaluationOptions options;
+  options.max_sessions = args.get_int<std::size_t>("max-sessions");
+  options.min_trace_epochs = options.video.num_chunks;
+  MpcConfig mpc_config;
+  mpc_config.horizon = args.get_int<unsigned>("horizon");
+  mpc_config.robust = args.get_int<bool>("robust");
+
   const Dataset dataset = Dataset::load_csv(args.get("data"));
-  auto [train, test] = dataset.split_by_day(static_cast<int>(args.get_long("test-day")));
+  auto [train, test] = dataset.split_by_day(test_day);
   if (train.empty() || test.empty()) {
     std::fprintf(stderr, "need both training and test days\n");
     return 1;
@@ -38,13 +47,6 @@ int main(int argc, char** argv) {
   const Cs2pPredictorModel cs2p(std::move(train));
   const HarmonicMeanModel hm;
 
-  AbrEvaluationOptions options;
-  options.max_sessions = static_cast<std::size_t>(args.get_long("max-sessions"));
-  options.min_trace_epochs = options.video.num_chunks;
-
-  MpcConfig mpc_config;
-  mpc_config.horizon = static_cast<unsigned>(args.get_long("horizon"));
-  mpc_config.robust = args.get_long("robust") != 0;
   const auto mpc = [&] { return std::make_unique<MpcController>(mpc_config); };
   const auto bb = [] { return std::make_unique<BufferBasedController>(); };
   const auto rb = [] { return std::make_unique<RateBasedController>(); };
@@ -66,4 +68,7 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.to_string().c_str(), stdout);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "cs2p_qoe_compare: %s\n", e.what());
+  return 1;
 }

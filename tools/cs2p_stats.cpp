@@ -345,7 +345,7 @@ int main(int argc, char** argv) try {
   const std::vector<std::uint16_t> peer_ports =
       cli::parse_ports("peers", args.get("peers"));
   if (!peer_ports.empty()) {
-    const long tier_diff_s = args.get_long("diff");
+    const long tier_diff_s = args.get_int<long>("diff");
     const auto first = scrape_tier(peer_ports);
     if (tier_diff_s <= 0) {
       print_merged(first);
@@ -357,7 +357,7 @@ int main(int argc, char** argv) try {
   }
 
   const std::uint16_t port = cli::parse_port("port", args.get("port"));
-  if (args.get_long("raw") != 0) {
+  if (args.get_int<bool>("raw")) {
     PredictionClient client(port);
     const StatsResponse response = client.stats();
     std::fwrite(response.exposition.data(), 1, response.exposition.size(),
@@ -365,7 +365,7 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  const long diff_s = args.get_long("diff");
+  const long diff_s = args.get_int<long>("diff");
   const Scrape first = scrape_server(port);
   if (diff_s <= 0) {
     pretty_print(first);
