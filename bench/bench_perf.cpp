@@ -289,69 +289,49 @@ BENCHMARK(BM_ServerConcurrency)
 
 /// Goodput under overload (DESIGN.md §14): short sessions (HELLO, 8
 /// OBSERVEs, BYE) from far more concurrent clients than the 2-worker server
-/// is sized for. With admission control off every session is admitted and
-/// they all contend; with shedding on, HELLOs past the utilization/queue
-/// thresholds answer OVERLOADED (counted as `shed`, not goodput). Every
-/// admitted OBSERVE round trip is timed, and each repetition reports the p50
-/// and p99 over all threads' samples: what shedding buys the sessions it
-/// admits, to weigh against the goodput it costs (EXPERIMENTS.md).
-void BM_GoodputUnderOverload(benchmark::State& state, bool shed) {
+/// is sized for, every one admitted and contending. Every OBSERVE round trip
+/// is timed, and each repetition reports the p50 and p99 over all threads'
+/// samples next to the goodput (EXPERIMENTS.md).
+void BM_GoodputUnderOverload(benchmark::State& state) {
   auto& f = fixture();
-  static PredictionServer* servers[2] = {nullptr, nullptr};
-  static std::mutex init_mutex;
-  {
-    std::scoped_lock lock(init_mutex);
-    if (servers[shed ? 1 : 0] == nullptr) {
-      ServerConfig config;
-      config.io_threads = 2;  // fixed capacity the client fleet overruns
-      config.max_connections = 256;
-      if (shed) {
-        config.shed_utilization = 0.85;
-        config.shed_pending_replies = 64;
-        config.retry_after_ms = 5;
-      }
-      servers[shed ? 1 : 0] = new PredictionServer(fixture().model, config);
-    }
-  }
-  PredictionServer& server = *servers[shed ? 1 : 0];
-  // Admitted OBSERVE round trips (us) of every thread in this repetition.
-  // Thread 0 clears them before the loop's start barrier, every thread
-  // appends inside the loop, and thread 0 reads them after its end barrier.
+  static PredictionServer* server = [] {
+    ServerConfig config;
+    config.io_threads = 2;  // fixed capacity the client fleet overruns
+    config.max_connections = 256;
+    return new PredictionServer(fixture().model, config);
+  }();
+  // OBSERVE round trips (us) of every thread in this repetition. Thread 0
+  // clears them before the loop's start barrier, every thread appends
+  // inside the loop, and thread 0 reads them after its end barrier.
   static std::mutex samples_mutex;
   static std::vector<double> samples_us;
   if (state.thread_index() == 0) {
     std::scoped_lock lock(samples_mutex);
     samples_us.clear();
   }
-  PredictionClient client(server.port());
+  PredictionClient client(server->port());
   std::uint64_t served = 0;
-  std::uint64_t shed_hellos = 0;
   std::array<double, 8> round_trips_us{};
   for (auto _ : state) {
-    try {
-      const SessionResponse session =
-          client.hello(f.probe->features, f.probe->start_hour);
-      for (std::size_t i = 0; i < round_trips_us.size(); ++i) {
-        const auto sent = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(client.observe(
-            session.session_id,
-            f.probe->throughput_mbps[i % f.probe->throughput_mbps.size()]));
-        round_trips_us[i] = std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - sent)
-                                .count();
-      }
-      client.bye(session.session_id);
-      served += 8;
-      std::scoped_lock lock(samples_mutex);
-      samples_us.insert(samples_us.end(), round_trips_us.begin(),
-                        round_trips_us.end());
-    } catch (const ServerError&) {
-      ++shed_hellos;  // admission refused with a retry-after hint
+    const SessionResponse session =
+        client.hello(f.probe->features, f.probe->start_hour);
+    for (std::size_t i = 0; i < round_trips_us.size(); ++i) {
+      const auto sent = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(client.observe(
+          session.session_id,
+          f.probe->throughput_mbps[i % f.probe->throughput_mbps.size()]));
+      round_trips_us[i] = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - sent)
+                              .count();
     }
+    client.bye(session.session_id);
+    served += 8;
+    std::scoped_lock lock(samples_mutex);
+    samples_us.insert(samples_us.end(), round_trips_us.begin(),
+                      round_trips_us.end());
   }
   state.counters["goodput/s"] = benchmark::Counter(
       static_cast<double>(served), benchmark::Counter::kIsRate);
-  state.counters["shed_hellos"] = static_cast<double>(shed_hellos);
   if (state.thread_index() == 0) {
     std::scoped_lock lock(samples_mutex);
     if (!samples_us.empty()) {
@@ -360,12 +340,7 @@ void BM_GoodputUnderOverload(benchmark::State& state, bool shed) {
     }
   }
 }
-BENCHMARK_CAPTURE(BM_GoodputUnderOverload, shed_off, false)
-    ->Threads(2)
-    ->Threads(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GoodputUnderOverload, shed_on, true)
+BENCHMARK(BM_GoodputUnderOverload)
     ->Threads(2)
     ->Threads(16)
     ->UseRealTime()

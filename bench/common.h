@@ -14,6 +14,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -39,12 +40,22 @@ inline SyntheticConfig standard_config() {
   return config;
 }
 
-/// Reads CS2P_BENCH_SESSIONS to scale runs up/down without recompiling.
+/// Reads CS2P_BENCH_SESSIONS to scale runs up/down without recompiling. A
+/// value that is not a whole positive integer ("3k", "abc", "0") exits 1
+/// naming the variable, instead of running a world nobody asked for.
 inline SyntheticConfig standard_config_scaled() {
   SyntheticConfig config = standard_config();
   if (const char* env = std::getenv("CS2P_BENCH_SESSIONS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) config.num_sessions = static_cast<std::size_t>(n);
+    const std::string_view text(env);
+    std::size_t n = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
+    if (ec != std::errc{} || end != text.data() + text.size() || n == 0) {
+      std::fprintf(stderr,
+                   "CS2P_BENCH_SESSIONS: '%s' is not a whole positive number\n",
+                   env);
+      std::exit(1);
+    }
+    config.num_sessions = n;
   }
   return config;
 }

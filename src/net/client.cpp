@@ -72,8 +72,8 @@ Response PredictionClient::locked_round_trip(const Request& request) {
       const auto* err = std::get_if<ErrorResponse>(&response);
       if (err == nullptr) return response;
       if (err->code == WireErrorCode::kOverloaded) {
-        // The replica is shedding load: record it (ReplicaSet treats this
-        // as a failover signal, not a retry-this-socket signal).
+        // The replica is at its connection cap: record it (ReplicaSet
+        // treats this as a failover signal, not a retry-this-socket signal).
         overloaded_.fetch_add(1, std::memory_order_relaxed);
         if (overloaded_counter_ != nullptr) overloaded_counter_->inc();
       }

@@ -23,8 +23,9 @@
 //     replica is up, so the replay tries it first;
 //   - a failover signal — transport failure past the connection's retry
 //     budget (connect refusal, deadline), a desynced stream, or an
-//     OVERLOADED / SHUTTING_DOWN reply (the replica is shedding load;
-//     hammering the same socket makes it worse): the replay skips it.
+//     OVERLOADED / SHUTTING_DOWN reply (the replica is at its connection
+//     cap or draining; hammering the same socket makes it worse): the
+//     replay skips it.
 // The operation is then re-issued on the new placement. The server-side
 // filter restarts from the cluster prior — a forecast-quality hiccup, never
 // a player-visible failure.
@@ -78,8 +79,8 @@ struct ReplicaSetConfig {
   /// OVERLOADED/SHUTTING_DOWN with a retry-after hint, sleep that hint
   /// (jittered, capped at 2 s) and sweep again — up to this many passes in
   /// total. 1 disables the backoff (one pass, then the error surfaces).
-  /// This is what turns a briefly all-shedding tier into a short stall
-  /// instead of a hot-spin of HELLO replays.
+  /// This is what turns a tier briefly full or draining everywhere into a
+  /// short stall instead of a hot-spin of HELLO replays.
   int overload_retry_passes = 2;
   /// Telemetry sink shared by the set and its per-replica clients
   /// (failovers, per-replica health/failures, time-to-recover). Null: a

@@ -35,12 +35,13 @@ ServerConfig resolve_config(ServerConfig config) {
 
 /// Smoothing factor of the per-worker utilization EWMA. One loop iteration
 /// is at most ~kMaxPollWaitMs, so the window is a few hundred ms — fast
-/// enough to track an overload ramp, slow enough not to shed on one
+/// enough to track an overload ramp, slow enough not to jump on one
 /// expensive request.
 constexpr double kUtilizationAlpha = 0.2;
 
-/// Eviction cadence per worker: often enough that TTLs in the tens of
-/// milliseconds (tests) are honored promptly, rare enough to stay amortized.
+/// Eviction cadence: often enough that TTLs in the tens of milliseconds
+/// (tests) are honored promptly, rare enough to stay amortized. One tick
+/// visits every shard, so worker 0 alone runs it.
 constexpr auto kEvictTickInterval = std::chrono::milliseconds(20);
 
 /// Upper bound on a worker's poll wait; keeps eviction ticking and the stop
@@ -85,7 +86,6 @@ FrameServer::MetricHandles FrameServer::MetricHandles::create(
   m.loop_iterations = &registry.counter("cs2p_server_loop_iterations_total");
   m.send_calls = &registry.counter("cs2p_server_send_calls_total");
   m.recv_calls = &registry.counter("cs2p_server_recv_calls_total");
-  m.hellos_shed = &registry.counter("cs2p_server_hellos_shed_total");
   m.slow_reader_kicks =
       &registry.counter("cs2p_server_slow_reader_kicks_total");
   m.drain_rejections = &registry.counter("cs2p_server_drain_rejections_total");
@@ -213,18 +213,6 @@ void FrameServer::publish_snapshot(std::string snapshot_bytes) {
   std::scoped_lock lock(snapshot_mutex_);
   snapshot_ = std::move(published);
   snapshot_checksum_ = checksum;
-}
-
-bool PredictionServer::should_shed(const Worker& worker) const noexcept {
-  if (shed_override_.load(std::memory_order_relaxed)) return true;
-  if (config_.shed_pending_replies > 0 &&
-      worker.queued_replies.load(std::memory_order_relaxed) >=
-          config_.shed_pending_replies)
-    return true;
-  if (config_.shed_utilization > 0.0 &&
-      worker.utilization->value() >= config_.shed_utilization)
-    return true;
-  return false;
 }
 
 void FrameServer::begin_drain() {
@@ -387,15 +375,8 @@ void PredictionServer::adopt_inbox(Worker& worker) {
   }
 }
 
-void PredictionServer::close_connection(Worker& worker, Connection& conn,
-                                        bool idle_timed_out) {
+void PredictionServer::close_connection(Connection& conn, bool idle_timed_out) {
   if (idle_timed_out) m_.idle_timeouts->inc();
-  // Replies queued on a dying connection will never flush; release their
-  // contribution to the worker's pending-work depth.
-  if (conn.unflushed() > 0)
-    worker.queued_replies.fetch_sub(conn.unflushed(), std::memory_order_relaxed);
-  conn.pending.clear();
-  conn.pending_head = 0;
   m_.connection_seconds->observe(
       std::chrono::duration<double>(Clock::now() - conn.opened_at).count());
   m_.active_connections->add(-1.0);
@@ -413,7 +394,7 @@ void PredictionServer::worker_loop(Worker& worker) {
     const bool stopping = stopping_.load();
     if (stopping) {
       for (auto& [fd, conn] : worker.connections)
-        close_connection(worker, conn, /*idle_timed_out=*/false);
+        close_connection(conn, /*idle_timed_out=*/false);
       worker.connections.clear();
       // One last inbox sweep: a connection dispatched after our previous
       // adopt still gets the close-path accounting.
@@ -453,7 +434,7 @@ void PredictionServer::worker_loop(Worker& worker) {
     if (rc < 0 && errno != EINTR && errno != EAGAIN) break;  // should not happen
 
     // Utilization EWMA: the busy fraction of this loop iteration (everything
-    // that was not waiting inside poll). Admission control reads it.
+    // that was not waiting inside poll).
     {
       const auto total = poll_end - iter_start;
       const auto waited = poll_end - poll_start;
@@ -478,14 +459,14 @@ void PredictionServer::worker_loop(Worker& worker) {
       if (it == worker.connections.end()) continue;
       bool keep = false;
       try {
-        keep = handle_io(worker, it->second, revents);
+        keep = handle_io(it->second, revents);
       } catch (const std::exception&) {
         // Connection-level failure (reset, desynced framing): drop the
         // connection, keep serving others.
         keep = false;
       }
       if (!keep) {
-        close_connection(worker, it->second, /*idle_timed_out=*/false);
+        close_connection(it->second, /*idle_timed_out=*/false);
         worker.connections.erase(it);
       }
     }
@@ -505,7 +486,7 @@ void PredictionServer::worker_loop(Worker& worker) {
         if (conn.last_activity < deadline) expired.push_back(fd);
       for (const int fd : expired) {
         const auto it = worker.connections.find(fd);
-        close_connection(worker, it->second, /*idle_timed_out=*/true);
+        close_connection(it->second, /*idle_timed_out=*/true);
         worker.connections.erase(it);
       }
     }
@@ -523,12 +504,12 @@ void PredictionServer::worker_loop(Worker& worker) {
       for (const int fd : expired) {
         const auto it = worker.connections.find(fd);
         m_.slow_reader_kicks->inc();
-        close_connection(worker, it->second, /*idle_timed_out=*/false);
+        close_connection(it->second, /*idle_timed_out=*/false);
         worker.connections.erase(it);
       }
     }
 
-    if (now >= next_evict) {
+    if (&worker == workers_.front().get() && now >= next_evict) {
       next_evict = now + kEvictTickInterval;
       evict_tick(now);
     }
@@ -550,10 +531,9 @@ void FrameServer::evict_tick(Clock::time_point now) {
   if (draining()) note_drain_progress(now);
 }
 
-bool PredictionServer::handle_io(Worker& worker, Connection& conn,
-                                 short revents) {
+bool PredictionServer::handle_io(Connection& conn, short revents) {
   if ((revents & POLLOUT) != 0) {
-    flush_write(worker, conn);  // throws when the peer is gone mid-reply
+    flush_write(conn);  // throws when the peer is gone mid-reply
     // The flush may have pulled the queue back under budget; frames read
     // before backpressure engaged are still sitting in read_buffer and get
     // no further POLLIN (the kernel side is already drained). The pass
@@ -606,7 +586,7 @@ void PredictionServer::serve_pass(Worker& worker, Clock::time_point now) {
   const auto close_dead = [&] {
     for (const int fd : dead) {
       const auto it = worker.connections.find(fd);
-      close_connection(worker, it->second, /*idle_timed_out=*/false);
+      close_connection(it->second, /*idle_timed_out=*/false);
       worker.connections.erase(it);
     }
     dead.clear();
@@ -632,13 +612,13 @@ void PredictionServer::serve_pass(Worker& worker, Clock::time_point now) {
           // the replies this pass queued for its earlier frames. A failed
           // flush only means the peer is gone too.
           try {
-            flush_write(worker, conn);
+            flush_write(conn);
           } catch (const std::exception&) {
           }
           dead.push_back(fd);
           continue;
         }
-        serve_frame(worker, conn, payload, now);
+        serve_frame(conn, payload, now);
         served = true;
       }
       close_dead();
@@ -651,7 +631,7 @@ void PredictionServer::serve_pass(Worker& worker, Clock::time_point now) {
       conn.replied = false;
       const bool throttled = conn.queued() > config_.write_budget_bytes;
       try {
-        flush_write(worker, conn);
+        flush_write(conn);
       } catch (const std::exception&) {
         dead.push_back(fd);  // peer gone mid-reply
         continue;
@@ -667,8 +647,7 @@ void PredictionServer::serve_pass(Worker& worker, Clock::time_point now) {
 }
 
 Response FrameServer::serve(std::string_view payload, SyncStaging& staging,
-                            Clock::time_point now, bool shed,
-                            RequestInfo& info) {
+                            Clock::time_point now, RequestInfo& info) {
   // Count before replying: once the client sees the response, the request
   // must already be visible in requests_handled() — and a reply can never
   // outrun its request (the scrape invariant of §11).
@@ -693,7 +672,7 @@ Response FrameServer::serve(std::string_view payload, SyncStaging& staging,
                std::holds_alternative<PredictRequest>(request)) {
       response = serve_prediction(request, now, info);
     } else {
-      response = handle(request, staging, now, shed, info);
+      response = handle(request, staging, now, info);
     }
   } catch (const ProtocolError& e) {
     m_.verb_invalid->inc();
@@ -708,13 +687,11 @@ Response FrameServer::serve(std::string_view payload, SyncStaging& staging,
   return response;
 }
 
-void PredictionServer::serve_frame(Worker& worker, Connection& conn,
-                                   std::string_view payload,
+void PredictionServer::serve_frame(Connection& conn, std::string_view payload,
                                    Clock::time_point now) {
   PendingReply reply;
   reply.t_recv = now;
-  Response response =
-      serve(payload, conn.sync, now, should_shed(worker), reply.info);
+  Response response = serve(payload, conn.sync, now, reply.info);
 
   // Queue the reply: framing, error accounting and the queue-depth
   // high-water mark. serve_pass flushes the queue once the pass has no
@@ -735,7 +712,6 @@ void PredictionServer::serve_frame(Worker& worker, Connection& conn,
   if (conn.unflushed() == 0) conn.last_write_progress = now;
   reply.end_offset = conn.write_buffer.size();
   conn.pending.push_back(std::move(reply));
-  worker.queued_replies.fetch_add(1, std::memory_order_relaxed);
   record_write_queue_depth(conn.queued());
   conn.replied = true;
 }
@@ -801,7 +777,7 @@ Response FrameServer::serve_prediction(const Request& request,
   return response;
 }
 
-void PredictionServer::flush_write(Worker& worker, Connection& conn) {
+void PredictionServer::flush_write(Connection& conn) {
   const std::size_t start = conn.write_pos;
   while (conn.queued() > 0) {
     const auto remaining = std::span(conn.write_buffer).subspan(conn.write_pos);
@@ -813,7 +789,7 @@ void PredictionServer::flush_write(Worker& worker, Connection& conn) {
   if (conn.write_pos == start) return;  // no progress, no reply completed
   const auto now = Clock::now();
   conn.last_write_progress = now;
-  complete_flushed_replies(worker, conn, now);
+  complete_flushed_replies(conn, now);
   if (conn.queued() == 0) {
     // Fully flushed: reclaim the buffer instead of letting offsets grow
     // without bound over the connection's lifetime.
@@ -834,8 +810,7 @@ void PredictionServer::flush_write(Worker& worker, Connection& conn) {
   }
 }
 
-void PredictionServer::complete_flushed_replies(Worker& worker,
-                                                Connection& conn,
+void PredictionServer::complete_flushed_replies(Connection& conn,
                                                 Clock::time_point now) {
   const std::size_t first = conn.pending_head;
   while (conn.pending_head < conn.pending.size() &&
@@ -879,14 +854,12 @@ void PredictionServer::complete_flushed_replies(Worker& worker,
   }
   const std::size_t done = conn.pending_head - first;
   if (done == 0) return;
-  worker.queued_replies.fetch_sub(done, std::memory_order_relaxed);
   m_.replies->inc(done);
   conn.last_activity = now;
 }
 
 Response FrameServer::handle(const Request& request, SyncStaging& staging,
-                             Clock::time_point now, bool shed,
-                             RequestInfo& info) {
+                             Clock::time_point now, RequestInfo& info) {
   if (std::holds_alternative<SyncBeginRequest>(request) ||
       std::holds_alternative<SyncChunkRequest>(request) ||
       std::holds_alternative<SyncCommitRequest>(request) ||
@@ -897,20 +870,14 @@ Response FrameServer::handle(const Request& request, SyncStaging& staging,
 
   if (const auto* hello = std::get_if<HelloRequest>(&request)) {
     info.event = "hello";
-    // Admission control gates session creation, not the verbs of sessions
-    // already admitted: a draining or shedding server keeps serving what it
-    // owns and turns away only new work, with a retry-after hint so the
-    // client tier backs off instead of hot-spinning replays.
+    // Drain gates session creation, not the verbs of sessions already
+    // admitted: a draining server keeps serving what it owns and turns away
+    // only new work, with a retry-after hint so the client tier backs off
+    // instead of hot-spinning replays.
     if (draining()) {
       m_.drain_rejections->inc();
       return ErrorResponse{WireErrorCode::kShuttingDown,
                            "server is draining, connect to another replica",
-                           static_cast<std::uint32_t>(config_.retry_after_ms)};
-    }
-    if (shed) {
-      m_.hellos_shed->inc();
-      return ErrorResponse{WireErrorCode::kOverloaded,
-                           "server is shedding new sessions, retry later",
                            static_cast<std::uint32_t>(config_.retry_after_ms)};
     }
     if (!std::isfinite(hello->start_hour))

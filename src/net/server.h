@@ -88,15 +88,8 @@ struct ServerConfig {
   /// A connection with queued replies whose flush made zero progress for
   /// this long is a slow reader and is closed. <= 0 disables the kick.
   int write_stall_timeout_ms = 10'000;
-  /// Shed new HELLOs when the handling worker's utilization EWMA (busy
-  /// fraction of its event loop) is at or above this. <= 0 disables.
-  double shed_utilization = 0.0;
-  /// Shed new HELLOs when the handling worker has at least this many
-  /// replies queued across its connections (the pending-work depth signal).
-  /// 0 disables.
-  std::size_t shed_pending_replies = 0;
   /// Backoff hint stamped on OVERLOADED/SHUTTING_DOWN replies (protocol
-  /// v5); what ReplicaSet sleeps when the whole tier is shedding.
+  /// v5); what ReplicaSet sleeps when every replica refuses it.
   int retry_after_ms = 250;
   /// Session TTL while draining: begin_drain() re-arms the table to
   /// min(session_ttl_ms, this) so abandoned sessions cannot hold the drain
@@ -137,13 +130,11 @@ struct ServerConfig {
 /// a reference) and keep predicting on it until BYE/eviction, while new
 /// HELLOs land on the fresh model. No session is ever dropped by a swap.
 ///
-/// Drain and admission (DESIGN.md §14): begin_drain() answers new HELLOs
-/// with SHUTTING_DOWN + retry-after, stamps kDraining on every PRED so
+/// Drain (DESIGN.md §14): begin_drain() answers new HELLOs with
+/// SHUTTING_DOWN + retry-after, stamps kDraining on every PRED so
 /// ReplicaSet migrates sessions proactively, and shrinks the session TTL so
 /// abandoned entries cannot hold the drain open — a SIGTERM becomes a
-/// zero-drop rolling restart. A HELLO the caller's shed verdict refuses
-/// answers OVERLOADED with a retry-after hint, while existing sessions keep
-/// being served.
+/// zero-drop rolling restart. Drain is the only thing that refuses a HELLO.
 class FrameServer {
  public:
   using Clock = std::chrono::steady_clock;
@@ -181,11 +172,11 @@ class FrameServer {
   const ServerConfig& config() const noexcept { return config_; }
 
   /// Answers one frame's payload: counts the request, parses it, and serves
-  /// it with `staging` as its connection's SYNC shipment, `now` as the time
-  /// every stamp it makes reads, and `shed` as the admission verdict for a
-  /// HELLO. Fills `info` for the trace record and returns the reply.
+  /// it with `staging` as its connection's SYNC shipment and `now` as the
+  /// time every stamp it makes reads. Fills `info` for the trace record and
+  /// returns the reply.
   Response serve(std::string_view payload, SyncStaging& staging,
-                 Clock::time_point now, bool shed, RequestInfo& info);
+                 Clock::time_point now, RequestInfo& info);
 
   /// One amortized TTL sweep step at `now` (SessionTable::evict_tick):
   /// evicted sessions go through the completion hook, and a drain whose
@@ -245,14 +236,10 @@ class FrameServer {
     return m_.syncs_rejected->value();
   }
 
-  /// New HELLOs answered OVERLOADED by admission control (existing sessions
-  /// kept being served).
-  std::uint64_t hellos_shed() const noexcept { return m_.hellos_shed->value(); }
-
   /// Starts a graceful drain: stop accepting (PredictionServer), answer new
   /// HELLOs with SHUTTING_DOWN + retry-after, stamp kDraining on in-flight
   /// sessions' replies so the client tier migrates them, shrink the session
-  /// TTL (workers apply it at their next evict tick). In-flight sessions
+  /// TTL (worker 0 applies it at its next evict tick). In-flight sessions
   /// keep being served until they BYE, migrate, or expire. Idempotent;
   /// irreversible for this server instance.
   void begin_drain();
@@ -297,7 +284,6 @@ class FrameServer {
     /// included: with replies_total, the syscalls per reply.
     obs::Counter* send_calls = nullptr;
     obs::Counter* recv_calls = nullptr;
-    obs::Counter* hellos_shed = nullptr;
     obs::Counter* slow_reader_kicks = nullptr;
     obs::Counter* drain_rejections = nullptr;
     obs::Counter* completion_hook_errors = nullptr;
@@ -335,7 +321,7 @@ class FrameServer {
   /// MODEL); OBSERVE/PREDICT never come here — serve_prediction answers
   /// them.
   Response handle(const Request& request, SyncStaging& staging,
-                  Clock::time_point now, bool shed, RequestInfo& info);
+                  Clock::time_point now, RequestInfo& info);
   Response handle_sync(const Request& request, SyncStaging& staging);
   obs::Counter* verb_counter(const Request& request) const noexcept;
   /// The single teardown tail shared by BYE and eviction: session-duration
@@ -370,15 +356,16 @@ class FrameServer {
 /// Passes (DESIGN.md §16): after each poll wakeup the worker serves its
 /// connections' buffered frames in sweeps of one complete frame per
 /// connection, so per-connection reply order is untouched. Each frame goes
-/// to FrameServer::serve() with its connection's SYNC staging, the pass's
-/// wakeup time (the one clock read of the pass) and the worker's shed
-/// verdict, and its reply is queued before the next frame is extracted.
+/// to FrameServer::serve() with its connection's SYNC staging and the
+/// pass's wakeup time (the one clock read of the pass), and its reply is
+/// queued before the next frame is extracted.
 /// Once no frame is left, each connection that got replies is flushed once,
 /// so a pipelined burst leaves in one send(2) and a reply waits for the
 /// rest of its pass.
 ///
 /// Fault discipline and overload control (DESIGN.md §8, §14):
-///   - connection cap with a typed OVERLOADED rejection frame,
+///   - connection cap with a typed OVERLOADED rejection frame carrying the
+///     retry-after hint (the only source of OVERLOADED),
 ///   - per-connection idle deadline enforced by the worker loop (a hung or
 ///     silent peer cannot pin a worker — workers are never blocked on any
 ///     single connection),
@@ -388,12 +375,8 @@ class FrameServer {
 ///     worker), and one whose queue makes no progress past
 ///     write_stall_timeout_ms is closed — the unbounded-buffer OOM hole is
 ///     shut by construction,
-///   - admission control: each worker tracks a utilization EWMA and its
-///     queued-reply depth; past the shed thresholds the worker's verdict
-///     makes new HELLOs answer OVERLOADED — latency sheds before it
-///     collapses,
 ///   - draining stops accepting connections; TTL eviction is amortized into
-///     the worker loops (bounded scans, never a full-table sweep under one
+///     worker 0's loop (bounded scans, never a full-table sweep under one
 ///     lock).
 class PredictionServer : public FrameServer {
  public:
@@ -430,13 +413,6 @@ class PredictionServer : public FrameServer {
   /// within write_budget_bytes + one frame no matter how slow a reader is).
   std::size_t max_write_queue_bytes() const noexcept {
     return max_write_queue_.load(std::memory_order_relaxed);
-  }
-
-  /// Forces admission control on/off regardless of the utilization and
-  /// queue-depth thresholds — deterministic shed for tests and operator
-  /// tooling ("stop taking new sessions, keep serving current ones").
-  void set_shedding(bool shed) noexcept {
-    shed_override_.store(shed, std::memory_order_relaxed);
   }
 
   /// Blocks until drained() or `timeout_ms` elapses; returns drained().
@@ -511,14 +487,10 @@ class PredictionServer : public FrameServer {
     std::mutex inbox_mutex;
     std::vector<Connection> inbox;
     std::unordered_map<int, Connection> connections;
-    /// Busy-fraction EWMA of the event loop (1 - poll_wait/iteration),
-    /// admission control's load signal: the worker's own
-    /// cs2p_server_worker_utilization gauge, written by the owning worker
-    /// and read by should_shed() from any worker.
+    /// Busy-fraction EWMA of the event loop (1 - poll_wait/iteration): the
+    /// worker's own cs2p_server_worker_utilization gauge, written by the
+    /// owning worker.
     obs::Gauge* utilization = nullptr;
-    /// Replies queued across this worker's connections (pending-work
-    /// depth, the other shed signal).
-    std::atomic<std::size_t> queued_replies{0};
   };
 
   void accept_loop();
@@ -526,7 +498,7 @@ class PredictionServer : public FrameServer {
   void worker_loop(Worker& worker);
   void adopt_inbox(Worker& worker);
   /// Returns false when the connection must be closed.
-  bool handle_io(Worker& worker, Connection& conn, short revents);
+  bool handle_io(Connection& conn, short revents);
   /// Points `payload` at the next complete frame in the connection's read
   /// buffer and moves read_pos past it, stamping the idle clock with the
   /// pass's wakeup time `now`. Returns false when no complete frame is
@@ -544,24 +516,21 @@ class PredictionServer : public FrameServer {
   void serve_pass(Worker& worker, Clock::time_point now);
   /// Answers one extracted frame through FrameServer::serve() and queues
   /// the reply on the connection's write buffer.
-  void serve_frame(Worker& worker, Connection& conn, std::string_view payload,
+  void serve_frame(Connection& conn, std::string_view payload,
                    Clock::time_point now);
   /// Hands queued reply bytes to the kernel until it is done or full;
   /// throws std::system_error when the peer is gone. A flush that moves
   /// bytes reads the clock once.
-  void flush_write(Worker& worker, Connection& conn);
+  void flush_write(Connection& conn);
   /// Counts/times/traces every pending reply whose bytes are fully on the
   /// wire (end_offset <= write_pos), as handed off at `now`.
-  void complete_flushed_replies(Worker& worker, Connection& conn,
-                                Clock::time_point now);
+  void complete_flushed_replies(Connection& conn, Clock::time_point now);
   /// The single close path: churn histogram, active-connection gauge, idle
   /// accounting, fd teardown — a connection that dies mid-reply goes
   /// through here exactly like any other.
-  void close_connection(Worker& worker, Connection& conn, bool idle_timed_out);
+  void close_connection(Connection& conn, bool idle_timed_out);
   void reject_connection(const FdHandle& connection, WireErrorCode code,
                          const std::string& message);
-  /// Admission verdict for a new HELLO landing on `worker`.
-  bool should_shed(const Worker& worker) const noexcept;
   void record_write_queue_depth(std::size_t bytes) noexcept;
 
   FdHandle listener_;
@@ -569,7 +538,6 @@ class PredictionServer : public FrameServer {
 
   std::atomic<std::size_t> next_worker_{0};  ///< round-robin dispatch
   std::mutex stop_mutex_;  ///< serializes concurrent stop() callers
-  std::atomic<bool> shed_override_{false};
   std::atomic<std::size_t> max_write_queue_{0};
 
   std::thread accept_thread_;

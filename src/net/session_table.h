@@ -198,8 +198,8 @@ class SessionTable {
   /// One amortized TTL sweep step: examines at most `evict_scan_budget`
   /// entries in each shard (separate lock holds), resuming where the last
   /// tick left off, and evicts the expired ones it saw. Call it often (the
-  /// I/O workers tick it between poll waits); repeated ticks visit every
-  /// entry. No-op when ttl_ms <= 0.
+  /// server's I/O worker 0 ticks it between poll waits); repeated ticks
+  /// visit every entry. No-op when ttl_ms <= 0.
   EvictStats evict_tick(Clock::time_point now,
                         const EvictCallback& on_evict = {});
 

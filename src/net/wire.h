@@ -85,7 +85,7 @@ namespace cs2p {
 /// different framing is rejected with ProtocolError instead of desyncing.
 /// v2 added the serve-flags field to PRED responses; v3 added the STATS
 /// scrape verb; v4 added the SYNC snapshot-shipping verbs; v5 added the
-/// retry-after-ms field to ERR responses (overload shedding + graceful
+/// retry-after-ms field to ERR responses (connection cap + graceful
 /// drain, DESIGN.md §14) and the kDraining serve-flag bit; v6 made OBSERVE,
 /// PREDICT and PRED fixed-size binary records (the per-epoch path prints and
 /// parses no numbers). A v1–v5 peer is rejected at the frame header, before
@@ -161,7 +161,7 @@ class ServerError : public std::runtime_error {
 
   /// The server's backoff hint (protocol v5): how long it suggests waiting
   /// before retrying anywhere in the tier. 0 = no hint. ReplicaSet honors
-  /// this when every replica is shedding (DESIGN.md §14).
+  /// this when every replica refuses it (DESIGN.md §14).
   std::uint32_t retry_after_ms() const noexcept { return retry_after_ms_; }
 
  private:
@@ -260,9 +260,9 @@ struct ErrorResponse {
   WireErrorCode code = WireErrorCode::kInternal;
   std::string message;
   /// Backoff hint in milliseconds (protocol v5), 0 = none. Stamped by the
-  /// server on OVERLOADED/SHUTTING_DOWN replies so a shedding or draining
-  /// tier tells clients how long to wait instead of absorbing a hot-spin of
-  /// HELLO replays.
+  /// server on OVERLOADED/SHUTTING_DOWN replies so a tier at its connection
+  /// cap or draining tells clients how long to wait instead of absorbing a
+  /// hot-spin of HELLO replays.
   std::uint32_t retry_after_ms = 0;
 };
 struct ModelResponse {

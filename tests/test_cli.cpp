@@ -68,7 +68,8 @@ TEST(Cli, HelpShortCircuits) {
 }
 
 // A numeric flag must parse whole: std::stol("1e4") alone reads 1, and
-// std::stod("0.5x") reads 0.5.
+// std::stod("0.5x") reads 0.5. A double flag must also be finite: std::stod
+// reads "nan" and "inf", and a NaN bound switches off every check against it.
 TEST(Cli, PartialNumbersRejected) {
   ArgParser parser = make_parser();
   ASSERT_TRUE(parse(parser, {"--count", "1e4", "--rate", "0.5x"}));
@@ -83,6 +84,15 @@ TEST(Cli, PartialNumbersRejected) {
     ASSERT_TRUE(parse(parser, {"--count", bad}));
     EXPECT_THROW(parser.get_int<long>("count"), std::invalid_argument)
         << "'" << bad << "'";
+  }
+  for (const std::string bad : {"nan", "inf", "-inf", "1e999"}) {
+    ASSERT_TRUE(parse(parser, {"--rate", bad}));
+    try {
+      parser.get_double("rate");
+      ADD_FAILURE() << "--rate " << bad << " read as a number";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--rate"), std::string::npos) << e.what();
+    }
   }
   ASSERT_TRUE(parse(parser, {"--count", "-12", "--rate", "1e4"}));
   EXPECT_EQ(parser.get_int<long>("count"), -12);

@@ -181,7 +181,7 @@ class Reference {
       : model_(std::move(model)), config_(std::move(config)) {}
 
   Response serve(std::string_view payload, RefStaging& staging,
-                 Clock::time_point now, bool shed) {
+                 Clock::time_point now) {
     const std::optional<Request> decoded = decode(payload);
     if (!decoded) return error(WireErrorCode::kBadRequest);
     const Request& request = *decoded;
@@ -193,7 +193,7 @@ class Reference {
       return prediction(predict->session_id, std::nullopt, predict->steps_ahead,
                         now);
     if (const auto* hello = std::get_if<HelloRequest>(&request))
-      return open(*hello, now, shed);
+      return open(*hello, now);
     if (const auto* bye = std::get_if<ByeRequest>(&request)) {
       // BYE is idempotent: an unknown id is already gone.
       if (const auto it = sessions_.find(bye->session_id); it != sessions_.end())
@@ -279,10 +279,9 @@ class Reference {
     return static_cast<std::uint32_t>(config_.retry_after_ms);
   }
 
-  Response open(const HelloRequest& hello, Clock::time_point now, bool shed) {
-    // Admission gates session creation only, drain before shed (§14).
+  Response open(const HelloRequest& hello, Clock::time_point now) {
+    // Drain gates session creation only (§14).
     if (draining_) return error(WireErrorCode::kShuttingDown, retry_after());
-    if (shed) return error(WireErrorCode::kOverloaded, retry_after());
     if (!std::isfinite(hello.start_hour)) return error(WireErrorCode::kBadRequest);
     Entry entry;
     entry.model = model_;
@@ -821,7 +820,6 @@ class InProcessSchedule {
 
   void frame() {
     const std::size_t conn = pick(rng_, 0, connections_ - 1);
-    bool shed = false;
     std::string payload;
     std::string kind;
     std::uint64_t addressed = 0;  // the session an OBSERVE/PREDICT names
@@ -832,7 +830,6 @@ class InProcessSchedule {
         !long_run ? 0.14 : reference_->session_count() < 3 ? 0.05 : 0.005;
     if (u < hellos) {
       payload = hello_payload(rng_, rng_.bernoulli(0.15));
-      shed = rng_.bernoulli(0.1);
     } else if (u < (long_run ? 0.70 : 0.52)) {
       addressed = target();
       payload = serialize_request(
@@ -862,11 +859,10 @@ class InProcessSchedule {
     }
     if (kind.empty()) kind = verb_of(payload);
     if (kind == "SYNCBEGIN" && reference_->draining()) kind = "SYNCBEGIN while draining";
-    last_ = "conn " + std::to_string(conn) + (shed ? " (shed) " : " ") +
-            payload.substr(0, 80);
+    last_ = "conn " + std::to_string(conn) + " " + payload.substr(0, 80);
     FrameServer::RequestInfo info;
-    const Response got = server_->serve(payload, staging_[conn], now_, shed, info);
-    Response want = reference_->serve(payload, ref_staging_[conn], now_, shed);
+    const Response got = server_->serve(payload, staging_[conn], now_, info);
+    Response want = reference_->serve(payload, ref_staging_[conn], now_);
     ASSERT_TRUE(reference_->learn_id(got, want)) << context();
     ASSERT_TRUE(same_reply(got, want)) << context();
     ++coverage_[kind + " -> " + outcome(want)];
@@ -905,8 +901,8 @@ TEST(FrameOracle, InProcessSchedulesMatchTheReference) {
     if (HasFailure()) return;
   }
   for (const char* required : {
-           "HELLO -> SESSION", "HELLO -> ERR OVERLOADED",
-           "HELLO -> ERR SHUTTING_DOWN", "HELLO -> ERR BAD_REQUEST",
+           "HELLO -> SESSION", "HELLO -> ERR SHUTTING_DOWN",
+           "HELLO -> ERR BAD_REQUEST",
            "OBSERVE -> PRED", "OBSERVE -> PRED degraded",
            "OBSERVE -> PRED draining", "OBSERVE -> ERR INVALID_SAMPLE",
            "OBSERVE -> ERR UNKNOWN_SESSION", "OBSERVE -> ERR SHUTTING_DOWN",
@@ -953,8 +949,8 @@ std::uint64_t scraped(const std::string& exposition, std::string_view name) {
 /// sessions at once, written interleaved in fragments, and each
 /// connection's replies must equal what the reference answers for that
 /// connection; every few rounds two connections ship snapshots in lockstep.
-/// Model swaps, publication, shedding and drain happen between rounds, when
-/// no frame is in flight.
+/// Model swaps, publication and drain happen between rounds, when no frame
+/// is in flight.
 class LoopbackSchedule {
  public:
   LoopbackSchedule(std::uint64_t seed, std::size_t io_threads)
@@ -1020,8 +1016,6 @@ class LoopbackSchedule {
     std::string bytes = snapshot_bytes(rng_);
     server_->publish_snapshot(bytes);
     reference_->publish_snapshot(std::move(bytes));
-    shed_ = round_ == 1;
-    server_->set_shedding(shed_);
     if (round_ == 3 && rng_.bernoulli(0.6)) {
       server_->begin_drain();
       reference_->begin_drain();
@@ -1040,7 +1034,7 @@ class LoopbackSchedule {
       for (const auto& payload : payloads) {
         const auto got = read_reply(conns_[c]);
         ASSERT_TRUE(got.has_value()) << context() << ": no HELLO reply";
-        Response want = reference_->serve(payload, ref_staging_[c], Clock::now(), shed_);
+        Response want = reference_->serve(payload, ref_staging_[c], Clock::now());
         ASSERT_TRUE(reference_->learn_id(*got, want)) << context() << ", conn " << c;
         if (const auto* session = std::get_if<SessionResponse>(&want))
           sessions_[c].push_back(session->session_id);
@@ -1088,7 +1082,7 @@ class LoopbackSchedule {
         const std::string payload = own_frame(c);
         bursts[c] += encode_frame(payload);
         expected[c].push_back(
-            reference_->serve(payload, ref_staging_[c], Clock::now(), shed_));
+            reference_->serve(payload, ref_staging_[c], Clock::now()));
       }
     }
     // Every connection's burst goes out in fragments, round robin, so
@@ -1145,7 +1139,7 @@ class LoopbackSchedule {
         const auto got = read_reply(conns_[c]);
         ASSERT_TRUE(got.has_value()) << context() << ": no SYNC reply";
         const Response want = reference_->serve(shipments[c][step], ref_staging_[c],
-                                                Clock::now(), shed_);
+                                                Clock::now());
         ASSERT_TRUE(same_reply(*got, want))
             << context() << ", conn " << c << ", SYNC step " << step;
       }
@@ -1168,7 +1162,6 @@ class LoopbackSchedule {
   Rng rng_;
   std::uint64_t seed_;
   std::size_t round_ = 0;
-  bool shed_ = false;
   ServerConfig config_;
   std::mutex completed_mutex_;
   std::vector<Completion> completed_;

@@ -229,6 +229,7 @@ TEST(PredictionService, UnknownSessionCarriesTypedCode) {
 TEST(PredictionService, ConnectionCapRejectsCleanly) {
   ServerConfig config;
   config.max_connections = 2;
+  config.retry_after_ms = 321;
   PredictionServer server(std::make_shared<EchoPlusOneModel>(), config);
 
   PredictionClient a(server.port()), b(server.port()), c(server.port());
@@ -238,7 +239,10 @@ TEST(PredictionService, ConnectionCapRejectsCleanly) {
     c.hello(features(), 3.0);
     FAIL() << "expected OVERLOADED rejection";
   } catch (const ServerError& e) {
+    // The cap is the only source of OVERLOADED, and it carries the hint
+    // ReplicaSet backs off by.
     EXPECT_EQ(e.code(), WireErrorCode::kOverloaded);
+    EXPECT_EQ(e.retry_after_ms(), 321u);
   }
   EXPECT_GE(server.connections_rejected(), 1u);
   // Existing connections are unaffected by the rejection.

@@ -233,12 +233,12 @@ TEST(Wire, PredictionFlagsOutOfRangeThrows) {
 TEST(Wire, ErrorRetryAfterRoundTrips) {
   // Protocol v5: ERR carries a retry-after-ms backoff hint.
   const Response parsed = parse_response(serialize_response(
-      ErrorResponse{WireErrorCode::kOverloaded, "shed: worker saturated", 250}));
+      ErrorResponse{WireErrorCode::kOverloaded, "connection limit reached", 250}));
   const auto* out = std::get_if<ErrorResponse>(&parsed);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->code, WireErrorCode::kOverloaded);
   EXPECT_EQ(out->retry_after_ms, 250u);
-  EXPECT_EQ(out->message, "shed: worker saturated");
+  EXPECT_EQ(out->message, "connection limit reached");
 
   // Zero (no hint) survives too.
   const Response zero = parse_response(serialize_response(

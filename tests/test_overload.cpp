@@ -5,8 +5,9 @@
 //     (write_budget_bytes + one frame), a stalled one is kicked, and a burst
 //     larger than the budget is still answered within the wakeup that read
 //     it,
-//   - admission control: shed HELLOs answer OVERLOADED with the configured
-//     retry-after hint while existing sessions keep being served,
+//   - the client tier under overload: a tier whose every replica is at its
+//     connection cap makes ReplicaSet back off by the cap's retry-after hint
+//     and recover once a slot frees,
 //   - the OBSERVE/PREDICT serve path: a guarded session's degraded reply is
 //     served by exactly one predict(),
 //   - graceful drain: new work refused with SHUTTING_DOWN, in-flight
@@ -315,37 +316,6 @@ TEST(Backpressure, StalledReaderIsKicked) {
   EXPECT_DOUBLE_EQ(probe.observe(session.session_id, 3.0), 4.0);
 }
 
-// -- Admission control --------------------------------------------------------
-
-TEST(AdmissionControl, ShedRejectsNewHellosKeepsServingSessions) {
-  ServerConfig config;
-  config.io_threads = 1;
-  config.retry_after_ms = 123;
-  PredictionServer server(std::make_shared<EchoPlusOneModel>(), config);
-
-  PredictionClient client(server.port());
-  const SessionResponse session = client.hello(features(), 0.0);
-
-  server.set_shedding(true);
-  PredictionClient late(server.port());
-  try {
-    late.hello(features(), 1.0);
-    FAIL() << "shed HELLO must answer OVERLOADED";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), WireErrorCode::kOverloaded);
-    EXPECT_EQ(e.retry_after_ms(), 123u);
-  }
-  EXPECT_GE(server.hellos_shed(), 1u);
-
-  // Shedding gates admission only: the established session is untouched.
-  EXPECT_DOUBLE_EQ(client.observe(session.session_id, 3.0), 4.0);
-  EXPECT_DOUBLE_EQ(client.predict(session.session_id, 1), 4.0);
-
-  server.set_shedding(false);
-  const SessionResponse second = late.hello(features(), 1.0);
-  EXPECT_GT(second.session_id, 0u);
-}
-
 // -- OBSERVE/PREDICT serve path ----------------------------------------------
 
 TEST(LaneExecutor, GuardedSessionCountsOneFallbackPerDegradedReply) {
@@ -525,11 +495,16 @@ TEST(Drain, SessionTableEvictionRacesTtlRearm) {
 TEST(ReplicaOverload, BacksOffOnRetryAfterThenRecovers) {
   ServerConfig config;
   config.io_threads = 1;
+  config.max_connections = 1;
   config.retry_after_ms = 40;
   PredictionServer a(std::make_shared<EchoPlusOneModel>(), config);
   PredictionServer b(std::make_shared<EchoPlusOneModel>(), config);
-  a.set_shedding(true);
-  b.set_shedding(true);
+  // Each replica's one slot is held by a connection whose HELLO was
+  // answered, so the server counts it before the set connects.
+  auto holder_a = std::make_unique<PredictionClient>(a.port());
+  PredictionClient holder_b(b.port());
+  holder_a->hello(features(), 0.0);
+  holder_b.hello(features(), 0.0);
 
   ReplicaSetConfig rc;
   rc.client.backoff_jitter = 0.5;  // sleeps land in (20, 40] ms
@@ -537,33 +512,42 @@ TEST(ReplicaOverload, BacksOffOnRetryAfterThenRecovers) {
   rc.down_probe_after_ms = 1;
   ReplicaSet set({a.port(), b.port()}, rc);
 
-  // The whole tier sheds, then one replica recovers mid-backoff: the hello
-  // must ride the server's retry-after hint to success instead of failing.
+  // The whole tier is at its cap. Once both replicas have refused the set,
+  // replica a's slot frees: the hello must ride the cap's retry-after hint
+  // to success instead of failing.
   std::thread relief([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    a.set_shedding(false);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((set.replica_client(0).overloaded_replies() == 0 ||
+            set.replica_client(1).overloaded_replies() == 0) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    holder_a.reset();
   });
   const auto t0 = std::chrono::steady_clock::now();
   const SessionResponse session = set.hello(features(), 0.0);
   const auto waited = std::chrono::steady_clock::now() - t0;
   relief.join();
   EXPECT_GT(session.session_id, 0u);
+  EXPECT_EQ(set.session_replica(session.session_id), 0u);
   // At least one jittered retry-after sleep happened (no hot-spin).
   EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(),
             20);
-  EXPECT_GE(set.replica_client(0).overloaded_replies() +
-                set.replica_client(1).overloaded_replies(),
-            1u);
+  EXPECT_GE(set.replica_client(0).overloaded_replies(), 1u);
+  EXPECT_GE(set.replica_client(1).overloaded_replies(), 1u);
 
-  // With every pass exhausted the overload finally surfaces — typed, after
-  // the full backoff schedule, not as a spin.
-  a.set_shedding(true);
+  // The set now holds a's slot, so a second set finds both replicas at
+  // their cap. With every pass exhausted the overload finally surfaces —
+  // typed, with the cap's hint, after the full backoff schedule, not as a
+  // spin.
+  ReplicaSet late({a.port(), b.port()}, rc);
   const auto t1 = std::chrono::steady_clock::now();
   try {
-    set.hello(features(), 1.0);
-    FAIL() << "an all-shedding tier must surface OVERLOADED";
+    late.hello(features(), 1.0);
+    FAIL() << "a tier at its connection cap must surface OVERLOADED";
   } catch (const ServerError& e) {
     EXPECT_EQ(e.code(), WireErrorCode::kOverloaded);
+    EXPECT_EQ(e.retry_after_ms(), 40u);
   }
   const auto exhausted = std::chrono::steady_clock::now() - t1;
   EXPECT_GE(

@@ -303,8 +303,9 @@ TEST(ReplicaSet, OverloadedReplyIsAFailoverSignalNotARetry) {
   ReplicaSet set(std::vector<std::uint16_t>{server_a->port(), server_b->port()},
                  config);
 
-  // Every HELLO must land (on B when A sheds it); OVERLOADED replies are
-  // counted in the dedicated registry counter, not retried into A's cap.
+  // Every HELLO must land (on B when A's cap refuses it); OVERLOADED
+  // replies are counted in the dedicated registry counter, not retried into
+  // A's cap.
   for (int i = 0; i < 16; ++i) {
     const SessionResponse session =
         set.hello(features("s" + std::to_string(i)), 1.0);

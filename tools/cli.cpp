@@ -1,5 +1,6 @@
 #include "tools/cli.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -102,9 +103,16 @@ long ArgParser::get_long_in(const std::string& name, long lowest,
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return convert_whole(name, get(name), [](const std::string& s, std::size_t* used) {
-    return std::stod(s, used);
-  });
+  const double value =
+      convert_whole(name, get(name), [](const std::string& s, std::size_t* used) {
+        return std::stod(s, used);
+      });
+  // std::stod reads "nan" and "inf"; no flag means either, and a NaN bound
+  // makes every comparison against it false.
+  if (!std::isfinite(value))
+    throw std::invalid_argument("--" + name + ": '" + get(name) +
+                                "' is not a finite number");
+  return value;
 }
 
 std::vector<std::uint16_t> parse_ports(const std::string& flag,

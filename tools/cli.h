@@ -38,8 +38,8 @@ class ArgParser {
   bool parse(int argc, char** argv);
 
   std::string get(const std::string& name) const;
-  /// A numeric flag: the whole value must parse, or std::invalid_argument
-  /// names the flag.
+  /// A numeric flag: the whole value must parse to a finite number, or
+  /// std::invalid_argument names the flag.
   double get_double(const std::string& name) const;
   /// An integer flag read into type T, the only way to read one: the whole
   /// value must parse and fit T (negatives are outside every unsigned type),

@@ -61,6 +61,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,12 +157,6 @@ int main(int argc, char** argv) try {
                   "on SIGTERM, drain gracefully (stop accepting, hint "
                   "clients to migrate) and exit once all sessions are gone "
                   "or this deadline passes", "10000");
-  args.add_option("shed-utilization",
-                  "shed new HELLOs when a worker's event-loop utilization "
-                  "EWMA reaches this fraction (0 = off)", "0");
-  args.add_option("shed-pending",
-                  "shed new HELLOs when a worker has this many replies "
-                  "queued (0 = off)", "0");
   args.add_option("retry-after-ms",
                   "backoff hint stamped on OVERLOADED/SHUTTING_DOWN replies",
                   "250");
@@ -222,10 +217,13 @@ int main(int argc, char** argv) try {
   server_config.idle_timeout_ms = args.get_int<int>("idle-timeout-ms");
   server_config.session_ttl_ms = args.get_int<int>("session-ttl-ms");
   server_config.max_sample_mbps = args.get_double("max-sample-mbps");
+  // A ceiling at or below zero refuses every sample but a zero one.
+  if (server_config.max_sample_mbps <= 0.0)
+    throw std::invalid_argument("--max-sample-mbps: " +
+                                args.get("max-sample-mbps") +
+                                " is not a positive number");
   server_config.metrics = metrics;
   server_config.trace = trace;
-  server_config.shed_utilization = args.get_double("shed-utilization");
-  server_config.shed_pending_replies = args.get_int<std::size_t>("shed-pending");
   server_config.retry_after_ms = args.get_int<int>("retry-after-ms");
   server_config.write_budget_bytes =
       args.get_int<std::size_t>("write-budget-bytes");
@@ -384,13 +382,6 @@ int main(int argc, char** argv) try {
               "drain deadline %d ms (SIGTERM)\n",
               server.config().write_budget_bytes,
               server.config().write_stall_timeout_ms, drain_deadline_ms);
-  if (server.config().shed_utilization > 0.0 ||
-      server.config().shed_pending_replies > 0)
-    std::printf("overload: shed HELLOs at %.2f utilization / %zu queued "
-                "replies (retry-after %d ms)\n",
-                server.config().shed_utilization,
-                server.config().shed_pending_replies,
-                server.config().retry_after_ms);
   if (reload_interval_s > 0)
     std::printf("reload: retrain + hot-swap every %ld s\n", reload_interval_s);
   if (config.guardrail.enabled) std::printf("guardrail: on\n");
