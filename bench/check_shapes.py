@@ -4,9 +4,9 @@
     ./build/bench/bench_fig9 | tail -n 1 | python3 bench/check_shapes.py
 
 Each non-empty line on stdin must be the JSON object a figure bench prints
-last (bench_fig9, bench_fig10_qoe). For every claim the checker prints its
-name, the values compared and PASS or FAIL, and it exits non-zero if any
-claim fails, a line does not parse, or no line arrives.
+last (bench_fig9, bench_fig10_qoe, bench_fig11_sensitivity). For every claim
+the checker prints its name, the values compared and PASS or FAIL, and it
+exits non-zero if any claim fails, a line does not parse, or no line arrives.
 
 The claims are EXPERIMENTS.md's, checked at the scale they are made at: the
 standard 16,000-session world. A line from any other scale is refused, not
@@ -120,7 +120,47 @@ def check_fig10(check, line):
                 (strongest, baselines[strongest]), (weakest, mpc[weakest]))
 
 
-CHECKS = {"fig9": check_fig9, "fig10": check_fig10}
+def check_fig11(check, line):
+    states = line["states"]
+    mid = dict(zip(states["n"], states["midstream"]))
+    check.claim("11: midstream error falls from N=2 to N=4 to N=6",
+                mid[2] > mid[4] > mid[6],
+                f"{fmt(mid[2])} > {fmt(mid[4])} > {fmt(mid[6])}")
+    gained, beyond = mid[2] - mid[6], mid[6] - mid[10]
+    check.claim("11: flat past N=6 (N=6 -> 10 gains under a quarter of N=2 -> 6)",
+                beyond < 0.25 * gained,
+                f"{fmt(beyond)} < 0.25 * {fmt(gained)}")
+
+    sizes = line["min_cluster"]
+    by_size = dict(zip(sizes["size"], sizes["midstream"]))
+    moderate = [by_size[k] for k in (5, 10, 20)]
+    check.below("11: min cluster 5-20 is below the strict thresholds 50 and 100",
+                ("worst of 5-20", max(moderate)), ("min cluster=50", by_size[50]))
+    check.below("11: the strictest threshold is worst",
+                ("min cluster=50", by_size[50]), ("min cluster=100", by_size[100]))
+    check.claim("11: 5-20 is flat next to the rise to 50",
+                max(moderate) - min(moderate) < by_size[50] - max(moderate),
+                f"spread {fmt(max(moderate) - min(moderate))} < rise "
+                f"{fmt(by_size[50] - max(moderate))}")
+
+    volume = line["train_fraction"]
+    for key in ("initial", "midstream"):
+        errs = dict(zip(volume["fraction"], volume[key]))
+        check.claim(f"11: more training data lowers {key} error",
+                    errs[0.25] > errs[0.5] > errs[1.0],
+                    " > ".join(f"x{f} {fmt(errs[f])}" for f in (0.25, 0.5, 1.0)))
+
+    # N=6 is the default configuration: MLE rule, median initial predictor.
+    check.below("11: the MLE-state rule beats the posterior mean midstream",
+                ("MLE", mid[6]),
+                ("posterior mean", line["posterior_mean"]["midstream"]))
+    # Honest divergence 8 (EXPERIMENTS.md).
+    check.below("divergence 11: the mean initial predictor's error is below the "
+                "median's (Eq. 6)", ("mean", line["mean_initial"]["initial"]),
+                ("median", dict(zip(states["n"], states["initial"]))[6]))
+
+
+CHECKS = {"fig9": check_fig9, "fig10": check_fig10, "fig11": check_fig11}
 
 
 def main():

@@ -69,6 +69,25 @@ def fig10_line():
                      for label, median, kbps in arms}}
 
 
+def fig11_line():
+    def sweep(key, values, initial, midstream):
+        return {key: values, "initial": initial, "midstream": midstream,
+                "fallback": [0.0] * len(values)}
+
+    return {
+        "bench": "fig11", "sessions": 16000, "train": 7975, "test": 8025,
+        "states": sweep("n", [2, 4, 6, 8, 10], [0.240] * 5,
+                        [0.224, 0.110, 0.088, 0.082, 0.078]),
+        "min_cluster": sweep("size", [5, 10, 20, 50, 100],
+                             [0.211, 0.216, 0.240, 0.300, 0.311],
+                             [0.080, 0.081, 0.088, 0.106, 0.126]),
+        "train_fraction": sweep("fraction", [0.25, 0.5, 1], [0.329, 0.283, 0.240],
+                                [0.124, 0.099, 0.088]),
+        "posterior_mean": {"initial": 0.240, "midstream": 0.098, "fallback": 0.0},
+        "mean_initial": {"initial": 0.226, "midstream": 0.088, "fallback": 0.0},
+    }
+
+
 def run_checker(*lines):
     text = "".join(line if isinstance(line, str) else json.dumps(line) + "\n"
                    for line in lines)
@@ -84,12 +103,13 @@ def edited(line, edit):
 
 class CheckShapesTest(unittest.TestCase):
     def test_the_16k_claims_hold(self):
-        self.assertEqual(run_checker(fig9_line(), fig10_line()), 0)
+        self.assertEqual(run_checker(fig9_line(), fig10_line(), fig11_line()), 0)
 
     def test_refuses_another_scale(self):
         for sessions in (3000, 40000):
-            line = edited(fig9_line(), lambda l: l.update(sessions=sessions))
-            self.assertEqual(run_checker(line), 1, sessions)
+            for line in (fig9_line(), fig11_line()):
+                line = edited(line, lambda l: l.update(sessions=sessions))
+                self.assertEqual(run_checker(line), 1, sessions)
 
     def test_fails_a_broken_fig9_claim(self):
         def cs2p_above_ls_in_9b(line):
@@ -124,11 +144,50 @@ class CheckShapesTest(unittest.TestCase):
         for edit in (gbr_above_cs2p, bb_above_an_mpc_arm):
             self.assertEqual(run_checker(edited(fig10_line(), edit)), 1, edit.__name__)
 
+    def test_fails_a_broken_fig11_claim(self):
+        def n4_below_n6(line):
+            line["states"]["midstream"][1] = 0.085
+
+        def not_flat_past_n6(line):
+            line["states"]["midstream"][4] = 0.050
+
+        def strict_threshold_wins(line):
+            line["min_cluster"]["midstream"][3] = 0.085
+
+        def threshold_100_below_50(line):
+            line["min_cluster"]["midstream"][4] = 0.100
+
+        def small_thresholds_not_flat(line):
+            line["min_cluster"]["midstream"][0] = 0.060
+
+        def half_the_data_does_better(line):
+            line["train_fraction"]["midstream"][1] = 0.080
+
+        def quarter_data_initial_no_worse(line):
+            line["train_fraction"]["initial"][0] = 0.280
+
+        def posterior_mean_wins(line):
+            line["posterior_mean"]["midstream"] = 0.085
+
+        for edit in (n4_below_n6, not_flat_past_n6, strict_threshold_wins,
+                     threshold_100_below_50, small_thresholds_not_flat,
+                     half_the_data_does_better, quarter_data_initial_no_worse,
+                     posterior_mean_wins):
+            self.assertEqual(run_checker(edited(fig11_line(), edit)), 1, edit.__name__)
+
+    def test_fails_a_removed_fig11_divergence(self):
+        def median_initial_wins(line):
+            line["mean_initial"]["initial"] = 0.250
+
+        self.assertEqual(run_checker(edited(fig11_line(), median_initial_wins)), 1)
+
     def test_fails_without_a_result_line(self):
         self.assertEqual(run_checker(), 1)
         self.assertEqual(run_checker("terminate called after throwing\n"), 1)
         self.assertEqual(run_checker({"bench": "fig99", "sessions": 16000}), 1)
         self.assertEqual(run_checker(edited(fig9_line(), lambda l: l.pop("fig9c"))), 1)
+        self.assertEqual(
+            run_checker(edited(fig11_line(), lambda l: l.pop("states"))), 1)
 
 
 if __name__ == "__main__":

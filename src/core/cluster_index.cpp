@@ -32,26 +32,32 @@ std::string CandidateIndex::bucket_key(const SessionFeatures& features,
   return key;
 }
 
-CandidateIndex::CandidateIndex(const Dataset& training, const CandidateSpec& candidate)
+CandidateIndex::CandidateIndex(const Dataset& training, const CandidateSpec& candidate,
+                               std::size_t min_cluster_size)
     : spec_(candidate) {
-  std::unordered_map<std::string, std::vector<double>> initials;
-  std::unordered_map<std::string, std::vector<double>> averages;
   const auto& sessions = training.sessions();
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     const auto& s = sessions[i];
     if (s.throughput_mbps.empty()) continue;
-    const std::string key = bucket_key(s.features, s.start_hour);
-    clusters_[key].session_indices.push_back(i);
-    initials[key].push_back(s.initial_throughput());
-    averages[key].push_back(s.average_throughput());
+    clusters_[bucket_key(s.features, s.start_hour)].session_indices.push_back(i);
   }
+  std::erase_if(clusters_, [min_cluster_size](const auto& bucket) {
+    return bucket.second.size() < min_cluster_size;  // never selectable
+  });
+  std::vector<double> initials;
+  std::vector<double> averages;
   for (auto& [key, cluster] : clusters_) {
-    cluster.initial_median = median(initials[key]);
-    auto& avg = averages[key];
-    std::sort(avg.begin(), avg.end());
-    cluster.average_median = quantile_sorted(avg, 0.5);
+    initials.clear();
+    averages.clear();
+    for (const std::size_t i : cluster.session_indices) {
+      initials.push_back(sessions[i].initial_throughput());
+      averages.push_back(sessions[i].average_throughput());
+    }
+    cluster.initial_median = median(initials);
+    std::sort(averages.begin(), averages.end());
+    cluster.average_median = quantile_sorted(averages, 0.5);
     const double iqr =
-        quantile_sorted(avg, 0.75) - quantile_sorted(avg, 0.25);
+        quantile_sorted(averages, 0.75) - quantile_sorted(averages, 0.25);
     cluster.average_dispersion =
         cluster.average_median > 0.0 ? iqr / cluster.average_median : 0.0;
   }
@@ -63,13 +69,16 @@ const Cluster* CandidateIndex::find(const SessionFeatures& features,
   return it == clusters_.end() ? nullptr : &it->second;
 }
 
-ClusterIndex::ClusterIndex(const Dataset& training, std::vector<CandidateSpec> candidates)
-    : training_(&training), candidates_(std::move(candidates)) {
+ClusterIndex::ClusterIndex(const Dataset& training, std::vector<CandidateSpec> candidates,
+                           std::size_t min_cluster_size)
+    : training_(&training),
+      min_cluster_size_(min_cluster_size),
+      candidates_(std::move(candidates)) {
   // Candidate indexes are independent: build them in parallel. Slots are
   // pre-sized so each worker writes a distinct element.
   per_candidate_.resize(candidates_.size());
   parallel_for(candidates_.size(), [&](std::size_t c) {
-    per_candidate_[c] = CandidateIndex(training, candidates_[c]);
+    per_candidate_[c] = CandidateIndex(training, candidates_[c], min_cluster_size);
   });
 }
 

@@ -3,10 +3,13 @@
 // A clustering *candidate* M is a (feature subset, time granularity) pair.
 // For every candidate, the index hashes each training session by the
 // concatenation of its selected feature values and its time-of-day block;
-// Agg(M, s) is then the bucket the probe session s falls into. Per-bucket
-// initial-throughput medians are precomputed since the initial predictor is
-// F(S) = Median(S) (Eq. 6) and the feature-selection step (Eq. 3) evaluates
-// that median against thousands of estimation sessions.
+// Agg(M, s) is then the bucket the probe session s falls into. CS2P discards
+// every cluster smaller than the min-cluster-size threshold before it picks
+// M*_s, so the index keeps only the buckets at or above it: a probe whose
+// bucket is smaller finds nothing, exactly as if no training session shared
+// it. Per-bucket initial-throughput medians are precomputed since the initial
+// predictor is F(S) = Median(S) (Eq. 6) and the feature-selection step
+// (Eq. 3) evaluates that median against thousands of estimation sessions.
 #pragma once
 
 #include <cstddef>
@@ -47,19 +50,22 @@ struct Cluster {
   std::size_t size() const noexcept { return session_indices.size(); }
 };
 
-/// Buckets of one candidate.
+/// The buckets of one candidate that hold at least `min_cluster_size`
+/// training sessions.
 class CandidateIndex {
  public:
   CandidateIndex() = default;  ///< empty index (for container pre-sizing)
-  CandidateIndex(const Dataset& training, const CandidateSpec& candidate);
+  CandidateIndex(const Dataset& training, const CandidateSpec& candidate,
+                 std::size_t min_cluster_size);
 
-  /// The cluster a session with these features/time falls into, or nullptr.
+  /// The kept cluster a session with these features/time falls into, or
+  /// nullptr when its bucket is empty or below the threshold.
   const Cluster* find(const SessionFeatures& features, double start_hour) const;
 
   /// The stable bucket key a session with these features/time maps to —
   /// the cluster identity snapshots and the continuous trainer use
   /// (core/model_store.h, core/trainer.h). Defined whether or not the
-  /// bucket currently holds any training session.
+  /// index keeps the bucket.
   std::string bucket_key_for(const SessionFeatures& features,
                              double start_hour) const {
     return bucket_key(features, start_hour);
@@ -68,7 +74,8 @@ class CandidateIndex {
   const CandidateSpec& candidate() const noexcept { return spec_; }
   std::size_t num_clusters() const noexcept { return clusters_.size(); }
 
-  /// Iteration support (benches inspect cluster-size distributions).
+  /// The kept buckets by key (the engine maps snapshot identities onto
+  /// them).
   const std::unordered_map<std::string, Cluster>& clusters() const noexcept {
     return clusters_;
   }
@@ -84,9 +91,13 @@ class CandidateIndex {
 /// dataset (held by reference — the dataset must outlive the index).
 class ClusterIndex {
  public:
-  /// Builds buckets for `candidates` (default: enumerate_candidates()).
-  ClusterIndex(const Dataset& training, std::vector<CandidateSpec> candidates);
+  /// Builds, for each of `candidates` (usually enumerate_candidates()), the
+  /// buckets holding at least `min_cluster_size` training sessions. A
+  /// FeatureSelector accepts only an index built with its own threshold.
+  ClusterIndex(const Dataset& training, std::vector<CandidateSpec> candidates,
+               std::size_t min_cluster_size);
 
+  std::size_t min_cluster_size() const noexcept { return min_cluster_size_; }
   const std::vector<CandidateSpec>& candidates() const noexcept { return candidates_; }
   const CandidateIndex& index_for(std::size_t candidate_id) const {
     return per_candidate_[candidate_id];
@@ -96,6 +107,7 @@ class ClusterIndex {
 
  private:
   const Dataset* training_;
+  std::size_t min_cluster_size_;
   std::vector<CandidateSpec> candidates_;
   std::vector<CandidateIndex> per_candidate_;
 };

@@ -83,7 +83,7 @@ BaumWelchResult Cs2pEngine::run_trainer(
 Cs2pEngine::Cs2pEngine(Dataset training, Cs2pConfig config)
     : training_(validate_training_set(std::move(training))),
       config_(std::move(config)),
-      index_(training_, enumerate_candidates()),
+      index_(training_, enumerate_candidates(), config_.selector.min_cluster_size),
       selector_(index_, config_.selector),
       metrics_(config_.metrics ? config_.metrics
                                : std::make_shared<obs::MetricsRegistry>()),
@@ -116,7 +116,7 @@ Cs2pEngine::Cs2pEngine(Dataset training, Cs2pConfig config,
                        EngineRestoreData restored)
     : training_(validate_training_set(std::move(training))),
       config_(std::move(config)),
-      index_(training_, enumerate_candidates()),
+      index_(training_, enumerate_candidates(), config_.selector.min_cluster_size),
       selector_(index_, config_.selector, std::move(restored.selector_table)),
       metrics_(config_.metrics ? config_.metrics
                                : std::make_shared<obs::MetricsRegistry>()),

@@ -1,7 +1,8 @@
 // The CS2P Prediction Engine (paper §4-§5): the trained artifact that video
 // servers or clients query for per-session throughput models.
 //
-// Offline (construction): builds the cluster index over the training set,
+// Offline (construction): builds the cluster index over the training set
+// (only the buckets at or above the selector's min-cluster-size threshold),
 // precomputes the feature-selection error table, and trains the global
 // fallback HMM. Per-cluster HMMs are trained lazily on first use and cached,
 // mirroring the paper's per-day offline training that "can be easily
@@ -182,8 +183,9 @@ class Cs2pEngine {
   /// sample (ingest validation — bad data must not reach Baum-Welch).
   Cs2pEngine(Dataset training, Cs2pConfig config = {});
 
-  /// Restore path: rebuilds the cheap structural state (cluster index,
-  /// neighbourhood maps) from `training` and adopts the expensive trained
+  /// Restore path: rebuilds the cheap structural state (the cluster index,
+  /// pruned at config.selector.min_cluster_size like a fresh engine's, and
+  /// the neighbourhood maps) from `training` and adopts the expensive trained
   /// state from `restored` — no Baum-Welch runs, no error-table precompute.
   /// Throws std::invalid_argument when the restored state does not fit the
   /// dataset (unknown cluster key, wrong table shape, invalid model); the
@@ -251,8 +253,8 @@ class Cs2pEngine {
   const ModelLineage& lineage() const noexcept { return lineage_; }
 
   /// The cluster a (candidate id, bucket key) identity resolves to in this
-  /// engine's index, or nullptr when the bucket does not exist (e.g. the
-  /// training set has no session with those features). Stable for the
+  /// engine's index, or nullptr when the index keeps no such bucket (fewer
+  /// than min_cluster_size training sessions share it). Stable for the
   /// engine's lifetime — this is how the trainer maps cluster identities
   /// back onto drift/quarantine state after a hot-swap.
   const Cluster* find_cluster(std::size_t candidate_id,

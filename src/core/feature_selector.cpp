@@ -12,6 +12,18 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// `index`, once it is known to hold exactly the buckets `config` lets
+/// CS2P select.
+const ClusterIndex* matching_index(const ClusterIndex& index,
+                                   const FeatureSelectorConfig& config) {
+  if (index.min_cluster_size() != config.min_cluster_size)
+    throw std::invalid_argument(
+        "FeatureSelector: index built with min cluster size " +
+        std::to_string(index.min_cluster_size()) + ", selector configured with " +
+        std::to_string(config.min_cluster_size));
+  return &index;
+}
+
 std::string isp_city_key(const SessionFeatures& features) {
   std::string key(features.isp);
   key += '\x1f';
@@ -34,7 +46,9 @@ void FeatureSelector::build_neighbourhoods() {
 FeatureSelector::FeatureSelector(const ClusterIndex& index,
                                  FeatureSelectorConfig config,
                                  std::vector<std::vector<double>> precomputed_table)
-    : index_(&index), config_(config), error_table_(std::move(precomputed_table)) {
+    : index_(matching_index(index, config)),
+      config_(config),
+      error_table_(std::move(precomputed_table)) {
   build_neighbourhoods();
   const std::size_t num_sessions = index.training().size();
   if (error_table_.size() != index.num_candidates())
@@ -52,12 +66,13 @@ FeatureSelector::FeatureSelector(const ClusterIndex& index,
 }
 
 FeatureSelector::FeatureSelector(const ClusterIndex& index, FeatureSelectorConfig config)
-    : index_(&index), config_(config) {
+    : index_(matching_index(index, config)), config_(config) {
   const auto& sessions = index.training().sessions();
   build_neighbourhoods();
 
-  // err(M, s') table. The cluster median includes s' itself; with clusters
-  // at least min_cluster_size strong the self-inclusion bias is negligible.
+  // err(M, s') table, +inf where the index keeps no bucket for s'. The
+  // cluster median includes s' itself; with clusters at least
+  // min_cluster_size strong the self-inclusion bias is negligible.
   error_table_.assign(index.num_candidates(),
                       std::vector<double>(sessions.size(), kInf));
   // Rows are independent per candidate: fill them in parallel.
@@ -67,7 +82,7 @@ FeatureSelector::FeatureSelector(const ClusterIndex& index, FeatureSelectorConfi
       const auto& s = sessions[i];
       if (s.throughput_mbps.empty()) continue;
       const Cluster* cluster = cand.find(s.features, s.start_hour);
-      if (cluster == nullptr || cluster->size() < config_.min_cluster_size) continue;
+      if (cluster == nullptr) continue;
       // Score the candidate on how well its cluster predicts BOTH the
       // session's initial throughput (Eq. 6 drives initial selection) and
       // its whole-session average (a cluster whose sessions share one
@@ -138,9 +153,7 @@ SelectionResult FeatureSelector::select(const SessionFeatures& features,
     if (std::isinf(mean_err)) break;  // ranking is sorted; the rest are unusable
     const Cluster* cluster =
         index_->index_for(candidate_id).find(features, start_hour);
-    if (cluster != nullptr && cluster->size() >= config_.min_cluster_size) {
-      return {candidate_id, mean_err, cluster};
-    }
+    if (cluster != nullptr) return {candidate_id, mean_err, cluster};
   }
   return {};  // regress to the global model
 }

@@ -3,7 +3,9 @@
 // Offline, every training session s' gets an error score per candidate M:
 //   err(M, s') = Err( Median(Agg(M, s')), s'_w )          (Eq. 1, initial w)
 // with err = +inf when Agg(M, s') is smaller than the min-cluster-size
-// threshold (such clusters are "removed from consideration").
+// threshold (such clusters are "removed from consideration"): the selector
+// runs on a ClusterIndex built with that threshold, which keeps no smaller
+// bucket.
 //
 // For a new session s, Est(s) — training sessions likely to share s's best
 // model — is approximated by sessions matching s on ISP+City (relaxing to
@@ -42,6 +44,8 @@ struct SelectionResult {
 class FeatureSelector {
  public:
   /// Precomputes the err(M, s') table over the index's training set.
+  /// Throws std::invalid_argument unless the index was built with
+  /// config.min_cluster_size (both constructors).
   FeatureSelector(const ClusterIndex& index, FeatureSelectorConfig config = {});
 
   /// Restores a selector from a previously computed error table (snapshot

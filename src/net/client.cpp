@@ -74,8 +74,12 @@ Response PredictionClient::locked_round_trip(const Request& request) {
       if (err->code == WireErrorCode::kOverloaded) {
         // The replica is at its connection cap: record it (ReplicaSet
         // treats this as a failover signal, not a retry-this-socket signal).
+        // The cap closes the connection right after this reply, so the next
+        // call connects afresh instead of spending a retry on a dead socket.
         overloaded_.fetch_add(1, std::memory_order_relaxed);
         if (overloaded_counter_ != nullptr) overloaded_counter_->inc();
+        transport_.reset();
+        reconnects_.fetch_add(1, std::memory_order_relaxed);
       }
       if (last_attempt || !retryable(err->code))
         throw ServerError(err->code, err->message, err->retry_after_ms);

@@ -147,7 +147,8 @@ class PredictionClient {
 
   /// OVERLOADED replies seen (also counted in the registry when one is
   /// configured). A failover signal, not a retry-this-socket signal: the
-  /// replica is at its connection cap, so ReplicaSet moves the session
+  /// replica is at its connection cap and has closed the connection, so the
+  /// client drops it (a reconnect) and ReplicaSet moves the session
   /// elsewhere.
   std::uint64_t overloaded_replies() const noexcept {
     return overloaded_.load();

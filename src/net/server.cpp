@@ -4,10 +4,13 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <cmath>
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 
 namespace cs2p {
 namespace {
@@ -152,8 +155,10 @@ PredictionServer::PredictionServer(std::shared_ptr<const PredictorModel> model,
   listener_ = std::move(listener);
   port_ = bound_port;
   // Non-blocking + poll: closing a listening fd does not wake a blocked
-  // accept(2), so the accept loop must poll and re-check the stop flag.
+  // accept(2), so the accept loop polls the listener together with a wake
+  // pipe that stop() signals.
   set_nonblocking(listener_);
+  std::tie(accept_wake_read_, accept_wake_write_) = make_wake_pipe();
   workers_.reserve(config_.io_threads);
   for (std::size_t i = 0; i < config_.io_threads; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -177,6 +182,7 @@ void PredictionServer::stop() {
   // other is undefined behaviour, so the whole shutdown runs under a lock
   // and every step is idempotent.
   std::scoped_lock stop_lock(stop_mutex_);
+  wake_pipe_signal(accept_wake_write_);
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.reset();
   // Workers notice stopping_ on their next wakeup and close every
@@ -245,12 +251,12 @@ void FrameServer::complete_session(std::uint64_t id,
     m_.session_seconds->observe(
         std::chrono::duration<double>(now - entry.created_at).count());
   }
-  if (!config_.on_session_complete) return;
+  if (entry.history == nullptr) return;  // HELLO made one only for the hook
   CompletedSession completed;
   completed.session_id = id;
-  completed.features = std::move(entry.features);
-  completed.start_hour = entry.start_hour;
-  completed.observations = std::move(entry.observations);
+  completed.features = std::move(entry.history->features);
+  completed.start_hour = entry.history->start_hour;
+  completed.observations = std::move(entry.history->observations);
   completed.reason = reason;
   try {
     config_.on_session_complete(std::move(completed));
@@ -304,12 +310,15 @@ void PredictionServer::reject_connection(const FdHandle& connection,
 }
 
 void PredictionServer::accept_loop() {
+  // No timeout: a pending connection or stop()'s wake byte ends the wait.
+  std::array<pollfd, 2> fds{pollfd{listener_.get(), POLLIN, 0},
+                            pollfd{accept_wake_read_.get(), POLLIN, 0}};
   while (!stopping_.load()) {
-    try {
-      if (!wait_readable(listener_, /*timeout_ms=*/100)) continue;
-    } catch (const std::exception&) {
-      break;  // listener torn down
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      break;
     }
+    if (fds[0].revents == 0) continue;  // the wake byte: re-check the flag
     FdHandle connection = try_accept(listener_);
     if (!connection.valid()) continue;  // spurious wakeup or shutdown
     if (draining()) {
@@ -755,9 +764,9 @@ Response FrameServer::serve_prediction(const Request& request,
     entry->last_used = now;  // the TTL touch
     SessionPredictor& predictor = *entry->predictor;
     if (observe != nullptr) {
-      if (config_.on_session_complete &&
-          entry->observations.size() < kSessionHistoryCap)
-        entry->observations.push_back(w);
+      if (entry->history != nullptr &&
+          entry->history->observations.size() < kSessionHistoryCap)
+        entry->history->observations.push_back(w);
       predictor.observe(w);
     }
     const double mbps = predictor.predict(steps);
@@ -898,6 +907,12 @@ Response FrameServer::handle(const Request& request, SyncStaging& staging,
     response.used_global_model =
         (predictor->serve_flags() & serve_flags::kGlobalModel) != 0;
     response.model_name = model->name();
+    // The identity + history the completion hook will need, built before
+    // the slot's lock hold; with no hook the entry holds none of it.
+    std::unique_ptr<SessionTable::History> history;
+    if (config_.on_session_complete)
+      history = std::make_unique<SessionTable::History>(SessionTable::History{
+          std::move(context.features), context.start_hour, {}});
 
     response.session_id = sessions_.emplace([&](std::uint64_t id) {
       info.session_id = id;
@@ -908,12 +923,7 @@ Response FrameServer::handle(const Request& request, SyncStaging& staging,
       entry.last_used = now;
       entry.traced = info.traced;
       entry.created_at = now;
-      if (config_.on_session_complete) {
-        // Keep the identity + history the completion hook will need; when
-        // no hook is installed the entry stays as lean as before.
-        entry.features = context.features;
-        entry.start_hour = context.start_hour;
-      }
+      entry.history = std::move(history);
       return entry;
     });
     info.mbps = response.initial_mbps;

@@ -71,10 +71,11 @@ struct ServerConfig {
   std::size_t max_sync_bytes = 256 * 1024 * 1024;
   /// Unified session-teardown hook (DESIGN.md §15): called exactly once per
   /// session, outside every shard lock, whether the session ended by BYE or
-  /// by TTL/drain eviction. When set, the server records each session's
-  /// features and validated OBSERVE samples so the hook receives the full
-  /// training signal; when null, no history is kept (zero steady-state
-  /// cost). Exceptions are swallowed and counted — a broken trainer must
+  /// by TTL/drain eviction. When set, each HELLO allocates a history that
+  /// records the session's features and validated OBSERVE samples, so the
+  /// hook receives the full training signal; when null, no history is kept
+  /// (zero steady-state cost, and the session slot holds only a null
+  /// pointer). Exceptions are swallowed and counted — a broken trainer must
   /// not take the serve path down.
   std::function<void(CompletedSession&&)> on_session_complete;
 
@@ -535,6 +536,9 @@ class PredictionServer : public FrameServer {
 
   FdHandle listener_;
   std::uint16_t port_ = 0;
+  /// Wakes the accept loop's poll (stop() signals it).
+  FdHandle accept_wake_read_;
+  FdHandle accept_wake_write_;
 
   std::atomic<std::size_t> next_worker_{0};  ///< round-robin dispatch
   std::mutex stop_mutex_;  ///< serializes concurrent stop() callers

@@ -79,25 +79,32 @@ class SessionTable {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// One live session. The table never dereferences `predictor` itself —
-  /// callers use it under with_sessions() — so tests may store nullptr.
+  /// Session identity + observation history for the completion hook
+  /// (DESIGN.md §15), so BOTH teardown paths (BYE and TTL/drain eviction)
+  /// can hand the full training signal to the continuous trainer instead of
+  /// silently dropping it.
+  struct History {
+    SessionFeatures features;
+    double start_hour = 0.0;
+    std::vector<double> observations;
+  };
+
+  /// One live session: 56 bytes per slot on x86-64. The table never
+  /// dereferences `predictor` itself — callers use it under
+  /// with_sessions() — so tests may store nullptr.
   struct Entry {
     std::unique_ptr<SessionPredictor> predictor;
     /// Pins the model that created the predictor (HmmSessionPredictor holds
     /// references into its engine); released on erase/eviction.
     std::shared_ptr<const PredictorModel> owner;
     Clock::time_point last_used{};
+    Clock::time_point created_at{};
+    /// Allocated at HELLO and extended at OBSERVE only when a
+    /// ServerConfig::on_session_complete consumer exists; null otherwise,
+    /// so a server without the hook holds none of it.
+    std::unique_ptr<History> history;
     /// Trace-sampling decision made once at creation (obs/trace.h).
     bool traced = false;
-    /// Session identity + observation history for the completion hook
-    /// (DESIGN.md §15): the server fills these at HELLO/OBSERVE when a
-    /// ServerConfig::on_session_complete consumer exists, so BOTH teardown
-    /// paths (BYE and TTL/drain eviction) can hand the full training signal
-    /// to the continuous trainer instead of silently dropping it.
-    Clock::time_point created_at{};
-    SessionFeatures features;
-    double start_hour = 0.0;
-    std::vector<double> observations;
   };
 
   struct EvictStats {

@@ -44,9 +44,7 @@ std::pair<FdHandle, std::uint16_t> listen_loopback(std::uint16_t port, int backl
 FdHandle accept_connection(const FdHandle& listener);
 
 /// Waits until `fd` is readable or `timeout_ms` elapses. Returns true when
-/// readable. Closing a listening socket does not wake a thread blocked in
-/// accept(2) on Linux, so accept loops must poll with this and re-check
-/// their stop flag between waits.
+/// readable.
 bool wait_readable(const FdHandle& fd, int timeout_ms);
 
 /// Puts the descriptor into non-blocking mode.

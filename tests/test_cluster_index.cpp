@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
+
+#include "bench/common.h"
+#include "dataset/synthetic.h"
 
 namespace cs2p {
 namespace {
@@ -73,14 +77,15 @@ TEST(CandidateIndex, GroupsByMaskedFeatures) {
   train.add(make_session("A", "Y", 2.0, {2.0}));
   train.add(make_session("B", "X", 3.0, {3.0}));
 
-  const CandidateIndex by_isp(train, {isp_mask(), TimeGranularity::kAll});
+  const CandidateIndex by_isp(train, {isp_mask(), TimeGranularity::kAll}, 1);
   EXPECT_EQ(by_isp.num_clusters(), 2u);
   const Cluster* a = by_isp.find(train.sessions()[0].features, 12.0);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->size(), 2u);
   EXPECT_DOUBLE_EQ(a->initial_median, 1.5);
 
-  const CandidateIndex by_isp_city(train, {isp_city_mask(), TimeGranularity::kAll});
+  const CandidateIndex by_isp_city(train, {isp_city_mask(), TimeGranularity::kAll},
+                                   1);
   EXPECT_EQ(by_isp_city.num_clusters(), 3u);
 }
 
@@ -88,7 +93,7 @@ TEST(CandidateIndex, TimeWindowSplitsClusters) {
   Dataset train;
   train.add(make_session("A", "X", 1.0, {1.0}));    // daypart 0
   train.add(make_session("A", "X", 13.0, {3.0}));   // daypart 2
-  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kDaypart});
+  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kDaypart}, 1);
   EXPECT_EQ(index.num_clusters(), 2u);
   const Cluster* morning = index.find(train.sessions()[0].features, 2.0);
   ASSERT_NE(morning, nullptr);
@@ -99,7 +104,7 @@ TEST(CandidateIndex, TimeWindowSplitsClusters) {
 TEST(CandidateIndex, SkipsEmptySessions) {
   Dataset train;
   train.add(make_session("A", "X", 1.0, {}));
-  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kAll});
+  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kAll}, 1);
   EXPECT_EQ(index.num_clusters(), 0u);
 }
 
@@ -108,7 +113,7 @@ TEST(CandidateIndex, MediansComputedPerCluster) {
   train.add(make_session("A", "X", 1.0, {1.0, 3.0}));  // avg 2
   train.add(make_session("A", "X", 2.0, {3.0, 5.0}));  // avg 4
   train.add(make_session("A", "X", 3.0, {5.0, 7.0}));  // avg 6
-  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kAll});
+  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kAll}, 1);
   const Cluster* c = index.find(train.sessions()[0].features, 0.0);
   ASSERT_NE(c, nullptr);
   EXPECT_DOUBLE_EQ(c->initial_median, 3.0);
@@ -119,7 +124,7 @@ TEST(CandidateIndex, MediansComputedPerCluster) {
 TEST(ClusterIndex, BuildsAllCandidates) {
   Dataset train;
   train.add(make_session("A", "X", 1.0, {1.0}));
-  const ClusterIndex index(train, enumerate_candidates());
+  const ClusterIndex index(train, enumerate_candidates(), 1);
   EXPECT_EQ(index.num_candidates(), 189u);
   EXPECT_EQ(index.index_for(0).num_clusters(), 1u);
 }
@@ -127,9 +132,71 @@ TEST(ClusterIndex, BuildsAllCandidates) {
 TEST(ClusterIndex, FindMissReturnsNull) {
   Dataset train;
   train.add(make_session("A", "X", 1.0, {1.0}));
-  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kAll});
+  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kAll}, 1);
   SessionFeatures other = {"Z", "AS0", "P0", "X", "S0", "Pfx0"};
   EXPECT_EQ(index.find(other, 1.0), nullptr);
+}
+
+// A bucket below the threshold is dropped whole: its sessions find nothing,
+// and the kept buckets are untouched.
+TEST(CandidateIndex, DropsBucketsBelowTheThreshold) {
+  Dataset train;
+  train.add(make_session("A", "X", 1.0, {1.0}));
+  train.add(make_session("A", "Y", 2.0, {2.0}));
+  train.add(make_session("A", "Z", 3.0, {3.0}));
+  train.add(make_session("B", "X", 4.0, {4.0}));
+  const CandidateIndex index(train, {isp_mask(), TimeGranularity::kAll}, 2);
+  EXPECT_EQ(index.num_clusters(), 1u);
+  const Cluster* a = index.find(train.sessions()[0].features, 0.0);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->session_indices, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(a->initial_median, 2.0);
+  EXPECT_EQ(index.find(train.sessions()[3].features, 0.0), nullptr);
+  // The key of a dropped bucket is still defined (snapshots and the trainer
+  // name clusters by it).
+  EXPECT_FALSE(index.bucket_key_for(train.sessions()[3].features, 0.0).empty());
+}
+
+// On a real world, every candidate keeps exactly the threshold-1 index's
+// buckets at or above the threshold, with the same members and medians.
+TEST(ClusterIndex, KeepsExactlyTheBucketsAtOrAboveTheThreshold) {
+  SyntheticConfig config = bench::standard_config();
+  config.num_sessions = 1000;
+  const Dataset train = generate_synthetic_dataset(config).split_by_day(1).first;
+  constexpr std::size_t kThreshold = 20;
+  const ClusterIndex full(train, enumerate_candidates(), 1);
+  const ClusterIndex pruned(train, enumerate_candidates(), kThreshold);
+  EXPECT_EQ(pruned.min_cluster_size(), kThreshold);
+  ASSERT_EQ(pruned.num_candidates(), full.num_candidates());
+
+  std::size_t kept = 0;
+  std::size_t dropped = 0;
+  for (std::size_t c = 0; c < full.num_candidates(); ++c) {
+    const auto& all = full.index_for(c).clusters();
+    const auto& some = pruned.index_for(c).clusters();
+    for (const auto& [key, cluster] : some)
+      EXPECT_GE(cluster.size(), kThreshold) << c << " " << key;
+    std::size_t kept_here = 0;
+    for (const auto& [key, cluster] : all) {
+      const auto it = some.find(key);
+      if (cluster.size() < kThreshold) {
+        EXPECT_EQ(it, some.end()) << c << " " << key;
+        ++dropped;
+        continue;
+      }
+      ASSERT_NE(it, some.end()) << c << " " << key;
+      ++kept_here;
+      EXPECT_EQ(it->second.session_indices, cluster.session_indices);
+      EXPECT_EQ(it->second.initial_median, cluster.initial_median);
+      EXPECT_EQ(it->second.average_median, cluster.average_median);
+      EXPECT_EQ(it->second.average_dispersion, cluster.average_dispersion);
+    }
+    EXPECT_EQ(some.size(), kept_here) << c;  // and no bucket of its own
+    kept += kept_here;
+  }
+  // Both kinds occur, or the comparison above shows nothing.
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(dropped, kept);
 }
 
 }  // namespace

@@ -191,6 +191,34 @@ TEST(Engine, WarmUpPreTrainsClusters) {
   (void)rest;
 }
 
+// The index holds only what CS2P can select: no bucket below the selector's
+// min-cluster-size threshold, in a fresh engine and in one restored from it.
+TEST(Engine, IndexHoldsNoBucketBelowTheThreshold) {
+  Dataset dataset = generate_synthetic_dataset(engine_world());
+  auto [train, test] = dataset.split_by_day(1);
+  const Cs2pConfig config = fast_config();
+  const Cs2pEngine fresh(train, config);
+  fresh.warm_up();
+  EngineRestoreData data;
+  data.global_initial = fresh.global_initial();
+  data.global_hmm = fresh.global_hmm();
+  data.selector_table = fresh.selector().error_table();
+  data.cluster_models = fresh.export_cluster_models();
+  const Cs2pEngine restored(std::move(train), config, std::move(data));
+  for (const Cs2pEngine* engine : {&fresh, &restored}) {
+    const ClusterIndex& index = engine->cluster_index();
+    EXPECT_EQ(index.min_cluster_size(), config.selector.min_cluster_size);
+    std::size_t kept = 0;
+    for (std::size_t c = 0; c < index.num_candidates(); ++c) {
+      for (const auto& [key, cluster] : index.index_for(c).clusters()) {
+        EXPECT_GE(cluster.size(), config.selector.min_cluster_size) << c << " " << key;
+        ++kept;
+      }
+    }
+    EXPECT_GT(kept, 0u);
+  }
+}
+
 TEST(Engine, MeanInitialAblation) {
   Dataset dataset = generate_synthetic_dataset(engine_world());
   auto [train, test] = dataset.split_by_day(1);

@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/common.h"
+#include "dataset/synthetic.h"
 #include "util/rng.h"
 
 namespace cs2p {
@@ -40,9 +45,9 @@ Dataset city_determined_dataset(std::size_t per_city, double noise_seed = 3.0) {
 
 TEST(FeatureSelector, PrefersTheDiscriminativeFeature) {
   const Dataset train = city_determined_dataset(60);
-  const ClusterIndex index(train, enumerate_candidates());
   FeatureSelectorConfig config;
   config.min_cluster_size = 10;
+  const ClusterIndex index(train, enumerate_candidates(), config.min_cluster_size);
   const FeatureSelector selector(index, config);
 
   const SelectionResult result =
@@ -59,9 +64,9 @@ TEST(FeatureSelector, PrefersTheDiscriminativeFeature) {
 
 TEST(FeatureSelector, ErrorTableMarksSmallClustersUnusable) {
   const Dataset train = city_determined_dataset(5);  // below threshold
-  const ClusterIndex index(train, enumerate_candidates());
   FeatureSelectorConfig config;
   config.min_cluster_size = 50;
+  const ClusterIndex index(train, enumerate_candidates(), config.min_cluster_size);
   const FeatureSelector selector(index, config);
   for (std::size_t c = 0; c < index.num_candidates(); ++c)
     EXPECT_TRUE(std::isinf(selector.error_entry(c, 0)));
@@ -69,9 +74,9 @@ TEST(FeatureSelector, ErrorTableMarksSmallClustersUnusable) {
 
 TEST(FeatureSelector, FallsBackWhenNothingUsable) {
   const Dataset train = city_determined_dataset(5);
-  const ClusterIndex index(train, enumerate_candidates());
   FeatureSelectorConfig config;
   config.min_cluster_size = 50;
+  const ClusterIndex index(train, enumerate_candidates(), config.min_cluster_size);
   const FeatureSelector selector(index, config);
   const SelectionResult result =
       selector.select(train.sessions()[0].features, 12.0);
@@ -80,7 +85,8 @@ TEST(FeatureSelector, FallsBackWhenNothingUsable) {
 
 TEST(FeatureSelector, UnseenFeatureValuesFallBack) {
   const Dataset train = city_determined_dataset(60);
-  const ClusterIndex index(train, enumerate_candidates());
+  const ClusterIndex index(train, enumerate_candidates(),
+                           FeatureSelectorConfig{}.min_cluster_size);
   const FeatureSelector selector(index, {});
   SessionFeatures alien = {"ISP-never", "AS-never", "P-never", "C-never",
                            "S-never", "Pfx-never"};
@@ -90,9 +96,9 @@ TEST(FeatureSelector, UnseenFeatureValuesFallBack) {
 
 TEST(FeatureSelector, ErrorEntriesReflectClusterQuality) {
   const Dataset train = city_determined_dataset(60);
-  const ClusterIndex index(train, enumerate_candidates());
   FeatureSelectorConfig config;
   config.min_cluster_size = 10;
+  const ClusterIndex index(train, enumerate_candidates(), config.min_cluster_size);
   const FeatureSelector selector(index, config);
 
   // Locate the ISP-only any-time candidate and the City-only any-time one.
@@ -126,9 +132,9 @@ TEST(FeatureSelector, SelectReturnsTheMatchedCluster) {
     s.throughput_mbps = {3.0, 3.5, 2.5};
     train.add(s);
   }
-  const ClusterIndex index(train, enumerate_candidates());
   FeatureSelectorConfig config;
   config.min_cluster_size = 10;
+  const ClusterIndex index(train, enumerate_candidates(), config.min_cluster_size);
   const FeatureSelector selector(index, config);
   std::size_t matched = 0;
   for (const Session& s : train.sessions()) {
@@ -164,10 +170,10 @@ TEST(FeatureSelector, ThinCityRanksAgainstItsIspPool) {
   for (int i = 0; i < 3; ++i) add("ISP-main", "thin-city", 2.0);
   for (int i = 0; i < 30; ++i) add("ISP-main", "city-c", 6.0);
 
-  const ClusterIndex index(train, enumerate_candidates());
   FeatureSelectorConfig config;
   config.min_cluster_size = 5;
   config.estimation_set_size = 40;
+  const ClusterIndex index(train, enumerate_candidates(), config.min_cluster_size);
   const FeatureSelector selector(index, config);
 
   const Session& probe = train.sessions()[80];  // the first thin-city session
@@ -206,14 +212,133 @@ TEST(FeatureSelector, ThinCityRanksAgainstItsIspPool) {
 
 TEST(FeatureSelector, SelectionIsDeterministic) {
   const Dataset train = city_determined_dataset(40);
-  const ClusterIndex index(train, enumerate_candidates());
   FeatureSelectorConfig config;
   config.min_cluster_size = 10;
+  const ClusterIndex index(train, enumerate_candidates(), config.min_cluster_size);
   const FeatureSelector selector(index, config);
   const auto a = selector.select(train.sessions()[3].features, 9.0);
   const auto b = selector.select(train.sessions()[3].features, 9.0);
   EXPECT_EQ(a.cluster, b.cluster);
   EXPECT_EQ(a.candidate_id, b.candidate_id);
+}
+
+// The selector runs only on an index that holds exactly the buckets its own
+// threshold lets it select.
+TEST(FeatureSelector, RefusesAnIndexOfAnotherThreshold) {
+  const Dataset train = city_determined_dataset(30);
+  const ClusterIndex index(train, enumerate_candidates(), 10);
+  FeatureSelectorConfig config;
+  config.min_cluster_size = 20;
+  EXPECT_THROW(FeatureSelector(index, config), std::invalid_argument);
+  config.min_cluster_size = 10;
+  const FeatureSelector matching(index, config);
+  config.min_cluster_size = 5;
+  EXPECT_THROW(FeatureSelector(index, config, matching.error_table()),
+               std::invalid_argument);
+}
+
+// select() on the pruned index answers what CS2P's rule answers over every
+// bucket: rank candidates by mean err over Est(s), then take the first whose
+// bucket for s holds at least min_cluster_size sessions. The reference
+// below applies that rule to threshold-1 indexes, over the benches' standard
+// world at 1,000 sessions, its test day and tuples no training session has.
+TEST(FeatureSelector, SelectMatchesTheRuleOverEveryBucket) {
+  SyntheticConfig world = bench::standard_config();
+  world.num_sessions = 1000;
+  const auto split = generate_synthetic_dataset(world).split_by_day(1);
+  const Dataset& train = split.first;
+  const Dataset& test = split.second;
+  std::vector<Session> probes = test.sessions();
+  for (std::size_t k = 0; k < 16; ++k) {
+    Session unseen = test.sessions()[k * 7 % test.size()];
+    const std::string tag = "unseen" + std::to_string(k);
+    unseen.features = {tag, tag, tag, tag, tag, tag};
+    probes.push_back(unseen);
+  }
+  for (std::size_t k = 0; k < 16; ++k) {  // a known ISP in a new city
+    Session moved = test.sessions()[k * 11 % test.size()];
+    moved.features.city = "nowhere" + std::to_string(k);
+    probes.push_back(moved);
+  }
+
+  const FeatureSelectorConfig config;
+  const ClusterIndex index(train, enumerate_candidates(), config.min_cluster_size);
+  const FeatureSelector selector(index, config);
+  const ClusterIndex full(train, enumerate_candidates(), 1);
+
+  // err(M, s') is +inf exactly where s''s own bucket is below the threshold.
+  for (std::size_t c = 0; c < full.num_candidates(); ++c) {
+    for (std::size_t i = 0; i < train.size(); ++i) {
+      const Session& s = train.sessions()[i];
+      const Cluster* bucket = full.index_for(c).find(s.features, s.start_hour);
+      const bool usable =
+          bucket != nullptr && bucket->size() >= config.min_cluster_size;
+      ASSERT_EQ(std::isfinite(selector.error_entry(c, i)), usable) << c << " " << i;
+    }
+  }
+
+  const auto est_of = [&](const SessionFeatures& features) {
+    std::vector<std::size_t> isp_city, isp, first;
+    for (std::size_t i = 0; i < train.size(); ++i) {
+      const Session& s = train.sessions()[i];
+      if (i < config.estimation_set_size) first.push_back(i);
+      if (s.throughput_mbps.empty() || s.features.isp != features.isp) continue;
+      isp.push_back(i);
+      if (s.features.city == features.city) isp_city.push_back(i);
+    }
+    std::vector<std::size_t>& pool =
+        isp_city.size() >= 5 ? isp_city : (!isp.empty() ? isp : first);
+    if (pool.size() > config.estimation_set_size)
+      pool.resize(config.estimation_set_size);
+    return pool;
+  };
+
+  std::size_t clustered = 0;
+  std::size_t global = 0;
+  for (const Session& probe : probes) {
+    const std::vector<std::size_t> est = est_of(probe.features);
+    std::vector<std::pair<double, std::size_t>> ranking;
+    for (std::size_t c = 0; c < full.num_candidates(); ++c) {
+      double sum = 0.0;
+      std::size_t usable = 0;
+      for (const std::size_t i : est) {
+        if (std::isinf(selector.error_entry(c, i))) continue;
+        sum += selector.error_entry(c, i);
+        ++usable;
+      }
+      if (usable * 4 < est.size() || usable < 3) continue;
+      ranking.emplace_back(sum / static_cast<double>(usable), c);
+    }
+    std::stable_sort(ranking.begin(), ranking.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    const Cluster* want = nullptr;
+    std::size_t want_candidate = 0;
+    double want_error = std::numeric_limits<double>::infinity();
+    for (const auto& [mean_err, c] : ranking) {
+      const Cluster* bucket = full.index_for(c).find(probe.features, probe.start_hour);
+      if (bucket == nullptr || bucket->size() < config.min_cluster_size) continue;
+      want = bucket;
+      want_candidate = c;
+      want_error = mean_err;
+      break;
+    }
+
+    const SelectionResult got = selector.select(probe.features, probe.start_hour);
+    if (want == nullptr) {
+      EXPECT_EQ(got.cluster, nullptr);
+      ++global;
+      continue;
+    }
+    ASSERT_NE(got.cluster, nullptr);
+    EXPECT_EQ(got.candidate_id, want_candidate);
+    EXPECT_EQ(got.estimated_error, want_error);
+    EXPECT_EQ(got.cluster->session_indices, want->session_indices);
+    ++clustered;
+  }
+  // Both outcomes occur, or the comparison above shows nothing.
+  EXPECT_GT(clustered, 0u);
+  EXPECT_GE(global, 16u);  // the unseen tuples at least
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -190,6 +191,31 @@ TEST(PredictionService, ServerStopsCleanly) {
   SUCCEED();
 }
 
+// stop() wakes the accept loop, which waits with no timeout: a stop() that
+// failed to wake it would never return. The test waits for stop() on another
+// thread and fails at a deadline instead of hanging the suite.
+TEST(PredictionService, StopWakesTheIdleAcceptLoop) {
+  PredictionServer server(std::make_shared<EchoPlusOneModel>());
+  {
+    PredictionClient client(server.port());
+    (void)client.hello(features(), 1.0);  // the loop has accepted and waits again
+  }
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    server.stop();
+    stopped.set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    // The stuck stop() holds the server's stop lock, so neither joining it
+    // nor the server's destructor would return: end the process, failed.
+    std::fputs("StopWakesTheIdleAcceptLoop: stop() did not return within 5 s\n",
+               stderr);
+    std::_Exit(1);
+  }
+  stopper.join();
+}
+
 TEST(PredictionService, NullModelThrows) {
   EXPECT_THROW(PredictionServer(nullptr), std::invalid_argument);
 }
@@ -248,6 +274,37 @@ TEST(PredictionService, ConnectionCapRejectsCleanly) {
   // Existing connections are unaffected by the rejection.
   EXPECT_DOUBLE_EQ(a.observe(sa.session_id, 1.0), 2.0);
   EXPECT_DOUBLE_EQ(b.observe(sb.session_id, 2.0), 3.0);
+}
+
+// The cap closes a refused connection right after its OVERLOADED reply, so
+// the client drops that transport: its first call once a slot frees goes
+// out on a fresh connection, with no retry or backoff spent on the dead one.
+TEST(PredictionService, RefusedClientReconnectsWithoutARetry) {
+  ServerConfig config;
+  config.max_connections = 1;
+  PredictionServer server(std::make_shared<EchoPlusOneModel>(), config);
+  auto holder = std::make_unique<PredictionClient>(server.port());
+  (void)holder->hello(features(), 1.0);
+  PredictionClient refused(server.port());
+  try {
+    refused.hello(features(), 2.0);
+    FAIL() << "expected OVERLOADED rejection";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.code(), WireErrorCode::kOverloaded);
+  }
+
+  holder.reset();  // its worker sees the close and frees the slot
+  const obs::Gauge& active =
+      server.metrics().gauge("cs2p_server_active_connections");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (active.value() > 0.0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(active.value(), 0.0);
+
+  const auto session = refused.hello(features(), 3.0);
+  EXPECT_DOUBLE_EQ(refused.observe(session.session_id, 4.0), 5.0);
+  EXPECT_EQ(refused.retries(), 0u);
+  EXPECT_EQ(refused.overloaded_replies(), 1u);
 }
 
 TEST(PredictionService, IdleConnectionReclaimedAndClientReconnects) {

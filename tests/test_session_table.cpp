@@ -221,8 +221,8 @@ TEST(SessionTable, ArenaSlotsReusedAfterEvictWithoutStaleState) {
   for (std::size_t i = 0; i < kSessions; ++i)
     table.emplace([&](std::uint64_t) {
       auto entry = bare_entry(stale, /*traced=*/true);
-      entry.start_hour = 13.0;
-      entry.observations = {1.0, 2.0, 3.0};
+      entry.history = std::make_unique<SessionTable::History>(
+          SessionTable::History{{}, 13.0, {1.0, 2.0, 3.0}});
       return entry;
     });
   const std::size_t high_water = table.arena_slots();
@@ -247,12 +247,19 @@ TEST(SessionTable, ArenaSlotsReusedAfterEvictWithoutStaleState) {
   for (const std::uint64_t id : ids) {
     ASSERT_TRUE(with_one(table, id, [&](SessionTable::Entry& entry) {
       EXPECT_FALSE(entry.traced);
-      EXPECT_EQ(entry.start_hour, 0.0);
-      EXPECT_TRUE(entry.observations.empty());
+      EXPECT_EQ(entry.history, nullptr);
       EXPECT_EQ(entry.predictor, nullptr);
       EXPECT_EQ(entry.owner, nullptr);
     }));
   }
+}
+
+// The completion hook's identity and history live behind one pointer that
+// only a server with the hook fills, so a slot is far smaller than the
+// features it would otherwise carry.
+TEST(SessionTable, EntryHoldsNoHookFieldsInline) {
+  EXPECT_LT(sizeof(SessionTable::Entry), sizeof(SessionFeatures));
+  EXPECT_EQ(SessionTable::Entry{}.history, nullptr);
 }
 
 // with_sessions: a multi-session lookup (servebench's table replay) locks
