@@ -54,8 +54,6 @@ struct ScenarioResult {
 ScenarioResult run_scenario(const Cs2pEngine& engine, const Dataset& test,
                             double shift_scale, std::size_t max_sessions,
                             Rng& rng) {
-  GuardrailConfig guardrail;  // defaults: what the engine would serve with
-  guardrail.enabled = true;
   ScenarioResult result;
   for (const Session& s : test.sessions()) {
     if (result.sessions >= max_sessions) break;
@@ -64,8 +62,7 @@ ScenarioResult run_scenario(const Cs2pEngine& engine, const Dataset& test,
     const SessionModelRef ref = engine.session_model(s.features, s.start_hour);
     HmmSessionPredictor unguarded(ref.kernel, ref.initial_prediction);
     GuardedSessionPredictor guarded(ref.kernel, ref.initial_prediction,
-                                    engine.global_initial(), *ref.baseline,
-                                    guardrail);
+                                    engine.global_initial(), *ref.baseline);
     const std::size_t shift_epoch = s.throughput_mbps.size() / 2;
     for (std::size_t t = 0; t < s.throughput_mbps.size(); ++t) {
       double w = s.throughput_mbps[t];
@@ -107,7 +104,7 @@ int main() {
               train.size(), test.size());
 
   Cs2pConfig config;
-  config.guardrail.enabled = true;  // session_model() then hands out baselines
+  config.guardrail = true;  // session_model() then hands out baselines
   const Cs2pEngine engine(std::move(train), config);
 
   constexpr std::size_t kSessions = 400;

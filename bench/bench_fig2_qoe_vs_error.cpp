@@ -6,6 +6,9 @@
 // buffer-based controller (which ignores predictions) is the flat reference
 // line. Paper: "when the error is 20%, the n-QoE of MPC is close to optimal
 // (> 85%)" and MPC degrades below BB as the error grows.
+//
+// Ends with one JSON line holding every number the table shows;
+// bench/check_shapes.py asserts EXPERIMENTS.md's Fig. 2 claims on it.
 
 #include <cstdio>
 #include <memory>
@@ -96,15 +99,26 @@ int main() {
   std::printf("Fig 2: normalized QoE vs prediction error (MPC vs BB)\n\n");
   TextTable table({"rel. error", "MPC n-QoE (median)", "BB n-QoE (median)"});
   const std::vector<double> errors = {0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0};
+  std::vector<double> mpc_medians, bb_medians;
   for (double err : errors) {
     const NoisyOracleModel model(err, /*seed=*/97);
     const auto mpc = [] { return std::make_unique<MpcController>(); };
     const AbrEvaluation eval = evaluate_abr("MPC", &model, mpc, test, options);
     table.add_row_numeric(format_double(err, 1),
                           {eval.median_n_qoe, bb_eval.median_n_qoe});
+    mpc_medians.push_back(eval.median_n_qoe);
+    bb_medians.push_back(bb_eval.median_n_qoe);
   }
   std::fputs(table.to_string().c_str(), stdout);
-  std::printf("\npaper shape: MPC > 0.85 n-QoE at <= 20%% error, dipping below "
-              "BB as the error grows large.\n");
+
+  const bench::JsonObject result =
+      bench::JsonObject()
+          .add("bench", "fig2")
+          .add("sessions", bench::standard_config_scaled().num_sessions)
+          .add("test", test.size())
+          .add("errors", errors)
+          .add("mpc", mpc_medians)
+          .add("bb", bb_medians);
+  std::printf("\n%s\n", result.str().c_str());
   return 0;
 }

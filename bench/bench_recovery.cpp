@@ -148,7 +148,6 @@ int main() {
   TrainerConfig trainer_config;
   trainer_config.reservoir_size = 32;
   trainer_config.min_new_sessions = 4;
-  trainer_config.holdout_stride = 4;
   trainer_config.canary_margin = 0.01;
   trainer_config.horizon = 2;
   trainer_config.probation_ms = 0;  // no guardrail sessions in this bench

@@ -4,7 +4,8 @@
     ./build/bench/bench_fig9 | tail -n 1 | python3 bench/check_shapes.py
 
 Each non-empty line on stdin must be the JSON object a figure bench prints
-last (bench_fig9, bench_fig10_qoe, bench_fig11_sensitivity). For every claim
+last (bench_fig2_qoe_vs_error, bench_fig9, bench_fig10_qoe,
+bench_fig11_sensitivity). For every claim
 the checker prints its name, the values compared and PASS or FAIL, and it
 exits non-zero if any claim fails, a line does not parse, or no line arrives.
 
@@ -59,6 +60,18 @@ class Checker:
 
 def column(predictors, key):
     return {name: stats[key] for name, stats in predictors.items()}
+
+
+def check_fig2(check, line):
+    at = dict(zip(line["errors"], zip(line["mpc"], line["bb"])))
+    near_optimal = {err: mpc for err, (mpc, _) in at.items() if err <= 0.2}
+    check.claim("2: MPC's n-QoE is at least 0.85 at every error up to 0.2",
+                len(near_optimal) > 0 and min(near_optimal.values()) >= 0.85,
+                ", ".join(f"{err}: {fmt(mpc)}" for err, mpc in near_optimal.items()))
+    mpc, bb = at[0.8]
+    check.below("2: MPC is above BB at error 0.8", ("BB", bb), ("MPC", mpc))
+    mpc, bb = at[1.0]
+    check.below("2: MPC falls below BB at error 1.0", ("MPC", mpc), ("BB", bb))
 
 
 def check_fig9(check, line):
@@ -158,9 +171,16 @@ def check_fig11(check, line):
     check.below("divergence 11: the mean initial predictor's error is below the "
                 "median's (Eq. 6)", ("mean", line["mean_initial"]["initial"]),
                 ("median", dict(zip(states["n"], states["initial"]))[6]))
+    # Honest divergence 9: the paper puts ~4% of sessions on the global model.
+    fallback = [rate for sweep in (states, sizes, volume) for rate in sweep["fallback"]]
+    fallback += [line[row]["fallback"] for row in ("posterior_mean", "mean_initial")]
+    check.claim("divergence 11: no configuration, min cluster 100 included, sends "
+                "a session to the global model", max(fallback) == 0,
+                f"largest fallback rate {fmt(max(fallback))} over {len(fallback)} rows")
 
 
-CHECKS = {"fig9": check_fig9, "fig10": check_fig10, "fig11": check_fig11}
+CHECKS = {"fig2": check_fig2, "fig9": check_fig9, "fig10": check_fig10,
+          "fig11": check_fig11}
 
 
 def main():

@@ -18,6 +18,13 @@ import unittest
 CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "check_shapes.py")
 
 
+def fig2_line():
+    return {"bench": "fig2", "sessions": 16000, "test": 8025,
+            "errors": [0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0],
+            "mpc": [0.954, 0.946, 0.926, 0.927, 0.902, 0.830, 0.746, 0.603],
+            "bb": [0.717] * 8}
+
+
 def fig9_line():
     def midstream(median, p75, cdf_at_015):
         return {"median": median, "p75": p75, "cdf": [cdf_at_015]}
@@ -103,13 +110,36 @@ def edited(line, edit):
 
 class CheckShapesTest(unittest.TestCase):
     def test_the_16k_claims_hold(self):
-        self.assertEqual(run_checker(fig9_line(), fig10_line(), fig11_line()), 0)
+        self.assertEqual(
+            run_checker(fig2_line(), fig9_line(), fig10_line(), fig11_line()), 0)
 
     def test_refuses_another_scale(self):
         for sessions in (3000, 40000):
-            for line in (fig9_line(), fig11_line()):
+            for line in (fig2_line(), fig9_line(), fig11_line()):
                 line = edited(line, lambda l: l.update(sessions=sessions))
                 self.assertEqual(run_checker(line), 1, sessions)
+
+    def test_fails_a_broken_fig2_claim(self):
+        def mpc_under_085_at_01(line):
+            line["mpc"][1] = 0.849
+
+        def mpc_under_085_at_02(line):
+            line["mpc"][2] = 0.840
+
+        def mpc_below_bb_at_08(line):
+            line["mpc"][6] = 0.700
+
+        def mpc_above_bb_at_1(line):
+            line["mpc"][7] = 0.720
+
+        for edit in (mpc_under_085_at_01, mpc_under_085_at_02, mpc_below_bb_at_08,
+                     mpc_above_bb_at_1):
+            self.assertEqual(run_checker(edited(fig2_line(), edit)), 1, edit.__name__)
+
+    def test_fig2_decay_need_not_be_monotone(self):
+        # 0.926 at 0.2 against 0.927 at 0.3 is the standard world's reading;
+        # no claim rests on a monotone decay.
+        self.assertEqual(run_checker(fig2_line()), 0)
 
     def test_fails_a_broken_fig9_claim(self):
         def cs2p_above_ls_in_9b(line):
@@ -179,7 +209,15 @@ class CheckShapesTest(unittest.TestCase):
         def median_initial_wins(line):
             line["mean_initial"]["initial"] = 0.250
 
-        self.assertEqual(run_checker(edited(fig11_line(), median_initial_wins)), 1)
+        def threshold_100_falls_back(line):
+            line["min_cluster"]["fallback"][4] = 0.04
+
+        def posterior_mean_falls_back(line):
+            line["posterior_mean"]["fallback"] = 0.001
+
+        for edit in (median_initial_wins, threshold_100_falls_back,
+                     posterior_mean_falls_back):
+            self.assertEqual(run_checker(edited(fig11_line(), edit)), 1, edit.__name__)
 
     def test_fails_without_a_result_line(self):
         self.assertEqual(run_checker(), 1)
@@ -188,6 +226,7 @@ class CheckShapesTest(unittest.TestCase):
         self.assertEqual(run_checker(edited(fig9_line(), lambda l: l.pop("fig9c"))), 1)
         self.assertEqual(
             run_checker(edited(fig11_line(), lambda l: l.pop("states"))), 1)
+        self.assertEqual(run_checker(edited(fig2_line(), lambda l: l.pop("bb"))), 1)
 
 
 if __name__ == "__main__":

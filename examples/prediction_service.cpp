@@ -75,7 +75,8 @@ int main() {
               "global=%d)\n",
               downloaded.hmm.num_states(), downloaded.hmm.byte_size(),
               downloaded.used_global_model ? 1 : 0);
-  HmmSessionPredictor local(downloaded.hmm, downloaded.initial_mbps);
+  HmmSessionPredictor local(HmmKernel::create(downloaded.hmm),
+                            downloaded.initial_mbps);
   for (std::size_t t = 0; t < 3; ++t) {
     local.observe(target->throughput_mbps[t]);
     std::printf("  local epoch %zu: forecast %.2f Mbps (no network)\n", t,

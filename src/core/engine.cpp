@@ -12,6 +12,14 @@
 namespace cs2p {
 namespace {
 
+/// Cluster drift quorum (DESIGN.md §10): a cluster is declared drifted when
+/// at least kDriftQuorum of its live guarded sessions are tripped at once,
+/// and at least kDriftMinTrippedSessions are. The absolute floor keeps one
+/// or two unlucky sessions in a tiny cluster from condemning it; the ratio
+/// keeps a large cluster from needing hundreds of trips.
+constexpr std::size_t kDriftMinTrippedSessions = 4;
+constexpr double kDriftQuorum = 0.5;
+
 /// Rejects NaN/negative throughput samples before any index or HMM sees
 /// them (one bad sample silently poisons Baum-Welch sufficient statistics).
 /// Runs in the member-initializer list, ahead of ClusterIndex and
@@ -254,11 +262,10 @@ SurpriseBaseline Cs2pEngine::baseline_of(const ModelRecord& record) const {
     if (record.baseline) return *record.baseline;
   }
   // Monte Carlo over the model itself, outside the lock: it replays
-  // baseline_sequences synthetic sessions through a forward filter. A rare
-  // duplicate computation is harmless (deterministic seed, first insert
-  // wins).
-  const SurpriseBaseline baseline =
-      compute_surprise_baseline(record.kernel->model(), config_.guardrail);
+  // kBaselineSequences synthetic sessions through forward filters on the
+  // record's kernel. A rare duplicate computation is harmless
+  // (deterministic seed, first insert wins).
+  const SurpriseBaseline baseline = compute_surprise_baseline(record.kernel);
   std::scoped_lock lock(cache_mutex_);
   if (!record.baseline) record.baseline = baseline;
   return *record.baseline;
@@ -306,11 +313,11 @@ SessionModelRef Cs2pEngine::session_model(const SessionFeatures& features,
   ref.used_global_model = record == &global_;
   if (ref.used_global_model) ref.flags |= serve_flags::kGlobalModel;
   ref.kernel = record->kernel;
-  if (config_.guardrail.enabled && !ref.baseline) ref.baseline = baseline_of(*record);
+  if (config_.guardrail && !ref.baseline) ref.baseline = baseline_of(*record);
   return ref;
 }
 
-std::size_t Cs2pEngine::warm_up(std::size_t max_clusters) const {
+std::size_t Cs2pEngine::warm_up() const {
   std::size_t before = 0;
   {
     std::scoped_lock lock(cache_mutex_);
@@ -321,10 +328,6 @@ std::size_t Cs2pEngine::warm_up(std::size_t max_clusters) const {
     const SelectionResult selection =
         selector_.select(session.features, session.start_hour);
     if (selection.cluster != nullptr) (void)cluster_model(*selection.cluster);
-    if (max_clusters > 0) {
-      std::scoped_lock lock(cache_mutex_);
-      if (models_.size() - before >= max_clusters) break;
-    }
   }
   std::scoped_lock lock(cache_mutex_);
   return models_.size() - before;
@@ -345,13 +348,10 @@ void Cs2pEngine::note_guardrail_event(const Cluster* cluster,
       m_.guardrail_trips->inc();
       if (counters != nullptr) {
         ++counters->tripped;
-        // Quorum check: an absolute floor keeps one or two unlucky sessions
-        // in a tiny cluster from condemning it; the ratio keeps a large
-        // cluster from needing hundreds of trips.
-        if (counters->tripped >= config_.drift.min_tripped_sessions &&
+        if (counters->tripped >= kDriftMinTrippedSessions &&
             counters->live > 0 &&
             static_cast<double>(counters->tripped) >=
-                config_.drift.quorum * static_cast<double>(counters->live)) {
+                kDriftQuorum * static_cast<double>(counters->live)) {
           if (drifted_.insert(cluster).second)
             m_.drifted_clusters->set(static_cast<double>(drifted_.size()));
         }
@@ -424,7 +424,7 @@ std::unique_ptr<SessionPredictor> Cs2pPredictorModel::make_session(
   const Cs2pConfig& config = engine_->config();
   // Sessions share their model's SoA kernel: one contiguous constants block
   // per model instead of a private copy per session.
-  if (!config.guardrail.enabled) {
+  if (!config.guardrail) {
     return std::make_unique<HmmSessionPredictor>(
         std::move(ref.kernel), ref.initial_prediction, config.prediction_rule,
         ref.flags);
@@ -437,7 +437,7 @@ std::unique_ptr<SessionPredictor> Cs2pPredictorModel::make_session(
   const Cluster* cluster = ref.cluster;
   return std::make_unique<GuardedSessionPredictor>(
       std::move(ref.kernel), ref.initial_prediction, engine_->global_initial(),
-      *ref.baseline, config.guardrail, config.prediction_rule, ref.flags,
+      *ref.baseline, config.prediction_rule, ref.flags,
       [engine = std::move(engine), cluster](GuardrailEvent event, bool tripped) {
         engine->note_guardrail_event(cluster, event, tripped);
       },

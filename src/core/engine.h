@@ -41,14 +41,6 @@ namespace cs2p {
 using TrainerFn = std::function<BaumWelchResult(
     const std::vector<std::vector<double>>&, const BaumWelchConfig&)>;
 
-/// Cluster-level drift policy: when a quorum of a cluster's live guarded
-/// sessions are tripped at once, the whole cluster is declared drifted and
-/// served by the global fallback until the next retrain.
-struct DriftPolicy {
-  std::size_t min_tripped_sessions = 4;  ///< absolute floor before a verdict
-  double quorum = 0.5;                   ///< tripped / live threshold
-};
-
 struct Cs2pConfig {
   FeatureSelectorConfig selector;
   BaumWelchConfig hmm;  ///< per-cluster HMM training (N = 6 by default)
@@ -57,11 +49,11 @@ struct Cs2pConfig {
   PredictionRule prediction_rule = PredictionRule::kMleState;
   bool median_initial = true;  ///< false: mean (ablation of Eq. 6)
   /// Per-session prediction guardrails (sanitizer + surprise monitor +
-  /// fallback chain; DESIGN.md §10). Serving-time behavior only — excluded
-  /// from the snapshot config fingerprint like the trainer hook, because it
-  /// does not change any trained artifact.
-  GuardrailConfig guardrail;
-  DriftPolicy drift;
+  /// fallback chain) and the cluster drift quorum they feed (DESIGN.md §10),
+  /// at the thresholds of predictors/guardrail.h. Serving-time behavior
+  /// only — excluded from the snapshot config fingerprint like the trainer
+  /// hook, because it does not change any trained artifact.
+  bool guardrail = false;
   TrainerFn trainer;  ///< training override (tests); null = train_hmm
   /// Telemetry sink (DESIGN.md §11). Null: the engine creates a private
   /// registry, so per-engine stats stay hermetic; serving tools inject the
@@ -199,9 +191,8 @@ class Cs2pEngine {
   /// Pre-trains cluster HMMs for the feature tuples seen in training — the
   /// paper's per-day offline training (§6: "we do it on a per-day basis"),
   /// so that serving threads never pay EM latency. Returns the number of
-  /// distinct cluster models trained. `max_clusters` bounds the work
-  /// (0 = unlimited).
-  std::size_t warm_up(std::size_t max_clusters = 0) const;
+  /// distinct cluster models trained.
+  std::size_t warm_up() const;
 
   /// The engine's one EM entry point: config().trainer when set, train_hmm
   /// otherwise, with config().hmm, timed into cs2p_engine_em_train_seconds.
@@ -233,11 +224,11 @@ class Cs2pEngine {
 
   /// Guardrail lifecycle feed (called by Cs2pPredictorModel's event hook,
   /// possibly from many serving threads). Aggregates per-session trips into
-  /// cluster-level drift: when >= DriftPolicy::quorum of a cluster's live
-  /// guarded sessions are tripped (and at least min_tripped_sessions are),
-  /// the cluster is marked drifted and served by the global fallback until
-  /// the next retrain builds a fresh engine. `cluster` may be null (global
-  /// sessions feed the session counters only).
+  /// cluster-level drift: when at least kDriftQuorum of a cluster's live
+  /// guarded sessions are tripped, and at least kDriftMinTrippedSessions are
+  /// (engine.cpp), the cluster is marked drifted and served by the global
+  /// fallback until the next retrain builds a fresh engine. `cluster` may be
+  /// null (global sessions feed the session counters only).
   void note_guardrail_event(const Cluster* cluster, GuardrailEvent event,
                             bool tripped) const;
 

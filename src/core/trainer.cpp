@@ -29,6 +29,15 @@ constexpr double kStatShiftFraction = 0.2;
 /// incumbent's by at most this fraction.
 constexpr double kHorizonTolerance = 0.25;
 
+/// Every k-th reservoir entry is held out of training for the canary.
+constexpr std::size_t kHoldoutStride = 4;
+
+/// Cap on the per-cluster retrain backoff, which doubles per rollback.
+constexpr std::uint64_t kBackoffMaxMs = 60'000;
+
+/// Reservoir-sampling seed: ingest is deterministic.
+constexpr std::uint64_t kReservoirSeed = 0x20160816;
+
 double clamped_log_likelihood(double ll) noexcept {
   if (std::isnan(ll)) return kLogLikelihoodFloor;
   return std::max(ll, kLogLikelihoodFloor);
@@ -91,15 +100,14 @@ ContinuousTrainer::ContinuousTrainer(std::shared_ptr<const Cs2pEngine> engine,
                                      TrainerConfig config)
     : config_(config),
       engine_(std::move(engine)),
-      rng_(config.seed),
+      rng_(kReservoirSeed),
       metrics_(engine_ && engine_->config().metrics
                    ? engine_->config().metrics
                    : std::make_shared<obs::MetricsRegistry>()),
       m_(MetricHandles::create(*metrics_)) {
   if (!engine_)
     throw std::invalid_argument("ContinuousTrainer: null engine");
-  if (config_.reservoir_size == 0 || config_.holdout_stride == 0 ||
-      config_.horizon == 0)
+  if (config_.reservoir_size == 0 || config_.horizon == 0)
     throw std::invalid_argument("ContinuousTrainer: zero-sized config field");
   incumbent_checksum_ = snapshot_checksum(serialize_engine(*engine_));
   last_swap_ = Clock::now();
@@ -131,6 +139,15 @@ void ContinuousTrainer::set_engine(std::shared_ptr<const Cs2pEngine> engine,
   m_.generation->set(static_cast<double>(engine_->lineage().generation));
   // The reload rebuilt every cluster from scratch: probations guarded models
   // of a superseded lineage, movement baselines restart from the reservoirs.
+  // A cluster the new engine no longer keeps can never be swapped into it,
+  // so its state goes; train_mutex_ is held, so no run_once holds a pointer
+  // to it.
+  std::erase_if(clusters_, [this](const auto& entry) {
+    const ClusterState& state = entry.second;
+    return engine_->find_cluster(state.candidate_id, state.bucket_key) ==
+           nullptr;
+  });
+  m_.clusters_tracked->set(static_cast<double>(clusters_.size()));
   for (auto& [key, state] : clusters_) {
     (void)key;
     state.probation = {};
@@ -351,7 +368,7 @@ void ContinuousTrainer::retrain_cluster(ClusterState& state,
     std::scoped_lock lock(mutex_);
     dirty_since = state.dirty_since;
     for (std::size_t i = 0; i < state.reservoir.size(); ++i) {
-      if (i % config_.holdout_stride == 0)
+      if (i % kHoldoutStride == 0)
         holdout.push_back(state.reservoir[i]);
       else
         train_set.push_back(state.reservoir[i]);
@@ -465,7 +482,7 @@ void ContinuousTrainer::resolve_probation(ClusterState& state,
   state.model_born = now;
   state.backoff_ms = state.backoff_ms == 0
                          ? config_.backoff_initial_ms
-                         : std::min(state.backoff_ms * 2, config_.backoff_max_ms);
+                         : std::min(state.backoff_ms * 2, kBackoffMaxMs);
   state.backoff_until = now + std::chrono::milliseconds(state.backoff_ms);
   state.generation_gauge->set(static_cast<double>(state.generation));
 }
@@ -502,7 +519,9 @@ std::size_t ContinuousTrainer::run_once() {
     {
       std::scoped_lock lock(mutex_);
       auto it = clusters_.find(key);
-      if (it == clusters_.end()) continue;  // states are never erased
+      // set_engine erases the states of clusters a reload dropped, but it
+      // takes train_mutex_ first, so no key vanishes during this pass.
+      if (it == clusters_.end()) continue;
       state = &it->second;
       want_probation = state->probation.active;
       want_retrain = !want_probation && state->dirty &&

@@ -55,8 +55,6 @@ struct TrainerConfig {
   /// A cluster is retrain-eligible only after this many completed sessions
   /// arrived since its last (attempted) retrain.
   std::size_t min_new_sessions = 8;
-  /// Every k-th reservoir entry is held out of training for the canary.
-  std::size_t holdout_stride = 4;
   /// Canary win margin, in nats per observation of median one-step
   /// log-likelihood: the candidate must beat the incumbent by at least this.
   double canary_margin = 0.05;
@@ -67,11 +65,9 @@ struct TrainerConfig {
   /// Probation window after an accepted swap: a drift-quorum trip on the
   /// swapped cluster inside this window triggers automatic rollback.
   std::uint64_t probation_ms = 5000;
-  /// Retrain backoff after a rollback (doubles per rollback, capped).
+  /// Retrain backoff after a rollback (doubles per rollback, capped at one
+  /// minute).
   std::uint64_t backoff_initial_ms = 2000;
-  std::uint64_t backoff_max_ms = 60000;
-  /// Reservoir-sampling seed (deterministic ingest for tests).
-  std::uint64_t seed = 0x20160816;
 };
 
 /// Counter snapshot (read-out of the metrics registry plus trainer-local
@@ -130,8 +126,10 @@ class ContinuousTrainer {
   void stop();
 
   /// Adopt an externally built engine (interval/SIGHUP reload path).
-  /// Reservoirs and backoffs survive; probations are cleared — the parent
-  /// models they held belong to a superseded lineage.
+  /// Reservoirs and backoffs survive for every cluster the new engine still
+  /// keeps; the states of clusters it no longer keeps are erased, and
+  /// probations are cleared — the parent models they held belong to a
+  /// superseded lineage.
   void set_engine(std::shared_ptr<const Cs2pEngine> engine,
                   const std::string& snapshot_bytes);
 

@@ -35,17 +35,17 @@ GlobalHmmModel::GlobalHmmModel(const Dataset& training, const GhmConfig& config)
   }
   if (sequences.empty())
     throw std::invalid_argument("GlobalHmmModel: no usable sequences");
-  model_ = train_hmm(sequences, config.training).model;
+  kernel_ = HmmKernel::create(train_hmm(sequences, config.training).model);
 }
 
 std::unique_ptr<SessionPredictor> GlobalHmmModel::make_session(
     const SessionContext&) const {
-  return std::make_unique<HmmSessionPredictor>(model_, initial_median_);
+  return std::make_unique<HmmSessionPredictor>(kernel_, initial_median_);
 }
 
 std::optional<DownloadableModel> GlobalHmmModel::downloadable_model(
     const SessionContext&) const {
-  return DownloadableModel{initial_median_, true, model_};
+  return DownloadableModel{initial_median_, true, kernel_->model()};
 }
 
 }  // namespace cs2p

@@ -8,6 +8,7 @@
 
 #include "dataset/dataset.h"
 #include "hmm/baum_welch.h"
+#include "hmm/kernel.h"
 #include "predictors/predictor.h"
 
 namespace cs2p {
@@ -29,10 +30,11 @@ class GlobalHmmModel final : public PredictorModel {
   std::optional<DownloadableModel> downloadable_model(
       const SessionContext& context) const override;
 
-  const GaussianHmm& model() const noexcept { return model_; }
+  const GaussianHmm& model() const noexcept { return kernel_->model(); }
 
  private:
-  GaussianHmm model_;
+  /// Built once: every session shares it (validation, cached powers).
+  std::shared_ptr<const HmmKernel> kernel_;
   double initial_median_ = 0.0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/stats.h"
 
@@ -23,25 +24,14 @@ double spike_ceiling(const GaussianHmm& model) {
 }  // namespace
 
 GuardedSessionPredictor::GuardedSessionPredictor(
-    const GaussianHmm& model, double initial_value, double global_fallback_mbps,
-    const SurpriseBaseline& baseline, const GuardrailConfig& config,
-    PredictionRule rule, std::uint8_t static_flags, EventCallback on_event,
-    const GuardrailMetrics* metrics)
-    : GuardedSessionPredictor(HmmKernel::create(model), initial_value,
-                              global_fallback_mbps, baseline, config, rule,
-                              static_flags, std::move(on_event), metrics) {}
-
-GuardedSessionPredictor::GuardedSessionPredictor(
     std::shared_ptr<const HmmKernel> kernel, double initial_value,
     double global_fallback_mbps, const SurpriseBaseline& baseline,
-    const GuardrailConfig& config, PredictionRule rule,
-    std::uint8_t static_flags, EventCallback on_event,
+    PredictionRule rule, std::uint8_t static_flags, EventCallback on_event,
     const GuardrailMetrics* metrics)
     : hmm_(std::move(kernel), initial_value, rule, static_flags),
       global_fallback_mbps_(global_fallback_mbps),
-      config_(config),
       sanitizer_(spike_ceiling(hmm_.filter().model()), metrics),
-      monitor_(baseline, config),
+      monitor_(baseline),
       on_event_(std::move(on_event)),
       metrics_(metrics) {
   if (on_event_) on_event_(GuardrailEvent::kOpened, false);
@@ -54,7 +44,8 @@ GuardedSessionPredictor::~GuardedSessionPredictor() {
 double GuardedSessionPredictor::fallback_forecast() const {
   // Harmonic mean of the recent accepted samples — robust to the outliers
   // that likely caused the degradation in the first place.
-  const double hm = harmonic_mean(recent_samples_);
+  const double hm =
+      harmonic_mean(std::span<const double>(recent_samples_.data(), recent_count_));
   if (hm > 0.0) return hm;
   // End of the chain: the global model's initial value, with the cluster
   // median before it when the global value is unusable.
@@ -77,10 +68,13 @@ void GuardedSessionPredictor::observe(double throughput_mbps) {
   const ObservationSanitizer::Result sample = sanitizer_.sanitize(throughput_mbps);
   if (!sample.accepted()) return;  // poisoned sample: belief unchanged
 
-  recent_samples_.push_back(sample.value);
-  if (config_.fallback_window > 0 &&
-      recent_samples_.size() > config_.fallback_window)
-    recent_samples_.erase(recent_samples_.begin());
+  // Shift out the oldest when full: the window stays oldest first, the
+  // order the harmonic mean sums in.
+  if (recent_count_ == kFallbackWindow)
+    std::shift_left(recent_samples_.begin(), recent_samples_.end(), 1);
+  else
+    ++recent_count_;
+  recent_samples_[recent_count_ - 1] = sample.value;
 
   const bool was_degraded = degraded();
   hmm_.observe(sample.value);

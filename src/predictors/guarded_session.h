@@ -19,8 +19,8 @@
 // cluster-level drift (core/engine.h).
 #pragma once
 
+#include <array>
 #include <functional>
-#include <vector>
 
 #include "predictors/guardrail.h"
 #include "predictors/hmm_session.h"
@@ -54,27 +54,17 @@ class GuardedSessionPredictor final : public SessionPredictor {
   /// `tripped` is true for kTripped and for kClosed-while-degraded.
   using EventCallback = std::function<void(GuardrailEvent, bool tripped)>;
 
-  /// `initial_value` is the cluster/global median (Eq. 6);
-  /// `global_fallback_mbps` terminates the fallback chain when the session
-  /// has no usable history of its own. `static_flags` carries the serving
-  /// context fixed at session creation (kGlobalModel, kClusterDrifted).
-  /// `metrics` (optional, must outlive the session) mirrors sanitizer
-  /// verdicts and fallback serves into the shared registry.
-  GuardedSessionPredictor(const GaussianHmm& model, double initial_value,
-                          double global_fallback_mbps,
-                          const SurpriseBaseline& baseline,
-                          const GuardrailConfig& config,
-                          PredictionRule rule = PredictionRule::kMleState,
-                          std::uint8_t static_flags = serve_flags::kPrimary,
-                          EventCallback on_event = nullptr,
-                          const GuardrailMetrics* metrics = nullptr);
-
-  /// Serving-tier constructor: shares a prebuilt SoA kernel with every other
-  /// session pinned to the same model (hmm/kernel.h).
+  /// `kernel` is the serving model's SoA kernel, shared with every other
+  /// session pinned to the same model (hmm/kernel.h). `initial_value` is the
+  /// cluster/global median (Eq. 6); `global_fallback_mbps` terminates the
+  /// fallback chain when the session has no usable history of its own.
+  /// `static_flags` carries the serving context fixed at session creation
+  /// (kGlobalModel, kClusterDrifted). `metrics` (optional, must outlive the
+  /// session) mirrors sanitizer verdicts and fallback serves into the shared
+  /// registry.
   GuardedSessionPredictor(std::shared_ptr<const HmmKernel> kernel,
                           double initial_value, double global_fallback_mbps,
                           const SurpriseBaseline& baseline,
-                          const GuardrailConfig& config,
                           PredictionRule rule = PredictionRule::kMleState,
                           std::uint8_t static_flags = serve_flags::kPrimary,
                           EventCallback on_event = nullptr,
@@ -111,12 +101,13 @@ class GuardedSessionPredictor final : public SessionPredictor {
   /// Cold start, filter, prediction, log-likelihood and the fixed flags.
   HmmSessionPredictor hmm_;
   double global_fallback_mbps_;
-  GuardrailConfig config_;
   ObservationSanitizer sanitizer_;
   SurpriseMonitor monitor_;
   EventCallback on_event_;
   const GuardrailMetrics* metrics_;
-  std::vector<double> recent_samples_;  ///< accepted samples, fallback window
+  /// The last kFallbackWindow accepted samples, oldest first.
+  std::array<double, kFallbackWindow> recent_samples_{};
+  std::size_t recent_count_ = 0;
   mutable std::size_t fallback_predictions_ = 0;
 };
 

@@ -20,18 +20,17 @@ constexpr double kDegeneratePenaltySigmas = 12.0;
 
 }  // namespace
 
-SurpriseBaseline compute_surprise_baseline(const GaussianHmm& model,
-                                           const GuardrailConfig& config) {
+SurpriseBaseline compute_surprise_baseline(
+    const std::shared_ptr<const HmmKernel>& kernel) {
+  const GaussianHmm& model = kernel->model();
   Rng rng(kBaselineSeed);
   std::vector<double> log_likelihoods;
-  log_likelihoods.reserve(config.baseline_sequences * config.baseline_length);
+  log_likelihoods.reserve(kBaselineSequences * kBaselineLength);
 
-  // One kernel (validation and cached powers) shared by every replay.
-  const auto kernel = HmmKernel::create(model);
-  for (std::size_t s = 0; s < config.baseline_sequences; ++s) {
+  for (std::size_t s = 0; s < kBaselineSequences; ++s) {
     OnlineHmmFilter filter(kernel);
     std::size_t state = rng.categorical(model.initial);
-    for (std::size_t t = 0; t < config.baseline_length; ++t) {
+    for (std::size_t t = 0; t < kBaselineLength; ++t) {
       if (t > 0) {
         Vec row(model.transition.row(state).begin(),
                 model.transition.row(state).end());
@@ -115,17 +114,6 @@ std::string_view guardrail_state_name(GuardrailState state) noexcept {
   return "HEALTHY";
 }
 
-SurpriseMonitor::SurpriseMonitor(SurpriseBaseline baseline,
-                                 const GuardrailConfig& config)
-    : baseline_(baseline), config_(config) {
-  if (config_.window == 0) config_.window = 1;
-  if (config_.confirm_observations == 0) config_.confirm_observations = 1;
-  if (config_.recovery_observations == 0) config_.recovery_observations = 1;
-  // A hysteresis band with exit above enter would oscillate by construction.
-  config_.exit_z = std::min(config_.exit_z, config_.enter_z);
-  window_.resize(config_.window);
-}
-
 GuardrailState SurpriseMonitor::record(double log_likelihood) {
   double penalised = log_likelihood;
   if (!std::isfinite(penalised)) {
@@ -136,14 +124,14 @@ GuardrailState SurpriseMonitor::record(double log_likelihood) {
   // Add the new value, then subtract the evicted one: the sum's rounding
   // stays that of a queue pushed at the back and popped at the front.
   window_sum_ += penalised;
-  if (window_count_ == window_.size())
+  if (window_count_ == kSurpriseWindow)
     window_sum_ -= window_[window_head_];
   else
     ++window_count_;
   window_[window_head_] = penalised;
-  window_head_ = (window_head_ + 1) % window_.size();
+  window_head_ = (window_head_ + 1) % kSurpriseWindow;
 
-  if (window_count_ < std::max<std::size_t>(1, config_.min_observations)) {
+  if (window_count_ < kMinObservations) {
     score_ = 0.0;
     return state_;
   }
@@ -155,10 +143,10 @@ GuardrailState SurpriseMonitor::record(double log_likelihood) {
   const double std_of_mean = baseline_.std_log_likelihood / std::sqrt(n);
   score_ = (baseline_.mean_log_likelihood - window_mean) / std_of_mean;
 
-  if (score_ >= config_.enter_z) {
+  if (score_ >= kEnterZ) {
     ++alarm_streak_;
     calm_streak_ = 0;
-  } else if (score_ <= config_.exit_z) {
+  } else if (score_ <= kExitZ) {
     ++calm_streak_;
     alarm_streak_ = 0;
   } else {
@@ -172,7 +160,7 @@ GuardrailState SurpriseMonitor::record(double log_likelihood) {
       if (alarm_streak_ > 0) state_ = GuardrailState::kSuspect;
       [[fallthrough]];
     case GuardrailState::kSuspect:
-      if (alarm_streak_ >= config_.confirm_observations) {
+      if (alarm_streak_ >= kConfirmObservations) {
         state_ = GuardrailState::kDegraded;
         ++trips_;
         calm_streak_ = 0;
@@ -181,7 +169,7 @@ GuardrailState SurpriseMonitor::record(double log_likelihood) {
       }
       break;
     case GuardrailState::kDegraded:
-      if (calm_streak_ >= config_.recovery_observations) {
+      if (calm_streak_ >= kRecoveryObservations) {
         state_ = GuardrailState::kHealthy;
         ++recoveries_;
         alarm_streak_ = 0;

@@ -10,9 +10,9 @@
 // distribution computed offline from the model itself, and drives a small
 // hysteresis state machine:
 //
-//   HEALTHY --(surprise > enter_z for confirm_observations)--> DEGRADED
-//       ^                                                         |
-//       +--(surprise < exit_z for recovery_observations)----------+
+//   HEALTHY --(surprise > kEnterZ for kConfirmObservations)--> DEGRADED
+//       ^                                                          |
+//       +--(surprise < kExitZ for kRecoveryObservations)-----------+
 //
 // (the confirmation streak is the SUSPECT phase; see DESIGN.md §10).
 // While DEGRADED, the session is served by a stateless fallback chain —
@@ -22,12 +22,13 @@
 // physically-implausible spikes before they reach the filter.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
-#include <vector>
 
-#include "hmm/model.h"
+#include "hmm/kernel.h"
 #include "obs/metrics.h"
 
 namespace cs2p {
@@ -49,33 +50,35 @@ struct GuardrailMetrics {
   static GuardrailMetrics from_registry(obs::MetricsRegistry& registry);
 };
 
-/// Knobs of the guardrail layer. Defaults are tuned on the synthetic world
-/// (bench_drift_qoe): conservative enough that in-distribution sessions do
-/// not trip, fast enough that a mid-trace regime shift is caught within a
-/// couple of windows.
-struct GuardrailConfig {
-  bool enabled = false;  ///< off: GuardedSessionPredictor is never created
+// Guardrail thresholds (DESIGN.md §10), tuned on the synthetic world
+// (bench_drift_qoe): conservative enough that in-distribution sessions
+// rarely trip, fast enough that a mid-trace regime shift is caught within a
+// couple of windows. `Cs2pConfig::guardrail` switches the layer on.
 
-  // -- Surprise monitor ------------------------------------------------------
-  std::size_t window = 8;             ///< sliding log-likelihood window
-  std::size_t min_observations = 4;   ///< no verdicts before this many accepted
-  /// Surprise score is a z-score of the window-mean log-likelihood against
-  /// the offline baseline; enter/exit thresholds form the hysteresis band.
-  double enter_z = 6.0;
-  double exit_z = 2.0;
-  std::size_t confirm_observations = 3;   ///< streak: HEALTHY/SUSPECT -> DEGRADED
-  std::size_t recovery_observations = 8;  ///< streak: DEGRADED -> HEALTHY
+// -- Surprise monitor --------------------------------------------------------
+inline constexpr std::size_t kSurpriseWindow = 8;  ///< sliding log-likelihood window
+inline constexpr std::size_t kMinObservations = 4;  ///< no verdicts before this many accepted
+/// Surprise score is a z-score of the window-mean log-likelihood against the
+/// offline baseline; enter/exit thresholds form the hysteresis band.
+inline constexpr double kEnterZ = 6.0;
+inline constexpr double kExitZ = 2.0;
+inline constexpr std::size_t kConfirmObservations = 3;   ///< streak: HEALTHY/SUSPECT -> DEGRADED
+inline constexpr std::size_t kRecoveryObservations = 8;  ///< streak: DEGRADED -> HEALTHY
 
-  // -- Fallback chain --------------------------------------------------------
-  /// Harmonic mean over this many most-recent accepted samples (0 = all).
-  std::size_t fallback_window = 8;
+// -- Fallback chain ----------------------------------------------------------
+/// Harmonic mean over this many most-recent accepted samples.
+inline constexpr std::size_t kFallbackWindow = 8;
 
-  // -- Offline baseline ------------------------------------------------------
-  /// The baseline is estimated by sampling sequences from the model itself
-  /// and replaying them through the filter (deterministic: a fixed seed).
-  std::size_t baseline_sequences = 32;
-  std::size_t baseline_length = 48;
-};
+// -- Offline baseline --------------------------------------------------------
+/// The baseline is estimated by sampling sequences from the model itself
+/// and replaying them through the filter (deterministic: a fixed seed).
+inline constexpr std::size_t kBaselineSequences = 32;
+inline constexpr std::size_t kBaselineLength = 48;
+
+// A hysteresis band with exit above enter would oscillate by construction.
+static_assert(kExitZ <= kEnterZ);
+static_assert(kMinObservations >= 1 && kMinObservations <= kSurpriseWindow);
+static_assert(kConfirmObservations >= 1 && kRecoveryObservations >= 1);
 
 /// Per-cluster baseline distribution of the one-step predictive
 /// log-likelihood when the model is right, computed offline during training
@@ -85,13 +88,13 @@ struct SurpriseBaseline {
   double std_log_likelihood = 1.0;  ///< floored at a small positive value
 };
 
-/// Estimates the baseline by Monte Carlo from the model itself:
-/// sample sequences with a fixed seed, replay them through an
-/// OnlineHmmFilter, and summarise the per-step predictive log-likelihoods.
-/// Deterministic; costs ~baseline_sequences x baseline_length filter steps
+/// Estimates the baseline by Monte Carlo from the kernel's model itself:
+/// sample sequences with a fixed seed, replay them through OnlineHmmFilters
+/// on `kernel`, and summarise the per-step predictive log-likelihoods.
+/// Deterministic; costs kBaselineSequences x kBaselineLength filter steps
 /// (microseconds for the paper's 6-state models).
-SurpriseBaseline compute_surprise_baseline(const GaussianHmm& model,
-                                           const GuardrailConfig& config);
+SurpriseBaseline compute_surprise_baseline(
+    const std::shared_ptr<const HmmKernel>& kernel);
 
 /// Why the sanitizer rejected (or altered) a sample.
 enum class SampleVerdict : std::uint8_t {
@@ -145,7 +148,7 @@ class ObservationSanitizer {
 /// Guardrail verdict for one session at one instant.
 enum class GuardrailState : std::uint8_t {
   kHealthy = 0,
-  kSuspect,   ///< surprise above enter_z, awaiting confirmation streak
+  kSuspect,   ///< surprise above kEnterZ, awaiting confirmation streak
   kDegraded,  ///< serving the fallback chain
 };
 
@@ -156,7 +159,7 @@ std::string_view guardrail_state_name(GuardrailState state) noexcept;
 /// GuardedSessionPredictor's serving decision.
 class SurpriseMonitor {
  public:
-  SurpriseMonitor(SurpriseBaseline baseline, const GuardrailConfig& config);
+  explicit SurpriseMonitor(SurpriseBaseline baseline) : baseline_(baseline) {}
 
   /// Scores the latest accepted observation's predictive log-likelihood
   /// (-infinity for a degenerate update) and advances the state machine.
@@ -165,7 +168,7 @@ class SurpriseMonitor {
 
   GuardrailState state() const noexcept { return state_; }
 
-  /// Current surprise z-score (0 until min_observations accepted).
+  /// Current surprise z-score (0 until kMinObservations accepted).
   double score() const noexcept { return score_; }
 
   const SurpriseBaseline& baseline() const noexcept { return baseline_; }
@@ -179,17 +182,15 @@ class SurpriseMonitor {
 
  private:
   SurpriseBaseline baseline_;
-  GuardrailConfig config_;
-  /// Ring of the recent (penalised) log-likelihoods, sized to the window at
-  /// construction so recording never allocates.
-  std::vector<double> window_;
+  /// Ring of the recent (penalised) log-likelihoods.
+  std::array<double, kSurpriseWindow> window_{};
   std::size_t window_head_ = 0;   ///< slot the next value overwrites
-  std::size_t window_count_ = 0;  ///< values held, at most window_.size()
+  std::size_t window_count_ = 0;  ///< values held, at most kSurpriseWindow
   double window_sum_ = 0.0;
   double score_ = 0.0;
   GuardrailState state_ = GuardrailState::kHealthy;
-  std::size_t alarm_streak_ = 0;  ///< consecutive scores above enter_z
-  std::size_t calm_streak_ = 0;   ///< consecutive scores below exit_z
+  std::size_t alarm_streak_ = 0;  ///< consecutive scores above kEnterZ
+  std::size_t calm_streak_ = 0;   ///< consecutive scores below kExitZ
   std::size_t trips_ = 0;
   std::size_t recoveries_ = 0;
   std::size_t degenerate_ = 0;

@@ -16,14 +16,9 @@ namespace cs2p {
 
 class HmmSessionPredictor final : public SessionPredictor {
  public:
-  /// `initial_value` is the cluster/global median used before any
-  /// observation arrives (Eq. 6).
-  HmmSessionPredictor(const GaussianHmm& model, double initial_value,
-                      PredictionRule rule = PredictionRule::kMleState)
-      : filter_(model, rule), initial_value_(initial_value) {}
-
-  /// Serving-tier constructor: shares one SoA kernel across every session
-  /// pinned to the same model (hmm/kernel.h). `flags` is the serving path
+  /// Shares one SoA kernel across every session pinned to the same model
+  /// (hmm/kernel.h). `initial_value` is the cluster/global median used
+  /// before any observation arrives (Eq. 6). `flags` is the serving path
   /// fixed when the session was resolved (kGlobalModel, kClusterDrifted).
   HmmSessionPredictor(std::shared_ptr<const HmmKernel> kernel,
                       double initial_value,

@@ -44,11 +44,7 @@ Cs2pConfig guarded_engine_config() {
   config.selector.min_cluster_size = 10;
   config.max_sequences_per_cluster = 20;
   config.max_global_sequences = 120;
-  config.guardrail.enabled = true;
-  config.guardrail.baseline_sequences = 16;
-  config.guardrail.baseline_length = 32;
-  config.drift.min_tripped_sessions = 3;
-  config.drift.quorum = 0.5;
+  config.guardrail = true;
   return config;
 }
 
@@ -74,7 +70,7 @@ TEST(Drift, GuardedSessionsAreCreatedWhenEnabled) {
   EXPECT_EQ(model->engine().stats().guarded_sessions, 1u);
   // Guardrail off: plain HMM predictor, no guarded-session accounting.
   Cs2pConfig plain_config = guarded_engine_config();
-  plain_config.guardrail.enabled = false;
+  plain_config.guardrail = false;
   Dataset dataset2 = generate_synthetic_dataset(soak_world());
   auto [train2, test2] = dataset2.split_by_day(1);
   auto plain = std::make_shared<Cs2pPredictorModel>(std::move(train2), plain_config);
@@ -85,6 +81,7 @@ TEST(Drift, GuardedSessionsAreCreatedWhenEnabled) {
 TEST(Drift, QuorumOfTrippedSessionsMarksClusterDrifted) {
   Dataset dataset = generate_synthetic_dataset(soak_world());
   auto [train, test] = dataset.split_by_day(1);
+  Dataset small_train = train;
   auto model = std::make_shared<Cs2pPredictorModel>(std::move(train),
                                                     guarded_engine_config());
   const Cs2pEngine& engine = model->engine();
@@ -92,16 +89,32 @@ TEST(Drift, QuorumOfTrippedSessionsMarksClusterDrifted) {
   ASSERT_NE(seed_session, nullptr);
   const SessionContext context = SessionContext::from(*seed_session);
 
-  // Open a handful of sessions on the same cluster and push them all out of
-  // distribution: the quorum (3 of 4 live, >= 50%) must mark the cluster.
+  // Open nine sessions on the same cluster and push them out of
+  // distribution one by one. The quorum needs at least 4 tripped sessions
+  // and at least half of the live ones: 4 of 9 meets the floor but not
+  // half, and the 5th trip marks the cluster.
   std::vector<std::unique_ptr<SessionPredictor>> sessions;
-  for (int i = 0; i < 4; ++i) sessions.push_back(model->make_session(context));
+  for (int i = 0; i < 9; ++i) sessions.push_back(model->make_session(context));
   EXPECT_EQ(engine.drifted_cluster_count(), 0u);
-  for (auto& session : sessions) {
+  for (std::size_t tripped = 1; tripped <= 5; ++tripped) {
+    auto& session = sessions[tripped - 1];
     for (int i = 0; i < 60; ++i) session->observe(0.01);
+    ASSERT_EQ(engine.stats().guardrail_trips, tripped);
+    EXPECT_EQ(engine.drifted_cluster_count(), tripped < 5 ? 0u : 1u)
+        << tripped << " of 9 live sessions tripped";
   }
-  EXPECT_GE(engine.stats().guardrail_trips, 3u);
-  EXPECT_EQ(engine.drifted_cluster_count(), 1u);
+
+  // The floor alone: on a fresh engine, 3 of 4 live is over half but under
+  // the floor, and the 4th trip marks the cluster.
+  auto small = std::make_shared<Cs2pPredictorModel>(
+      std::move(small_train), guarded_engine_config());
+  std::vector<std::unique_ptr<SessionPredictor>> four;
+  for (int i = 0; i < 4; ++i) four.push_back(small->make_session(context));
+  for (std::size_t tripped = 1; tripped <= 4; ++tripped) {
+    for (int i = 0; i < 60; ++i) four[tripped - 1]->observe(0.01);
+    EXPECT_EQ(small->engine().drifted_cluster_count(), tripped < 4 ? 0u : 1u)
+        << tripped << " of 4 live sessions tripped";
+  }
 
   // Post-drift lookups on that cluster serve the global model and say so.
   const SessionModelRef ref =
@@ -183,11 +196,8 @@ std::size_t assert_all_series_finite(const std::string& exposition) {
 TEST(DriftSoak, TwoHundredSessionsWithRegimeShift) {
   Dataset dataset = generate_synthetic_dataset(soak_world());
   auto [train, test] = dataset.split_by_day(1);
-  Cs2pConfig config = guarded_engine_config();
-  // Soak uses a quorum high enough that the shifted half of one cluster's
-  // sessions must agree before the cluster is condemned.
-  config.drift.min_tripped_sessions = 4;
-  auto model = std::make_shared<Cs2pPredictorModel>(std::move(train), config);
+  auto model = std::make_shared<Cs2pPredictorModel>(std::move(train),
+                                                    guarded_engine_config());
   const Cs2pEngine& engine = model->engine();
 
   Rng rng(2026);

@@ -114,7 +114,7 @@ TEST(Engine, SessionsOfOneModelShareItsKernel) {
   for (const bool guardrail : {false, true}) {
     SCOPED_TRACE(guardrail ? "guardrail on" : "guardrail off");
     Cs2pConfig config = fast_config();
-    config.guardrail.enabled = guardrail;
+    config.guardrail = guardrail;
     const Cs2pPredictorModel model(train, config);
     const Cs2pEngine& engine = model.engine();
 
@@ -181,14 +181,15 @@ TEST(Engine, WarmUpPreTrainsClusters) {
   Dataset dataset = generate_synthetic_dataset(engine_world());
   auto [train, test] = dataset.split_by_day(1);
   const Cs2pEngine engine(std::move(train), fast_config());
-  const std::size_t trained = engine.warm_up(/*max_clusters=*/5);
+  const std::size_t trained = engine.warm_up();
   EXPECT_GE(trained, 1u);
-  EXPECT_LE(trained, 5u);
-  // A subsequent full warm-up trains the rest; second call is a no-op.
-  const std::size_t rest = engine.warm_up();
-  const std::size_t again = engine.warm_up();
-  EXPECT_EQ(again, 0u);
-  (void)rest;
+  EXPECT_EQ(engine.stats().clusters_trained, trained);
+  // A second call is a no-op, and serving a training session's features
+  // trains nothing more.
+  EXPECT_EQ(engine.warm_up(), 0u);
+  for (const Session& s : engine.training().sessions())
+    (void)engine.session_model(s.features, s.start_hour);
+  EXPECT_EQ(engine.stats().clusters_trained, trained);
 }
 
 // The index holds only what CS2P can select: no bucket below the selector's
@@ -417,11 +418,6 @@ TEST(Engine, BatchMatchesScalarAcrossPredictorMix) {
   const auto kernel_a = HmmKernel::create(random_model(rng, 4));
   const auto kernel_b = HmmKernel::create(random_model(rng, 6));
 
-  GuardrailConfig guard;
-  guard.enabled = true;
-  guard.window = 4;
-  guard.min_observations = 2;
-  guard.confirm_observations = 2;
   const SurpriseBaseline baseline{-1.0, 1.0};
 
   // Twin populations: index-matched, identically constructed.
@@ -438,13 +434,14 @@ TEST(Engine, BatchMatchesScalarAcrossPredictorMix) {
     });
     add_pair([&] {
       return std::make_unique<GuardedSessionPredictor>(kernel, 2.0, 1.5,
-                                                       baseline, guard);
+                                                       baseline);
     });
   }
   const std::size_t observed = via_batch.size();
   add_pair([&] { return std::make_unique<HmmSessionPredictor>(kernel_a, 7.25); });
 
   std::vector<ObserveBatchItem> items(observed);
+  std::size_t tripped_replies = 0;
   for (int round = 0; round < 15; ++round) {
     for (std::size_t i = 0; i < observed; ++i) {
       const auto& model =
@@ -465,6 +462,8 @@ TEST(Engine, BatchMatchesScalarAcrossPredictorMix) {
       }
       ASSERT_EQ(via_batch[i]->serve_flags(), via_scalar[i]->serve_flags())
           << "round " << round << " item " << i;
+      if (via_batch[i]->serve_flags() & serve_flags::kGuardrailTripped)
+        ++tripped_replies;
     }
 
     std::vector<PredictBatchItem> predicts(via_batch.size());
@@ -477,6 +476,8 @@ TEST(Engine, BatchMatchesScalarAcrossPredictorMix) {
           << "round " << round << " item " << i << " horizon " << steps;
     EXPECT_EQ(predicts.back().prediction, 7.25);  // still cold
   }
+  // The mix did exercise the degraded path at the shipped thresholds.
+  EXPECT_GT(tripped_replies, 0u);
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ const Models& models() {
     config.max_global_sequences = 60;
     const auto cs2p = [&](bool guardrail) {
       Cs2pConfig c = config;
-      c.guardrail.enabled = guardrail;
+      c.guardrail = guardrail;
       auto engine = std::make_shared<Cs2pEngine>(train, c);
       engine->warm_up();
       return std::make_shared<Cs2pPredictorModel>(

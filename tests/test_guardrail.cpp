@@ -13,6 +13,7 @@
 #include "hmm_test_util.h"
 #include "predictors/guarded_session.h"
 #include "predictors/hmm_session.h"
+#include "util/stats.h"
 
 namespace cs2p {
 namespace {
@@ -70,10 +71,9 @@ TEST(Sanitizer, ZeroCeilingDisablesClamping) {
 // -- compute_surprise_baseline -----------------------------------------------
 
 TEST(SurpriseBaselineTest, DeterministicAndSane) {
-  const GaussianHmm model = two_state_model();
-  GuardrailConfig config;
-  const SurpriseBaseline a = compute_surprise_baseline(model, config);
-  const SurpriseBaseline b = compute_surprise_baseline(model, config);
+  const auto kernel = HmmKernel::create(two_state_model());
+  const SurpriseBaseline a = compute_surprise_baseline(kernel);
+  const SurpriseBaseline b = compute_surprise_baseline(kernel);
   EXPECT_DOUBLE_EQ(a.mean_log_likelihood, b.mean_log_likelihood);
   EXPECT_DOUBLE_EQ(a.std_log_likelihood, b.std_log_likelihood);
   EXPECT_TRUE(std::isfinite(a.mean_log_likelihood));
@@ -84,8 +84,8 @@ TEST(SurpriseBaselineTest, InDistributionDataScoresNearBaseline) {
   // Replaying model-sampled data through the filter should produce
   // log-likelihoods whose mean is within a couple of baseline sigmas.
   const GaussianHmm model = two_state_model();
-  GuardrailConfig config;
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
+  const SurpriseBaseline baseline =
+      compute_surprise_baseline(HmmKernel::create(model));
 
   Rng rng(99);
   OnlineHmmFilter filter(model);
@@ -104,24 +104,27 @@ TEST(SurpriseBaselineTest, InDistributionDataScoresNearBaseline) {
 }
 
 // -- SurpriseMonitor ---------------------------------------------------------
-
-GuardrailConfig monitor_config() {
-  GuardrailConfig config;
-  config.window = 4;
-  config.min_observations = 4;
-  config.enter_z = 3.0;
-  config.exit_z = 1.0;
-  config.confirm_observations = 2;
-  config.recovery_observations = 3;
-  return config;
-}
+//
+// Every case runs the shipped machine: window 8, a verdict from the 4th
+// observation, enter z 6, exit z 2, a 3-streak to trip and an 8-streak to
+// recover.
+static_assert(kSurpriseWindow == 8 && kMinObservations == 4);
+static_assert(kEnterZ == 6.0 && kExitZ == 2.0);
+static_assert(kConfirmObservations == 3 && kRecoveryObservations == 8);
 
 // Unit baseline makes the score arithmetic transparent:
-// score = -window_mean * sqrt(n).
+// score = -window_mean * sqrt(n), so a full window scores -sum / sqrt(8).
 SurpriseBaseline unit_baseline() { return SurpriseBaseline{0.0, 1.0}; }
 
+/// A monitor whose window is full of baseline-mean (0) values.
+SurpriseMonitor calm_monitor() {
+  SurpriseMonitor monitor(unit_baseline());
+  for (std::size_t i = 0; i < kSurpriseWindow; ++i) monitor.record(0.0);
+  return monitor;
+}
+
 TEST(Monitor, StaysHealthyOnBaselineData) {
-  SurpriseMonitor monitor(unit_baseline(), monitor_config());
+  SurpriseMonitor monitor(unit_baseline());
   for (int i = 0; i < 50; ++i)
     EXPECT_EQ(monitor.record(0.0), GuardrailState::kHealthy);
   EXPECT_EQ(monitor.trips(), 0u);
@@ -129,43 +132,56 @@ TEST(Monitor, StaysHealthyOnBaselineData) {
 }
 
 TEST(Monitor, NoVerdictBeforeMinObservations) {
-  SurpriseMonitor monitor(unit_baseline(), monitor_config());
-  // Three wildly surprising observations — still below min_observations.
+  SurpriseMonitor monitor(unit_baseline());
+  // Three wildly surprising observations — still below kMinObservations.
   EXPECT_EQ(monitor.record(-100.0), GuardrailState::kHealthy);
   EXPECT_EQ(monitor.record(-100.0), GuardrailState::kHealthy);
   EXPECT_EQ(monitor.record(-100.0), GuardrailState::kHealthy);
   EXPECT_DOUBLE_EQ(monitor.score(), 0.0);
+  // The fourth is scored: mean -100 over 4 values, score 200.
+  EXPECT_EQ(monitor.record(-100.0), GuardrailState::kSuspect);
+  EXPECT_DOUBLE_EQ(monitor.score(), 200.0);
 }
 
 TEST(Monitor, TripsThroughSuspectAfterConfirmStreak) {
-  SurpriseMonitor monitor(unit_baseline(), monitor_config());
-  for (int i = 0; i < 4; ++i) monitor.record(0.0);
+  SurpriseMonitor monitor = calm_monitor();
   ASSERT_EQ(monitor.state(), GuardrailState::kHealthy);
-  // window [0,0,0,-10]: mean -2.5, score 5 >= enter_z -> SUSPECT (streak 1).
-  EXPECT_EQ(monitor.record(-10.0), GuardrailState::kSuspect);
-  // streak 2 >= confirm_observations -> DEGRADED.
-  EXPECT_EQ(monitor.record(-10.0), GuardrailState::kDegraded);
+  // window [0 x7, -20]: sum -20, score 7.07 >= kEnterZ -> SUSPECT (streak 1).
+  EXPECT_EQ(monitor.record(-20.0), GuardrailState::kSuspect);
+  // streak 2 < kConfirmObservations: still SUSPECT.
+  EXPECT_EQ(monitor.record(-20.0), GuardrailState::kSuspect);
+  EXPECT_EQ(monitor.trips(), 0u);
+  // streak 3 = kConfirmObservations -> DEGRADED.
+  EXPECT_EQ(monitor.record(-20.0), GuardrailState::kDegraded);
   EXPECT_EQ(monitor.trips(), 1u);
   EXPECT_EQ(monitor.recoveries(), 0u);
 }
 
 TEST(Monitor, SuspectFallsBackToHealthyWhenAlarmBreaks) {
-  SurpriseMonitor monitor(unit_baseline(), monitor_config());
-  for (int i = 0; i < 4; ++i) monitor.record(0.0);
-  EXPECT_EQ(monitor.record(-10.0), GuardrailState::kSuspect);
+  SurpriseMonitor monitor = calm_monitor();
+  EXPECT_EQ(monitor.record(-20.0), GuardrailState::kSuspect);
   // A calm observation interrupts the confirmation streak: window
-  // [0,0,-10,8] has mean -0.5, score 1.0 <= exit_z.
-  EXPECT_EQ(monitor.record(8.0), GuardrailState::kHealthy);
+  // [0 x6, -20, 16] sums to -4, score 1.41 <= kExitZ.
+  EXPECT_EQ(monitor.record(16.0), GuardrailState::kHealthy);
   EXPECT_EQ(monitor.trips(), 0u);
+
+  // One alarm short of the confirm streak, then a break: no trip either.
+  SurpriseMonitor near_trip = calm_monitor();
+  EXPECT_EQ(near_trip.record(-20.0), GuardrailState::kSuspect);
+  EXPECT_EQ(near_trip.record(-20.0), GuardrailState::kSuspect);
+  // [0 x5, -20, -20, 36] sums to -4 again.
+  EXPECT_EQ(near_trip.record(36.0), GuardrailState::kHealthy);
+  EXPECT_EQ(near_trip.trips(), 0u);
 }
 
 TEST(Monitor, RecoversOnlyAfterRecoveryStreak) {
-  SurpriseMonitor monitor(unit_baseline(), monitor_config());
-  for (int i = 0; i < 4; ++i) monitor.record(0.0);
-  monitor.record(-10.0);
-  ASSERT_EQ(monitor.record(-10.0), GuardrailState::kDegraded);
-  // Feed calm data; the window drains the -10s first (scores stay alarmed),
-  // then needs recovery_observations consecutive calm scores.
+  SurpriseMonitor monitor = calm_monitor();
+  monitor.record(-20.0);
+  monitor.record(-20.0);
+  ASSERT_EQ(monitor.record(-20.0), GuardrailState::kDegraded);
+  // Feed calm data; the window drains the -20s first (7 observations whose
+  // scores stay alarmed: the 8th 0 is the first to empty the window of
+  // them), then needs kRecoveryObservations consecutive calm scores.
   int steps_to_recover = 0;
   while (monitor.state() == GuardrailState::kDegraded && steps_to_recover < 50) {
     monitor.record(0.0);
@@ -173,26 +189,39 @@ TEST(Monitor, RecoversOnlyAfterRecoveryStreak) {
   }
   EXPECT_EQ(monitor.state(), GuardrailState::kHealthy);
   EXPECT_EQ(monitor.recoveries(), 1u);
-  // At least window drain (2 slots) + recovery streak (3), and no instant
-  // flap-back.
-  EXPECT_GE(steps_to_recover, 4);
+  EXPECT_EQ(steps_to_recover, 7 + static_cast<int>(kRecoveryObservations));
+
+  // A 7-streak of calm scores is one short: an alarm restarts the count.
+  SurpriseMonitor interrupted = calm_monitor();
+  for (int i = 0; i < 3; ++i) interrupted.record(-20.0);
+  for (int i = 0; i < 7 + 7; ++i) interrupted.record(0.0);
+  ASSERT_EQ(interrupted.state(), GuardrailState::kDegraded);
+  interrupted.record(-100.0);  // [0 x7, -100]: score 35.4, an alarm
+  // Seven more alarms while the -100 stays in the window, then the count
+  // starts over: still DEGRADED after 7 calm scores, HEALTHY on the 8th.
+  for (int i = 0; i < 7; ++i) interrupted.record(0.0);
+  for (std::size_t i = 0; i + 1 < kRecoveryObservations; ++i)
+    EXPECT_EQ(interrupted.record(0.0), GuardrailState::kDegraded);
+  EXPECT_EQ(interrupted.record(0.0), GuardrailState::kHealthy);
+  EXPECT_EQ(interrupted.recoveries(), 1u);
 }
 
 TEST(Monitor, HysteresisBandHoldsState) {
-  // Scores inside (exit_z, enter_z) must not move the machine in either
+  // Scores inside (kExitZ, kEnterZ) must not move the machine in either
   // direction — this is the anti-flap property.
-  SurpriseMonitor healthy(unit_baseline(), monitor_config());
-  for (int i = 0; i < 4; ++i) healthy.record(0.0);
-  // Constant ll = -1: window mean -1, score 2 — inside the (1, 3) band.
-  for (int i = 0; i < 100; ++i) healthy.record(-1.0);
+  SurpriseMonitor healthy = calm_monitor();
+  // Constant ll = -1.5: window mean -1.5, score 4.24 — inside the (2, 6)
+  // band, and every partly filled window on the way scores lower.
+  for (int i = 0; i < 100; ++i) healthy.record(-1.5);
+  EXPECT_NEAR(healthy.score(), 1.5 * std::sqrt(8.0), 1e-12);
   EXPECT_EQ(healthy.state(), GuardrailState::kHealthy);
   EXPECT_EQ(healthy.trips(), 0u);
 
-  SurpriseMonitor degraded(unit_baseline(), monitor_config());
-  for (int i = 0; i < 4; ++i) degraded.record(0.0);
-  degraded.record(-10.0);
-  ASSERT_EQ(degraded.record(-10.0), GuardrailState::kDegraded);
-  for (int i = 0; i < 100; ++i) degraded.record(-1.0);
+  SurpriseMonitor degraded = calm_monitor();
+  degraded.record(-20.0);
+  degraded.record(-20.0);
+  ASSERT_EQ(degraded.record(-20.0), GuardrailState::kDegraded);
+  for (int i = 0; i < 100; ++i) degraded.record(-1.5);
   EXPECT_EQ(degraded.state(), GuardrailState::kDegraded);
   EXPECT_EQ(degraded.recoveries(), 0u);
 }
@@ -201,7 +230,7 @@ TEST(Monitor, FlapCountBoundedByRegimeShifts) {
   // 6 true regime cycles -> exactly 6 trips and <= 6 recoveries, regardless
   // of the 40 observations inside each phase. A flapping monitor would trip
   // many times per bad phase.
-  SurpriseMonitor monitor(unit_baseline(), monitor_config());
+  SurpriseMonitor monitor(unit_baseline());
   const int kCycles = 6;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     for (int i = 0; i < 40; ++i) monitor.record(-10.0);
@@ -213,10 +242,11 @@ TEST(Monitor, FlapCountBoundedByRegimeShifts) {
 }
 
 TEST(Monitor, SingleOutlierDoesNotTrip) {
-  // One catastrophic sample inside healthy traffic: with the default knobs
-  // (window 8, enter_z 6, penalty 12 sigmas) the window mean moves to -1.5,
-  // score ~4.2 — inside the hysteresis band, so no alarm ever starts.
-  SurpriseMonitor monitor(unit_baseline(), GuardrailConfig{});
+  // One catastrophic sample inside healthy traffic: with the shipped
+  // thresholds (window 8, enter z 6, penalty 12 sigmas) the window mean
+  // moves to -1.5, score ~4.2 — inside the hysteresis band, so no alarm
+  // ever starts.
+  SurpriseMonitor monitor(unit_baseline());
   for (int i = 0; i < 10; ++i) monitor.record(0.0);
   monitor.record(-std::numeric_limits<double>::infinity());
   for (int i = 0; i < 10; ++i) monitor.record(0.0);
@@ -226,7 +256,7 @@ TEST(Monitor, SingleOutlierDoesNotTrip) {
 }
 
 TEST(Monitor, DegenerateObservationsKeepScoreFinite) {
-  SurpriseMonitor monitor(unit_baseline(), monitor_config());
+  SurpriseMonitor monitor(unit_baseline());
   for (int i = 0; i < 8; ++i)
     monitor.record(-std::numeric_limits<double>::infinity());
   EXPECT_TRUE(std::isfinite(monitor.score()));
@@ -242,28 +272,15 @@ TEST(Monitor, StateNames) {
 
 // -- GuardedSessionPredictor -------------------------------------------------
 
-GuardrailConfig guarded_config() {
-  GuardrailConfig config;
-  config.enabled = true;
-  config.window = 4;
-  config.min_observations = 4;
-  config.enter_z = 6.0;
-  config.exit_z = 2.0;
-  config.confirm_observations = 2;
-  config.recovery_observations = 4;
-  config.fallback_window = 4;
-  return config;
-}
-
 TEST(GuardedSession, MatchesUnguardedHmmInDistribution) {
   // On data drawn from the model itself, the guardrail must be invisible:
   // identical predictions, no degradation.
   const GaussianHmm model = two_state_model();
-  const GuardrailConfig config = guarded_config();
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
+  const auto kernel = HmmKernel::create(model);
+  const SurpriseBaseline baseline = compute_surprise_baseline(kernel);
 
-  GuardedSessionPredictor guarded(model, 2.0, 1.5, baseline, config);
-  HmmSessionPredictor plain(model, 2.0);
+  GuardedSessionPredictor guarded(kernel, 2.0, 1.5, baseline);
+  HmmSessionPredictor plain(kernel, 2.0);
 
   EXPECT_EQ(guarded.predict_initial(), plain.predict_initial());
   Rng rng(7);
@@ -279,9 +296,9 @@ TEST(GuardedSession, MatchesUnguardedHmmInDistribution) {
 
 TEST(GuardedSession, TripsOnRegimeShiftAndServesFallback) {
   const GaussianHmm model = two_state_model();  // states at 1.0 and 5.0
-  const GuardrailConfig config = guarded_config();
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
-  GuardedSessionPredictor guarded(model, 2.0, 1.5, baseline, config);
+  const auto kernel = HmmKernel::create(model);
+  const SurpriseBaseline baseline = compute_surprise_baseline(kernel);
+  GuardedSessionPredictor guarded(kernel, 2.0, 1.5, baseline);
 
   Rng rng(11);
   for (double w : sample_sequence(model, 40, rng)) guarded.observe(w);
@@ -301,9 +318,9 @@ TEST(GuardedSession, TripsOnRegimeShiftAndServesFallback) {
 
 TEST(GuardedSession, RecoversWithHysteresis) {
   const GaussianHmm model = two_state_model();
-  const GuardrailConfig config = guarded_config();
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
-  GuardedSessionPredictor guarded(model, 2.0, 1.5, baseline, config);
+  const auto kernel = HmmKernel::create(model);
+  const SurpriseBaseline baseline = compute_surprise_baseline(kernel);
+  GuardedSessionPredictor guarded(kernel, 2.0, 1.5, baseline);
 
   Rng rng(13);
   for (double w : sample_sequence(model, 30, rng)) guarded.observe(w);
@@ -319,10 +336,9 @@ TEST(GuardedSession, RecoversWithHysteresis) {
 }
 
 TEST(GuardedSession, PoisonedSamplesNeverReachTheFilter) {
-  const GaussianHmm model = two_state_model();
-  const GuardrailConfig config = guarded_config();
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
-  GuardedSessionPredictor guarded(model, 2.0, 1.5, baseline, config);
+  const auto kernel = HmmKernel::create(two_state_model());
+  GuardedSessionPredictor guarded(kernel, 2.0, 1.5,
+                                  compute_surprise_baseline(kernel));
 
   guarded.observe(1.0);
   const std::size_t before = guarded.filter().observations();
@@ -337,10 +353,10 @@ TEST(GuardedSession, PoisonedSamplesNeverReachTheFilter) {
 }
 
 TEST(GuardedSession, SpikesAreClampedNotBelieved) {
-  const GaussianHmm model = two_state_model();  // max mean 5.0 -> ceiling 50
-  const GuardrailConfig config = guarded_config();
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
-  GuardedSessionPredictor guarded(model, 2.0, 1.5, baseline, config);
+  // Max state mean 5.0 -> ceiling 50.
+  const auto kernel = HmmKernel::create(two_state_model());
+  GuardedSessionPredictor guarded(kernel, 2.0, 1.5,
+                                  compute_surprise_baseline(kernel));
 
   guarded.observe(1.0);
   guarded.observe(1e7);
@@ -352,9 +368,9 @@ TEST(GuardedSession, NoNanPredictionsUnderAdversarialInput) {
   // Satellite acceptance: far-out observations must never produce NaN
   // beliefs or predictions, guardrail on or off.
   const GaussianHmm model = two_state_model();
-  const GuardrailConfig config = guarded_config();
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
-  GuardedSessionPredictor guarded(model, 2.0, 1.5, baseline, config);
+  const auto kernel = HmmKernel::create(model);
+  GuardedSessionPredictor guarded(kernel, 2.0, 1.5,
+                                  compute_surprise_baseline(kernel));
   OnlineHmmFilter unguarded(model);
 
   const double hostile[] = {1.0, kNaN,  1e12, -5.0, kInf, 0.2,
@@ -371,29 +387,71 @@ TEST(GuardedSession, NoNanPredictionsUnderAdversarialInput) {
   for (double p : guarded.filter().belief()) EXPECT_TRUE(std::isfinite(p));
 }
 
+TEST(GuardedSession, FallbackIsTheHarmonicMeanOfTheLastAcceptedWindow) {
+  const GaussianHmm model = two_state_model();
+  const auto kernel = HmmKernel::create(model);
+  GuardedSessionPredictor guarded(kernel, 2.0, 1.5,
+                                  compute_surprise_baseline(kernel));
+
+  Rng rng(11);
+  for (double w : sample_sequence(model, 40, rng)) guarded.observe(w);
+  // A collapse to distinct values around 0.2 Mbps, with rejected samples
+  // in between that must not enter the window.
+  std::vector<double> accepted;
+  for (int i = 0; i < 12; ++i) {
+    const double w = 0.15 + 0.01 * i;
+    guarded.observe(w);
+    accepted.push_back(w);
+    guarded.observe(kNaN);
+    guarded.observe(0.0);
+  }
+  ASSERT_TRUE(guarded.degraded());
+  // The last kFallbackWindow accepted samples, oldest first: the forecast
+  // is their harmonic mean to the bit, and the same at every horizon.
+  const std::vector<double> window(accepted.end() - kFallbackWindow,
+                                   accepted.end());
+  EXPECT_EQ(guarded.predict(1), harmonic_mean(window));
+  EXPECT_EQ(guarded.predict(5), harmonic_mean(window));
+  EXPECT_NE(guarded.predict(1), harmonic_mean(accepted));
+}
+
 TEST(GuardedSession, FallbackChainEndsAtGlobalThenInitial) {
   const GaussianHmm model = two_state_model();
-  GuardrailConfig config = guarded_config();
-  config.min_observations = 1;
-  config.confirm_observations = 1;
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
+  const auto kernel = HmmKernel::create(model);
+  const SurpriseBaseline baseline = compute_surprise_baseline(kernel);
 
-  // No accepted samples yet and degraded is impossible; but predict() with
-  // zero observations returns the initial value.
-  GuardedSessionPredictor fresh(model, 2.25, 1.5, baseline, config);
+  // No accepted samples yet: predict() returns the session's initial value.
+  GuardedSessionPredictor fresh(kernel, 2.25, 1.5, baseline);
   EXPECT_DOUBLE_EQ(fresh.predict(1), 2.25);
   EXPECT_EQ(fresh.predict_initial(), std::optional<double>(2.25));
+
+  // Denormal samples are positive, so the sanitizer accepts them, but their
+  // reciprocals overflow: the window's harmonic mean is 0, not usable. The
+  // chain then serves the global model's initial value...
+  constexpr double kDenormal = 1e-320;
+  GuardedSessionPredictor to_global(kernel, 2.25, 1.5, baseline);
+  for (int i = 0; i < 12; ++i) to_global.observe(kDenormal);
+  ASSERT_TRUE(to_global.degraded());
+  EXPECT_EQ(to_global.predict(1), 1.5);
+
+  // ...and the session's own initial value when the global one is unusable.
+  for (const double unusable : {0.0, kNaN}) {
+    GuardedSessionPredictor to_initial(kernel, 2.25, unusable, baseline);
+    for (int i = 0; i < 12; ++i) to_initial.observe(kDenormal);
+    ASSERT_TRUE(to_initial.degraded());
+    EXPECT_EQ(to_initial.predict(1), 2.25);
+  }
 }
 
 TEST(GuardedSession, EventCallbackLifecycle) {
   const GaussianHmm model = two_state_model();
-  const GuardrailConfig config = guarded_config();
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
+  const auto kernel = HmmKernel::create(model);
+  const SurpriseBaseline baseline = compute_surprise_baseline(kernel);
 
   std::vector<GuardrailEvent> events;
   {
     GuardedSessionPredictor guarded(
-        model, 2.0, 1.5, baseline, config, PredictionRule::kMleState,
+        kernel, 2.0, 1.5, baseline, PredictionRule::kMleState,
         serve_flags::kPrimary,
         [&](GuardrailEvent event, bool) { events.push_back(event); });
     ASSERT_EQ(events.size(), 1u);
@@ -415,11 +473,10 @@ TEST(GuardedSession, EventCallbackLifecycle) {
 }
 
 TEST(GuardedSession, StaticFlagsAreCarried) {
-  const GaussianHmm model = two_state_model();
-  const GuardrailConfig config = guarded_config();
-  const SurpriseBaseline baseline = compute_surprise_baseline(model, config);
+  const auto kernel = HmmKernel::create(two_state_model());
   GuardedSessionPredictor guarded(
-      model, 2.0, 1.5, baseline, config, PredictionRule::kMleState,
+      kernel, 2.0, 1.5, compute_surprise_baseline(kernel),
+      PredictionRule::kMleState,
       static_cast<std::uint8_t>(serve_flags::kGlobalModel |
                                 serve_flags::kClusterDrifted));
   EXPECT_TRUE(guarded.serve_flags() & serve_flags::kGlobalModel);

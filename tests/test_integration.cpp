@@ -148,7 +148,8 @@ TEST(Integration, ClientSideModelMatchesServerSide) {
   const DownloadableModel downloaded =
       client.download_model(probe.features, probe.start_hour);
   EXPECT_LT(downloaded.hmm.byte_size(), 5u * 1024u);  // §5.3 footprint
-  HmmSessionPredictor local(downloaded.hmm, downloaded.initial_mbps);
+  HmmSessionPredictor local(HmmKernel::create(downloaded.hmm),
+                            downloaded.initial_mbps);
 
   const SessionResponse remote = client.hello(probe.features, probe.start_hour);
   EXPECT_DOUBLE_EQ(local.predict_initial().value(), remote.initial_mbps);

@@ -441,7 +441,7 @@ TEST(PredictionService, GlobalModelSessionsSayItInSessionAndPred) {
   const SessionFeatures unseen = {"ISP-x", "AS-x", "P-x", "C-x", "S-x", "Pfx-x"};
   for (const bool guardrail : {false, true}) {
     SCOPED_TRACE(guardrail ? "guardrail on" : "guardrail off");
-    config.guardrail.enabled = guardrail;
+    config.guardrail = guardrail;
     const auto model = std::make_shared<Cs2pPredictorModel>(train, config);
     const Session* clustered = nullptr;
     for (const Session& s : test.sessions()) {

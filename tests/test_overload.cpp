@@ -105,38 +105,24 @@ class GatedEchoModel final : public PredictorModel {
   std::shared_ptr<WorkerGate> gate_ = std::make_shared<WorkerGate>();
 };
 
-/// Guarded HMM sessions (the engine's guardrail wrapper) reporting into a
-/// registry the test reads — fallback_predictions is the double-count probe.
+/// Guarded HMM sessions (the engine's guardrail wrapper, at its shipped
+/// thresholds) reporting into a registry the test reads —
+/// fallback_predictions is the double-count probe.
 class GuardedHmmModel final : public PredictorModel {
  public:
   explicit GuardedHmmModel(obs::MetricsRegistry& registry)
-      : hmm_(testing_support::two_state_model()),
-        config_(config()),
-        baseline_(compute_surprise_baseline(hmm_, config_)),
+      : kernel_(HmmKernel::create(testing_support::two_state_model())),
+        baseline_(compute_surprise_baseline(kernel_)),
         metrics_(GuardrailMetrics::from_registry(registry)) {}
   std::string name() const override { return "GuardedHmm"; }
   std::unique_ptr<SessionPredictor> make_session(const SessionContext&) const override {
     return std::make_unique<GuardedSessionPredictor>(
-        hmm_, 2.0, 1.5, baseline_, config_, PredictionRule::kMleState,
+        kernel_, 2.0, 1.5, baseline_, PredictionRule::kMleState,
         serve_flags::kPrimary, nullptr, &metrics_);
   }
 
  private:
-  static GuardrailConfig config() {
-    GuardrailConfig config;
-    config.enabled = true;
-    config.window = 4;
-    config.min_observations = 4;
-    config.enter_z = 6.0;
-    config.exit_z = 2.0;
-    config.confirm_observations = 2;
-    config.recovery_observations = 4;
-    config.fallback_window = 4;
-    return config;
-  }
-
-  GaussianHmm hmm_;
-  GuardrailConfig config_;
+  std::shared_ptr<const HmmKernel> kernel_;
   SurpriseBaseline baseline_;
   GuardrailMetrics metrics_;
 };

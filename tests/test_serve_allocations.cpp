@@ -84,7 +84,7 @@ std::shared_ptr<Cs2pPredictorModel> small_model(bool guardrail) {
   config.selector.min_cluster_size = 8;
   config.max_sequences_per_cluster = 10;
   config.max_global_sequences = 60;
-  config.guardrail.enabled = guardrail;
+  config.guardrail = guardrail;
   auto [train, test] = SyntheticWorld(world).generate().split_by_day(1);
   (void)test;
   return std::make_shared<Cs2pPredictorModel>(std::move(train), config);

@@ -3,8 +3,9 @@
 // genuinely shifted world and bumping the model lineage, the gate blocking a
 // poisoned retrain while serving continues (the acceptance scenario of the
 // robustness PR), drift-quorum rollback during probation with retrain
-// backoff, clean probation release, external-reload adoption, and the
-// server-level unified BYE/eviction completion hook that feeds it all.
+// backoff, clean probation release, external-reload adoption (and the
+// clusters a reload drops), and the server-level unified BYE/eviction
+// completion hook that feeds it all.
 
 #include "core/trainer.h"
 
@@ -77,7 +78,6 @@ TrainerConfig fast_trainer_config() {
   TrainerConfig config;
   config.reservoir_size = 32;
   config.min_new_sessions = 8;
-  config.holdout_stride = 4;
   config.canary_margin = 0.01;
   config.horizon = 2;
   config.probation_ms = 60'000;  // tests resolve probations explicitly
@@ -341,6 +341,42 @@ TEST(Trainer, SetEngineAdoptsReloadAndClearsProbations) {
   EXPECT_EQ(trainer.engine(), reloaded);
   EXPECT_EQ(trainer.stats().generation, 0u);
   EXPECT_EQ(trainer.stats().probations_active, 0u);
+}
+
+TEST(Trainer, SetEngineForgetsClustersTheReloadDropped) {
+  auto root = tiny_engine();
+  const auto low = cluster_identity(*root, city_features("low-city"));
+  const auto high = cluster_identity(*root, city_features("high-city"));
+  ContinuousTrainer trainer(root, fast_trainer_config());
+  Rng rng(29);
+  for (int i = 0; i < 16; ++i)
+    trainer.ingest(city_features("low-city"), 12.0, sequence_at(20.0, rng));
+  trainer.ingest(city_features("high-city"), 12.0, sequence_at(6.0, rng));
+  ASSERT_EQ(trainer.stats().clusters_tracked, 2u);
+
+  // The reload is trained without low-city: the shifted cluster is gone,
+  // high-city's is kept.
+  const Dataset both = tiny_dataset();
+  Dataset high_only;
+  for (const Session& s : both.sessions())
+    if (s.features.city == "high-city") high_only.add(s);
+  auto reloaded =
+      std::make_shared<Cs2pEngine>(std::move(high_only), tiny_config());
+  reloaded->warm_up();
+  ASSERT_EQ(reloaded->find_cluster(low.first, low.second), nullptr);
+  ASSERT_NE(reloaded->find_cluster(high.first, high.second), nullptr);
+  trainer.set_engine(reloaded, serialize_engine(*reloaded));
+  EXPECT_EQ(trainer.stats().clusters_tracked, 1u);
+
+  // Nothing is left to train: the dropped cluster's reservoir went with its
+  // state, so no EM runs for a model that could never be swapped in.
+  EXPECT_EQ(trainer.run_once(), 0u);
+  const TrainerStats stats = trainer.stats();
+  EXPECT_EQ(stats.retrains, 0u);
+  EXPECT_EQ(stats.canary_accepts, 0u);
+  EXPECT_EQ(stats.canary_rejects, 0u);
+  EXPECT_EQ(stats.generation, 0u);
+  EXPECT_EQ(trainer.engine(), reloaded);
 }
 
 // -- Unified session-completion teardown (net/server.h) ---------------------

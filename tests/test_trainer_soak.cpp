@@ -67,7 +67,6 @@ TEST(TrainerSoak, WorldShiftUnderContinuousTrainingDropsNothing) {
   TrainerConfig trainer_config;
   trainer_config.reservoir_size = 24;
   trainer_config.min_new_sessions = 6;
-  trainer_config.holdout_stride = 4;
   trainer_config.canary_margin = 0.01;
   trainer_config.horizon = 2;
   trainer_config.train_interval_ms = 20;

@@ -188,7 +188,7 @@ int main(int argc, char** argv) try {
   const bool continuous_train = args.get_int<bool>("continuous-train");
   // Continuous training leans on the drift quorum for rollback, so it
   // forces the guardrail on.
-  config.guardrail.enabled = args.get_int<bool>("guardrail") || continuous_train;
+  config.guardrail = args.get_int<bool>("guardrail") || continuous_train;
   const bool lenient_ingest = args.get_int<bool>("lenient-ingest");
   const int train_days = args.get_int<int>("train-days");
   const bool warm_up = args.get_int<bool>("warm-up");
@@ -384,7 +384,7 @@ int main(int argc, char** argv) try {
               server.config().write_stall_timeout_ms, drain_deadline_ms);
   if (reload_interval_s > 0)
     std::printf("reload: retrain + hot-swap every %ld s\n", reload_interval_s);
-  if (config.guardrail.enabled) std::printf("guardrail: on\n");
+  if (config.guardrail) std::printf("guardrail: on\n");
   if (metrics_interval_s > 0)
     std::printf("metrics: dump every %ld s\n", metrics_interval_s);
   if (trace)
@@ -566,7 +566,7 @@ int main(int argc, char** argv) try {
   std::printf("\nstopping after %llu requests (%llu model swaps)\n",
               static_cast<unsigned long long>(server.requests_handled()),
               static_cast<unsigned long long>(server.models_swapped()));
-  if (config.guardrail.enabled) {
+  if (config.guardrail) {
     const EngineStats engine_stats = current_model()->engine().stats();
     std::printf("guardrail: %zu guarded sessions, %zu trips, %zu recoveries, "
                 "%zu drifted clusters, %llu degraded replies\n",
